@@ -23,7 +23,7 @@ from .errors import (
     SingularProjection,
 )
 from .linalg import DEFAULT_TOL, Tolerance, max_abs, subspace_meet
-from .orthogonal import Rotation, RotationKind, orthogonal_normal_form
+from .orthogonal import Rotation, RotationKind
 
 
 @dataclass(frozen=True)
@@ -59,21 +59,20 @@ class AntilinearOp:
         return self.M @ np.conj(x)
 
 
-def _plane_of(rotation: Rotation, tol: Tolerance) -> np.ndarray:
+def _plane_of(rotation: Rotation) -> np.ndarray:
     """Eigenplane basis for eigenvalue exp(i*angle) of a proper rotation.
 
-    Each 2x2 block (u, w) of the block form contributes the column
-    (u - i w)/sqrt(2); the sign is fixed by the block action
-    M u = cos(a) u + sin(a) w, which makes u - i w an exp(i a)
-    eigenvector of the complexified matrix.
+    A certified rotation is ``M = cos(a) I + sin(a) J`` with ``J`` a real
+    skew complex structure, so the Hermitian matrix ``-i (M - M.T)/2``
+    has eigenvalues ``+-sin(a)``, n/2 of each sign, and its ``+sin(a)``
+    eigenvectors are exactly the ``exp(i a)`` eigenvectors of ``M``.
+    One Hermitian eigensolve returns them as orthonormal columns, the
+    top half of its ascending spectrum.  :func:`eigenplanes` checks the
+    eigenplane residual.
     """
-    nf = orthogonal_normal_form(rotation.matrix, tol)
-    cols = []
-    for j in range(len(nf.angles)):
-        u = nf.basis[:, 2 * j]
-        w = nf.basis[:, 2 * j + 1]
-        cols.append((u - 1j * w) / math.sqrt(2.0))
-    return np.column_stack(cols)
+    M = rotation.matrix
+    _, Z = np.linalg.eigh(-0.5j * (M - M.T))
+    return Z[:, M.shape[0] // 2:]
 
 
 def eigenplanes(d: Rotation, e: Rotation,
@@ -89,8 +88,8 @@ def eigenplanes(d: Rotation, e: Rotation,
             raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
     if d.dim != e.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {d.dim} vs {e.dim}")
-    A = _plane_of(d, tol)
-    C = _plane_of(e, tol)
+    A = _plane_of(d)
+    C = _plane_of(e)
     for plane, rot in ((A, d), (C, e)):
         resid = max_abs(rot.matrix @ plane - np.exp(1j * rot.angle) * plane)
         if resid > 10 * tol.residual_tol:

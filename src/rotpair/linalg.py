@@ -1,8 +1,9 @@
 """Small dense linear-algebra helpers used by every other module.
 
-Everything operates on plain numpy arrays.  The matrices involved are
-tiny (ambient dimension rarely above 12), so all routines favor clarity
-and robustness over speed.
+Everything operates on plain numpy arrays.  Ambient dimensions run from
+a handful to a few hundred, so each routine rests on a dense O(n^3)
+factorization (an SVD or a symmetric eigensolve) and makes its rank
+decisions against explicit tolerances.
 """
 
 from __future__ import annotations

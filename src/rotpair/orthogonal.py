@@ -23,7 +23,7 @@ from .errors import (
     NotProper,
     NumericalFailure,
 )
-from .linalg import DEFAULT_TOL, Tolerance, max_abs, orthonormalize, symmetric_eigen
+from .linalg import DEFAULT_TOL, Tolerance, max_abs, symmetric_eigen
 
 
 def rot2(alpha: float) -> np.ndarray:
@@ -132,8 +132,21 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     ``angle_tol``.  Clusters next to 0 or pi are tried as fixed or
     negated space first, certified by a direct residual check; a failed
     certificate falls back to rotation-block extraction, so near-boundary
-    angles still come out as blocks.  Every other cluster is carved into
-    2x2 rotation blocks directly.
+    angles still come out as blocks.
+
+    A rotation cluster with orthonormal basis ``E`` (n x 2m) is split by
+    one Hermitian eigensolve.  ``S = E.T @ M @ E`` is orthogonal, and
+    ``H = -i (S - S.T)/2`` has eigenvalues ``+-sin`` of the block angles,
+    m of each sign.  An eigenvector ``z`` for ``+sin`` is an ``exp(i a)``
+    eigenvector of ``S``, so ``u = sqrt(2) E Re z`` and
+    ``w = -sqrt(2) E Im z`` span one block with ``M u = cos(a) u +
+    sin(a) w``; distinct such ``z`` give orthogonal blocks.  Each block
+    angle is read off the block's own action, ``atan2(|M u - c u|, c)``
+    with ``c = u . M u``.  The split must leave m eigenvalues of H below
+    ``-1e-9`` and m above ``1e-9`` (the sine floor below which a block
+    is too close to 0 or pi to extract).  Within a repeated-angle
+    cluster the blocks are not unique; the ones returned are
+    deterministic for a given input.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -183,26 +196,23 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
                 f"odd-dimensional eigenspace ({E.shape[1]}) at angle "
                 f"{mean_angle:.6f}"
             )
-        rem = E
-        while rem.shape[1] > 0:
-            u = rem[:, 0]
-            Mu = M @ u
-            c = float(u @ Mu)
-            w_raw = Mu - c * u
-            s = float(np.linalg.norm(w_raw))
-            if s <= 1e-9:
-                raise NumericalFailure(
-                    f"block angle too close to 0 or pi to extract (sine {s:.3e})"
-                )
-            w = w_raw / s
-            blocks.append((math.atan2(s, c), u, w))
-            proj = rem - np.outer(u, u @ rem) - np.outer(w, w @ rem)
-            rem = orthonormalize(proj, tol)
-            if rem.shape[1] not in (0, proj.shape[1] - 2):
-                raise NumericalFailure(
-                    "eigenspace did not shrink by 2 when removing a "
-                    "rotation block"
-                )
+        m = E.shape[1] // 2
+        S = E.T @ M @ E
+        sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
+        if not (sines[m - 1] < -1e-9 and sines[m] > 1e-9):
+            raise NumericalFailure(
+                f"block angle too close to 0 or pi to extract: the skew part "
+                f"of the {2 * m}-dim eigenspace at angle {mean_angle:.6f} "
+                f"does not split {m}/{m} beyond the sine floor 1e-9 "
+                f"(middle eigenvalues {sines[m - 1]:.3e}, {sines[m]:.3e})"
+            )
+        U = math.sqrt(2.0) * (E @ Z[:, m:].real)
+        W = -math.sqrt(2.0) * (E @ Z[:, m:].imag)
+        MU = M @ U
+        cos = np.einsum("ij,ij->j", U, MU)
+        sin = np.linalg.norm(MU - cos * U, axis=0)
+        for a, u, w in zip(np.arctan2(sin, cos), U.T, W.T):
+            blocks.append((float(a), u, w))
 
     blocks.sort(key=lambda t: t[0])
     cols = []

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from conftest import rand_orthogonal
 from rotpair import (
+    DEFAULT_TOL,
     AntilinearOp,
     Dim4,
     DimensionMismatch,
@@ -37,7 +40,39 @@ def dim4_pair(alpha=0.5, beta=1.2, theta=0.8, conjugate_by=None):
     return proper(dm), proper(em)
 
 
+@st.composite
+def single_angle_rotations(draw, half_dim):
+    """Conjugated rotation of R^(2*half_dim) with mixed block orientations."""
+    angle = draw(st.integers(1, 199)) * math.pi / 200
+    signs = draw(st.lists(st.sampled_from((-1, 1)),
+                          min_size=half_dim, max_size=half_dim))
+    Q = rand_orthogonal(2 * half_dim,
+                        np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return proper(Q @ block_diag(*[rot2(s * angle) for s in signs]) @ Q.T)
+
+
+@st.composite
+def rotation_pairs(draw):
+    half_dim = draw(st.integers(1, 24))
+    return (draw(single_angle_rotations(half_dim)),
+            draw(single_angle_rotations(half_dim)))
+
+
 class TestEigenplanes:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=rotation_pairs())
+    def test_planes_are_orthonormal_conjugate_eigenplanes(self, pair):
+        d, e = pair
+        pl = eigenplanes(d, e)
+        bound = 10 * DEFAULT_TOL.residual_tol
+        for plane, rot in ((pl.A, d), (pl.C, e)):
+            k = rot.dim // 2
+            assert plane.shape == (rot.dim, k)
+            assert max_abs(plane.conj().T @ plane - np.eye(k)) <= bound
+            assert max_abs(rot.matrix @ plane
+                           - np.exp(1j * rot.angle) * plane) <= bound
+            assert max_abs(plane.conj().T @ np.conj(plane)) <= bound
+
     def test_shapes_and_conjugacy(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
         e = proper(block_diag(rot2(1.1), rot2(1.1)))

@@ -2,24 +2,55 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from conftest import rand_orthogonal
 from rotpair import (
+    DEFAULT_TOL,
     BadAngle,
     BadDimension,
+    Dim2Proper,
+    Dim4,
     NotARotation,
     NotOrthogonal,
     NotProper,
     Rotation,
     RotationKind,
     as_rotation,
+    generate_pair,
     max_abs,
     orthogonal_normal_form,
     rho,
     rot2,
     unrho,
 )
+
+
+# Block angles are drawn from the grid k*pi/ANGLE_GRID, so distinct angles
+# sit far more than angle_tol apart and the clustering is unambiguous.
+ANGLE_GRID = 200
+
+
+@st.composite
+def block_spectra(draw):
+    """(rotation-block angles with repeats, fix_dim, neg_dim), n <= 48."""
+    picks = draw(st.lists(
+        st.tuples(st.integers(1, ANGLE_GRID - 1), st.integers(1, 8)),
+        max_size=3, unique_by=lambda t: t[0],
+    ))
+    angles = sorted(k * math.pi / ANGLE_GRID for k, mult in picks
+                    for _ in range(mult))
+    fix_dim = draw(st.integers(0, 4))
+    neg_dim = draw(st.integers(0, 4))
+    assume(1 <= 2 * len(angles) + fix_dim + neg_dim <= 48)
+    return angles, fix_dim, neg_dim
+
+
+def _polar(M):
+    u, _, vh = np.linalg.svd(M)
+    return u @ vh
 
 
 def test_rot2_entries():
@@ -90,6 +121,23 @@ class TestNormalForm:
         assert len(nf.angles) == 1
         assert abs(nf.angles[0] - a) <= 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(spectrum=block_spectra(), seed=st.integers(0, 2**32 - 1))
+    def test_conjugated_block_spectrum_recovered(self, spectrum, seed):
+        angles, fix_dim, neg_dim = spectrum
+        blocks = [rot2(a) for a in angles]
+        blocks += [np.eye(fix_dim), -np.eye(neg_dim)]
+        D = block_diag(*blocks)
+        Q = rand_orthogonal(D.shape[0], np.random.default_rng(seed))
+        M = Q @ D @ Q.T
+        nf = orthogonal_normal_form(M)
+        bound = 10 * DEFAULT_TOL.residual_tol
+        assert (nf.fix_dim, nf.neg_dim) == (fix_dim, neg_dim)
+        assert max_abs(nf.basis.T @ nf.basis - np.eye(M.shape[0])) <= bound
+        assert max_abs(nf.basis.T @ M @ nf.basis - nf.block_matrix()) <= bound
+        assert len(nf.angles) == len(angles)
+        assert max_abs(np.subtract(nf.angles, angles)) <= DEFAULT_TOL.angle_tol
+
     def test_rejects_non_orthogonal(self):
         with pytest.raises(NotOrthogonal):
             orthogonal_normal_form(np.eye(2) * 1.01)
@@ -126,6 +174,19 @@ class TestAsRotation:
     def test_rejects_angle_with_fixed_space(self):
         with pytest.raises(NotARotation):
             as_rotation(block_diag(rot2(0.9), [[1.0]]))
+
+    def test_certifies_matrices_with_noise_at_residual_scale(self):
+        # Noise of 1e-9 splits each repeated block angle into nearby
+        # distinct angles; certification must still see one angle.
+        spec = [Dim2Proper(0.5, 1.2, 1), Dim4(0.5, 1.2, 0.8)]
+        rng = np.random.default_rng(0)
+        for seed in range(40):
+            doc = generate_pair(spec, seed)
+            for M, angle in ((doc.delta, 0.5), (doc.epsilon, 1.2)):
+                noisy = _polar(M + 1e-9 * rng.standard_normal(M.shape))
+                r = as_rotation(noisy)
+                assert r.kind is RotationKind.PROPER
+                assert abs(r.angle - angle) <= DEFAULT_TOL.angle_tol
 
     def test_inner_product_is_constant(self):
         rng = np.random.default_rng(2)
