@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .decompose import InvariantBlock, decompose, is_irreducible
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     NumericalFailure,
     ScaleNotConstant,
 )
-from .linalg import DEFAULT_TOL, Tolerance, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, block_diag, max_abs
 from .orthogonal import Rotation, RotationKind, as_rotation, rho, rot2
 
 
@@ -139,41 +138,27 @@ def orientation_sign(d, e, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(signs[0] * signs[1])
 
 
-# Unit vectors probing a quadratic form on R^4: the coordinate vectors
-# pin the diagonal, the pairwise averages pin the off-diagonal entries,
-# so equal values on all ten certify the form is a multiple of the
-# identity.
-def _probe_vectors(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    cols = [eye[:, i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols.append((eye[:, i] + eye[:, j]) / math.sqrt(2.0))
-    return np.column_stack(cols)
-
-
 def theta_invariant(s: Rotation, t: Rotation,
                     tol: Tolerance = DEFAULT_TOL) -> float:
     """Twist angle between two quarter-turns of R^4.
 
     The inner product of s(v) and t(v) is independent of the unit
     vector v whenever the pair has no mixed-orientation split; its
-    arccos is the twist angle.  Checked on the ten probe vectors, which
-    determine the underlying quadratic form completely.
+    arccos is the twist angle.  The eigenvalues of ``sym(s^T t)`` span
+    the exact range of that product over the unit sphere.
     """
     for r in (s, t):
         if r.dim != 4:
             raise BadParameter(f"expected rotations of R^4, got dimension {r.dim}")
         if abs(r.angle - math.pi / 2) > tol.angle_tol:
             raise BadAngle(f"angle {r.angle!r} is not pi/2")
-    probes = _probe_vectors(4)
-    values = np.einsum("ij,ij->j", s.matrix @ probes, t.matrix @ probes)
-    spread = float(values.max() - values.min())
+    G = s.matrix.T @ t.matrix
+    spread = float(np.ptp(np.linalg.eigvalsh(G + G.T))) / 2.0
     if spread > 10 * tol.residual_tol:
         raise NotConstant(
-            f"inner product varies by {spread:.3e} over the probe vectors"
+            f"inner product varies by {spread:.3e} over the unit sphere"
         )
-    return math.acos(min(1.0, max(-1.0, float(values.mean()))))
+    return math.acos(min(1.0, max(-1.0, float(np.trace(G)) / 4.0)))
 
 
 def _proper_angle_of(M: np.ndarray, tol: Tolerance):
@@ -311,6 +296,7 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     An invertible phi with ``phi d = d' phi`` and ``phi e = e' phi``
     between irreducible pairs scales every vector by one factor; the
     returned ``phi / mu`` is orthogonal and intertwines the same way.
+    The singular values of phi span the exact range of |phi v| on the unit sphere.
     """
     phi = np.asarray(phi, dtype=float)
     d, e = pair1
@@ -335,14 +321,12 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     sing = np.linalg.svd(phi, compute_uv=False)
     if sing[-1] <= tol.rank_tol * sing[0]:
         raise NotIntertwiner("map is singular")
-    probes = _probe_vectors(n)
-    norms = np.linalg.norm(phi @ probes, axis=0)
-    spread = float(norms.max() - norms.min())
+    spread = float(sing[0] - sing[-1])
     if spread > 10 * tol.residual_tol:
         raise ScaleNotConstant(
-            f"stretch varies by {spread:.3e} over the probe vectors"
+            f"stretch varies by {spread:.3e} over the unit sphere"
         )
-    out = phi / float(norms.mean())
+    out = phi / float(sing.mean())
     resid = max_abs(out.T @ out - np.eye(n))
     if resid > 10 * tol.residual_tol:
         raise NumericalFailure(f"result orthogonality residual {resid:.3e}")

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 
-from .classify import classify, labels_match
-from .errors import NumericalError, RotPairError, ValidationError
+from .classify import isomorphic
+from .errors import BadParameter, RotPairError, ValidationError
 from .linalg import Tolerance
 from .orthogonal import as_rotation, orthogonal_normal_form
 from .workbench import (
@@ -63,7 +63,10 @@ class _Output:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(residual_tol=args.tol, angle_tol=args.angle_tol)
+    try:
+        return Tolerance(residual_tol=args.tol, angle_tol=args.angle_tol)
+    except ValueError as exc:
+        raise BadParameter(str(exc)) from exc
 
 
 def _load_rotations(path, tol: Tolerance):
@@ -146,7 +149,7 @@ def _cmd_isomorphic(args, out: _Output) -> int:
     tol = _tolerance(args)
     _, d1, e1 = _load_rotations(args.file_a, tol)
     _, d2, e2 = _load_rotations(args.file_b, tol)
-    same = labels_match(classify(d1, e1, tol), classify(d2, e2, tol), tol)
+    same = isomorphic((d1, e1), (d2, e2), tol)
     if out.fmt == "json":
         out.emit_json({"isomorphic": same})
     else:
@@ -271,15 +274,9 @@ def main(argv=None) -> int:
     out = _Output(fmt=args.format, quiet=args.quiet)
     try:
         return args.func(args, out)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except RotPairError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

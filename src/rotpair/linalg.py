@@ -8,7 +8,7 @@ decisions against explicit tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -29,8 +29,9 @@ class Tolerance:
     rank_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.residual_tol, self.angle_tol, self.rank_tol) <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        # NaN or infinity would make every ``resid > tol`` check pass
+        if not all(0 < t < np.inf for t in astuple(self)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -42,6 +43,17 @@ def max_abs(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a)))
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """Direct sum of 2-d blocks; array-likes such as ``[[-1.0]]`` accepted."""
+    mats = [np.atleast_2d(b) for b in blocks]
+    out = np.zeros(np.sum([m.shape for m in mats], axis=0), np.result_type(*mats))
+    r, c = 0, 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 def _to_columns(vectors):

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .classify import (
     ClassLabel,
@@ -37,7 +36,7 @@ from .errors import (
     NotOrthogonal,
     NotProper,
 )
-from .linalg import DEFAULT_TOL, Tolerance, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, block_diag, max_abs
 from .orthogonal import (
     NormalForm,
     Rotation,
@@ -88,7 +87,14 @@ def form_from_dict(obj: dict):
     for f in cls.__dataclass_fields__:
         if f not in obj:
             raise BadParameter(f"family {obj['family']!r} needs field {f!r}")
-        kwargs[f] = int(obj[f]) if f in ("r", "s") else float(obj[f])
+        value = obj[f]
+        # exact types: JSON true loads as a bool, which Python counts as an int
+        if f in ("r", "s"):
+            if type(value) is not int or value not in (-1, 1):
+                raise BadParameter(f"{f} must be the integer +1 or -1, got {value!r}")
+        elif type(value) not in (int, float):
+            raise BadParameter(f"{f} must be a number, got {value!r}")
+        kwargs[f] = value if f in ("r", "s") else float(value)
     extra = set(obj) - set(cls.__dataclass_fields__) - {"family"}
     if extra:
         raise BadParameter(f"unexpected fields {sorted(extra)} for {obj['family']!r}")
@@ -147,7 +153,7 @@ def pair_from_json_dict(obj: dict, tol: Tolerance = DEFAULT_TOL,
         if key not in obj:
             raise BadParameter(f"document is missing {key!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise BadDimension(f"n must be a positive integer, got {n!r}")
     delta = _matrix_from_json(obj["delta"], "delta", n)
     epsilon = _matrix_from_json(obj["epsilon"], "epsilon", n)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
 
 from conftest import rand_orthogonal
 from rotpair import (
@@ -26,6 +25,7 @@ from rotpair import (
     t_squared,
 )
 from rotpair.decompose import invariance_residual, real_plane_from_complex_line
+from rotpair.linalg import block_diag
 
 
 def proper(M):

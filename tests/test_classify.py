@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from conftest import pair_rotations, rand_orthogonal
 from rotpair import (
@@ -34,6 +33,7 @@ from rotpair import (
     theta_invariant,
 )
 from rotpair.decompose import InvariantBlock
+from rotpair.linalg import block_diag
 
 
 def proper(M):

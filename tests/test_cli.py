@@ -76,6 +76,24 @@ class TestCheck:
         assert rc == EXIT_VALIDATION
         assert "error" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_rejects_bad_tolerance(self, tmp_path, tol):
+        # orthogonality residual 1.5e-3: a NaN tolerance would let it
+        # through to the normal form
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"n": 2, "delta": [[1.0, 1.5e-3], [0.0, 1.0]],
+             "epsilon": [[1.0, 0.0], [0.0, 1.0]]}
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotpair.cli", "check", str(path),
+             "--tol", tol],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestNormalForm:
     def test_json_angles(self, capsys, pair_file):
@@ -191,14 +209,22 @@ class TestGenerate:
         assert rc == EXIT_VALIDATION
         assert "error" in err
 
+    def test_non_integer_sign(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        rc, _, err = run(capsys, "generate", "--spec",
+                         '[{"family": "dim1", "r": 1.7, "s": -1}]',
+                         "-o", str(out_path))
+        assert rc == EXIT_VALIDATION
+        assert "error" in err
+        assert not out_path.exists()
+
 
 class TestOracle:
     def test_witness_on_block_aligned_pair(self, capsys, tmp_path):
         # the witness set of a conjugated reducible pair has measure
         # zero, so feed the oracle an axis-aligned document instead
-        from scipy.linalg import block_diag
-
         from rotpair import PairDocument, realize, rot2
+        from rotpair.linalg import block_diag
 
         d2, e2 = realize(Dim2Proper(alpha=0.5, beta=1.2, r=1))
         d4, e4 = realize(Dim4(alpha=0.5, beta=1.2, theta=0.8))
@@ -238,6 +264,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "delta" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rotpair.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_help_lists_subcommands():

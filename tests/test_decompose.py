@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from conftest import pair_rotations, rand_orthogonal, random_compatible_spec
 from rotpair import (
@@ -24,7 +23,7 @@ from rotpair import (
     unrho,
 )
 from rotpair.decompose import _split_block, invariance_residual
-from rotpair.linalg import DEFAULT_TOL
+from rotpair.linalg import DEFAULT_TOL, block_diag
 
 
 def proper(M):

@@ -13,6 +13,7 @@ from rotpair import (
     subspace_meet,
     symmetric_eigen,
 )
+from rotpair.linalg import block_diag
 
 
 class TestTolerance:
@@ -26,10 +27,29 @@ class TestTolerance:
         {"residual_tol": 0.0},
         {"angle_tol": -1e-9},
         {"rank_tol": 0.0},
+        {"residual_tol": float("nan")},
+        {"angle_tol": float("inf")},
+        {"rank_tol": float("nan")},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
+
+
+class TestBlockDiag:
+    def test_mixed_blocks(self):
+        out = block_diag([[-1.0]], np.array([[1.0, 2.0], [3.0, 4.0]]),
+                         [[5.0, 6.0], [7.0, 8.0]], np.array([[9.0]]))
+        want = np.array([
+            [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 2.0, 0.0, 0.0, 0.0],
+            [0.0, 3.0, 4.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 5.0, 6.0, 0.0],
+            [0.0, 0.0, 0.0, 7.0, 8.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 9.0],
+        ])
+        assert out.shape == want.shape
+        assert np.array_equal(out, want)
 
 
 class TestOrthonormalize:

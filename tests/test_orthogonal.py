@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
 
 from conftest import rand_orthogonal
 from rotpair import (
@@ -26,6 +25,7 @@ from rotpair import (
     rot2,
     unrho,
 )
+from rotpair.linalg import block_diag
 
 
 # Block angles are drawn from the grid k*pi/ANGLE_GRID, so distinct angles

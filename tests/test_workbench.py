@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from conftest import pair_rotations, rand_orthogonal, random_compatible_spec
 from rotpair import (
@@ -38,6 +37,7 @@ from rotpair.classify import ClassLabel
 from rotpair.decompose import invariance_residual
 from rotpair.errors import NotProper
 from rotpair.workbench import _sig12, haar_orthogonal, label_to_list
+from rotpair.linalg import block_diag
 
 
 class TestFormSerialization:
@@ -67,6 +67,22 @@ class TestFormSerialization:
     def test_rejects_extra_field(self):
         with pytest.raises(BadParameter):
             form_from_dict({"family": "dim1", "r": 1, "s": 1, "theta": 0.3})
+
+    @pytest.mark.parametrize("obj", [
+        {"family": "dim1", "r": 1.7, "s": -1},
+        {"family": "dim1", "r": 1.0, "s": -1},
+        {"family": "dim1", "r": 2, "s": -1},
+        {"family": "dim1", "r": True, "s": -1},
+        {"family": "dim1", "r": None, "s": -1},
+        {"family": "dim1", "r": "1", "s": -1},
+        {"family": "dim2_left_scalar", "r": 1, "beta": "x"},
+        {"family": "dim2_left_scalar", "r": 1, "beta": None},
+        {"family": "dim2_left_scalar", "r": 1, "beta": True},
+        {"family": "dim4", "alpha": 0.5, "beta": [1.2], "theta": 0.8},
+    ])
+    def test_rejects_mistyped_field(self, obj):
+        with pytest.raises(BadParameter):
+            form_from_dict(obj)
 
 
 class TestPairDocument:
@@ -108,6 +124,8 @@ class TestPairDocument:
             pair_from_json_dict({"n": 0, "delta": eye, "epsilon": eye})
         with pytest.raises(BadDimension):
             pair_from_json_dict({"n": 3, "delta": eye, "epsilon": eye})
+        with pytest.raises(BadDimension):
+            pair_from_json_dict({"n": True, "delta": [[1.0]], "epsilon": [[1.0]]})
 
     def test_rejects_non_finite(self):
         eye = [[1.0, 0.0], [0.0, 1.0]]
