@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
     SingularProjection,
 )
-from .linalg import DEFAULT_TOL, Tolerance, max_abs, subspace_meet
+from .linalg import DEFAULT_TOL, Tolerance, max_abs
 from .orthogonal import Rotation, RotationKind
 
 
@@ -105,28 +105,20 @@ def build_T(planes: EigenplaneBases, tol: Tolerance = DEFAULT_TOL) -> Antilinear
     ``G_BC = B^H C`` are the Gram matrices of the restricted
     projections.
 
+    The singular values of the Gram matrices are the only overlap test:
+    ``G_BC`` is singular exactly when A meets C, ``G_AC`` when A meets D.
+
     Raises
     ------
     IntersectionNonTrivial
-        If A meets C or D, including the near-singular case where a
-        restricted projection has a relative singular value below
-        ``rank_tol``; the exception carries a witness vector.
+        If A meets or nearly meets C or D: a Gram matrix vanishes, or
+        its relative smallest singular value is at most ``rank_tol``.
+        The exception carries a unit witness vector in the overlap.
     SingularProjection
         If the resulting M is numerically singular even though the
         intersections look trivial.
     """
-    A, B, C, D = planes.A, planes.B, planes.C, planes.D
-    meet_ac = subspace_meet(A, C, tol)
-    if meet_ac.shape[1]:
-        raise IntersectionNonTrivial(
-            "A meets C nontrivially", witness=meet_ac[:, 0], which="AC"
-        )
-    meet_ad = subspace_meet(A, D, tol)
-    if meet_ad.shape[1]:
-        raise IntersectionNonTrivial(
-            "A meets D nontrivially", witness=meet_ad[:, 0], which="AD"
-        )
-
+    A, B, C = planes.A, planes.B, planes.C
     G_AC = A.conj().T @ C
     G_BC = B.conj().T @ C
     # A direction of C orthogonal to A lies in B (A and B fill C^n), so a
@@ -139,8 +131,8 @@ def build_T(planes: EigenplaneBases, tol: Tolerance = DEFAULT_TOL) -> Antilinear
             if which == "AD":
                 wit = np.conj(wit)
             raise IntersectionNonTrivial(
-                f"restricted projection nearly singular (sigma_min/sigma_max "
-                f"= {s[-1] / s[0]:.3e})",
+                f"restricted projection nearly singular (sigma_min "
+                f"{s[-1]:.3e}, sigma_max {s[0]:.3e})",
                 witness=wit / np.linalg.norm(wit),
                 which=which,
             )

@@ -17,6 +17,7 @@ forms agree, so classification doubles as the isomorphism test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,16 @@ def _sort_key(form):
 
 @dataclass(frozen=True)
 class ClassLabel:
-    """Multiset of canonical forms, stored sorted for determinism."""
+    """Multiset of canonical forms, sorted on construction.
+
+    This is the one place the canonical order (family, then signs,
+    then angles) is applied; callers pass forms in any order.
+    """
 
     forms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "forms", tuple(sorted(self.forms, key=_sort_key)))
 
     @property
     def total_dim(self) -> int:
@@ -106,6 +114,9 @@ def _check_sign(value, name: str) -> int:
 
 
 def _check_angle(value, name: str) -> float:
+    # bool is an int subclass, but True is no angle
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParameter(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not (0.0 < value < math.pi):
         raise BadParameter(f"{name} must lie strictly inside (0, pi), got {value!r}")
@@ -126,16 +137,19 @@ def orientation_sign(d, e, tol: Tolerance = DEFAULT_TOL) -> int:
     the sine entries.  Conjugating both matrices by a reflection flips
     both signs, so the product is basis-independent.
     """
-    signs = []
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     for M in (d, e):
-        M = np.asarray(M, dtype=float)
         r = as_rotation(M, tol)
         if r.dim != 2:
             raise BadParameter(f"expected 2x2 matrices, got {M.shape}")
         if r.kind is not RotationKind.PROPER:
             raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
-        signs.append(1.0 if M[1, 0] > 0 else -1.0)
-    return int(signs[0] * signs[1])
+    return _sine_sign_product(d, e)
+
+
+def _sine_sign_product(d: np.ndarray, e: np.ndarray) -> int:
+    """Product of the signs of the sine entries of two certified plane rotations."""
+    return 1 if (d[1, 0] > 0) == (e[1, 0] > 0) else -1
 
 
 def theta_invariant(s: Rotation, t: Rotation,
@@ -187,7 +201,8 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
                 return Dim2LeftScalar(r=left, beta=right)
             if e_rot is None:
                 return Dim2RightScalar(alpha=left, s=right)
-            r = orientation_sign(block.d_restricted, block.e_restricted, tol)
+            # both sides were certified proper rotations of the plane above
+            r = _sine_sign_product(block.d_restricted, block.e_restricted)
             return Dim2Proper(alpha=left, beta=right, r=r)
         if block.dim != 4:
             raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
@@ -236,8 +251,7 @@ def realize(form) -> tuple:
 def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLabel:
     """Canonical label of a rotation pair: forms of its irreducible blocks."""
     dec = decompose(d, e, tol)
-    forms = [classify_block(b, tol) for b in dec.blocks]
-    return ClassLabel(forms=tuple(sorted(forms, key=_sort_key)))
+    return ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
 
 
 def _forms_equal(f1, f2, angle_tol: float) -> bool:

@@ -10,7 +10,6 @@ invariant line (again a 2-plane) or hands us a 4-dimensional block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import (
     DegenerateLine,
     IntersectionNonTrivial,
     NotOrthogonalPair,
-    NotProper,
     NumericalFailure,
 )
 from .linalg import (
@@ -135,11 +133,9 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
 
     Returns ``(True, basis)`` with an orthonormal witness basis, or
     ``(False, None)``.  The witness is verified invariant under both
-    rotations before being returned.
+    rotations before being returned.  A rotation that is not proper
+    raises ``NotProper`` from :func:`eigenplanes`.
     """
-    for r in (d, e):
-        if r.kind is not RotationKind.PROPER:
-            raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
     kind, payload = _plane_or_operator(d, e, tol)
     if kind != "plane":
         return False, None
@@ -267,27 +263,6 @@ def _split_block(block: InvariantBlock, tol: Tolerance):
     return [block.basis @ plane, block.basis @ rest]
 
 
-def _order_key(block: InvariantBlock):
-    """Deterministic sort key: dimension, both angles, then orientation data."""
-    k = block.dim
-    d_r, e_r = block.d_restricted, block.e_restricted
-    ang_d = math.acos(min(1.0, max(-1.0, float(np.trace(d_r)) / k)))
-    ang_e = math.acos(min(1.0, max(-1.0, float(np.trace(e_r)) / k)))
-    tail = 0.0
-    if k == 2:
-        prod = d_r[1, 0] * e_r[1, 0]
-        if abs(prod) > 1e-12:
-            tail = math.copysign(1.0, prod)
-    elif k == 4:
-        sin_d, sin_e = math.sin(ang_d), math.sin(ang_e)
-        if min(sin_d, sin_e) > 1e-12:
-            sigma = (d_r - math.cos(ang_d) * np.eye(4)) / sin_d
-            tau = (e_r - math.cos(ang_e) * np.eye(4)) / sin_e
-            g = sigma.T @ tau
-            tail = math.acos(min(1.0, max(-1.0, float(np.trace(g)) / 4)))
-    return (k, ang_d, ang_e, tail)
-
-
 def decompose(d: Rotation, e: Rotation,
               tol: Tolerance = DEFAULT_TOL) -> InvariantDecomposition:
     """Full decomposition into irreducible invariant blocks.
@@ -295,8 +270,9 @@ def decompose(d: Rotation, e: Rotation,
     Blocks are peeled off one at a time; both operators restrict to the
     orthogonal complement of each extracted block, and the restriction
     of a single-angle rotation to an invariant subspace keeps its angle,
-    so no re-certification is needed along the way.  The result is
-    sorted by (dimension, angles, orientation data) for determinism.
+    so no re-certification is needed along the way.  Blocks come in
+    extraction order, which is deterministic; the canonical order is
+    the order of their forms, applied by ``ClassLabel``.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
@@ -333,7 +309,6 @@ def decompose(d: Rotation, e: Rotation,
         cur_d = Rotation(matrix=comp.T @ cur_d.matrix @ comp, angle=cur_d.angle)
         cur_e = Rotation(matrix=comp.T @ cur_e.matrix @ comp, angle=cur_e.angle)
 
-    blocks.sort(key=_order_key)
     total = sum(b.dim for b in blocks)
     if total != n:
         raise NumericalFailure(f"block dimensions sum to {total}, expected {n}")

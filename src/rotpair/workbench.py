@@ -23,7 +23,6 @@ from .classify import (
     Dim2Proper,
     Dim2RightScalar,
     Dim4,
-    _sort_key,
     classify_block,
     realize,
 )
@@ -128,7 +127,16 @@ class PairDocument:
             fh.write("\n")
 
 
+def _has_bool(obj) -> bool:
+    if isinstance(obj, (list, tuple)):
+        return any(_has_bool(x) for x in obj)
+    return isinstance(obj, bool)
+
+
 def _matrix_from_json(obj, name: str, n: int) -> np.ndarray:
+    # JSON true loads as a bool, which numpy would read as 1.0
+    if _has_bool(obj):
+        raise BadParameter(f"{name} has a boolean entry")
     try:
         M = np.array(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -234,7 +242,7 @@ def build_report(d: Rotation, e: Rotation,
             "invariance_residual": float(invariance_residual(b.basis, d, e)),
             "form": form_to_dict(form),
         })
-    label = ClassLabel(forms=tuple(sorted(forms, key=_sort_key)))
+    label = ClassLabel(forms=tuple(forms))
     return ReportDocument(
         n=d.dim,
         tolerances={
@@ -308,7 +316,7 @@ def generate_pair(spec, seed: int, tol: Tolerance = DEFAULT_TOL) -> PairDocument
         raise BadParameter(
             f"forms are not jointly realizable as a rotation pair: {exc}"
         ) from exc
-    label = ClassLabel(forms=tuple(sorted(spec, key=_sort_key)))
+    label = ClassLabel(forms=tuple(spec))
     return PairDocument(
         n=n,
         delta=delta,

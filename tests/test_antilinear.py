@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import rand_orthogonal
 from rotpair import (
     DEFAULT_TOL,
     AntilinearOp,
+    Dim2Proper,
     Dim4,
     DimensionMismatch,
     IntersectionNonTrivial,
@@ -127,6 +129,31 @@ class TestBuildT:
             build_T(eigenplanes(d, e))
         exc = exc_info.value
         assert exc.which == "AD"
+        plane = real_plane_from_complex_line(exc.witness)
+        assert invariance_residual(plane, d, e) <= 1e-8
+
+    def test_exact_overlap_in_the_plane(self):
+        # G_BC is exactly zero here; the message must not divide by it
+        d, e = proper(rot2(0.5)), proper(rot2(1.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntersectionNonTrivial) as exc_info:
+                build_T(eigenplanes(d, e))
+        assert exc_info.value.which == "AC"
+
+    @pytest.mark.parametrize("r,which", [(1, "AC"), (-1, "AD")])
+    def test_overlap_beside_four_block(self, r, which):
+        # One overlap line next to a twisted 4-block: the Gram matrix keeps
+        # a large singular value and only its relative smallest one vanishes.
+        Q = rand_orthogonal(6, np.random.default_rng(24))
+        d2, e2 = realize(Dim2Proper(alpha=0.5, beta=1.2, r=r))
+        d4, e4 = realize(Dim4(alpha=0.5, beta=1.2, theta=0.8))
+        d = proper(Q @ block_diag(d2, d4) @ Q.T)
+        e = proper(Q @ block_diag(e2, e4) @ Q.T)
+        with pytest.raises(IntersectionNonTrivial) as exc_info:
+            build_T(eigenplanes(d, e))
+        exc = exc_info.value
+        assert exc.which == which
         plane = real_plane_from_complex_line(exc.witness)
         assert invariance_residual(plane, d, e) <= 1e-8
 

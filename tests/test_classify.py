@@ -150,6 +150,10 @@ class TestRealize:
         Dim2Proper(alpha=0.0, beta=0.5, r=1),
         Dim2Proper(alpha=0.5, beta=np.pi, r=1),
         Dim4(alpha=0.5, beta=1.2, theta=-0.1),
+        Dim2Proper(alpha="x", beta=1.0, r=1),
+        Dim2Proper(alpha=None, beta=1.0, r=1),
+        Dim4(alpha=0.5, beta=1.2, theta=[1]),
+        Dim2RightScalar(alpha=True, s=1),
     ])
     def test_rejects_bad_parameters(self, form):
         with pytest.raises(BadParameter):
@@ -250,6 +254,18 @@ class TestClassify:
         kinds = [type(f).__name__ for f in label.forms]
         assert kinds == ["Dim2Proper", "Dim2Proper", "Dim4"]
         assert label.forms[0].r < label.forms[1].r
+
+    def test_label_sorts_on_construction(self):
+        canonical = (
+            Dim1(r=-1, s=1),
+            Dim2Proper(alpha=0.5, beta=1.2, r=-1),
+            Dim2Proper(alpha=0.5, beta=1.2, r=1),
+            Dim4(alpha=0.5, beta=1.2, theta=0.3),
+            Dim4(alpha=0.5, beta=1.2, theta=0.8),
+        )
+        shuffled = tuple(canonical[i] for i in (4, 2, 0, 3, 1))
+        assert ClassLabel(forms=shuffled).forms == canonical
+        assert ClassLabel(forms=shuffled) == ClassLabel(forms=canonical)
 
 
 class TestLabelsMatch:

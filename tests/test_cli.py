@@ -76,6 +76,14 @@ class TestCheck:
         assert rc == EXIT_VALIDATION
         assert "error" in err
 
+    def test_boolean_entry(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"n": 1, "delta": [[True]], "epsilon": [[-1]]}))
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert "boolean" in err
+
     @pytest.mark.parametrize("tol", ["nan", "0"])
     def test_rejects_bad_tolerance(self, tmp_path, tol):
         # orthogonality residual 1.5e-3: a NaN tolerance would let it

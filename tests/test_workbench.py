@@ -133,6 +133,15 @@ class TestPairDocument:
         with pytest.raises(BadParameter):
             pair_from_json_dict({"n": 2, "delta": bad, "epsilon": eye})
 
+    def test_rejects_boolean_entries(self):
+        with pytest.raises(BadParameter):
+            pair_from_json_dict({"n": 1, "delta": [[True]], "epsilon": [[-1]]})
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(BadParameter):
+            pair_from_json_dict(
+                {"n": 2, "delta": eye, "epsilon": [[1.0, 0.0], [0.0, True]]}
+            )
+
     def test_strict_orthogonality(self):
         eye = [[1.0, 0.0], [0.0, 1.0]]
         skew = [[1.0, 1e-4], [0.0, 1.0]]
@@ -161,6 +170,11 @@ class TestBuildReport:
             ClassLabel(forms=tuple(form_from_dict(f) for f in report.label)),
             want,
         )
+        # blocks come in extraction order; their forms are the label
+        block_forms = sorted(json.dumps(b["form"], sort_keys=True)
+                             for b in report.blocks)
+        assert block_forms == sorted(json.dumps(f, sort_keys=True)
+                                     for f in report.label)
         # round trips through json untouched
         blob = json.dumps(report.to_json_dict(), sort_keys=True)
         assert json.loads(blob)["n"] == 6
