@@ -63,7 +63,6 @@ from .errors import (
     NumericalFailure,
     RotPairError,
     ScaleNotConstant,
-    SingularProjection,
     ValidationError,
 )
 from .linalg import (

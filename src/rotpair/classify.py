@@ -108,7 +108,9 @@ class ClassLabel:
 
 
 def _check_sign(value, name: str) -> int:
-    if value not in (-1, 1):
+    # bool is an int subclass, but True is no sign; 1.0 is no integer
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value not in (-1, 1)):
         raise BadParameter(f"{name} must be +1 or -1, got {value!r}")
     return int(value)
 
@@ -159,7 +161,10 @@ def theta_invariant(s: Rotation, t: Rotation,
     The inner product of s(v) and t(v) is independent of the unit
     vector v whenever the pair has no mixed-orientation split; its
     arccos is the twist angle.  The eigenvalues of ``sym(s^T t)`` span
-    the exact range of that product over the unit sphere.
+    the exact range of that product over the unit sphere.  The angle is
+    returned as ``2 atan2(|s - t|_F, |s + t|_F)``, using
+    ``|s -+ t|_F^2 = 8 -+ 8 cos(theta)``, which stays accurate next to
+    0 and pi where the arccos of the trace loses every digit.
     """
     for r in (s, t):
         if r.dim != 4:
@@ -172,7 +177,8 @@ def theta_invariant(s: Rotation, t: Rotation,
         raise NotConstant(
             f"inner product varies by {spread:.3e} over the unit sphere"
         )
-    return math.acos(min(1.0, max(-1.0, float(np.trace(G)) / 4.0)))
+    return 2.0 * math.atan2(float(np.linalg.norm(s.matrix - t.matrix)),
+                            float(np.linalg.norm(s.matrix + t.matrix)))
 
 
 def _proper_angle_of(M: np.ndarray, tol: Tolerance):
@@ -186,34 +192,38 @@ def _proper_angle_of(M: np.ndarray, tol: Tolerance):
 
 
 def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
-    """Canonical form of an irreducible block."""
+    """Canonical form of an irreducible block.
+
+    Whether a 2- or 4-block is irreducible is decided by
+    :func:`is_irreducible` alone; a reducible block, or one whose
+    restrictions are not rotations, raises ``NotIrreducible``.  A
+    4-block with twist near 0 or pi is irreducible exactly when that
+    verdict says so, and its twist is then read off accurately.
+    """
+    if block.dim not in (1, 2, 4):
+        raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
     try:
         if block.dim == 1:
             r = 1 if block.d_restricted[0, 0] > 0 else -1
             s = 1 if block.e_restricted[0, 0] > 0 else -1
             return Dim1(r=r, s=s)
+        if not is_irreducible(block, tol):
+            raise NotIrreducible(
+                f"{block.dim}-dimensional block has a jointly invariant "
+                "proper subspace"
+            )
         left, d_rot = _proper_angle_of(block.d_restricted, tol)
         right, e_rot = _proper_angle_of(block.e_restricted, tol)
-        if block.dim == 2:
-            if d_rot is None and e_rot is None:
-                raise NotIrreducible("both restrictions are scalar on a plane")
-            if d_rot is None:
-                return Dim2LeftScalar(r=left, beta=right)
-            if e_rot is None:
-                return Dim2RightScalar(alpha=left, s=right)
-            # both sides were certified proper rotations of the plane above
-            r = _sine_sign_product(block.d_restricted, block.e_restricted)
-            return Dim2Proper(alpha=left, beta=right, r=r)
-        if block.dim != 4:
-            raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
-        if d_rot is None or e_rot is None:
-            raise NotIrreducible("scalar restriction on a 4-dimensional block")
-        theta = theta_invariant(rho(d_rot, tol), rho(e_rot, tol), tol)
-        if theta < tol.angle_tol or theta > math.pi - tol.angle_tol:
-            raise NotIrreducible(
-                f"twist angle {theta!r} at the boundary; the block splits"
-            )
-        return Dim4(alpha=left, beta=right, theta=theta)
+        if block.dim == 4:
+            theta = theta_invariant(rho(d_rot, tol), rho(e_rot, tol), tol)
+            return Dim4(alpha=left, beta=right, theta=theta)
+        if d_rot is None:
+            return Dim2LeftScalar(r=left, beta=right)
+        if e_rot is None:
+            return Dim2RightScalar(alpha=left, s=right)
+        # both sides were certified proper rotations of the plane above
+        r = _sine_sign_product(block.d_restricted, block.e_restricted)
+        return Dim2Proper(alpha=left, beta=right, r=r)
     except (NotARotation, NotProper, NotConstant) as exc:
         raise NotIrreducible(str(exc)) from exc
 

@@ -33,18 +33,11 @@ EXIT_NUMERICAL = 2
 EXIT_NOT_ISOMORPHIC = 3
 
 
-def _color_enabled() -> bool:
-    if os.environ.get("NO_COLOR"):
-        return False
-    return sys.stdout.isatty()
-
-
-def _mark(ok: bool) -> str:
-    text = "ok" if ok else "FAIL"
-    if not _color_enabled():
-        return text
-    code = "32" if ok else "31"
-    return f"\x1b[{code}m{text}\x1b[0m"
+def _ok_mark() -> str:
+    """``ok``, green on a terminal unless ``NO_COLOR`` is set."""
+    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
+        return "ok"
+    return "\x1b[32mok\x1b[0m"
 
 
 class _Output:
@@ -86,8 +79,8 @@ def _cmd_check(args, out: _Output) -> int:
         out.emit_json(payload)
     else:
         out.emit_text(
-            f"{_mark(True)} delta: {d.kind.value}, angle {d.angle:.12g}",
-            f"{_mark(True)} epsilon: {e.kind.value}, angle {e.angle:.12g}",
+            f"{_ok_mark()} delta: {d.kind.value}, angle {d.angle:.12g}",
+            f"{_ok_mark()} epsilon: {e.kind.value}, angle {e.angle:.12g}",
         )
     return EXIT_OK
 

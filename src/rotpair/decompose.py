@@ -10,7 +10,7 @@ invariant line (again a 2-plane) or hands us a 4-dimensional block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,12 +21,7 @@ from .antilinear import (
     eigenplanes,
     t_squared,
 )
-from .errors import (
-    DegenerateLine,
-    IntersectionNonTrivial,
-    NotOrthogonalPair,
-    NumericalFailure,
-)
+from .errors import DegenerateLine, NotOrthogonalPair, NumericalFailure
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -108,19 +103,18 @@ def _plane_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     Returns ``("plane", basis)`` or ``("operator", T)``.  Tries the
     eigenplane intersections first; only when both are trivial does the
     antilinear operator exist, and an invariant line of it still yields
-    a plane.
+    a plane.  The two meets are the one overlap decision: they count A
+    as meeting C (or D) when a principal angle phi between them has
+    ``tan(phi/2) <= rank_tol``.  :func:`build_T`'s Gram test fires only
+    when ``sin(phi) <= rank_tol``, a smaller set, so it never fires on
+    this path.
     """
     planes = eigenplanes(d, e, tol)
     for meet_with in (planes.C, planes.D):
         meet = subspace_meet(planes.A, meet_with, tol)
         if meet.shape[1]:
             return "plane", real_plane_from_complex_line(meet[:, 0], tol)
-    try:
-        T = build_T(planes, tol)
-    except IntersectionNonTrivial as exc:
-        # Borderline geometry: the meets tested trivial but a projection
-        # is close enough to singular that a near-overlap witness exists.
-        return "plane", real_plane_from_complex_line(exc.witness, tol)
+    T = build_T(planes, tol)
     line = antilinear_invariant_line(T, tol)
     if line is not None:
         ambient = planes.A @ line
@@ -181,6 +175,11 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> Invari
     If either operator is the identity or its negative, the block comes
     from the other operator's block form.  Otherwise the pair is proper
     and the eigenplane machinery produces a 2-plane or a 4-block.
+
+    The block is irreducible by construction: a line, a plane on which
+    at least one operator is proper, or a 4-block reached only after
+    both eigenplane meets came back empty and the antilinear operator
+    had no invariant line, so that no invariant 2-plane exists.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
@@ -221,7 +220,12 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Dimension 1 blocks always are.  A 2-block is irreducible unless both
     restrictions are scalar.  A 4-block is irreducible when both
-    restrictions are proper and no invariant 2-plane exists.
+    restrictions are proper and no invariant 2-plane exists; near a
+    twist of 0 or pi that is decided by the eigenplane meets of
+    :func:`two_plane_exists`, at ``rank_tol``.  This is the one
+    irreducibility verdict: :func:`find_block` returns irreducible
+    blocks by construction, and ``classify_block`` asks this function
+    before it reads off a canonical form.
     """
     if block.dim == 1:
         return True
@@ -237,32 +241,6 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
     return not exists
 
 
-def _split_block(block: InvariantBlock, tol: Tolerance):
-    """Split a reducible block into invariant halves.
-
-    A reducible 2-block (both restrictions scalar) splits into its two
-    basis lines.  A reducible 4-block splits along its witness plane and
-    the orthogonal complement inside the block.
-    """
-    if block.dim == 2:
-        return [block.basis[:, :1], block.basis[:, 1:]]
-    sd = _scalar_sign(block.d_restricted, tol)
-    se = _scalar_sign(block.e_restricted, tol)
-    if sd is not None and se is not None:
-        return [block.basis[:, i:i + 1] for i in range(4)]
-    if sd is not None or se is not None:
-        other = block.e_restricted if sd is not None else block.d_restricted
-        nf = orthogonal_normal_form(other, tol)
-        return [block.basis @ nf.basis[:, :2], block.basis @ nf.basis[:, 2:]]
-    d_r = as_rotation(block.d_restricted, tol)
-    e_r = as_rotation(block.e_restricted, tol)
-    exists, plane = two_plane_exists(d_r, e_r, tol)
-    if not exists:
-        raise NumericalFailure("block reported reducible but no plane found")
-    rest = orthonormal_complement(plane, tol=tol)
-    return [block.basis @ plane, block.basis @ rest]
-
-
 def decompose(d: Rotation, e: Rotation,
               tol: Tolerance = DEFAULT_TOL) -> InvariantDecomposition:
     """Full decomposition into irreducible invariant blocks.
@@ -270,7 +248,9 @@ def decompose(d: Rotation, e: Rotation,
     Blocks are peeled off one at a time; both operators restrict to the
     orthogonal complement of each extracted block, and the restriction
     of a single-angle rotation to an invariant subspace keeps its angle,
-    so no re-certification is needed along the way.  Blocks come in
+    so no re-certification is needed along the way.  Each block that
+    :func:`find_block` returns is irreducible, so it is kept as it is
+    and the search goes on in its complement.  Blocks come in
     extraction order, which is deterministic; the canonical order is
     the order of their forms, applied by ``ClassLabel``.
     """
@@ -289,20 +269,8 @@ def decompose(d: Rotation, e: Rotation,
     cur_d, cur_e = d, e
     while carrier.shape[1] > 0:
         found = find_block(cur_d, cur_e, tol)
-        pieces = [found] if is_irreducible(found, tol) else [
-            _restrict(b, cur_d, cur_e) for b in _split_block(found, tol)
-        ]
-        used = []
-        for piece in pieces:
-            blocks.append(
-                InvariantBlock(
-                    basis=carrier @ piece.basis,
-                    d_restricted=piece.d_restricted,
-                    e_restricted=piece.e_restricted,
-                )
-            )
-            used.append(piece.basis)
-        comp = orthonormal_complement(np.column_stack(used), tol=tol)
+        blocks.append(replace(found, basis=carrier @ found.basis))
+        comp = orthonormal_complement(found.basis, tol=tol)
         carrier = carrier @ comp
         if comp.shape[1] == 0:
             break

@@ -75,10 +75,6 @@ class ScaleNotConstant(ValidationError):
     """Map does not scale all vectors by one factor."""
 
 
-class SingularProjection(NumericalError):
-    """Restricted projection between eigenplanes is numerically singular."""
-
-
 class NumericalFailure(NumericalError):
     """Internal consistency check failed; carries the offending residual."""
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pair_rotations, rand_orthogonal
 from rotpair import (
@@ -92,6 +94,12 @@ class TestThetaInvariant:
         s, t = self.quarter_turns(theta)
         assert abs(theta_invariant(s, t) - theta) <= 1e-9
 
+    @pytest.mark.parametrize("theta", [1e-8, 3e-8, np.pi - 1e-8])
+    def test_recovers_twist_near_boundary(self, theta):
+        # the arccos of the trace returned 0 and pi here
+        s, t = self.quarter_turns(theta)
+        assert abs(theta_invariant(s, t) - theta) <= 1e-15
+
     def test_invariant_under_conjugation(self):
         rng = np.random.default_rng(21)
         s, t = self.quarter_turns(0.9)
@@ -154,6 +162,9 @@ class TestRealize:
         Dim2Proper(alpha=None, beta=1.0, r=1),
         Dim4(alpha=0.5, beta=1.2, theta=[1]),
         Dim2RightScalar(alpha=True, s=1),
+        Dim1(r=True, s=1),
+        Dim2LeftScalar(r=1.0, beta=0.5),
+        Dim2Proper(alpha=0.5, beta=1.0, r=-1.0),
     ])
     def test_rejects_bad_parameters(self, form):
         with pytest.raises(BadParameter):
@@ -266,6 +277,68 @@ class TestClassify:
         shuffled = tuple(canonical[i] for i in (4, 2, 0, 3, 1))
         assert ClassLabel(forms=shuffled).forms == canonical
         assert ClassLabel(forms=shuffled) == ClassLabel(forms=canonical)
+
+
+def dim4_thetas(forms):
+    return sorted(f.theta for f in forms if isinstance(f, Dim4))
+
+
+class TestTwistBoundary:
+    """Dim4 twists next to 0 or pi: the block stays Dim4 down to a gap of
+    about rank_tol, below which it splits into two Dim2Proper blocks."""
+
+    ALPHA, BETA = 0.7, 1.9
+
+    def classify_spec(self, spec, seed):
+        return classify(*pair_rotations(generate_pair(spec, seed=seed)))
+
+    def neighbours(self, beside):
+        if not beside:
+            return []
+        return [Dim4(self.ALPHA, self.BETA, 1.3),
+                Dim2Proper(self.ALPHA, self.BETA, -1)]
+
+    @pytest.mark.parametrize("beside", [False, True], ids=["n4", "n10"])
+    @pytest.mark.parametrize("theta", [1e-8, 1e-7, np.pi - 1e-7, np.pi - 1e-8])
+    def test_keeps_four_block(self, theta, beside):
+        spec = [Dim4(self.ALPHA, self.BETA, theta)] + self.neighbours(beside)
+        label = self.classify_spec(spec, seed=31)
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        got, want = dim4_thetas(label.forms), dim4_thetas(spec)
+        assert len(got) == len(want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+    @pytest.mark.parametrize("beside", [False, True], ids=["n4", "n10"])
+    @pytest.mark.parametrize("theta,r", [(1e-10, 1), (np.pi - 1e-10, -1)])
+    def test_splits_below_rank_tol(self, theta, r, beside):
+        rest = self.neighbours(beside)
+        label = self.classify_spec([Dim4(self.ALPHA, self.BETA, theta)] + rest,
+                                   seed=32)
+        halves = [Dim2Proper(self.ALPHA, self.BETA, r)] * 2
+        assert labels_match(label, ClassLabel(forms=tuple(halves + rest)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.1, np.pi - 0.1),
+        beta=st.floats(0.1, np.pi - 0.1),
+        log_gap=st.floats(-8.0, -2.0),
+        near_pi=st.booleans(),
+        rest=st.lists(st.one_of(st.floats(0.1, np.pi - 0.1), st.sampled_from([-1, 1])),
+                      max_size=4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_compatible_spec_with_boundary_twist(self, alpha, beta, log_gap,
+                                                 near_pi, rest, seed):
+        gap = 10.0 ** log_gap
+        spec = [Dim4(alpha, beta, np.pi - gap if near_pi else gap)]
+        # a float in ``rest`` is another twist, an int a Dim2Proper sign
+        spec += [Dim2Proper(alpha, beta, x) if isinstance(x, int)
+                 else Dim4(alpha, beta, x) for x in rest]
+        label = self.classify_spec(spec, seed)
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        got, want = dim4_thetas(label.forms), dim4_thetas(spec)
+        assert len(got) == len(want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
 
 class TestLabelsMatch:

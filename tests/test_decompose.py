@@ -22,8 +22,8 @@ from rotpair import (
     two_plane_exists,
     unrho,
 )
-from rotpair.decompose import _split_block, invariance_residual
-from rotpair.linalg import DEFAULT_TOL, block_diag
+from rotpair.decompose import invariance_residual
+from rotpair.linalg import block_diag
 
 
 def proper(M):
@@ -144,8 +144,6 @@ class TestIrreducibility:
         b = InvariantBlock(basis=np.eye(2), d_restricted=np.eye(2),
                            e_restricted=-np.eye(2))
         assert not is_irreducible(b)
-        halves = _split_block(b, DEFAULT_TOL)
-        assert [h.shape[1] for h in halves] == [1, 1]
 
     def test_dim2_with_proper_side_is_irreducible(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
@@ -168,11 +166,6 @@ class TestIrreducibility:
             e_restricted=block_diag(rot2(1.1), rot2(-1.1)),
         )
         assert not is_irreducible(b)
-        pieces = _split_block(b, DEFAULT_TOL)
-        d, e = proper(b.d_restricted), proper(b.e_restricted)
-        assert sorted(p.shape[1] for p in pieces) == [2, 2]
-        for p in pieces:
-            assert invariance_residual(p, d, e) <= 1e-8
 
     def test_dim4_with_scalar_side_is_not(self):
         from rotpair.decompose import InvariantBlock
@@ -183,8 +176,6 @@ class TestIrreducibility:
             e_restricted=block_diag(rot2(0.3), rot2(0.3)),
         )
         assert not is_irreducible(b)
-        pieces = _split_block(b, DEFAULT_TOL)
-        assert sorted(p.shape[1] for p in pieces) == [2, 2]
 
 
 class TestDecompose:

@@ -27,3 +27,24 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# Bases that are caught or subclassed, never raised themselves.
+BASE_ERRORS = {"RotPairError", "ValidationError", "NumericalError"}
+
+
+def raised_names(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(raised_names(ast.parse(p.read_text())) for p in MODULES))
+    assert sorted(defined - BASE_ERRORS - raised) == []
