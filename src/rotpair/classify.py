@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,24 +181,22 @@ def theta_invariant(s: Rotation, t: Rotation,
                             float(np.linalg.norm(s.matrix + t.matrix)))
 
 
-def _proper_angle_of(M: np.ndarray, tol: Tolerance):
-    """(angle, rotation) via certification, or (sign, None) for scalars."""
-    r = as_rotation(M, tol)
-    if r.kind is RotationKind.IDENTITY:
-        return 1, None
-    if r.kind is RotationKind.NEG_IDENTITY:
-        return -1, None
-    return r.angle, r
+def _sign_of(r: Rotation) -> int:
+    """+1 for the identity, -1 for its negative."""
+    return 1 if r.kind is RotationKind.IDENTITY else -1
 
 
 def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     """Canonical form of an irreducible block.
 
-    Whether a 2- or 4-block is irreducible is decided by
+    Both restrictions are certified once by :func:`as_rotation`, and
+    whether a 2- or 4-block is irreducible is decided by
     :func:`is_irreducible` alone; a reducible block, or one whose
     restrictions are not rotations, raises ``NotIrreducible``.  A
     4-block with twist near 0 or pi is irreducible exactly when that
-    verdict says so, and its twist is then read off accurately.
+    verdict says so, and its twist is then read off accurately.  The
+    angles are the block's own; :func:`pair_block_form` replaces them by
+    the pair's.
     """
     if block.dim not in (1, 2, 4):
         raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
@@ -207,25 +205,50 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
             r = 1 if block.d_restricted[0, 0] > 0 else -1
             s = 1 if block.e_restricted[0, 0] > 0 else -1
             return Dim1(r=r, s=s)
-        if not is_irreducible(block, tol):
+        d_r = as_rotation(block.d_restricted, tol)
+        e_r = as_rotation(block.e_restricted, tol)
+        if not is_irreducible(block, tol, restricted=(d_r, e_r)):
             raise NotIrreducible(
                 f"{block.dim}-dimensional block has a jointly invariant "
                 "proper subspace"
             )
-        left, d_rot = _proper_angle_of(block.d_restricted, tol)
-        right, e_rot = _proper_angle_of(block.e_restricted, tol)
         if block.dim == 4:
-            theta = theta_invariant(rho(d_rot, tol), rho(e_rot, tol), tol)
-            return Dim4(alpha=left, beta=right, theta=theta)
-        if d_rot is None:
-            return Dim2LeftScalar(r=left, beta=right)
-        if e_rot is None:
-            return Dim2RightScalar(alpha=left, s=right)
+            theta = theta_invariant(rho(d_r, tol), rho(e_r, tol), tol)
+            return Dim4(alpha=d_r.angle, beta=e_r.angle, theta=theta)
+        if d_r.kind is not RotationKind.PROPER:
+            return Dim2LeftScalar(r=_sign_of(d_r), beta=e_r.angle)
+        if e_r.kind is not RotationKind.PROPER:
+            return Dim2RightScalar(alpha=d_r.angle, s=_sign_of(e_r))
         # both sides were certified proper rotations of the plane above
         r = _sine_sign_product(block.d_restricted, block.e_restricted)
-        return Dim2Proper(alpha=left, beta=right, r=r)
+        return Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=r)
     except (NotARotation, NotProper, NotConstant) as exc:
         raise NotIrreducible(str(exc)) from exc
+
+
+def pair_block_form(block: InvariantBlock, d: Rotation, e: Rotation,
+                    tol: Tolerance = DEFAULT_TOL):
+    """Canonical form of a block of the pair (d, e), with the pair's angles.
+
+    ``alpha`` and ``beta`` are the certified angles of ``d`` and ``e``,
+    so equal forms of one pair are equal to the last bit and
+    ``ClassLabel`` orders them by their remaining parameters, such as
+    theta.  A block angle farther than ``angle_tol`` from the pair's
+    raises ``NumericalFailure`` with the margin.
+    """
+    form = classify_block(block, tol)
+    angles = {}
+    for name, r in (("alpha", d), ("beta", e)):
+        if hasattr(form, name):
+            gap = abs(getattr(form, name) - r.angle)
+            if gap > tol.angle_tol:
+                raise NumericalFailure(
+                    f"block {name} {getattr(form, name)!r} differs from the "
+                    f"pair's {r.angle!r} by {gap:.3e}, beyond angle_tol "
+                    f"{tol.angle_tol:.3e}"
+                )
+            angles[name] = r.angle
+    return replace(form, **angles)
 
 
 def realize(form) -> tuple:
@@ -261,7 +284,7 @@ def realize(form) -> tuple:
 def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLabel:
     """Canonical label of a rotation pair: forms of its irreducible blocks."""
     dec = decompose(d, e, tol)
-    return ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
+    return ClassLabel(forms=tuple(pair_block_form(b, d, e, tol) for b in dec.blocks))
 
 
 def _forms_equal(f1, f2, angle_tol: float) -> bool:

@@ -1,11 +1,15 @@
 """Decomposition of a rotation pair into invariant blocks.
 
 Every pair of rotations on a Euclidean space splits into an orthogonal
-direct sum of jointly invariant subspaces of dimension 1, 2 or 4.  The
-search works through the complexified eigenplanes: an overlap between
-the planes of the two rotations yields an invariant 2-plane directly,
-and otherwise the antilinear operator on the first plane either has an
-invariant line (again a 2-plane) or hands us a 4-dimensional block.
+direct sum of jointly invariant subspaces of dimension 1, 2 or 4.  A
+proper pair is first split into twist clusters: on every irreducible
+block the inner product of ``d v`` and ``e v`` is the same for all unit
+v, so the eigenspaces of ``sym(d^T e)`` are jointly invariant.  Inside
+each cluster the search works through the complexified eigenplanes: an
+overlap between the planes of the two rotations yields an invariant
+2-plane directly, and otherwise the antilinear operator on the first
+plane either has an invariant line (again a 2-plane) or hands us a
+4-dimensional block.
 """
 
 from __future__ import annotations
@@ -28,9 +32,15 @@ from .linalg import (
     max_abs,
     orthonormal_complement,
     orthonormalize,
+    single_linkage,
     subspace_meet,
 )
-from .orthogonal import Rotation, RotationKind, as_rotation, orthogonal_normal_form
+from .orthogonal import (
+    Rotation,
+    RotationKind,
+    as_rotation,
+    orthogonal_normal_form,
+)
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,11 @@ def real_plane_from_complex_line(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if plane.shape[1] != 2:
         raise NumericalFailure("real and imaginary parts did not span a plane")
     return plane
+
+
+def _restricted(r: Rotation, basis: np.ndarray) -> Rotation:
+    """``r`` acting on ``span(basis)``, which must be invariant under it."""
+    return Rotation(matrix=basis.T @ r.matrix @ basis, angle=r.angle)
 
 
 def _restrict(basis: np.ndarray, d: Rotation, e: Rotation) -> InvariantBlock:
@@ -215,7 +230,8 @@ def _scalar_sign(M: np.ndarray, tol: Tolerance):
     return None
 
 
-def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
+                   restricted=None) -> bool:
     """Whether the block has no proper nonzero jointly invariant subspace.
 
     Dimension 1 blocks always are.  A 2-block is irreducible unless both
@@ -226,6 +242,11 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
     irreducibility verdict: :func:`find_block` returns irreducible
     blocks by construction, and ``classify_block`` asks this function
     before it reads off a canonical form.
+
+    ``restricted`` is internal: ``classify_block`` passes the pair
+    ``(d_r, e_r)`` that :func:`as_rotation` returned for the two
+    restrictions, so that they are certified once; every other caller
+    leaves it out and a 4-block certifies them here.
     """
     if block.dim == 1:
         return True
@@ -235,24 +256,74 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
         return sd is None or se is None
     if sd is not None or se is not None:
         return False
-    d_r = as_rotation(block.d_restricted, tol)
-    e_r = as_rotation(block.e_restricted, tol)
+    d_r, e_r = restricted or (as_rotation(block.d_restricted, tol),
+                              as_rotation(block.e_restricted, tol))
     exists, _ = two_plane_exists(d_r, e_r, tol)
     return not exists
+
+
+def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
+    """Orthonormal bases of jointly invariant subspaces that fill the space.
+
+    When both rotations are proper, on every irreducible block the inner
+    product of ``d v`` and ``e v`` is one value for all unit v,
+    ``cos a cos b + r sin a sin b`` on a plane and
+    ``cos a cos b + sin a sin b cos(theta)`` on a 4-block of twist
+    theta.  So ``sym(d^T e)`` is that value times the identity on each
+    block, and its eigenspaces are jointly invariant.  One symmetric
+    eigensolve gives them; the ascending eigenvalues are grouped by
+    single linkage at the gap ``n eps / residual_tol``, the smallest gap
+    at which eigenvectors are resolved to ``residual_tol``.  Each
+    cluster is certified by its invariance residual, at
+    ``10 residual_tol``.  Input error divided by the gap can exceed
+    that, so a cluster that fails is merged with its neighbour across
+    the smaller gap and certified again; the whole space always passes.
+    A cluster that holds several twists costs only time.  Clusters are
+    returned by descending value.
+
+    A pair with an identity or negated identity side is one cluster, the
+    whole space; :func:`find_block` takes its lines or planes.
+    """
+    n = d.dim
+    if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
+        return [np.eye(n)]
+    G = d.matrix.T @ e.matrix
+    values, vectors = np.linalg.eigh((G + G.T) / 2.0)
+    groups = single_linkage(values, n * np.finfo(float).eps / tol.residual_tol)
+    i = 0
+    while i < len(groups):
+        resid = invariance_residual(vectors[:, groups[i]], d, e)
+        if resid <= 10 * tol.residual_tol:
+            i += 1
+            continue
+        if len(groups) == 1:
+            raise NumericalFailure(f"whole-space invariance residual {resid:.3e}")
+        below = values[groups[i][0]] - values[groups[i - 1][-1]] if i else np.inf
+        above = (values[groups[i + 1][0]] - values[groups[i][-1]]
+                 if i + 1 < len(groups) else np.inf)
+        i = i - 1 if below < above else i
+        groups[i:i + 2] = [np.concatenate(groups[i:i + 2])]
+    return [vectors[:, index] for index in reversed(groups)]
 
 
 def decompose(d: Rotation, e: Rotation,
               tol: Tolerance = DEFAULT_TOL) -> InvariantDecomposition:
     """Full decomposition into irreducible invariant blocks.
 
-    Blocks are peeled off one at a time; both operators restrict to the
-    orthogonal complement of each extracted block, and the restriction
-    of a single-angle rotation to an invariant subspace keeps its angle,
-    so no re-certification is needed along the way.  Each block that
-    :func:`find_block` returns is irreducible, so it is kept as it is
-    and the search goes on in its complement.  Blocks come in
-    extraction order, which is deterministic; the canonical order is
-    the order of their forms, applied by ``ClassLabel``.
+    The space is first split by :func:`_twist_clusters`.  Inside each
+    cluster blocks are peeled off one at a time; both operators restrict
+    to the orthogonal complement of each extracted block, and the
+    restriction of a single-angle rotation to an invariant subspace
+    keeps its angle, so no re-certification is needed along the way.
+    Each block that :func:`find_block` returns is irreducible, so it is
+    kept as it is and the search goes on in its complement.  A cluster
+    costs O(m^3) per block for its dimension m, so a pair whose twists
+    are distinct costs O(n^3) in all.
+
+    Blocks come in extraction order, which is deterministic: lines and
+    planes before 4-blocks, each in cluster order and then in the order
+    found inside a cluster.  The canonical order is the order of their
+    forms, applied by ``ClassLabel``.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
@@ -265,17 +336,17 @@ def decompose(d: Rotation, e: Rotation,
             )
 
     blocks = []
-    carrier = np.eye(n)
-    cur_d, cur_e = d, e
-    while carrier.shape[1] > 0:
-        found = find_block(cur_d, cur_e, tol)
-        blocks.append(replace(found, basis=carrier @ found.basis))
-        comp = orthonormal_complement(found.basis, tol=tol)
-        carrier = carrier @ comp
-        if comp.shape[1] == 0:
-            break
-        cur_d = Rotation(matrix=comp.T @ cur_d.matrix @ comp, angle=cur_d.angle)
-        cur_e = Rotation(matrix=comp.T @ cur_e.matrix @ comp, angle=cur_e.angle)
+    for carrier in _twist_clusters(d, e, tol):
+        cur_d, cur_e = _restricted(d, carrier), _restricted(e, carrier)
+        while True:
+            found = find_block(cur_d, cur_e, tol)
+            blocks.append(replace(found, basis=carrier @ found.basis))
+            comp = orthonormal_complement(found.basis, tol=tol)
+            if comp.shape[1] == 0:
+                break
+            carrier = carrier @ comp
+            cur_d, cur_e = _restricted(cur_d, comp), _restricted(cur_e, comp)
+    blocks.sort(key=lambda b: b.dim)
 
     total = sum(b.dim for b in blocks)
     if total != n:

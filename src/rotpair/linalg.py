@@ -56,6 +56,22 @@ def block_diag(*blocks) -> np.ndarray:
     return out
 
 
+def single_linkage(values, gap: float):
+    """Single-linkage clustering of real values at threshold ``gap``.
+
+    Returns a list of index arrays into the (ascending) sort order.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if values[idx] - values[clusters[-1][-1]] <= gap:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return [np.array(c) for c in clusters]
+
+
 def _to_columns(vectors):
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         return vectors

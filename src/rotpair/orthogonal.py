@@ -10,7 +10,7 @@ quarter-turn part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -23,7 +23,13 @@ from .errors import (
     NotProper,
     NumericalFailure,
 )
-from .linalg import DEFAULT_TOL, Tolerance, max_abs, symmetric_eigen
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    max_abs,
+    single_linkage,
+    symmetric_eigen,
+)
 
 
 def rot2(alpha: float) -> np.ndarray:
@@ -80,12 +86,17 @@ class Rotation:
 
     ``angle`` is in [0, pi]; 0 and pi mean the identity and its
     negative.  Instances are normally produced by :func:`as_rotation`,
-    which verifies the defining property; building one directly skips
-    that verification.
+    which verifies the defining property and keeps the block form that
+    certified it in ``normal_form``.  Building one directly, or with
+    ``dataclasses.replace``, skips that verification and leaves
+    ``normal_form`` as None, so a form is never carried over to a new
+    matrix.
     """
 
     matrix: np.ndarray
     angle: float
+    normal_form: NormalForm | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -106,21 +117,6 @@ def _check_orthogonal(M: np.ndarray, tol: Tolerance) -> None:
         raise NotOrthogonal(
             f"orthogonality residual {resid:.3e} exceeds {tol.residual_tol:.3e}"
         )
-
-
-def _cluster_angles(angles: np.ndarray, gap: float):
-    """Single-linkage clustering of sorted angle values at threshold ``gap``.
-
-    Returns a list of index arrays into the (ascending) sort order.
-    """
-    order = np.argsort(angles, kind="stable")
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if angles[idx] - angles[clusters[-1][-1]] <= gap:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return [np.array(c) for c in clusters]
 
 
 def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
@@ -168,7 +164,7 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     blocks = []   # (angle, u, w)
     fixed = []
     negated = []
-    for cluster in _cluster_angles(thetas, tol.angle_tol):
+    for cluster in single_linkage(thetas, tol.angle_tol):
         mean_angle = float(np.mean(thetas[cluster]))
         E = evecs[:, cluster]
         if mean_angle < snap:
@@ -248,7 +244,7 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
             raise NotARotation(
                 f"mixed +1 and -1 blocks (fix={nf.fix_dim}, neg={nf.neg_dim})"
             )
-        return Rotation(matrix=M, angle=0.0 if nf.fix_dim else math.pi)
+        return _certified(M, 0.0 if nf.fix_dim else math.pi, nf)
     if nf.fix_dim or nf.neg_dim:
         raise NotARotation(
             "rotation blocks mixed with +-1 blocks "
@@ -260,7 +256,20 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
             f"distinct block angles, spread {spread:.3e} exceeds "
             f"{tol.angle_tol:.3e}"
         )
-    return Rotation(matrix=M, angle=float(np.mean(nf.angles)))
+    return _certified(M, float(np.mean(nf.angles)), nf)
+
+
+def _certified(M: np.ndarray, angle: float, nf: NormalForm) -> Rotation:
+    r = Rotation(matrix=M, angle=angle)
+    object.__setattr__(r, "normal_form", nf)
+    return r
+
+
+def normal_form_of(r: Rotation, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
+    """The block form that certified ``r``, or a new one if it has none."""
+    if r.normal_form is not None:
+        return r.normal_form
+    return orthogonal_normal_form(r.matrix, tol)
 
 
 def rho(d: Rotation, tol: Tolerance = DEFAULT_TOL) -> Rotation:

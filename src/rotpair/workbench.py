@@ -23,7 +23,7 @@ from .classify import (
     Dim2Proper,
     Dim2RightScalar,
     Dim4,
-    classify_block,
+    pair_block_form,
     realize,
 )
 from .decompose import decompose, invariance_residual
@@ -41,7 +41,7 @@ from .orthogonal import (
     Rotation,
     RotationKind,
     as_rotation,
-    orthogonal_normal_form,
+    normal_form_of,
     rot2,
 )
 
@@ -226,13 +226,15 @@ def build_report(d: Rotation, e: Rotation,
     """Decompose, classify, and package the results.
 
     Residuals in the report are recomputed from the returned bases, not
-    read back from intermediate state.
+    read back from intermediate state.  The two normal forms are the
+    ones that certified ``d`` and ``e`` (``Rotation.normal_form``); a
+    rotation built without :func:`as_rotation` gets one computed here.
     """
     dec = decompose(d, e, tol)
     blocks = []
     forms = []
     for b in dec.blocks:
-        form = classify_block(b, tol)
+        form = pair_block_form(b, d, e, tol)
         forms.append(form)
         blocks.append({
             "dim": b.dim,
@@ -250,8 +252,8 @@ def build_report(d: Rotation, e: Rotation,
             "angle_tol": tol.angle_tol,
             "rank_tol": tol.rank_tol,
         },
-        delta_normal_form=_normal_form_dict(orthogonal_normal_form(d.matrix, tol)),
-        epsilon_normal_form=_normal_form_dict(orthogonal_normal_form(e.matrix, tol)),
+        delta_normal_form=_normal_form_dict(normal_form_of(d, tol)),
+        epsilon_normal_form=_normal_form_dict(normal_form_of(e, tol)),
         blocks=tuple(blocks),
         label=tuple(label_to_list(label)),
     )

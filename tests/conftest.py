@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import sys
+
 import numpy as np
 
 from rotpair import (
@@ -79,3 +81,25 @@ def pair_rotations(doc):
     from rotpair import as_rotation
 
     return as_rotation(doc.delta), as_rotation(doc.epsilon)
+
+
+def count_normal_forms(monkeypatch):
+    """List that records the size of every ``orthogonal_normal_form`` call.
+
+    Modules import the function by name, so every rotpair namespace that
+    holds it is patched.
+    """
+    from rotpair import orthogonal
+
+    original = orthogonal.orthogonal_normal_form
+    sizes = []
+
+    def counted(M, *args, **kwargs):
+        sizes.append(np.shape(M)[0])
+        return original(M, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "rotpair" or name.startswith("rotpair.")) and \
+                getattr(module, "orthogonal_normal_form", None) is original:
+            monkeypatch.setattr(module, "orthogonal_normal_form", counted)
+    return sizes

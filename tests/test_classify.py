@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_rotations, rand_orthogonal
+from conftest import count_normal_forms, pair_rotations, rand_orthogonal
 from rotpair import (
     BadAngle,
     BadParameter,
@@ -19,6 +19,7 @@ from rotpair import (
     NotIntertwiner,
     NotIrreducible,
     NotProper,
+    NumericalFailure,
     Rotation,
     as_rotation,
     classify,
@@ -223,6 +224,12 @@ class TestClassifyBlock:
         with pytest.raises(NotIrreducible):
             classify_block(b)
 
+    def test_four_block_certified_once(self, monkeypatch):
+        sizes = count_normal_forms(monkeypatch)
+        classify_block(block_of(Dim4(alpha=0.5, beta=1.2, theta=0.8)))
+        # each restriction and each quarter-turn part once
+        assert len(sizes) == 4
+
 
 class TestClassify:
     def test_single_block_specs(self):
@@ -265,6 +272,22 @@ class TestClassify:
         kinds = [type(f).__name__ for f in label.forms]
         assert kinds == ["Dim2Proper", "Dim2Proper", "Dim4"]
         assert label.forms[0].r < label.forms[1].r
+
+    def test_equal_angle_four_blocks_ordered_by_twist(self):
+        spec = [Dim4(alpha=0.5, beta=1.2, theta=0.01),
+                Dim4(alpha=0.5, beta=1.2, theta=3.1)]
+        for seed in range(20):
+            d, e = pair_rotations(generate_pair(spec, seed=seed))
+            forms = classify(d, e).forms
+            assert [f.theta for f in forms] == pytest.approx([0.01, 3.1], abs=1e-9)
+            assert all(f.alpha == d.angle and f.beta == e.angle for f in forms)
+
+    def test_block_angle_far_from_pair_angle_raises(self):
+        d, e = pair_rotations(generate_pair([Dim2LeftScalar(r=1, beta=0.8)] * 2,
+                                            seed=5))
+        off = Rotation(matrix=e.matrix, angle=e.angle + 1e-6)
+        with pytest.raises(NumericalFailure, match=r"beta .* by 1\.000e-06"):
+            classify(d, off)
 
     def test_label_sorts_on_construction(self):
         canonical = (

@@ -1,19 +1,28 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pair_rotations, rand_orthogonal, random_compatible_spec
 from rotpair import (
+    ClassLabel,
     DegenerateLine,
+    Dim2LeftScalar,
     Dim2Proper,
     Dim4,
     NotOrthogonalPair,
     NotProper,
     Rotation,
     as_rotation,
+    classify,
     decompose,
     find_block,
     generate_pair,
     is_irreducible,
+    labels_match,
     max_abs,
     real_plane_from_complex_line,
     realize,
@@ -22,8 +31,8 @@ from rotpair import (
     two_plane_exists,
     unrho,
 )
-from rotpair.decompose import invariance_residual
-from rotpair.linalg import block_diag
+from rotpair.decompose import _twist_clusters, invariance_residual
+from rotpair.linalg import DEFAULT_TOL, block_diag
 
 
 def proper(M):
@@ -264,3 +273,92 @@ class TestDecompose:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(NotOrthogonalPair):
             decompose(Rotation(np.eye(2), 0.0), Rotation(np.eye(4), 0.0))
+
+
+def n96_spec(rng):
+    """12 Dim4 and 24 Dim2Proper blocks (12 of each sign) sharing alpha, beta."""
+    alpha, beta = rng.uniform(0.1, np.pi - 0.1, 2)
+    spec = [Dim4(alpha, beta, t) for t in rng.uniform(0.05, np.pi - 0.05, 12)]
+    spec += [Dim2Proper(alpha, beta, r) for r in (1, -1) for _ in range(12)]
+    return spec
+
+
+class TestTwistClusters:
+    def test_one_cluster_per_twist(self):
+        rng = np.random.default_rng(41)
+        spec = n96_spec(rng)
+        d, e = pair_rotations(generate_pair(spec, seed=41))
+        clusters = _twist_clusters(d, e, DEFAULT_TOL)
+        # descending <d v, e v>: r = +1 planes, twists ascending, r = -1 planes
+        assert [c.shape[1] for c in clusters] == [24] + [4] * 12 + [24]
+        full = np.column_stack(clusters)
+        assert max_abs(full.T @ full - np.eye(96)) <= 1e-12
+        for c in clusters:
+            assert invariance_residual(c, d, e) <= 1e-9
+
+    def test_scalar_side_is_one_cluster(self):
+        d, e = pair_rotations(generate_pair([Dim2LeftScalar(r=-1, beta=0.8)] * 3,
+                                            seed=42))
+        clusters = _twist_clusters(d, e, DEFAULT_TOL)
+        assert len(clusters) == 1 and np.array_equal(clusters[0], np.eye(6))
+        assert decompose(d, e).dims == (2, 2, 2)
+        lines = decompose(Rotation(np.eye(3), 0.0), Rotation(-np.eye(3), np.pi))
+        assert lines.dims == (1, 1, 1)
+
+    def test_peel_work_is_cubic(self, monkeypatch):
+        """The peel loop works on clusters, not on the whole space.
+
+        Peeling 36 blocks off the whole n = 96 space sums m^3 over the
+        dimensions m that find_block sees to about 12 n^3; inside twist
+        clusters the sum stays below n^3.
+        """
+        rng = np.random.default_rng(43)
+        spec = n96_spec(rng)
+        d, e = pair_rotations(generate_pair(spec, seed=43))
+        module = importlib.import_module("rotpair.decompose")
+        original = module.find_block
+        seen = []
+
+        def counted(d, e, tol=DEFAULT_TOL):
+            seen.append(d.dim)
+            return original(d, e, tol)
+
+        monkeypatch.setattr(module, "find_block", counted)
+        label = classify(d, e)
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        assert len(seen) == 36
+        assert sum(m ** 3 for m in seen) <= 96 ** 3
+
+
+@st.composite
+def proper_specs(draw):
+    """Proper specs up to n = 64 with repeated and close twists.
+
+    A repeated twist comes up to 8 times; close twists are 3e-8 to 1e-4
+    apart next to 0.003, pi/2 or pi - 0.003; alpha and beta are either
+    free or both in [0.1, 0.11], where twists hardly move <d v, e v>.
+    """
+    angle = (st.floats(0.1, 0.11) if draw(st.booleans())
+             else st.floats(0.1, np.pi - 0.1))
+    alpha, beta = draw(angle), draw(angle)
+    theta = draw(st.floats(0.05, np.pi - 0.05))
+    spec = [Dim4(alpha, beta, theta)] * draw(st.integers(0, 8))
+    centre = draw(st.sampled_from([0.003, np.pi / 2, np.pi - 0.003]))
+    gap = math.exp(draw(st.floats(math.log(3e-8), math.log(1e-4))))
+    spec += [Dim4(alpha, beta, centre + k * gap) for k in range(draw(st.integers(0, 3)))]
+    spec += [Dim2Proper(alpha, beta, r) for r in (1, -1)
+             for _ in range(draw(st.integers(0, 4)))]
+    if not spec:
+        spec = [Dim4(alpha, beta, theta)]
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=proper_specs(), seed=st.integers(0, 2**31 - 1))
+def test_proper_spec_clusters_and_labels(spec, seed):
+    d, e = pair_rotations(generate_pair(spec, seed=seed))
+    clusters = _twist_clusters(d, e, DEFAULT_TOL)
+    assert sum(c.shape[1] for c in clusters) == d.dim
+    for c in clusters:
+        assert invariance_residual(c, d, e) <= 10 * DEFAULT_TOL.residual_tol
+    assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))

@@ -1,10 +1,16 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import pair_rotations, rand_orthogonal, random_compatible_spec
+from conftest import (
+    count_normal_forms,
+    pair_rotations,
+    rand_orthogonal,
+    random_compatible_spec,
+)
 from rotpair import (
     BadAngle,
     BadDimension,
@@ -16,6 +22,7 @@ from rotpair import (
     Dim4,
     NotOrthogonal,
     PairDocument,
+    Rotation,
     RotationKind,
     as_rotation,
     build_report,
@@ -178,6 +185,35 @@ class TestBuildReport:
         # round trips through json untouched
         blob = json.dumps(report.to_json_dict(), sort_keys=True)
         assert json.loads(blob)["n"] == 6
+
+    def test_report_reuses_certifying_normal_forms(self, monkeypatch):
+        spec = [Dim2Proper(alpha=0.5, beta=1.2, r=-1),
+                Dim4(alpha=0.5, beta=1.2, theta=0.8)]
+        d, e = pair_rotations(generate_pair(spec, seed=9))
+        fresh = build_report(Rotation(d.matrix, d.angle), Rotation(e.matrix, e.angle))
+        sizes = count_normal_forms(monkeypatch)
+        report = build_report(d, e)
+        assert 6 not in sizes
+        assert (json.dumps(report.to_json_dict(), sort_keys=True)
+                == json.dumps(fresh.to_json_dict(), sort_keys=True))
+
+    def test_replaced_rotation_gets_fresh_normal_form(self):
+        spec = [Dim2Proper(alpha=0.5, beta=1.2, r=-1),
+                Dim4(alpha=0.5, beta=1.2, theta=0.8)]
+        d, e = pair_rotations(generate_pair(spec, seed=9))
+        Q = rand_orthogonal(6, np.random.default_rng(10))
+        moved_d = dataclasses.replace(d, matrix=Q @ d.matrix @ Q.T)
+        moved_e = dataclasses.replace(e, matrix=Q @ e.matrix @ Q.T)
+        assert moved_d.normal_form is None and moved_e.normal_form is None
+        report = build_report(moved_d, moved_e).to_json_dict()
+        certified = build_report(as_rotation(moved_d.matrix),
+                                 as_rotation(moved_e.matrix)).to_json_dict()
+        stale = build_report(d, e).to_json_dict()
+        for key in ("delta_normal_form", "epsilon_normal_form"):
+            assert report[key] == certified[key]
+            assert report[key] != stale[key]
+        with pytest.raises(TypeError):
+            Rotation(d.matrix, d.angle, normal_form=d.normal_form)
 
     def test_report_label_matches_metadata(self):
         rng = np.random.default_rng(23)
