@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,7 +186,8 @@ def _sign_of(r: Rotation) -> int:
     return 1 if r.kind is RotationKind.IDENTITY else -1
 
 
-def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
+def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
+                   restricted=None):
     """Canonical form of an irreducible block.
 
     Both restrictions are certified once by :func:`as_rotation`, and
@@ -194,9 +195,11 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     :func:`is_irreducible` alone; a reducible block, or one whose
     restrictions are not rotations, raises ``NotIrreducible``.  A
     4-block with twist near 0 or pi is irreducible exactly when that
-    verdict says so, and its twist is then read off accurately.  The
-    angles are the block's own; :func:`pair_block_form` replaces them by
-    the pair's.
+    verdict says so, and its twist is then read off accurately.
+
+    ``restricted`` is internal: :func:`pair_block_form` passes the two
+    restrictions as rotations with the pair's certified angles, and they
+    are then not certified again.
     """
     if block.dim not in (1, 2, 4):
         raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
@@ -205,8 +208,8 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
             r = 1 if block.d_restricted[0, 0] > 0 else -1
             s = 1 if block.e_restricted[0, 0] > 0 else -1
             return Dim1(r=r, s=s)
-        d_r = as_rotation(block.d_restricted, tol)
-        e_r = as_rotation(block.e_restricted, tol)
+        d_r, e_r = restricted or (as_rotation(block.d_restricted, tol),
+                                  as_rotation(block.e_restricted, tol))
         if not is_irreducible(block, tol, restricted=(d_r, e_r)):
             raise NotIrreducible(
                 f"{block.dim}-dimensional block has a jointly invariant "
@@ -219,7 +222,7 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
             return Dim2LeftScalar(r=_sign_of(d_r), beta=e_r.angle)
         if e_r.kind is not RotationKind.PROPER:
             return Dim2RightScalar(alpha=d_r.angle, s=_sign_of(e_r))
-        # both sides were certified proper rotations of the plane above
+        # both sides are certified proper rotations of the plane
         r = _sine_sign_product(block.d_restricted, block.e_restricted)
         return Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=r)
     except (NotARotation, NotProper, NotConstant) as exc:
@@ -230,25 +233,16 @@ def pair_block_form(block: InvariantBlock, d: Rotation, e: Rotation,
                     tol: Tolerance = DEFAULT_TOL):
     """Canonical form of a block of the pair (d, e), with the pair's angles.
 
-    ``alpha`` and ``beta`` are the certified angles of ``d`` and ``e``,
-    so equal forms of one pair are equal to the last bit and
-    ``ClassLabel`` orders them by their remaining parameters, such as
-    theta.  A block angle farther than ``angle_tol`` from the pair's
-    raises ``NumericalFailure`` with the margin.
+    A rotation keeps its angle on every invariant subspace, so the
+    restrictions are rotations by the angles of ``d`` and ``e``, which
+    :func:`decompose` certified once for the whole pair; they are not
+    certified again.  Equal forms of one pair are then equal to the last
+    bit, and ``ClassLabel`` orders them by their remaining parameters,
+    such as theta.
     """
-    form = classify_block(block, tol)
-    angles = {}
-    for name, r in (("alpha", d), ("beta", e)):
-        if hasattr(form, name):
-            gap = abs(getattr(form, name) - r.angle)
-            if gap > tol.angle_tol:
-                raise NumericalFailure(
-                    f"block {name} {getattr(form, name)!r} differs from the "
-                    f"pair's {r.angle!r} by {gap:.3e}, beyond angle_tol "
-                    f"{tol.angle_tol:.3e}"
-                )
-            angles[name] = r.angle
-    return replace(form, **angles)
+    restricted = (Rotation(matrix=block.d_restricted, angle=d.angle),
+                  Rotation(matrix=block.e_restricted, angle=e.angle))
+    return classify_block(block, tol, restricted=restricted)
 
 
 def realize(form) -> tuple:

@@ -221,45 +221,33 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> Invari
     return block
 
 
-def _scalar_sign(M: np.ndarray, tol: Tolerance):
-    """+1 or -1 when M is that multiple of the identity, else None."""
-    n = M.shape[0]
-    for sign in (1.0, -1.0):
-        if max_abs(M - sign * np.eye(n)) <= 10 * tol.residual_tol:
-            return sign
-    return None
-
-
 def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
                    restricted=None) -> bool:
     """Whether the block has no proper nonzero jointly invariant subspace.
 
     Dimension 1 blocks always are.  A 2-block is irreducible unless both
-    restrictions are scalar.  A 4-block is irreducible when both
-    restrictions are proper and no invariant 2-plane exists; near a
+    restrictions are scalar (by the ``kind`` of their rotations), and a
+    4-block when both are proper and no invariant 2-plane exists; near a
     twist of 0 or pi that is decided by the eigenplane meets of
     :func:`two_plane_exists`, at ``rank_tol``.  This is the one
     irreducibility verdict: :func:`find_block` returns irreducible
     blocks by construction, and ``classify_block`` asks this function
     before it reads off a canonical form.
 
-    ``restricted`` is internal: ``classify_block`` passes the pair
-    ``(d_r, e_r)`` that :func:`as_rotation` returned for the two
-    restrictions, so that they are certified once; every other caller
-    leaves it out and a 4-block certifies them here.
+    ``restricted`` is internal: ``classify_block`` passes the rotations
+    ``(d_r, e_r)`` of the two restrictions; without it they are
+    certified here, and a restriction that is no rotation, such as a
+    reflection, raises ``NotARotation``.
     """
     if block.dim == 1:
         return True
-    sd = _scalar_sign(block.d_restricted, tol)
-    se = _scalar_sign(block.e_restricted, tol)
-    if block.dim == 2:
-        return sd is None or se is None
-    if sd is not None or se is not None:
-        return False
     d_r, e_r = restricted or (as_rotation(block.d_restricted, tol),
                               as_rotation(block.e_restricted, tol))
-    exists, _ = two_plane_exists(d_r, e_r, tol)
-    return not exists
+    d_proper = d_r.kind is RotationKind.PROPER
+    e_proper = e_r.kind is RotationKind.PROPER
+    if block.dim == 2:
+        return d_proper or e_proper
+    return d_proper and e_proper and not two_plane_exists(d_r, e_r, tol)[0]
 
 
 def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
@@ -324,16 +312,29 @@ def decompose(d: Rotation, e: Rotation,
     planes before 4-blocks, each in cluster order and then in the order
     found inside a cluster.  The canonical order is the order of their
     forms, applied by ``ClassLabel``.
+
+    The pair is certified here, once: a side built without
+    :func:`as_rotation` is certified, and a claimed angle more than
+    ``angle_tol`` off raises ``NumericalFailure`` with the margin.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
     n = d.dim
-    for name, r in (("first", d), ("second", e)):
+    for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
         resid = max_abs(r.matrix.T @ r.matrix - np.eye(n))
         if resid > tol.residual_tol:
             raise NotOrthogonalPair(
                 f"{name} operator orthogonality residual {resid:.3e}"
             )
+        if r.normal_form is None:
+            certified = as_rotation(r.matrix, tol).angle
+            gap = abs(certified - r.angle)
+            if gap > tol.angle_tol:
+                raise NumericalFailure(
+                    f"{angle_name} {r.angle!r} claimed for the {name} operator "
+                    f"differs from its certified {certified!r} by {gap:.3e}, "
+                    f"beyond angle_tol {tol.angle_tol:.3e}"
+                )
 
     blocks = []
     for carrier in _twist_clusters(d, e, tol):

@@ -276,17 +276,18 @@ def rho(d: Rotation, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     """Quarter-turn part of a proper rotation.
 
     For a rotation with matrix M and angle a in (0, pi), the matrix
-    ``(M - cos(a) I) / sin(a)`` is again a rotation, with angle pi/2.
+    ``S = (M - cos(a) I) / sin(a)`` is again a rotation, with angle pi/2.
+    It is read off the skew part ``M - M^T = 2 sin(a) S``, scaled to the
+    norm ``sqrt(n)`` of S, so the claimed angle does not enter; and S is
+    exactly skew, so every angle of its certified normal form is pi/2.
     """
-    if d.kind is not RotationKind.PROPER:
-        raise NotProper(f"angle {d.angle} is not strictly inside (0, pi)")
-    S = (d.matrix - math.cos(d.angle) * np.eye(d.dim)) / math.sin(d.angle)
-    out = as_rotation(S, tol)
-    if abs(out.angle - math.pi / 2) > tol.angle_tol:
-        raise NumericalFailure(
-            f"quarter-turn angle came out as {out.angle!r}, not pi/2"
+    K = d.matrix - d.matrix.T
+    norm = float(np.linalg.norm(K))
+    if d.kind is not RotationKind.PROPER or norm == 0.0:
+        raise NotProper(
+            f"angle {d.angle} with skew part of norm {norm:.3e} is no proper rotation"
         )
-    return out
+    return as_rotation(K * (math.sqrt(d.dim) / norm), tol)
 
 
 def unrho(s: Rotation, alpha: float, tol: Tolerance = DEFAULT_TOL) -> Rotation:

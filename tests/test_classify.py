@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from rotpair import (
     NumericalFailure,
     Rotation,
     as_rotation,
+    build_report,
     classify,
     classify_block,
     generate_pair,
@@ -288,6 +290,30 @@ class TestClassify:
         off = Rotation(matrix=e.matrix, angle=e.angle + 1e-6)
         with pytest.raises(NumericalFailure, match=r"beta .* by 1\.000e-06"):
             classify(d, off)
+
+    def test_claimed_alpha_far_from_certified_raises(self):
+        d, e = pair_rotations(generate_pair(
+            [Dim2Proper(alpha=0.5, beta=1.2, r=1),
+             Dim4(alpha=0.5, beta=1.2, theta=0.8)], seed=5))
+        off = dataclasses.replace(d, angle=d.angle + 1e-6)
+        with pytest.raises(NumericalFailure, match=r"alpha .* by 1\.000e-06"):
+            classify(off, e)
+
+    def test_pair_certified_once(self, monkeypatch):
+        spec = [Dim2Proper(alpha=0.5, beta=1.2, r=1),
+                Dim2Proper(alpha=0.5, beta=1.2, r=-1),
+                Dim4(alpha=0.5, beta=1.2, theta=0.8),
+                Dim4(alpha=0.5, beta=1.2, theta=2.1)]
+        d, e = pair_rotations(generate_pair(spec, seed=12))
+        sizes = count_normal_forms(monkeypatch)
+        label = classify(d, e)
+        # the two quarter-turns of each Dim4 block, nothing else
+        assert sizes == [4] * 4
+        sizes.clear()
+        report = build_report(d, e)
+        assert sizes == [4] * 4
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        assert len(report.label) == len(spec)
 
     def test_label_sorts_on_construction(self):
         canonical = (

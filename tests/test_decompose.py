@@ -13,6 +13,7 @@ from rotpair import (
     Dim2LeftScalar,
     Dim2Proper,
     Dim4,
+    NotARotation,
     NotOrthogonalPair,
     NotProper,
     Rotation,
@@ -153,6 +154,15 @@ class TestIrreducibility:
         b = InvariantBlock(basis=np.eye(2), d_restricted=np.eye(2),
                            e_restricted=-np.eye(2))
         assert not is_irreducible(b)
+
+    def test_dim2_reflection_side_raises(self):
+        # the reflection has two invariant lines; it is no rotation at all
+        from rotpair.decompose import InvariantBlock
+
+        b = InvariantBlock(basis=np.eye(2), d_restricted=np.diag([1.0, -1.0]),
+                           e_restricted=np.eye(2))
+        with pytest.raises(NotARotation):
+            is_irreducible(b)
 
     def test_dim2_with_proper_side_is_irreducible(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))

@@ -48,3 +48,29 @@ def test_every_error_class_is_raised():
     defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
     raised = set().union(*(raised_names(ast.parse(p.read_text())) for p in MODULES))
     assert sorted(defined - BASE_ERRORS - raised) == []
+
+
+def private_functions_unused(trees) -> list:
+    """Module-level ``_name`` functions that no other top-level statement names.
+
+    A reference from inside the function's own body, such as a recursive
+    call, does not count.
+    """
+    defs, used = [], set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute)}
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                defs.append((module, stmt.name, stmt.lineno))
+                names.discard(stmt.name)
+            used |= names
+    return sorted(f"{module}: {name} (line {line})"
+                  for module, name, line in defs if name not in used)
+
+
+def test_every_private_function_is_used():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert private_functions_unused(trees) == []

@@ -223,6 +223,19 @@ class TestRho:
         with pytest.raises(NotProper):
             rho(Rotation(matrix=np.eye(2), angle=0.0))
 
+    def test_ignores_claimed_angle(self):
+        rng = np.random.default_rng(8)
+        Q = rand_orthogonal(8, rng)
+        a = 1.1
+        M = Q @ block_diag(*[rot2(a)] * 4) @ Q.T
+        s = rho(Rotation(matrix=M, angle=a)).matrix
+        assert max_abs(rho(Rotation(matrix=M, angle=a + 1e-9)).matrix - s) <= 1e-15
+        assert max_abs(s - (M - math.cos(a) * np.eye(8)) / math.sin(a)) <= 1e-14
+
+    def test_rejects_symmetric_matrix_claimed_proper(self):
+        with pytest.raises(NotProper):
+            rho(Rotation(matrix=np.eye(2), angle=0.5))
+
 
 class TestUnrho:
     def test_quarter_turn_to_angle(self):
