@@ -195,7 +195,8 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
     :func:`is_irreducible` alone; a reducible block, or one whose
     restrictions are not rotations, raises ``NotIrreducible``.  A
     4-block with twist near 0 or pi is irreducible exactly when that
-    verdict says so, and its twist is then read off accurately.
+    verdict says so, and its twist is then read off accurately from the
+    two quarter-turns of :func:`rho`, which take no normal form.
 
     ``restricted`` is internal: :func:`pair_block_form` passes the two
     restrictions as rotations with the pair's certified angles, and they
@@ -338,6 +339,7 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     between irreducible pairs scales every vector by one factor; the
     returned ``phi / mu`` is orthogonal and intertwines the same way.
     The singular values of phi span the exact range of |phi v| on the unit sphere.
+    A side that carries its normal form is not certified again.
     """
     phi = np.asarray(phi, dtype=float)
     d, e = pair1
@@ -345,13 +347,17 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     n = d.dim
     if phi.shape != (n, n) or d2.dim != n:
         raise NotIntertwiner(f"shape mismatch: phi {phi.shape} on R^{n}")
+    if n not in (1, 2, 4):
+        raise NotIrreducible("pair is reducible")
     for p in (pair1, pair2):
         trivial = InvariantBlock(
             basis=np.eye(n),
             d_restricted=p[0].matrix,
             e_restricted=p[1].matrix,
         )
-        if n not in (1, 2, 4) or not is_irreducible(trivial, tol):
+        restricted = tuple(as_rotation(r.matrix, tol) if r.normal_form is None else r
+                           for r in p)
+        if not is_irreducible(trivial, tol, restricted=restricted):
             raise NotIrreducible("pair is reducible")
     r1 = max_abs(phi @ d.matrix - d2.matrix @ phi)
     r2 = max_abs(phi @ e.matrix - e2.matrix @ phi)

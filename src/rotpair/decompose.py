@@ -6,10 +6,10 @@ proper pair is first split into twist clusters: on every irreducible
 block the inner product of ``d v`` and ``e v`` is the same for all unit
 v, so the eigenspaces of ``sym(d^T e)`` are jointly invariant.  Inside
 each cluster the search works through the complexified eigenplanes: an
-overlap between the planes of the two rotations yields an invariant
-2-plane directly, and otherwise the antilinear operator on the first
-plane either has an invariant line (again a 2-plane) or hands us a
-4-dimensional block.
+overlap between the planes of the two rotations yields one invariant
+2-plane per dimension of the overlap, and otherwise the antilinear
+operator on the first plane either has an invariant line (again a
+2-plane) or hands us a 4-dimensional block.
 """
 
 from __future__ import annotations
@@ -112,51 +112,57 @@ def _restrict(basis: np.ndarray, d: Rotation, e: Rotation) -> InvariantBlock:
     )
 
 
-def _plane_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
-    """Either an invariant 2-plane of a proper pair, or the antilinear op.
+def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
+    """Invariant 2-planes of a proper pair, or the antilinear operator.
 
-    Returns ``("plane", basis)`` or ``("operator", T)``.  Tries the
-    eigenplane intersections first; only when both are trivial does the
-    antilinear operator exist, and an invariant line of it still yields
-    a plane.  The two meets are the one overlap decision: they count A
-    as meeting C (or D) when a principal angle phi between them has
-    ``tan(phi/2) <= rank_tol``.  :func:`build_T`'s Gram test fires only
-    when ``sin(phi) <= rank_tol``, a smaller set, so it never fires on
-    this path.
+    Returns ``("planes", bases)`` with a tuple of orthonormal plane
+    bases, or ``("operator", T)``.  Tries the eigenplane intersections
+    first: a rotation turns every vector by its one angle, so each
+    column of the first non-empty meet, A with C or else A with D,
+    spans a jointly invariant plane with its conjugate, and the planes
+    of distinct columns are orthogonal.  Only when both meets are
+    trivial does the antilinear operator exist, and an invariant line
+    of it still yields a plane.  The two meets are the one overlap
+    decision: they count A as meeting C (or D) when a principal angle
+    phi between them has ``tan(phi/2) <= rank_tol``.
+    :func:`build_T`'s Gram test fires only when ``sin(phi) <=
+    rank_tol``, a smaller set, so it never fires on this path.
     """
     planes = eigenplanes(d, e, tol)
     for meet_with in (planes.C, planes.D):
         meet = subspace_meet(planes.A, meet_with, tol)
         if meet.shape[1]:
-            return "plane", real_plane_from_complex_line(meet[:, 0], tol)
+            return "planes", tuple(real_plane_from_complex_line(v, tol)
+                                   for v in meet.T)
     T = build_T(planes, tol)
     line = antilinear_invariant_line(T, tol)
     if line is not None:
         ambient = planes.A @ line
-        return "plane", real_plane_from_complex_line(ambient, tol)
+        return "planes", (real_plane_from_complex_line(ambient, tol),)
     return "operator", T
 
 
 def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     """Whether the proper pair (d, e) leaves some 2-plane invariant.
 
-    Returns ``(True, basis)`` with an orthonormal witness basis, or
-    ``(False, None)``.  The witness is verified invariant under both
-    rotations before being returned.  A rotation that is not proper
-    raises ``NotProper`` from :func:`eigenplanes`.
+    Returns ``(True, basis)`` with an orthonormal witness basis, the
+    first plane the search step finds, or ``(False, None)``.  The
+    witness is verified invariant under both rotations before being
+    returned.  A rotation that is not proper raises ``NotProper`` from
+    :func:`eigenplanes`.
     """
-    kind, payload = _plane_or_operator(d, e, tol)
-    if kind != "plane":
+    kind, payload = _planes_or_operator(d, e, tol)
+    if kind != "planes":
         return False, None
-    resid = invariance_residual(payload, d, e)
-    if resid > 10 * tol.residual_tol:
+    witness = payload[0]
+    resid = invariance_residual(witness, d, e)
+    if not resid <= 10 * tol.residual_tol:
         raise NumericalFailure(f"witness plane residual {resid:.3e}")
-    return True, payload
+    return True, witness
 
 
-def _block_from_operator(T: AntilinearOp, d: Rotation, e: Rotation,
-                         tol: Tolerance) -> InvariantBlock:
-    """4-dimensional block from an eigenvector of the operator's square."""
+def _block_from_operator(T: AntilinearOp, tol: Tolerance) -> np.ndarray:
+    """Basis of a 4-block from an eigenvector of the operator's square."""
     N = t_squared(T)
     evals, evecs = np.linalg.eig(N)
     order = sorted(
@@ -181,20 +187,26 @@ def _block_from_operator(T: AntilinearOp, d: Rotation, e: Rotation,
         raise NumericalFailure(
             f"candidate block spans {basis.shape[1]} dimensions, expected 4"
         )
-    return _restrict(basis, d, e)
+    return basis
 
 
-def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> InvariantBlock:
-    """One jointly invariant block of dimension 1, 2 or 4.
+def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """Every jointly invariant block that one search step determines.
 
-    If either operator is the identity or its negative, the block comes
-    from the other operator's block form.  Otherwise the pair is proper
-    and the eigenplane machinery produces a 2-plane or a 4-block.
+    Returns a tuple of blocks of dimension 1, 2 or 4 with mutually
+    orthogonal bases.  If either operator is the identity or its
+    negative, the blocks are the planes of the other operator's one
+    normal form, or every coordinate line when both are.  Otherwise the
+    pair is proper: the blocks are one plane per column of the first
+    non-empty eigenplane meet, else the single plane of an invariant
+    line of the antilinear operator, else a single 4-block.
 
-    The block is irreducible by construction: a line, a plane on which
+    Each block is irreducible by construction: a line, a plane on which
     at least one operator is proper, or a 4-block reached only after
     both eigenplane meets came back empty and the antilinear operator
-    had no invariant line, so that no invariant 2-plane exists.
+    had no invariant line, so that no invariant 2-plane exists.  The
+    stacked basis is checked once to be orthonormal and invariant, both
+    at ``10 residual_tol``; a failure raises ``NumericalFailure``.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
@@ -203,22 +215,22 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> Invari
     e_proper = e.kind is RotationKind.PROPER
     if not (d_proper and e_proper):
         if not d_proper and not e_proper:
-            basis = np.eye(n)[:, :1]
+            bases = np.hsplit(np.eye(n), n)
         else:
             other = d if d_proper else e
             nf = orthogonal_normal_form(other.matrix, tol)
-            basis = nf.basis[:, :2]
-        block = _restrict(basis, d, e)
+            bases = [nf.basis[:, i:i + 2] for i in range(0, n, 2)]
     else:
-        kind, payload = _plane_or_operator(d, e, tol)
-        if kind == "plane":
-            block = _restrict(payload, d, e)
-        else:
-            block = _block_from_operator(payload, d, e, tol)
-    resid = invariance_residual(block.basis, d, e)
-    if resid > 10 * tol.residual_tol:
+        kind, payload = _planes_or_operator(d, e, tol)
+        bases = payload if kind == "planes" else (_block_from_operator(payload, tol),)
+    stacked = np.hstack(bases)
+    ortho = max_abs(stacked.T @ stacked - np.eye(stacked.shape[1]))
+    if not ortho <= 10 * tol.residual_tol:
+        raise NumericalFailure(f"block basis orthonormality residual {ortho:.3e}")
+    resid = invariance_residual(stacked, d, e)
+    if not resid <= 10 * tol.residual_tol:
         raise NumericalFailure(f"block invariance residual {resid:.3e}")
-    return block
+    return tuple(_restrict(basis, d, e) for basis in bases)
 
 
 def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
@@ -270,7 +282,7 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     returned by descending value.
 
     A pair with an identity or negated identity side is one cluster, the
-    whole space; :func:`find_block` takes its lines or planes.
+    whole space; one :func:`find_block` call takes all its lines or planes.
     """
     n = d.dim
     if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
@@ -299,14 +311,15 @@ def decompose(d: Rotation, e: Rotation,
     """Full decomposition into irreducible invariant blocks.
 
     The space is first split by :func:`_twist_clusters`.  Inside each
-    cluster blocks are peeled off one at a time; both operators restrict
-    to the orthogonal complement of each extracted block, and the
-    restriction of a single-angle rotation to an invariant subspace
-    keeps its angle, so no re-certification is needed along the way.
-    Each block that :func:`find_block` returns is irreducible, so it is
-    kept as it is and the search goes on in its complement.  A cluster
-    costs O(m^3) per block for its dimension m, so a pair whose twists
-    are distinct costs O(n^3) in all.
+    cluster blocks are peeled off one search step at a time; both
+    operators restrict to the orthogonal complement of all the blocks
+    one :func:`find_block` call returns, and the restriction of a
+    single-angle rotation to an invariant subspace keeps its angle, so
+    no re-certification is needed along the way.  Each returned block is
+    irreducible, so it is kept as it is.  A step costs O(m^3) for the
+    cluster dimension m, and one step takes every plane of an eigenplane
+    meet or of a pair with a +-I side, so a pair whose twists are
+    distinct costs O(n^3) in all.
 
     Blocks come in extraction order, which is deterministic: lines and
     planes before 4-blocks, each in cluster order and then in the order
@@ -322,7 +335,7 @@ def decompose(d: Rotation, e: Rotation,
     n = d.dim
     for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
         resid = max_abs(r.matrix.T @ r.matrix - np.eye(n))
-        if resid > tol.residual_tol:
+        if not resid <= tol.residual_tol:
             raise NotOrthogonalPair(
                 f"{name} operator orthogonality residual {resid:.3e}"
             )
@@ -341,8 +354,8 @@ def decompose(d: Rotation, e: Rotation,
         cur_d, cur_e = _restricted(d, carrier), _restricted(e, carrier)
         while True:
             found = find_block(cur_d, cur_e, tol)
-            blocks.append(replace(found, basis=carrier @ found.basis))
-            comp = orthonormal_complement(found.basis, tol=tol)
+            blocks.extend(replace(b, basis=carrier @ b.basis) for b in found)
+            comp = orthonormal_complement(np.hstack([b.basis for b in found]), tol=tol)
             if comp.shape[1] == 0:
                 break
             carrier = carrier @ comp

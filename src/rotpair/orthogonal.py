@@ -113,7 +113,7 @@ class Rotation:
 
 def _check_orthogonal(M: np.ndarray, tol: Tolerance) -> None:
     resid = max_abs(M.T @ M - np.eye(M.shape[0]))
-    if resid > tol.residual_tol:
+    if not resid <= tol.residual_tol:
         raise NotOrthogonal(
             f"orthogonality residual {resid:.3e} exceeds {tol.residual_tol:.3e}"
         )
@@ -278,8 +278,11 @@ def rho(d: Rotation, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     For a rotation with matrix M and angle a in (0, pi), the matrix
     ``S = (M - cos(a) I) / sin(a)`` is again a rotation, with angle pi/2.
     It is read off the skew part ``M - M^T = 2 sin(a) S``, scaled to the
-    norm ``sqrt(n)`` of S, so the claimed angle does not enter; and S is
-    exactly skew, so every angle of its certified normal form is pi/2.
+    norm ``sqrt(n)`` of S, so the claimed angle does not enter.  S is
+    exactly skew, and a skew orthogonal matrix turns every vector by
+    exactly pi/2, so S is certified by the orthogonality check alone
+    (``NotOrthogonal``, as :func:`as_rotation` raises first) and no
+    normal form is computed; the result's ``normal_form`` is None.
     """
     K = d.matrix - d.matrix.T
     norm = float(np.linalg.norm(K))
@@ -287,7 +290,9 @@ def rho(d: Rotation, tol: Tolerance = DEFAULT_TOL) -> Rotation:
         raise NotProper(
             f"angle {d.angle} with skew part of norm {norm:.3e} is no proper rotation"
         )
-    return as_rotation(K * (math.sqrt(d.dim) / norm), tol)
+    S = K * (math.sqrt(d.dim) / norm)
+    _check_orthogonal(S, tol)
+    return Rotation(matrix=S, angle=math.pi / 2)
 
 
 def unrho(s: Rotation, alpha: float, tol: Tolerance = DEFAULT_TOL) -> Rotation:

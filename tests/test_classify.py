@@ -229,8 +229,8 @@ class TestClassifyBlock:
     def test_four_block_certified_once(self, monkeypatch):
         sizes = count_normal_forms(monkeypatch)
         classify_block(block_of(Dim4(alpha=0.5, beta=1.2, theta=0.8)))
-        # each restriction and each quarter-turn part once
-        assert len(sizes) == 4
+        # each restriction once; the quarter-turn parts take none
+        assert len(sizes) == 2
 
 
 class TestClassify:
@@ -307,11 +307,10 @@ class TestClassify:
         d, e = pair_rotations(generate_pair(spec, seed=12))
         sizes = count_normal_forms(monkeypatch)
         label = classify(d, e)
-        # the two quarter-turns of each Dim4 block, nothing else
-        assert sizes == [4] * 4
-        sizes.clear()
+        # the pair is certified and the quarter-turns take no normal form
+        assert sizes == []
         report = build_report(d, e)
-        assert sizes == [4] * 4
+        assert sizes == []
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
         assert len(report.label) == len(spec)
 
@@ -473,6 +472,14 @@ class TestOrthogonalizeIntertwiner:
     def test_recovers_orthogonal_factor(self, form, scale):
         phi, Q, pair1, pair2 = self.scaled_conjugation(form, scale, seed=30)
         out = orthogonalize_intertwiner(phi, pair1, pair2)
+        assert max_abs(out - Q) <= 1e-9
+
+    def test_certified_pairs_take_no_normal_form(self, monkeypatch):
+        phi, Q, pair1, pair2 = self.scaled_conjugation(
+            Dim4(alpha=0.5, beta=1.2, theta=0.8), 2.0, seed=31)
+        sizes = count_normal_forms(monkeypatch)
+        out = orthogonalize_intertwiner(phi, pair1, pair2)
+        assert sizes == []
         assert max_abs(out - Q) <= 1e-9
 
     def test_scalar_line(self):

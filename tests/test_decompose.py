@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import math
 
@@ -6,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_rotations, rand_orthogonal, random_compatible_spec
+from conftest import (
+    count_normal_forms,
+    pair_rotations,
+    rand_orthogonal,
+    random_compatible_spec,
+)
 from rotpair import (
     ClassLabel,
     DegenerateLine,
+    Dim1,
     Dim2LeftScalar,
     Dim2Proper,
+    Dim2RightScalar,
     Dim4,
     NotARotation,
     NotOrthogonalPair,
@@ -107,46 +115,70 @@ class TestTwoPlaneExists:
 
 class TestFindBlock:
     def test_both_scalar(self):
-        b = find_block(Rotation(np.eye(3), 0.0), Rotation(-np.eye(3), np.pi))
-        assert b.dim == 1
-        assert np.allclose(b.d_restricted, [[1.0]])
-        assert np.allclose(b.e_restricted, [[-1.0]])
+        blocks = find_block(Rotation(np.eye(3), 0.0), Rotation(-np.eye(3), np.pi))
+        assert len(blocks) == 3
+        for b in blocks:
+            assert b.dim == 1
+            assert np.allclose(b.d_restricted, [[1.0]])
+            assert np.allclose(b.e_restricted, [[-1.0]])
 
     def test_one_scalar_follows_other_operator(self):
         rng = np.random.default_rng(15)
         Q = rand_orthogonal(4, rng)
         e = proper(Q @ block_diag(rot2(0.8), rot2(0.8)) @ Q.T)
-        b = find_block(Rotation(np.eye(4), 0.0), e)
-        assert b.dim == 2
-        assert np.allclose(b.d_restricted, np.eye(2))
-        assert abs(np.trace(b.e_restricted) / 2.0 - np.cos(0.8)) <= 1e-9
+        blocks = find_block(Rotation(np.eye(4), 0.0), e)
+        assert len(blocks) == 2
+        for b in blocks:
+            assert b.dim == 2
+            assert np.allclose(b.d_restricted, np.eye(2))
+            assert abs(np.trace(b.e_restricted) / 2.0 - np.cos(0.8)) <= 1e-9
 
     def test_proper_pair_with_overlap_gives_plane(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
         e = proper(block_diag(rot2(1.1), rot2(-1.1)))
-        b = find_block(d, e)
-        assert b.dim == 2
-        assert invariance_residual(b.basis, d, e) <= 1e-9
+        blocks = find_block(d, e)
+        assert len(blocks) == 1
+        for b in blocks:
+            assert b.dim == 2
+            assert invariance_residual(b.basis, d, e) <= 1e-9
 
     def test_twisted_pair_gives_four_block(self):
         rng = np.random.default_rng(16)
         Q = rand_orthogonal(4, rng)
         d, e = (proper(Q @ M @ Q.T)
                 for M in realize(Dim4(alpha=0.5, beta=1.2, theta=0.8)))
-        b = find_block(d, e)
-        assert b.dim == 4
-        assert invariance_residual(b.basis, d, e) <= 1e-8
-        assert max_abs(b.basis.T @ b.basis - np.eye(4)) <= 1e-9
+        blocks = find_block(d, e)
+        assert len(blocks) == 1
+        for b in blocks:
+            assert b.dim == 4
+            assert invariance_residual(b.basis, d, e) <= 1e-8
+            assert max_abs(b.basis.T @ b.basis - np.eye(4)) <= 1e-9
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(NotOrthogonalPair):
             find_block(Rotation(np.eye(2), 0.0), Rotation(np.eye(3), 0.0))
 
+    def test_meet_gives_every_plane(self):
+        rng = np.random.default_rng(44)
+        Q = rand_orthogonal(16, rng)
+        dm, em = realize(Dim2Proper(alpha=0.7, beta=1.9, r=1))
+        d = proper(Q @ block_diag(*[dm] * 8) @ Q.T)
+        e = proper(Q @ block_diag(*[em] * 8) @ Q.T)
+        blocks = find_block(d, e)
+        assert len(blocks) == 8
+        full = np.column_stack([b.basis for b in blocks])
+        assert max_abs(full.T @ full - np.eye(16)) <= 1e-12
+        for b in blocks:
+            assert b.dim == 2
+            assert invariance_residual(b.basis, d, e) <= 1e-9
+
 
 class TestIrreducibility:
     def test_dim1_always(self):
-        b = find_block(Rotation(np.eye(1), 0.0), Rotation(-np.eye(1), np.pi))
-        assert is_irreducible(b)
+        blocks = find_block(Rotation(np.eye(1), 0.0), Rotation(-np.eye(1), np.pi))
+        assert len(blocks) == 1
+        for b in blocks:
+            assert is_irreducible(b)
 
     def test_dim2_scalar_scalar_is_not(self):
         from rotpair.decompose import InvariantBlock
@@ -167,7 +199,10 @@ class TestIrreducibility:
     def test_dim2_with_proper_side_is_irreducible(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
         e = proper(block_diag(rot2(1.1), rot2(-1.1)))
-        assert is_irreducible(find_block(d, e))
+        blocks = find_block(d, e)
+        assert len(blocks) == 1
+        for b in blocks:
+            assert is_irreducible(b)
 
     def test_dim4_twisted_is_irreducible(self):
         from rotpair.decompose import InvariantBlock
@@ -280,9 +315,32 @@ class TestDecompose:
         with pytest.raises(NotOrthogonalPair):
             decompose(Rotation(M, 0.0), Rotation(np.eye(2), 0.0))
 
+    def test_rejects_nan(self):
+        with pytest.raises(NotOrthogonalPair):
+            decompose(Rotation(np.full((2, 2), np.nan), 0.5),
+                      Rotation(np.eye(2), 0.0))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(NotOrthogonalPair):
             decompose(Rotation(np.eye(2), 0.0), Rotation(np.eye(4), 0.0))
+
+
+@contextlib.contextmanager
+def find_block_dims():
+    """List of the dimensions of the spaces ``decompose`` hands ``find_block``."""
+    module = importlib.import_module("rotpair.decompose")
+    original = module.find_block
+    seen = []
+
+    def counted(d, e, tol=DEFAULT_TOL):
+        seen.append(d.dim)
+        return original(d, e, tol)
+
+    module.find_block = counted
+    try:
+        yield seen
+    finally:
+        module.find_block = original
 
 
 def n96_spec(rng):
@@ -315,6 +373,15 @@ class TestTwistClusters:
         lines = decompose(Rotation(np.eye(3), 0.0), Rotation(-np.eye(3), np.pi))
         assert lines.dims == (1, 1, 1)
 
+    def test_scalar_side_is_one_step(self, monkeypatch):
+        d, e = pair_rotations(generate_pair([Dim2LeftScalar(r=1, beta=0.8)] * 4,
+                                            seed=45))
+        sizes = count_normal_forms(monkeypatch)
+        with find_block_dims() as seen:
+            assert decompose(d, e).dims == (2, 2, 2, 2)
+        assert seen == [8]
+        assert sizes == [8]
+
     def test_peel_work_is_cubic(self, monkeypatch):
         """The peel loop works on clusters, not on the whole space.
 
@@ -336,7 +403,7 @@ class TestTwistClusters:
         monkeypatch.setattr(module, "find_block", counted)
         label = classify(d, e)
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
-        assert len(seen) == 36
+        assert len(seen) == 14
         assert sum(m ** 3 for m in seen) <= 96 ** 3
 
 
@@ -371,4 +438,30 @@ def test_proper_spec_clusters_and_labels(spec, seed):
     assert sum(c.shape[1] for c in clusters) == d.dim
     for c in clusters:
         assert invariance_residual(c, d, e) <= 10 * DEFAULT_TOL.residual_tol
+    assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_compatible_spec_steps_and_labels(seed):
+    """One search step per +-I pair, per plane orientation, per 4-block.
+
+    A pair with a +-I side takes all its lines or planes in one step.
+    In a proper pair all planes of one orientation r lie in one twist
+    cluster and one eigenplane meet, so they come in one step, and each
+    4-block takes a step of its own.
+    """
+    rng = np.random.default_rng(seed)
+    spec = random_compatible_spec(rng)
+    d, e = pair_rotations(generate_pair(spec, seed=int(rng.integers(1 << 31))))
+    with find_block_dims() as seen:
+        dec = decompose(d, e)
+    if isinstance(spec[0], (Dim1, Dim2LeftScalar, Dim2RightScalar)):
+        steps = 1
+    else:
+        steps = (sum(isinstance(f, Dim4) for f in spec)
+                 + len({f.r for f in spec if isinstance(f, Dim2Proper)}))
+    assert len(seen) == steps
+    full = np.column_stack([b.basis for b in dec.blocks])
+    assert max_abs(full.T @ full - np.eye(d.dim)) <= 1e-12
     assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))

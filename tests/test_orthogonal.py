@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_orthogonal
+from conftest import count_normal_forms, rand_orthogonal
 from rotpair import (
     DEFAULT_TOL,
     BadAngle,
@@ -171,6 +171,10 @@ class TestAsRotation:
         with pytest.raises(NotARotation):
             as_rotation(np.diag([1.0, 1.0, -1.0]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(NotOrthogonal):
+            as_rotation(np.full((2, 2), np.nan))
+
     def test_rejects_angle_with_fixed_space(self):
         with pytest.raises(NotARotation):
             as_rotation(block_diag(rot2(0.9), [[1.0]]))
@@ -235,6 +239,23 @@ class TestRho:
     def test_rejects_symmetric_matrix_claimed_proper(self):
         with pytest.raises(NotProper):
             rho(Rotation(matrix=np.eye(2), angle=0.5))
+
+    def test_rejects_nan(self):
+        with pytest.raises(NotOrthogonal):
+            rho(Rotation(matrix=np.full((4, 4), np.nan), angle=0.5))
+
+    def test_rejects_skew_part_that_is_no_quarter_turn(self):
+        # two block angles: the scaled skew part is not orthogonal
+        M = block_diag(rot2(0.3), rot2(1.2))
+        with pytest.raises(NotOrthogonal):
+            rho(Rotation(matrix=M, angle=0.3))
+
+    def test_takes_no_normal_form(self, monkeypatch):
+        d = as_rotation(block_diag(rot2(0.7), rot2(0.7)))
+        sizes = count_normal_forms(monkeypatch)
+        s = rho(d)
+        assert sizes == []
+        assert s.angle == math.pi / 2
 
 
 class TestUnrho:
