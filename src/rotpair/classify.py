@@ -190,17 +190,19 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
                    restricted=None):
     """Canonical form of an irreducible block.
 
-    Both restrictions are certified once by :func:`as_rotation`, and
-    whether a 2- or 4-block is irreducible is decided by
-    :func:`is_irreducible` alone; a reducible block, or one whose
+    A block handed in on its own is certified first: both restrictions
+    by :func:`as_rotation`, and whether a 2- or 4-block is irreducible
+    by :func:`is_irreducible` alone; a reducible block, or one whose
     restrictions are not rotations, raises ``NotIrreducible``.  A
     4-block with twist near 0 or pi is irreducible exactly when that
     verdict says so, and its twist is then read off accurately from the
     two quarter-turns of :func:`rho`, which take no normal form.
 
     ``restricted`` is internal: :func:`pair_block_form` passes the two
-    restrictions as rotations with the pair's certified angles, and they
-    are then not certified again.
+    restrictions of a block of :func:`decompose` as rotations with the
+    pair's certified angles.  Such a block is irreducible by
+    construction, so neither its restrictions nor the verdict are
+    computed again; only the form is read.
     """
     if block.dim not in (1, 2, 4):
         raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
@@ -209,13 +211,15 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
             r = 1 if block.d_restricted[0, 0] > 0 else -1
             s = 1 if block.e_restricted[0, 0] > 0 else -1
             return Dim1(r=r, s=s)
-        d_r, e_r = restricted or (as_rotation(block.d_restricted, tol),
-                                  as_rotation(block.e_restricted, tol))
-        if not is_irreducible(block, tol, restricted=(d_r, e_r)):
-            raise NotIrreducible(
-                f"{block.dim}-dimensional block has a jointly invariant "
-                "proper subspace"
-            )
+        if restricted is None:
+            restricted = (as_rotation(block.d_restricted, tol),
+                          as_rotation(block.e_restricted, tol))
+            if not is_irreducible(block, tol, restricted=restricted):
+                raise NotIrreducible(
+                    f"{block.dim}-dimensional block has a jointly invariant "
+                    "proper subspace"
+                )
+        d_r, e_r = restricted
         if block.dim == 4:
             theta = theta_invariant(rho(d_r, tol), rho(e_r, tol), tol)
             return Dim4(alpha=d_r.angle, beta=e_r.angle, theta=theta)
@@ -232,14 +236,16 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
 
 def pair_block_form(block: InvariantBlock, d: Rotation, e: Rotation,
                     tol: Tolerance = DEFAULT_TOL):
-    """Canonical form of a block of the pair (d, e), with the pair's angles.
+    """Canonical form of a block of ``decompose(d, e)``, with the pair's angles.
 
-    A rotation keeps its angle on every invariant subspace, so the
-    restrictions are rotations by the angles of ``d`` and ``e``, which
-    :func:`decompose` certified once for the whole pair; they are not
-    certified again.  Equal forms of one pair are then equal to the last
-    bit, and ``ClassLabel`` orders them by their remaining parameters,
-    such as theta.
+    The block must come from ``decompose(d, e)``, whose blocks are
+    irreducible by construction, so no irreducibility verdict is asked
+    here.  A rotation keeps its angle on every invariant subspace, so
+    the restrictions are rotations by the angles of ``d`` and ``e``,
+    which :func:`decompose` certified once for the whole pair; they are
+    not certified again.  Equal forms of one pair are then equal to the
+    last bit, and ``ClassLabel`` orders them by their remaining
+    parameters, such as theta.
     """
     restricted = (Rotation(matrix=block.d_restricted, angle=d.angle),
                   Rotation(matrix=block.e_restricted, angle=e.angle))

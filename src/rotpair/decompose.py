@@ -9,11 +9,13 @@ each cluster the search works through the complexified eigenplanes: an
 overlap between the planes of the two rotations yields one invariant
 2-plane per dimension of the overlap, and otherwise the antilinear
 operator on the first plane either has an invariant line (again a
-2-plane) or hands us a 4-dimensional block.
+2-plane) or hands us a 4-dimensional block.  A 4-dimensional cluster is
+one 4-block or two planes, and one irreducibility verdict decides which.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +41,7 @@ from .orthogonal import (
     Rotation,
     RotationKind,
     as_rotation,
-    orthogonal_normal_form,
+    normal_form_of,
 )
 
 
@@ -85,7 +87,10 @@ def real_plane_from_complex_line(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     For v with v and conj(v) independent, the real points of
     ``span{v, conj(v)}`` form a 2-plane spanned by the real and
-    imaginary parts of v; returns an orthonormal basis of it.
+    imaginary parts of v; returns an orthonormal basis of it.  Any v
+    will do, such as the witness of ``IntersectionNonTrivial``; the
+    search itself reads planes off eigenplane vectors, whose parts are
+    already orthonormal up to a factor sqrt(2).
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     s = np.linalg.svd(np.column_stack([v, np.conj(v)]), compute_uv=False)
@@ -112,19 +117,32 @@ def _restrict(basis: np.ndarray, d: Rotation, e: Rotation) -> InvariantBlock:
     )
 
 
+def _real_plane(v: np.ndarray) -> np.ndarray:
+    """Real 2-plane of a unit vector v of an eigenplane A.
+
+    ``conj(v)`` lies in the conjugate plane B, which is orthogonal to A,
+    so ``v^T v = 0``: the real and imaginary parts of v are orthogonal
+    and of equal length, and ``sqrt(2) [Re v, Im v]`` is already an
+    orthonormal basis.
+    """
+    return math.sqrt(2.0) * np.column_stack([v.real, v.imag])
+
+
 def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     """Invariant 2-planes of a proper pair, or the antilinear operator.
 
-    Returns ``("planes", bases)`` with a tuple of orthonormal plane
-    bases, or ``("operator", T)``.  Tries the eigenplane intersections
-    first: a rotation turns every vector by its one angle, so each
-    column of the first non-empty meet, A with C or else A with D,
-    spans a jointly invariant plane with its conjugate, and the planes
-    of distinct columns are orthogonal.  Only when both meets are
-    trivial does the antilinear operator exist, and an invariant line
-    of it still yields a plane.  The two meets are the one overlap
-    decision: they count A as meeting C (or D) when a principal angle
-    phi between them has ``tan(phi/2) <= rank_tol``.
+    Returns ``("planes", bases)`` with a tuple of plane bases, or
+    ``("operator", T)``.  Tries the eigenplane intersections first: a
+    rotation turns every vector by its one angle, so each column of the
+    first non-empty meet, A with C or else A with D, spans a jointly
+    invariant plane with its conjugate, and the planes of distinct
+    columns are orthogonal.  Only when both meets are trivial does the
+    antilinear operator exist, and an invariant line of it still yields
+    a plane.  Every meet column and the line's vector lie in A, so each
+    plane is read off by :func:`_real_plane` with no factorization;
+    callers check the stacked bases for orthonormality.  The two meets
+    are the one overlap decision: they count A as meeting C (or D) when
+    a principal angle phi between them has ``tan(phi/2) <= rank_tol``.
     :func:`build_T`'s Gram test fires only when ``sin(phi) <=
     rank_tol``, a smaller set, so it never fires on this path.
     """
@@ -132,14 +150,27 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     for meet_with in (planes.C, planes.D):
         meet = subspace_meet(planes.A, meet_with, tol)
         if meet.shape[1]:
-            return "planes", tuple(real_plane_from_complex_line(v, tol)
-                                   for v in meet.T)
+            return "planes", tuple(_real_plane(v) for v in meet.T)
     T = build_T(planes, tol)
     line = antilinear_invariant_line(T, tol)
     if line is not None:
-        ambient = planes.A @ line
-        return "planes", (real_plane_from_complex_line(ambient, tol),)
+        return "planes", (_real_plane(planes.A @ line),)
     return "operator", T
+
+
+def _check_blocks(stacked: np.ndarray, d: Rotation, e: Rotation,
+                  tol: Tolerance) -> None:
+    """Check that the columns are orthonormal and jointly invariant.
+
+    Both residuals are compared at ``10 residual_tol``; a failure raises
+    ``NumericalFailure`` with the residual.
+    """
+    ortho = max_abs(stacked.T @ stacked - np.eye(stacked.shape[1]))
+    if not ortho <= 10 * tol.residual_tol:
+        raise NumericalFailure(f"block basis orthonormality residual {ortho:.3e}")
+    resid = invariance_residual(stacked, d, e)
+    if not resid <= 10 * tol.residual_tol:
+        raise NumericalFailure(f"block invariance residual {resid:.3e}")
 
 
 def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
@@ -147,17 +178,15 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
 
     Returns ``(True, basis)`` with an orthonormal witness basis, the
     first plane the search step finds, or ``(False, None)``.  The
-    witness is verified invariant under both rotations before being
-    returned.  A rotation that is not proper raises ``NotProper`` from
-    :func:`eigenplanes`.
+    witness is checked orthonormal and invariant under both rotations,
+    at ``10 residual_tol``, before being returned.  A rotation that is
+    not proper raises ``NotProper`` from :func:`eigenplanes`.
     """
     kind, payload = _planes_or_operator(d, e, tol)
     if kind != "planes":
         return False, None
     witness = payload[0]
-    resid = invariance_residual(witness, d, e)
-    if not resid <= 10 * tol.residual_tol:
-        raise NumericalFailure(f"witness plane residual {resid:.3e}")
+    _check_blocks(witness, d, e, tol)
     return True, witness
 
 
@@ -196,10 +225,11 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     Returns a tuple of blocks of dimension 1, 2 or 4 with mutually
     orthogonal bases.  If either operator is the identity or its
     negative, the blocks are the planes of the other operator's one
-    normal form, or every coordinate line when both are.  Otherwise the
-    pair is proper: the blocks are one plane per column of the first
-    non-empty eigenplane meet, else the single plane of an invariant
-    line of the antilinear operator, else a single 4-block.
+    normal form (the one that certified it, when it carries one), or
+    every coordinate line when both are.  Otherwise the pair is proper:
+    the blocks are one plane per column of the first non-empty
+    eigenplane meet, else the single plane of an invariant line of the
+    antilinear operator, else a single 4-block.
 
     Each block is irreducible by construction: a line, a plane on which
     at least one operator is proper, or a 4-block reached only after
@@ -217,19 +247,12 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
         if not d_proper and not e_proper:
             bases = np.hsplit(np.eye(n), n)
         else:
-            other = d if d_proper else e
-            nf = orthogonal_normal_form(other.matrix, tol)
+            nf = normal_form_of(d if d_proper else e, tol)
             bases = [nf.basis[:, i:i + 2] for i in range(0, n, 2)]
     else:
         kind, payload = _planes_or_operator(d, e, tol)
         bases = payload if kind == "planes" else (_block_from_operator(payload, tol),)
-    stacked = np.hstack(bases)
-    ortho = max_abs(stacked.T @ stacked - np.eye(stacked.shape[1]))
-    if not ortho <= 10 * tol.residual_tol:
-        raise NumericalFailure(f"block basis orthonormality residual {ortho:.3e}")
-    resid = invariance_residual(stacked, d, e)
-    if not resid <= 10 * tol.residual_tol:
-        raise NumericalFailure(f"block invariance residual {resid:.3e}")
+    _check_blocks(np.hstack(bases), d, e, tol)
     return tuple(_restrict(basis, d, e) for basis in bases)
 
 
@@ -237,22 +260,27 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
                    restricted=None) -> bool:
     """Whether the block has no proper nonzero jointly invariant subspace.
 
-    Dimension 1 blocks always are.  A 2-block is irreducible unless both
+    Dimension 1 blocks always are, and blocks of any dimension other
+    than 1, 2 or 4 never are: every irreducible block of a rotation pair
+    has one of those three.  A 2-block is irreducible unless both
     restrictions are scalar (by the ``kind`` of their rotations), and a
     4-block when both are proper and no invariant 2-plane exists; near a
     twist of 0 or pi that is decided by the eigenplane meets of
     :func:`two_plane_exists`, at ``rank_tol``.  This is the one
-    irreducibility verdict: :func:`find_block` returns irreducible
-    blocks by construction, and ``classify_block`` asks this function
-    before it reads off a canonical form.
+    irreducibility verdict: :func:`decompose` asks it once for each
+    4-dimensional twist cluster, :func:`find_block` returns irreducible
+    blocks by construction, and ``classify_block`` asks it for a block
+    handed in from outside a decomposition.
 
-    ``restricted`` is internal: ``classify_block`` passes the rotations
-    ``(d_r, e_r)`` of the two restrictions; without it they are
-    certified here, and a restriction that is no rotation, such as a
+    ``restricted`` is internal: callers that hold the rotations
+    ``(d_r, e_r)`` of the two restrictions pass them; without it they
+    are certified here, and a restriction that is no rotation, such as a
     reflection, raises ``NotARotation``.
     """
     if block.dim == 1:
         return True
+    if block.dim not in (2, 4):
+        return False
     d_r, e_r = restricted or (as_rotation(block.d_restricted, tol),
                               as_rotation(block.e_restricted, tol))
     d_proper = d_r.kind is RotationKind.PROPER
@@ -310,13 +338,20 @@ def decompose(d: Rotation, e: Rotation,
               tol: Tolerance = DEFAULT_TOL) -> InvariantDecomposition:
     """Full decomposition into irreducible invariant blocks.
 
-    The space is first split by :func:`_twist_clusters`.  Inside each
-    cluster blocks are peeled off one search step at a time; both
-    operators restrict to the orthogonal complement of all the blocks
-    one :func:`find_block` call returns, and the restriction of a
-    single-angle rotation to an invariant subspace keeps its angle, so
-    no re-certification is needed along the way.  Each returned block is
-    irreducible, so it is kept as it is.  A step costs O(m^3) for the
+    The space is first split by :func:`_twist_clusters`; a cluster that
+    is the whole space is searched on the pair itself, so a side with
+    a +-I partner keeps the normal form that certified it.  Every
+    irreducible block has dimension 1, 2 or 4, so a 4-dimensional
+    cluster of a proper pair is either one 4-block or two planes, and
+    the one :func:`is_irreducible` verdict on it decides which: an
+    irreducible cluster is kept as the block, its invariance already
+    certified by the clustering.  Inside every other cluster blocks are
+    peeled off one search step at a time; both operators restrict to
+    the orthogonal complement of all the blocks one :func:`find_block`
+    call returns, and the restriction of a single-angle rotation to an
+    invariant subspace keeps its angle, so no re-certification is needed
+    along the way.  Each block is irreducible, so it is kept as it is
+    and labelled with no second verdict.  A step costs O(m^3) for the
     cluster dimension m, and one step takes every plane of an eigenplane
     meet or of a pair with a +-I side, so a pair whose twists are
     distinct costs O(n^3) in all.
@@ -349,9 +384,18 @@ def decompose(d: Rotation, e: Rotation,
                     f"beyond angle_tol {tol.angle_tol:.3e}"
                 )
 
+    proper = d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER
     blocks = []
     for carrier in _twist_clusters(d, e, tol):
-        cur_d, cur_e = _restricted(d, carrier), _restricted(e, carrier)
+        if carrier.shape[1] == n:
+            carrier, cur_d, cur_e = np.eye(n), d, e
+        else:
+            cur_d, cur_e = _restricted(d, carrier), _restricted(e, carrier)
+        if proper and carrier.shape[1] == 4:
+            cluster = InvariantBlock(carrier, cur_d.matrix, cur_e.matrix)
+            if is_irreducible(cluster, tol, restricted=(cur_d, cur_e)):
+                blocks.append(cluster)
+                continue
         while True:
             found = find_block(cur_d, cur_e, tol)
             blocks.extend(replace(b, basis=carrier @ b.basis) for b in found)

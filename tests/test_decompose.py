@@ -221,6 +221,17 @@ class TestIrreducibility:
         )
         assert not is_irreducible(b)
 
+    @pytest.mark.parametrize("thetas", [(0.9, 2.0), (0.9, 0.9)])
+    def test_dim8_is_not(self, thetas):
+        # every irreducible block has dimension 1, 2 or 4
+        from rotpair.decompose import InvariantBlock
+
+        d, e = pair_rotations(generate_pair([Dim4(0.7, 1.1, t) for t in thetas],
+                                            seed=3))
+        b = InvariantBlock(basis=np.eye(8), d_restricted=d.matrix,
+                           e_restricted=e.matrix)
+        assert not is_irreducible(b)
+
     def test_dim4_with_scalar_side_is_not(self):
         from rotpair.decompose import InvariantBlock
 
@@ -380,14 +391,16 @@ class TestTwistClusters:
         with find_block_dims() as seen:
             assert decompose(d, e).dims == (2, 2, 2, 2)
         assert seen == [8]
-        assert sizes == [8]
+        assert sizes == []
 
     def test_peel_work_is_cubic(self, monkeypatch):
         """The peel loop works on clusters, not on the whole space.
 
         Peeling 36 blocks off the whole n = 96 space sums m^3 over the
         dimensions m that find_block sees to about 12 n^3; inside twist
-        clusters the sum stays below n^3.
+        clusters the sum stays below n^3.  Each 4-dimensional cluster is
+        one 4-block by a single irreducibility verdict, so only the two
+        plane clusters, one per orientation r, take a search step.
         """
         rng = np.random.default_rng(43)
         spec = n96_spec(rng)
@@ -403,8 +416,55 @@ class TestTwistClusters:
         monkeypatch.setattr(module, "find_block", counted)
         label = classify(d, e)
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
-        assert len(seen) == 14
+        assert len(seen) == 2
         assert sum(m ** 3 for m in seen) <= 96 ** 3
+
+
+    def test_one_verdict_per_four_block(self, monkeypatch):
+        """Each 4-dimensional cluster is searched once, labels included.
+
+        One search of the n = 96 pair's two plane clusters, and one per
+        Dim4 cluster for its irreducibility verdict; labelling the blocks
+        searches nothing again.
+        """
+        rng = np.random.default_rng(46)
+        spec = n96_spec(rng)
+        d, e = pair_rotations(generate_pair(spec, seed=46))
+        module = importlib.import_module("rotpair.decompose")
+        original = module._planes_or_operator
+        seen = []
+
+        def counted(d, e, tol):
+            seen.append(d.dim)
+            return original(d, e, tol)
+
+        monkeypatch.setattr(module, "_planes_or_operator", counted)
+        label = classify(d, e)
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        assert sorted(seen) == [4] * 12 + [24, 24]
+
+    def test_lone_four_block_is_its_cluster(self):
+        d, e = pair_rotations(generate_pair([Dim4(0.5, 1.2, 0.8)], seed=47))
+        with find_block_dims() as seen:
+            dec = decompose(d, e)
+        assert seen == []
+        assert dec.dims == (4,)
+        [cluster] = _twist_clusters(d, e, DEFAULT_TOL)
+        basis = dec.blocks[0].basis
+        assert max_abs(basis @ basis.T - cluster @ cluster.T) <= 1e-12
+        assert invariance_residual(basis, d, e) <= 1e-9
+
+    def test_reducible_four_dim_cluster_gives_two_planes(self):
+        spec = [Dim2Proper(0.7, 1.9, 1)] * 2 + [Dim4(0.7, 1.9, 1.0)]
+        d, e = pair_rotations(generate_pair(spec, seed=48))
+        assert [c.shape[1] for c in _twist_clusters(d, e, DEFAULT_TOL)] == [4, 4]
+        with find_block_dims() as seen:
+            dec = decompose(d, e)
+        assert seen == [4]
+        assert dec.dims == (2, 2, 4)
+        for b in dec.blocks:
+            assert invariance_residual(b.basis, d, e) <= 1e-9
+        assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
 
 @st.composite
@@ -444,12 +504,13 @@ def test_proper_spec_clusters_and_labels(spec, seed):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_compatible_spec_steps_and_labels(seed):
-    """One search step per +-I pair, per plane orientation, per 4-block.
+    """One search step per +-I pair and per plane orientation.
 
     A pair with a +-I side takes all its lines or planes in one step.
     In a proper pair all planes of one orientation r lie in one twist
-    cluster and one eigenplane meet, so they come in one step, and each
-    4-block takes a step of its own.
+    cluster and one eigenplane meet, so they come in one step.  A
+    4-block alone in its twist cluster, as every one is at distinct
+    twists, takes no step: the cluster is the block.
     """
     rng = np.random.default_rng(seed)
     spec = random_compatible_spec(rng)
@@ -459,8 +520,7 @@ def test_compatible_spec_steps_and_labels(seed):
     if isinstance(spec[0], (Dim1, Dim2LeftScalar, Dim2RightScalar)):
         steps = 1
     else:
-        steps = (sum(isinstance(f, Dim4) for f in spec)
-                 + len({f.r for f in spec if isinstance(f, Dim2Proper)}))
+        steps = len({f.r for f in spec if isinstance(f, Dim2Proper)})
     assert len(seen) == steps
     full = np.column_stack([b.basis for b in dec.blocks])
     assert max_abs(full.T @ full - np.eye(d.dim)) <= 1e-12

@@ -1,11 +1,14 @@
 """Source checks that need no numerics."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rotpair"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rotpair"
 # The package root imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -74,3 +77,34 @@ def private_functions_unused(trees) -> list:
 def test_every_private_function_is_used():
     trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     assert private_functions_unused(trees) == []
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_is_reported(tmp_path):
+    """A failing hypothesis test fails alone; the test run goes on.
+
+    Reporting a failing example imports modules that warn on import,
+    and the suite's warning filters must not turn that into a crash.
+    """
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
