@@ -28,7 +28,6 @@ from .classify import (
     classify_block,
     isomorphic,
     labels_match,
-    orientation_sign,
     orthogonalize_intertwiner,
     realize,
     t_theta,
@@ -41,14 +40,12 @@ from .decompose import (
     find_block,
     invariance_residual,
     is_irreducible,
-    real_plane_from_complex_line,
     two_plane_exists,
 )
 from .errors import (
     BadAngle,
     BadDimension,
     BadParameter,
-    DegenerateLine,
     DimensionMismatch,
     IntersectionNonTrivial,
     NotARotation,

@@ -50,10 +50,6 @@ class AntilinearOp:
     M: np.ndarray
     basis_a: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.M.shape[0]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.M @ np.conj(x)
 
@@ -114,7 +110,7 @@ def build_T(planes: EigenplaneBases, tol: Tolerance = DEFAULT_TOL) -> Antilinear
     IntersectionNonTrivial
         If A meets or nearly meets C or D: a Gram matrix vanishes, or
         its relative smallest singular value is at most ``rank_tol``.
-        The exception carries a unit witness vector in the overlap.
+        The exception's ``which`` names the overlap, ``"AC"`` or ``"AD"``.
     """
     A, B, C = planes.A, planes.B, planes.C
     G_AC = A.conj().T @ C
@@ -123,15 +119,11 @@ def build_T(planes: EigenplaneBases, tol: Tolerance = DEFAULT_TOL) -> Antilinear
     # vanishing singular value of G_AC means C nearly meets B, i.e. D
     # nearly meets A after conjugating; likewise G_BC signals C meeting A.
     for G, which in ((G_AC, "AD"), (G_BC, "AC")):
-        u, s, vh = np.linalg.svd(G)
+        s = np.linalg.svd(G, compute_uv=False)
         if s[0] <= tol.rank_tol or s[-1] <= tol.rank_tol * s[0]:
-            wit = C @ vh[-1].conj()
-            if which == "AD":
-                wit = np.conj(wit)
             raise IntersectionNonTrivial(
                 f"restricted projection nearly singular (sigma_min "
                 f"{s[-1]:.3e}, sigma_max {s[0]:.3e})",
-                witness=wit / np.linalg.norm(wit),
                 which=which,
             )
     M = np.conj(G_BC @ np.linalg.inv(G_AC))

@@ -102,10 +102,6 @@ class ClassLabel:
     def __post_init__(self):
         object.__setattr__(self, "forms", tuple(sorted(self.forms, key=_sort_key)))
 
-    @property
-    def total_dim(self) -> int:
-        return sum(f.dim for f in self.forms)
-
 
 def _check_sign(value, name: str) -> int:
     # bool is an int subclass, but True is no sign; 1.0 is no integer
@@ -130,28 +126,6 @@ def t_theta(theta: float) -> np.ndarray:
     out = np.eye(4)
     out[1:3, 1:3] = rot2(theta)
     return out
-
-
-def orientation_sign(d, e, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Relative orientation of two proper rotations of the plane.
-
-    +1 when both turn the same way, -1 otherwise; read off the signs of
-    the sine entries.  Conjugating both matrices by a reflection flips
-    both signs, so the product is basis-independent.
-    """
-    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
-    for M in (d, e):
-        r = as_rotation(M, tol)
-        if r.dim != 2:
-            raise BadParameter(f"expected 2x2 matrices, got {M.shape}")
-        if r.kind is not RotationKind.PROPER:
-            raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
-    return _sine_sign_product(d, e)
-
-
-def _sine_sign_product(d: np.ndarray, e: np.ndarray) -> int:
-    """Product of the signs of the sine entries of two certified plane rotations."""
-    return 1 if (d[1, 0] > 0) == (e[1, 0] > 0) else -1
 
 
 def theta_invariant(s: Rotation, t: Rotation,
@@ -227,9 +201,9 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
             return Dim2LeftScalar(r=_sign_of(d_r), beta=e_r.angle)
         if e_r.kind is not RotationKind.PROPER:
             return Dim2RightScalar(alpha=d_r.angle, s=_sign_of(e_r))
-        # both sides are certified proper rotations of the plane
-        r = _sine_sign_product(block.d_restricted, block.e_restricted)
-        return Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=r)
+        # both sides are proper; r = +1 when their sine entries share a sign
+        same = (block.d_restricted[1, 0] > 0) == (block.e_restricted[1, 0] > 0)
+        return Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=1 if same else -1)
     except (NotARotation, NotProper, NotConstant) as exc:
         raise NotIrreducible(str(exc)) from exc
 
@@ -301,29 +275,34 @@ def _forms_equal(f1, f2, angle_tol: float) -> bool:
     return True
 
 
-def _match_multisets(forms1, forms2, angle_tol: float) -> bool:
-    """Backtracking multiset match, tolerant in the angle parameters.
-
-    Angle comparison at a tolerance is not transitive, so near-ties can
-    defeat a single sorted pass; sizes here are tiny, so backtracking
-    is free.
-    """
-    if len(forms1) != len(forms2):
-        return False
-    if not forms1:
-        return True
-    head, rest = forms1[0], forms1[1:]
-    for i, cand in enumerate(forms2):
-        if _forms_equal(head, cand, angle_tol):
-            if _match_multisets(rest, forms2[:i] + forms2[i + 1:], angle_tol):
-                return True
-    return False
-
-
 def labels_match(label1: ClassLabel, label2: ClassLabel,
                  tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Multiset equality of labels, angles compared within ``angle_tol``."""
-    return _match_multisets(list(label1.forms), list(label2.forms), tol.angle_tol)
+    """Multiset equality of labels, angles compared within ``angle_tol``.
+
+    Angle comparison at a tolerance is not transitive, so near-ties can
+    defeat a single sorted pass.  The forms are paired off by bipartite
+    matching with augmenting paths (Kuhn's algorithm), at most m^3
+    comparisons for m forms.  A form takes a free equal partner before
+    it moves a taken one, so labels that match cost about one
+    comparison per form.
+    """
+    forms1, forms2 = label1.forms, label2.forms
+    if len(forms1) != len(forms2):
+        return False
+    partner = {}   # index into forms2 -> index into forms1
+
+    def augment(i, seen):
+        for taken in (False, True):
+            for j in range(len(forms2)):
+                if ((j in partner) is taken and j not in seen
+                        and _forms_equal(forms1[i], forms2[j], tol.angle_tol)):
+                    seen.add(j)
+                    if not taken or augment(partner[j], seen):
+                        partner[j] = i
+                        return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(forms1)))
 
 
 def isomorphic(pair1, pair2, tol: Tolerance = DEFAULT_TOL) -> bool:

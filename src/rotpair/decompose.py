@@ -27,7 +27,7 @@ from .antilinear import (
     eigenplanes,
     t_squared,
 )
-from .errors import DegenerateLine, NotOrthogonalPair, NumericalFailure
+from .errors import NotOrthogonalPair, NumericalFailure
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -66,7 +66,6 @@ class InvariantBlock:
 @dataclass(frozen=True)
 class InvariantDecomposition:
     blocks: tuple
-    ambient_dim: int
 
     @property
     def dims(self) -> tuple:
@@ -80,28 +79,6 @@ def invariance_residual(basis: np.ndarray, d: Rotation, e: Rotation) -> float:
         image = M @ basis
         out = max(out, max_abs(image - basis @ (basis.T @ image)))
     return out
-
-
-def real_plane_from_complex_line(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Real 2-plane cut out by a complex line and its conjugate.
-
-    For v with v and conj(v) independent, the real points of
-    ``span{v, conj(v)}`` form a 2-plane spanned by the real and
-    imaginary parts of v; returns an orthonormal basis of it.  Any v
-    will do, such as the witness of ``IntersectionNonTrivial``; the
-    search itself reads planes off eigenplane vectors, whose parts are
-    already orthonormal up to a factor sqrt(2).
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    s = np.linalg.svd(np.column_stack([v, np.conj(v)]), compute_uv=False)
-    if s[1] <= tol.rank_tol * s[0]:
-        raise DegenerateLine(
-            "vector is a phase times a real vector; no plane is determined"
-        )
-    plane = orthonormalize(np.column_stack([v.real, v.imag]), tol)
-    if plane.shape[1] != 2:
-        raise NumericalFailure("real and imaginary parts did not span a plane")
-    return plane
 
 
 def _restricted(r: Rotation, basis: np.ndarray) -> Rotation:
@@ -409,4 +386,4 @@ def decompose(d: Rotation, e: Rotation,
     total = sum(b.dim for b in blocks)
     if total != n:
         raise NumericalFailure(f"block dimensions sum to {total}, expected {n}")
-    return InvariantDecomposition(blocks=tuple(blocks), ambient_dim=n)
+    return InvariantDecomposition(blocks=tuple(blocks))

@@ -51,10 +51,6 @@ class BadDimension(ValidationError):
     """Ambient dimension is unusable (zero, or odd where even is required)."""
 
 
-class DegenerateLine(ValidationError):
-    """Complex vector proportional to a real vector times a phase."""
-
-
 class NotOrthogonalPair(ValidationError):
     """The two operators do not form a valid pair on a common space."""
 
@@ -82,18 +78,9 @@ class NumericalFailure(NumericalError):
 class IntersectionNonTrivial(RotPairError):
     """Eigenplanes overlap, so the antilinear operator is not defined.
 
-    Carries a witness vector from the overlap so the caller can switch
-    to the invariant-plane construction directly.
-
-    Attributes
-    ----------
-    witness : complex ndarray or None
-        Unit vector in the detected overlap, ambient coordinates.
-    which : str or None
-        ``"AC"`` or ``"AD"``, naming the overlapping pair.
+    ``which`` is ``"AC"`` or ``"AD"``, naming the overlapping pair.
     """
 
-    def __init__(self, message, witness=None, which=None):
+    def __init__(self, message, which=None):
         super().__init__(message)
-        self.witness = witness
         self.which = which

@@ -72,34 +72,23 @@ def single_linkage(values, gap: float):
     return [np.array(c) for c in clusters]
 
 
-def _to_columns(vectors):
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        return vectors
-    cols = [np.asarray(v).reshape(-1) for v in vectors]
-    if not cols:
-        raise DimensionMismatch("need at least one vector")
-    dims = {c.shape[0] for c in cols}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"vectors have mixed dimensions {sorted(dims)}")
-    return np.column_stack(cols)
-
-
 def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) for the span of the given vectors.
+    """Orthonormal basis (as columns) for the span of the given columns.
 
-    Accepts a sequence of 1-d vectors or a 2-d array of columns, real or
-    complex.  Linearly dependent directions are dropped.  An all-zero
-    input yields a matrix with zero columns.
+    ``vectors`` is a 2-d array of columns, real or complex; any other
+    input raises ``DimensionMismatch``.  Linearly dependent directions
+    are dropped.  An all-zero input yields a matrix with zero columns.
     """
-    X = _to_columns(vectors)
-    if X.shape[1] == 0:
-        return X
-    u, s, _ = np.linalg.svd(X, full_matrices=False)
+    if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
+        raise DimensionMismatch("expected a 2-d array of columns")
+    if vectors.shape[1] == 0:
+        return vectors
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     # Absolute floor on top of the relative cut: inputs here are always
     # unit-scale, and a stack of pure roundoff noise must collapse to
     # rank 0 rather than keep every column.
     if s.size == 0 or s[0] <= tol.rank_tol:
-        return X[:, :0]
+        return vectors[:, :0]
     r = int(np.sum(s > tol.rank_tol * s[0]))
     return u[:, :r]
 
@@ -157,19 +146,16 @@ def subspace_meet(basis_u, basis_w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return orthonormalize(U @ xs, tol)
 
 
-def orthonormal_complement(basis, dim: int | None = None,
-                           tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_complement(basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``span(basis)``.
 
-    ``dim`` fixes the ambient dimension when ``basis`` has zero columns;
-    otherwise it is read off the basis itself.
+    ``basis`` is a 2-d array of columns; zero columns give the identity.
     """
     B = np.asarray(basis)
     if B.ndim != 2:
         raise DimensionMismatch("expected a 2-d array of columns")
-    n = B.shape[0] if B.shape[0] else (dim or 0)
     if B.shape[1] == 0:
-        return np.eye(n, dtype=B.dtype)
+        return np.eye(B.shape[0], dtype=B.dtype)
     u, s, _ = np.linalg.svd(B, full_matrices=True)
     if s.size == 0 or s[0] <= tol.rank_tol:
         r = 0

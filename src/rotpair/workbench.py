@@ -4,14 +4,16 @@ File format: a pair document is a JSON object with a dimension ``n``
 and two row-major ``n`` x ``n`` orthogonal matrices ``delta`` and
 ``epsilon``, plus free-form ``metadata``.  Reports bundle the block
 form of both operators, the invariant-block decomposition with
-recomputed residuals, and the canonical label.
+recomputed residuals, and the canonical label.  Seeds, and the
+oracle's sample count, are non-negative integers; anything else raises
+``BadParameter``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,12 +150,11 @@ def _matrix_from_json(obj, name: str, n: int) -> np.ndarray:
     return M
 
 
-def pair_from_json_dict(obj: dict, tol: Tolerance = DEFAULT_TOL,
-                        strict: bool = True) -> PairDocument:
+def pair_from_json_dict(obj: dict, tol: Tolerance = DEFAULT_TOL) -> PairDocument:
     """Validate and build a :class:`PairDocument` from parsed JSON.
 
-    Orthogonality of both matrices is checked at load time; ``strict``
-    picks between rejecting and warning.
+    Orthogonality of both matrices is checked at load time: a residual
+    beyond ``residual_tol`` raises ``NotOrthogonal``.
     """
     if not isinstance(obj, dict):
         raise BadParameter("document root must be a JSON object")
@@ -168,26 +169,23 @@ def pair_from_json_dict(obj: dict, tol: Tolerance = DEFAULT_TOL,
     for name, M in (("delta", delta), ("epsilon", epsilon)):
         resid = max_abs(M.T @ M - np.eye(n))
         if resid > tol.residual_tol:
-            message = (
+            raise NotOrthogonal(
                 f"{name}: orthogonality residual {resid:.3e} exceeds "
                 f"{tol.residual_tol:.3e}"
             )
-            if strict:
-                raise NotOrthogonal(message)
-            warnings.warn(message)
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise BadParameter("metadata must be an object")
     return PairDocument(n=n, delta=delta, epsilon=epsilon, metadata=metadata)
 
 
-def load_pair(path, tol: Tolerance = DEFAULT_TOL, strict: bool = True) -> PairDocument:
+def load_pair(path, tol: Tolerance = DEFAULT_TOL) -> PairDocument:
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise BadParameter(f"{path}: not valid JSON ({exc})") from exc
-    return pair_from_json_dict(obj, tol, strict)
+    return pair_from_json_dict(obj, tol)
 
 
 def _normal_form_dict(nf: NormalForm) -> dict:
@@ -259,6 +257,13 @@ def build_report(d: Rotation, e: Rotation,
     )
 
 
+def _check_count(value, name: str) -> int:
+    # bool is an int subclass, but True is no seed or count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise BadParameter(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random orthogonal matrix: QR of a Gaussian with sign-fixed diagonal."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
@@ -274,6 +279,7 @@ def generate_rotation(n: int, alpha: float, seed: int,
     anything in between needs ``n`` even and conjugates a direct sum of
     equal 2x2 blocks by a random orthogonal matrix.
     """
+    seed = _check_count(seed, "seed")
     if n < 1:
         raise BadDimension(f"n must be positive, got {n}")
     if not (0.0 <= alpha <= math.pi):
@@ -299,6 +305,7 @@ def generate_pair(spec, seed: int, tol: Tolerance = DEFAULT_TOL) -> PairDocument
     not jointly realizable (the direct sums must themselves rotate by a
     single angle on each side).
     """
+    seed = _check_count(seed, "seed")
     spec = list(spec)
     if not spec:
         raise BadParameter("spec must contain at least one canonical form")
@@ -323,7 +330,7 @@ def generate_pair(spec, seed: int, tol: Tolerance = DEFAULT_TOL) -> PairDocument
         n=n,
         delta=delta,
         epsilon=epsilon,
-        metadata={"seed": int(seed), "label": label_to_list(label)},
+        metadata={"seed": seed, "label": label_to_list(label)},
     )
 
 
@@ -356,6 +363,7 @@ def oracle_two_plane_search(d: Rotation, e: Rotation, samples: int = 10000,
     exists: for most reducible pairs the witnesses form a measure-zero
     set that random sampling misses.
     """
+    samples, seed = _check_count(samples, "samples"), _check_count(seed, "seed")
     for r in (d, e):
         if r.kind is not RotationKind.PROPER:
             raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
@@ -387,7 +395,7 @@ def oracle_two_plane_search(d: Rotation, e: Rotation, samples: int = 10000,
     if hit is not None:
         return hit
     rng = np.random.default_rng(seed)
-    remaining = int(samples)
+    remaining = samples
     while remaining > 0:
         chunk = min(remaining, 2048)
         raw = rng.standard_normal((n, chunk))

@@ -26,7 +26,6 @@ from rotpair import (
     rot2,
     t_squared,
 )
-from rotpair.decompose import invariance_residual, real_plane_from_complex_line
 from rotpair.linalg import block_diag
 
 
@@ -117,20 +116,14 @@ class TestBuildT:
         e = proper(block_diag(rot2(1.1), rot2(1.1)))
         with pytest.raises(IntersectionNonTrivial) as exc_info:
             build_T(eigenplanes(d, e))
-        exc = exc_info.value
-        assert exc.which == "AC"
-        plane = real_plane_from_complex_line(exc.witness)
-        assert invariance_residual(plane, d, e) <= 1e-8
+        assert exc_info.value.which == "AC"
 
     def test_aligned_opposite_orientation_overlaps(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
         e = proper(block_diag(rot2(-1.1), rot2(-1.1)))
         with pytest.raises(IntersectionNonTrivial) as exc_info:
             build_T(eigenplanes(d, e))
-        exc = exc_info.value
-        assert exc.which == "AD"
-        plane = real_plane_from_complex_line(exc.witness)
-        assert invariance_residual(plane, d, e) <= 1e-8
+        assert exc_info.value.which == "AD"
 
     def test_exact_overlap_in_the_plane(self):
         # G_BC is exactly zero here; the message must not divide by it
@@ -152,10 +145,7 @@ class TestBuildT:
         e = proper(Q @ block_diag(e2, e4) @ Q.T)
         with pytest.raises(IntersectionNonTrivial) as exc_info:
             build_T(eigenplanes(d, e))
-        exc = exc_info.value
-        assert exc.which == which
-        plane = real_plane_from_complex_line(exc.witness)
-        assert invariance_residual(plane, d, e) <= 1e-8
+        assert exc_info.value.which == which
 
     def test_well_defined_on_c(self):
         rng = np.random.default_rng(6)
@@ -172,7 +162,7 @@ class TestBuildT:
     def test_operator_is_bijective(self):
         d, e = dim4_pair()
         T = build_T(eigenplanes(d, e))
-        assert T.k == 2
+        assert T.M.shape == (2, 2)
         s = np.linalg.svd(T.M, compute_uv=False)
         assert s[-1] > 1e-6
 

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +21,6 @@ from rotpair import (
     NotConstant,
     NotIntertwiner,
     NotIrreducible,
-    NotProper,
     NumericalFailure,
     Rotation,
     as_rotation,
@@ -30,7 +31,6 @@ from rotpair import (
     isomorphic,
     labels_match,
     max_abs,
-    orientation_sign,
     orthogonalize_intertwiner,
     realize,
     rot2,
@@ -60,29 +60,6 @@ def test_t_theta_entries():
     ])
     assert np.allclose(t_theta(0.8), expected)
     assert np.array_equal(t_theta(0.0), np.eye(4))
-
-
-class TestOrientationSign:
-    def test_same_direction(self):
-        assert orientation_sign(rot2(0.5), rot2(1.1)) == 1
-
-    def test_opposite_direction(self):
-        assert orientation_sign(rot2(0.5), rot2(-1.1)) == -1
-
-    def test_reflection_conjugation_invariant(self):
-        F = np.diag([1.0, -1.0])
-        for b in (1.1, -1.1):
-            direct = orientation_sign(rot2(0.5), rot2(b))
-            flipped = orientation_sign(F @ rot2(0.5) @ F, F @ rot2(b) @ F)
-            assert direct == flipped
-
-    def test_rejects_scalar(self):
-        with pytest.raises(NotProper):
-            orientation_sign(np.eye(2), rot2(0.5))
-
-    def test_rejects_wrong_size(self):
-        with pytest.raises(BadParameter):
-            orientation_sign(np.eye(4), np.eye(4))
 
 
 class TestThetaInvariant:
@@ -185,6 +162,16 @@ class TestClassifyBlock:
     def test_exact_round_trip(self, form):
         assert classify_block(block_of(form)) == form
 
+    def test_reflection_conjugation_invariant(self):
+        # conjugating both sides by a reflection reverses both turning senses
+        F = np.diag([1.0, -1.0])
+        for r in (1, -1):
+            form = Dim2Proper(alpha=0.5, beta=1.1, r=r)
+            dm, em = realize(form)
+            b = InvariantBlock(basis=np.eye(2), d_restricted=F @ dm @ F,
+                               e_restricted=F @ em @ F)
+            assert classify_block(b) == form
+
     def test_dim4_round_trip(self):
         form = classify_block(block_of(Dim4(alpha=0.5, beta=1.2, theta=0.8)))
         assert isinstance(form, Dim4)
@@ -260,7 +247,7 @@ class TestClassify:
         spec = [Dim4(alpha=0.5, beta=1.2, theta=0.8)] * 2
         label = classify(*pair_rotations(generate_pair(spec, seed=3)))
         assert len(label.forms) == 2
-        assert label.total_dim == 8
+        assert sum(f.dim for f in label.forms) == 8
         want = ClassLabel(forms=tuple(spec))
         assert labels_match(label, want)
 
@@ -413,6 +400,13 @@ class TestLabelsMatch:
             Dim2LeftScalar(r=1, beta=0.5 + 3 * eps),
         ))
         assert labels_match(a, b)
+        # a0 first takes b0, its equal partner in sorted order; a1 equals
+        # only b0, so a0 must move over to b1
+        a = ClassLabel(forms=(Dim2Proper(alpha=0.5, beta=1.0, r=1),
+                              Dim2Proper(alpha=0.5 + 3e-8, beta=1.0 + 1.5e-7, r=1)))
+        b = ClassLabel(forms=(Dim2Proper(alpha=0.5 + 1e-8, beta=1.0 + 0.9e-7, r=1),
+                              Dim2Proper(alpha=0.5 + 2e-8, beta=1.0 - 0.5e-7, r=1)))
+        assert labels_match(a, b)
 
     def test_multiplicity_matters(self):
         one = ClassLabel(forms=(Dim1(r=1, s=1),))
@@ -428,6 +422,47 @@ class TestLabelsMatch:
         a = ClassLabel(forms=(Dim2LeftScalar(r=1, beta=0.5),))
         b = ClassLabel(forms=(Dim2RightScalar(alpha=0.5, s=1),))
         assert not labels_match(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=1, max_size=5))
+    def test_agrees_with_every_pairing(self, steps1, steps2):
+        # offsets of 4e-8 against angle_tol 1e-7: two steps tie, three do not
+        def label(steps):
+            return ClassLabel(forms=tuple(
+                Dim2Proper(alpha=0.5 + 4e-8 * i, beta=1.0 + 4e-8 * j, r=1)
+                for i, j in steps))
+        a, b = label(steps1), label(steps2)
+        tol = 1e-7
+        brute = len(a.forms) == len(b.forms) and any(
+            all(abs(f.alpha - g.alpha) <= tol and abs(f.beta - g.beta) <= tol
+                for f, g in zip(a.forms, perm))
+            for perm in itertools.permutations(b.forms))
+        assert labels_match(a, b) is brute
+
+    def test_repeated_forms_cost_few_comparisons(self, monkeypatch):
+        # trying every order of the equal planes before answering False
+        # takes factorial time; matching takes at most m^3 comparisons
+        module = importlib.import_module("rotpair.classify")
+        original = module._forms_equal
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 10_000:
+                raise AssertionError("more than 10 000 form comparisons")
+            return original(*args)
+
+        monkeypatch.setattr(module, "_forms_equal", counted)
+        planes = (Dim2Proper(alpha=0.5, beta=1.2, r=1),) * 24
+        a = ClassLabel(forms=planes + (Dim4(alpha=0.5, beta=1.2, theta=0.8),))
+        b = ClassLabel(forms=planes + (Dim4(alpha=0.5, beta=1.2, theta=0.9),))
+        assert not labels_match(a, b)
+        calls.clear()
+        assert labels_match(a, a)
+        assert len(calls) == 25
 
 
 class TestIsomorphic:

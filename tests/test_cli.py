@@ -262,6 +262,27 @@ class TestOracle:
         assert "not a proof" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--spec", TestGenerate.SPEC, "--seed", "-1"],
+    ["oracle", "--seed", "-2"],
+    ["oracle", "--samples", "-3"],
+])
+def test_bad_seed_or_samples_is_validation_error(tmp_path, twisted_file, argv):
+    out_path = tmp_path / "gen.json"
+    if argv[0] == "generate":
+        argv = argv + ["-o", str(out_path)]
+    else:
+        argv = argv[:1] + [twisted_file] + argv[1:]
+    proc = subprocess.run([sys.executable, "-m", "rotpair.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith("error: ")
+    assert "non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out_path.exists()
+
+
 def test_module_entry_point(tmp_path):
     doc = generate_pair([Dim2Proper(alpha=0.5, beta=1.2, r=1)], seed=1)
     path = tmp_path / "pair.json"

@@ -15,7 +15,6 @@ from conftest import (
 )
 from rotpair import (
     ClassLabel,
-    DegenerateLine,
     Dim1,
     Dim2LeftScalar,
     Dim2Proper,
@@ -33,7 +32,6 @@ from rotpair import (
     is_irreducible,
     labels_match,
     max_abs,
-    real_plane_from_complex_line,
     realize,
     rho,
     rot2,
@@ -46,29 +44,6 @@ from rotpair.linalg import DEFAULT_TOL, block_diag
 
 def proper(M):
     return as_rotation(np.asarray(M, dtype=float))
-
-
-class TestRealPlaneFromComplexLine:
-    def test_standard_line(self):
-        v = (np.array([1.0, -1.0j, 0.0, 0.0])) / np.sqrt(2.0)
-        plane = real_plane_from_complex_line(v)
-        assert plane.shape == (4, 2)
-        # span check: e1 and e2 both lie in the plane
-        for i in (0, 1):
-            x = np.zeros(4)
-            x[i] = 1.0
-            assert max_abs(x - plane @ (plane.T @ x)) <= 1e-12
-
-    def test_orthonormal_output(self):
-        rng = np.random.default_rng(11)
-        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        plane = real_plane_from_complex_line(v)
-        assert max_abs(plane.T @ plane - np.eye(2)) <= 1e-12
-
-    def test_rejects_phase_times_real(self):
-        v = np.exp(0.4j) * np.array([1.0, 2.0, -1.0])
-        with pytest.raises(DegenerateLine):
-            real_plane_from_complex_line(v)
 
 
 class TestTwoPlaneExists:
@@ -247,7 +222,6 @@ class TestDecompose:
     def test_scalar_pair_splits_into_lines(self):
         dec = decompose(Rotation(np.eye(3), 0.0), Rotation(-np.eye(3), np.pi))
         assert dec.dims == (1, 1, 1)
-        assert dec.ambient_dim == 3
 
     def test_single_twisted_block(self):
         rng = np.random.default_rng(17)

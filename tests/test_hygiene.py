@@ -53,30 +53,51 @@ def test_every_error_class_is_raised():
     assert sorted(defined - BASE_ERRORS - raised) == []
 
 
-def private_functions_unused(trees) -> list:
-    """Module-level ``_name`` functions that no other top-level statement names.
+def referenced_names(trees) -> set:
+    """Names and attributes that top-level statements reference.
 
-    A reference from inside the function's own body, such as a recursive
-    call, does not count.
+    A reference from inside a function's or class's own definition, such
+    as a recursive call, does not count for that function or class.
     """
-    defs, used = [], set()
-    for module, tree in trees.items():
+    used = set()
+    for tree in trees:
         for stmt in tree.body:
             names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
             names |= {node.attr for node in ast.walk(stmt)
                       if isinstance(node, ast.Attribute)}
-            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
-                    and not stmt.name.startswith("__"):
-                defs.append((module, stmt.name, stmt.lineno))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(stmt.name)
             used |= names
-    return sorted(f"{module}: {name} (line {line})"
-                  for module, name, line in defs if name not in used)
+    return used
+
+
+def private_functions_unused(trees) -> list:
+    """Module-level ``_name`` functions that no other top-level statement names."""
+    used = referenced_names(trees.values())
+    return sorted(f"{module}: {stmt.name} (line {stmt.lineno})"
+                  for module, tree in trees.items() for stmt in tree.body
+                  if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+                  and not stmt.name.startswith("__") and stmt.name not in used)
 
 
 def test_every_private_function_is_used():
     trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     assert private_functions_unused(trees) == []
+
+
+def exported_names_unused(init: ast.Module, trees) -> list:
+    """Names the package root imports that none of ``trees`` references."""
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted(exported - referenced_names(trees))
+
+
+def test_every_exported_name_has_a_caller():
+    """A public name is used by the package itself or by an acceptance criterion."""
+    trees = [ast.parse(p.read_text()) for p in MODULES]
+    trees.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    init = ast.parse((SRC / "__init__.py").read_text())
+    assert exported_names_unused(init, trees) == []
 
 
 FAILING_PROPERTY = """

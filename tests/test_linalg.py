@@ -54,12 +54,12 @@ class TestBlockDiag:
 
 class TestOrthonormalize:
     def test_already_orthonormal(self):
-        out = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        out = orthonormalize(np.eye(2))
         assert out.shape == (2, 2)
         assert max_abs(out.T @ out - np.eye(2)) < 1e-12
 
     def test_dependent_pair_collapses(self):
-        out = orthonormalize([np.array([1.0, 1.0]), np.array([2.0, 2.0])])
+        out = orthonormalize(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert out.shape == (2, 1)
         assert abs(abs(out[:, 0] @ np.array([1.0, 1.0]) / np.sqrt(2)) - 1) < 1e-12
 
@@ -70,7 +70,7 @@ class TestOrthonormalize:
         assert max_abs(out.T @ out - np.eye(3)) <= 1e-9
 
     def test_all_zero_gives_empty(self):
-        out = orthonormalize([np.zeros(3), np.zeros(3)])
+        out = orthonormalize(np.zeros((3, 2)))
         assert out.shape == (3, 0)
 
     def test_noise_collapses_to_empty(self):
@@ -81,7 +81,7 @@ class TestOrthonormalize:
 
     def test_complex_input(self):
         v = np.array([1.0, -1.0j]) / np.sqrt(2)
-        out = orthonormalize([v, 1.0j * v])
+        out = orthonormalize(np.column_stack([v, 1.0j * v]))
         assert out.shape == (2, 1)
         assert abs(abs(np.vdot(out[:, 0], v)) - 1) < 1e-12
 
@@ -92,6 +92,11 @@ class TestOrthonormalize:
     def test_empty_list_rejected(self):
         with pytest.raises(DimensionMismatch):
             orthonormalize([])
+
+    def test_non_2d_input_rejected(self):
+        for bad in (np.ones(3), np.ones((2, 2, 2)), [np.ones(2), np.ones(2)]):
+            with pytest.raises(DimensionMismatch):
+                orthonormalize(bad)
 
 
 class TestSymmetricEigen:

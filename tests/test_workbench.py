@@ -154,11 +154,6 @@ class TestPairDocument:
         skew = [[1.0, 1e-4], [0.0, 1.0]]
         with pytest.raises(NotOrthogonal):
             pair_from_json_dict({"n": 2, "delta": skew, "epsilon": eye})
-        with pytest.warns(UserWarning):
-            doc = pair_from_json_dict(
-                {"n": 2, "delta": skew, "epsilon": eye}, strict=False
-            )
-        assert doc.n == 2
 
 
 class TestBuildReport:
@@ -332,7 +327,22 @@ class TestOracle:
         with pytest.raises(NotProper):
             oracle_two_plane_search(d, e)
 
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": True},
+                                        {"samples": -3}, {"samples": 2.0}])
+    def test_rejects_bad_seed_or_samples(self, kwargs):
+        doc = generate_pair([Dim4(alpha=0.5, beta=1.2, theta=0.8)], seed=27)
+        with pytest.raises(BadParameter, match="non-negative integer"):
+            oracle_two_plane_search(*pair_rotations(doc), **kwargs)
+
     def test_label_to_list_shape(self):
         label = ClassLabel(forms=(Dim1(r=1, s=1),))
         out = label_to_list(label)
         assert out == [{"family": "dim1", "r": 1, "s": 1}]
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+def test_generators_reject_bad_seed(seed):
+    with pytest.raises(BadParameter, match="seed"):
+        generate_pair([Dim2Proper(alpha=0.5, beta=1.2, r=1)], seed)
+    with pytest.raises(BadParameter, match="seed"):
+        generate_rotation(4, 1.0, seed)
