@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import InvariantBlock, decompose, is_irreducible
+from .decompose import InvariantBlock, _certified_block, decompose, is_irreducible
 from .errors import (
     BadAngle,
     BadParameter,
@@ -160,23 +160,20 @@ def _sign_of(r: Rotation) -> int:
     return 1 if r.kind is RotationKind.IDENTITY else -1
 
 
-def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
-                   restricted=None):
+def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     """Canonical form of an irreducible block.
 
-    A block handed in on its own is certified first: both restrictions
-    by :func:`as_rotation`, and whether a 2- or 4-block is irreducible
-    by :func:`is_irreducible` alone; a reducible block, or one whose
-    restrictions are not rotations, raises ``NotIrreducible``.  A
-    4-block with twist near 0 or pi is irreducible exactly when that
-    verdict says so, and its twist is then read off accurately from the
-    two quarter-turns of :func:`rho`, which take no normal form.
-
-    ``restricted`` is internal: :func:`pair_block_form` passes the two
-    restrictions of a block of :func:`decompose` as rotations with the
-    pair's certified angles.  Such a block is irreducible by
-    construction, so neither its restrictions nor the verdict are
-    computed again; only the form is read.
+    A block of :func:`decompose` carries its two restrictions as
+    rotations with the pair's certified angles (``block.rotations``) and
+    is irreducible by construction, so neither its restrictions nor the
+    verdict are computed again; only the form is read, and it equals the
+    matching form of :func:`classify` to the last bit.  Any other block,
+    including a copy made with ``dataclasses.replace``, is certified
+    first: both restrictions by :func:`as_rotation`, and whether a 2- or
+    4-block is irreducible by :func:`is_irreducible` alone; a reducible
+    block, or one whose restrictions are not rotations, raises
+    ``NotIrreducible``.  A 4-block's twist is read off accurately from
+    the two quarter-turns of :func:`rho`, which take no normal form.
     """
     if block.dim not in (1, 2, 4):
         raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
@@ -185,15 +182,16 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
             r = 1 if block.d_restricted[0, 0] > 0 else -1
             s = 1 if block.e_restricted[0, 0] > 0 else -1
             return Dim1(r=r, s=s)
-        if restricted is None:
-            restricted = (as_rotation(block.d_restricted, tol),
-                          as_rotation(block.e_restricted, tol))
-            if not is_irreducible(block, tol, restricted=restricted):
+        if block.rotations is None:
+            block = _certified_block(block.basis,
+                                     as_rotation(block.d_restricted, tol),
+                                     as_rotation(block.e_restricted, tol))
+            if not is_irreducible(block, tol):
                 raise NotIrreducible(
                     f"{block.dim}-dimensional block has a jointly invariant "
                     "proper subspace"
                 )
-        d_r, e_r = restricted
+        d_r, e_r = block.rotations
         if block.dim == 4:
             theta = theta_invariant(rho(d_r, tol), rho(e_r, tol), tol)
             return Dim4(alpha=d_r.angle, beta=e_r.angle, theta=theta)
@@ -206,24 +204,6 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
         return Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=1 if same else -1)
     except (NotARotation, NotProper, NotConstant) as exc:
         raise NotIrreducible(str(exc)) from exc
-
-
-def pair_block_form(block: InvariantBlock, d: Rotation, e: Rotation,
-                    tol: Tolerance = DEFAULT_TOL):
-    """Canonical form of a block of ``decompose(d, e)``, with the pair's angles.
-
-    The block must come from ``decompose(d, e)``, whose blocks are
-    irreducible by construction, so no irreducibility verdict is asked
-    here.  A rotation keeps its angle on every invariant subspace, so
-    the restrictions are rotations by the angles of ``d`` and ``e``,
-    which :func:`decompose` certified once for the whole pair; they are
-    not certified again.  Equal forms of one pair are then equal to the
-    last bit, and ``ClassLabel`` orders them by their remaining
-    parameters, such as theta.
-    """
-    restricted = (Rotation(matrix=block.d_restricted, angle=d.angle),
-                  Rotation(matrix=block.e_restricted, angle=e.angle))
-    return classify_block(block, tol, restricted=restricted)
 
 
 def realize(form) -> tuple:
@@ -259,7 +239,7 @@ def realize(form) -> tuple:
 def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLabel:
     """Canonical label of a rotation pair: forms of its irreducible blocks."""
     dec = decompose(d, e, tol)
-    return ClassLabel(forms=tuple(pair_block_form(b, d, e, tol) for b in dec.blocks))
+    return ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
 
 
 def _forms_equal(f1, f2, angle_tol: float) -> bool:
@@ -324,9 +304,12 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     between irreducible pairs scales every vector by one factor; the
     returned ``phi / mu`` is orthogonal and intertwines the same way.
     The singular values of phi span the exact range of |phi v| on the unit sphere.
-    A side that carries its normal form is not certified again.
+    A phi with a NaN or infinite entry raises ``NotIntertwiner``.  A
+    side that carries its normal form is not certified again.
     """
     phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise NotIntertwiner("phi has non-finite entries")
     d, e = pair1
     d2, e2 = pair2
     n = d.dim
@@ -335,14 +318,9 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     if n not in (1, 2, 4):
         raise NotIrreducible("pair is reducible")
     for p in (pair1, pair2):
-        trivial = InvariantBlock(
-            basis=np.eye(n),
-            d_restricted=p[0].matrix,
-            e_restricted=p[1].matrix,
-        )
-        restricted = tuple(as_rotation(r.matrix, tol) if r.normal_form is None else r
-                           for r in p)
-        if not is_irreducible(trivial, tol, restricted=restricted):
+        d_r, e_r = (as_rotation(r.matrix, tol) if r.normal_form is None else r
+                    for r in p)
+        if not is_irreducible(_certified_block(np.eye(n), d_r, e_r), tol):
             raise NotIrreducible("pair is reducible")
     r1 = max_abs(phi @ d.matrix - d2.matrix @ phi)
     r2 = max_abs(phi @ e.matrix - e2.matrix @ phi)

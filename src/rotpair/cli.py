@@ -4,6 +4,11 @@ Subcommands: check, normal-form, decompose, classify, isomorphic,
 generate, oracle.  Exit codes: 0 success, 1 validation error, 2
 numerical failure, 3 "not isomorphic".  JSON output is deterministic:
 same inputs, flags and seeds give byte-identical bytes.
+
+Each ``_cmd_*`` returns (exit code, JSON payload or None, text lines);
+:func:`main` prints the payload under ``--format json``, else the lines
+unless ``--quiet``.  JSON is the product of the run, so ``--quiet`` does
+not drop it; ``generate`` has no payload and prints its line.
 """
 
 from __future__ import annotations
@@ -40,153 +45,96 @@ def _ok_mark() -> str:
     return "\x1b[32mok\x1b[0m"
 
 
-class _Output:
-    def __init__(self, fmt: str, quiet: bool):
-        self.fmt = fmt
-        self.quiet = quiet
-
-    def emit_json(self, obj) -> None:
-        # JSON is the product of the run, so --quiet does not drop it.
-        print(json.dumps(obj, indent=2, sort_keys=True))
-
-    def emit_text(self, *lines: str) -> None:
-        if not self.quiet:
-            for line in lines:
-                print(line)
-
-
-def _tolerance(args) -> Tolerance:
-    try:
-        return Tolerance(residual_tol=args.tol, angle_tol=args.angle_tol)
-    except ValueError as exc:
-        raise BadParameter(str(exc)) from exc
-
-
 def _load_rotations(path, tol: Tolerance):
     doc = load_pair(path, tol)
     return doc, as_rotation(doc.delta, tol), as_rotation(doc.epsilon, tol)
 
 
-def _cmd_check(args, out: _Output) -> int:
-    tol = _tolerance(args)
+def _cmd_check(args, tol: Tolerance):
     doc, d, e = _load_rotations(args.file, tol)
     payload = {
         "n": doc.n,
         "delta": {"angle": _sig12(d.angle), "kind": d.kind.value},
         "epsilon": {"angle": _sig12(e.angle), "kind": e.kind.value},
     }
-    if out.fmt == "json":
-        out.emit_json(payload)
-    else:
-        out.emit_text(
-            f"{_ok_mark()} delta: {d.kind.value}, angle {d.angle:.12g}",
-            f"{_ok_mark()} epsilon: {e.kind.value}, angle {e.angle:.12g}",
-        )
-    return EXIT_OK
+    return EXIT_OK, payload, [
+        f"{_ok_mark()} delta: {d.kind.value}, angle {d.angle:.12g}",
+        f"{_ok_mark()} epsilon: {e.kind.value}, angle {e.angle:.12g}",
+    ]
 
 
-def _cmd_normal_form(args, out: _Output) -> int:
-    tol = _tolerance(args)
+def _cmd_normal_form(args, tol: Tolerance):
     doc = load_pair(args.file, tol)
     forms = {
         "delta": _normal_form_dict(orthogonal_normal_form(doc.delta, tol)),
         "epsilon": _normal_form_dict(orthogonal_normal_form(doc.epsilon, tol)),
     }
-    if out.fmt == "json":
-        out.emit_json({"n": doc.n, **forms})
-    else:
-        for name in ("delta", "epsilon"):
-            nf = forms[name]
-            angles = ", ".join(f"{a:.12g}" for a in nf["angles"]) or "none"
-            out.emit_text(
-                f"{name}: angles [{angles}], fixed {nf['fix_dim']}, "
-                f"negated {nf['neg_dim']}"
-            )
-    return EXIT_OK
+    lines = []
+    for name, nf in forms.items():
+        angles = ", ".join(f"{a:.12g}" for a in nf["angles"]) or "none"
+        lines.append(f"{name}: angles [{angles}], fixed {nf['fix_dim']}, "
+                     f"negated {nf['neg_dim']}")
+    return EXIT_OK, {"n": doc.n, **forms}, lines
 
 
-def _cmd_decompose(args, out: _Output) -> int:
-    tol = _tolerance(args)
+def _cmd_decompose(args, tol: Tolerance):
     _, d, e = _load_rotations(args.file, tol)
-    report = build_report(d, e, tol)
-    if out.fmt == "json":
-        payload = report.to_json_dict()
-        del payload["label"]
-        out.emit_json(payload)
-    else:
-        for i, b in enumerate(report.blocks):
-            out.emit_text(
-                f"block {i + 1}: dim {b['dim']}, residual "
-                f"{b['invariance_residual']:.3e}"
-            )
-    return EXIT_OK
+    payload = build_report(d, e, tol).to_json_dict()
+    del payload["label"]
+    return EXIT_OK, payload, [
+        f"block {i + 1}: dim {b['dim']}, residual {b['invariance_residual']:.3e}"
+        for i, b in enumerate(payload["blocks"])
+    ]
 
 
-def _cmd_classify(args, out: _Output) -> int:
-    tol = _tolerance(args)
+def _cmd_classify(args, tol: Tolerance):
     _, d, e = _load_rotations(args.file, tol)
-    report = build_report(d, e, tol)
-    if out.fmt == "json":
-        out.emit_json(report.to_json_dict())
-    else:
-        for f in report.label:
-            parts = [f["family"]]
-            for key in ("r", "s", "alpha", "beta", "theta"):
-                if key in f:
-                    parts.append(f"{key}={f[key]:.12g}")
-            out.emit_text("  ".join(parts))
-    return EXIT_OK
+    payload = build_report(d, e, tol).to_json_dict()
+    keys = ("r", "s", "alpha", "beta", "theta")
+    return EXIT_OK, payload, [
+        "  ".join([f["family"]] + [f"{k}={f[k]:.12g}" for k in keys if k in f])
+        for f in payload["label"]
+    ]
 
 
-def _cmd_isomorphic(args, out: _Output) -> int:
-    tol = _tolerance(args)
+def _cmd_isomorphic(args, tol: Tolerance):
     _, d1, e1 = _load_rotations(args.file_a, tol)
     _, d2, e2 = _load_rotations(args.file_b, tol)
     same = isomorphic((d1, e1), (d2, e2), tol)
-    if out.fmt == "json":
-        out.emit_json({"isomorphic": same})
-    else:
-        out.emit_text("isomorphic" if same else "not isomorphic")
-    return EXIT_OK if same else EXIT_NOT_ISOMORPHIC
+    return (EXIT_OK if same else EXIT_NOT_ISOMORPHIC, {"isomorphic": same},
+            ["isomorphic" if same else "not isomorphic"])
 
 
-def _cmd_generate(args, out: _Output) -> int:
-    tol = _tolerance(args)
+def _cmd_generate(args, tol: Tolerance):
     raw = args.spec
-    if not raw.lstrip().startswith("["):
-        with open(raw) as fh:
-            raw = fh.read()
     try:
+        if not raw.lstrip().startswith("["):
+            with open(raw) as fh:
+                raw = fh.read()
         spec_list = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"--spec is not valid JSON: {exc}") from exc
     if not isinstance(spec_list, list):
         raise ValidationError("--spec must be a JSON array of canonical forms")
     forms = [form_from_dict(obj) for obj in spec_list]
     doc = generate_pair(forms, args.seed, tol)
     doc.save(args.output)
-    out.emit_text(f"wrote {args.output} (n={doc.n})")
-    return EXIT_OK
+    return EXIT_OK, None, [f"wrote {args.output} (n={doc.n})"]
 
 
-def _cmd_oracle(args, out: _Output) -> int:
-    tol = _tolerance(args)
+def _cmd_oracle(args, tol: Tolerance):
     _, d, e = _load_rotations(args.file, tol)
     witness = oracle_two_plane_search(d, e, samples=args.samples,
                                       seed=args.seed, tol=tol)
-    if out.fmt == "json":
-        out.emit_json({
-            "samples": args.samples,
-            "witness": None if witness is None else [float(x) for x in witness],
-        })
+    payload = {
+        "samples": args.samples,
+        "witness": None if witness is None else [float(x) for x in witness],
+    }
+    if witness is None:
+        line = "no witness found (not a proof that no invariant plane exists)"
     else:
-        if witness is None:
-            out.emit_text(
-                "no witness found (not a proof that no invariant plane exists)"
-            )
-        else:
-            out.emit_text("witness: " + " ".join(f"{x:.12g}" for x in witness))
-    return EXIT_OK
+        line = "witness: " + " ".join(f"{x:.12g}" for x in witness)
+    return EXIT_OK, payload, [line]
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -264,15 +212,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Output(fmt=args.format, quiet=args.quiet)
     try:
-        return args.func(args, out)
-    except (FileNotFoundError, ValidationError) as exc:
+        try:
+            tol = Tolerance(residual_tol=args.tol, angle_tol=args.angle_tol)
+        except ValueError as exc:
+            raise BadParameter(str(exc)) from exc
+        code, payload, lines = args.func(args, tol)
+    except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RotPairError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if args.format == "json" and payload is not None:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif not args.quiet:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

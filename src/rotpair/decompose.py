@@ -16,7 +16,7 @@ one 4-block or two planes, and one irreducibility verdict decides which.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,12 +51,18 @@ class InvariantBlock:
 
     ``basis`` has orthonormal columns (1, 2 or 4 of them) in ambient
     coordinates; ``d_restricted`` and ``e_restricted`` are the operators
-    expressed in that basis.
+    expressed in that basis.  A block of :func:`decompose` also carries
+    them as rotations by the pair's certified angles in ``rotations``,
+    which :func:`is_irreducible` and ``classify_block`` read instead of
+    certifying the block again.  A block built directly, or with
+    ``dataclasses.replace``, has ``rotations`` None.
     """
 
     basis: np.ndarray
     d_restricted: np.ndarray
     e_restricted: np.ndarray
+    rotations: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def dim(self) -> int:
@@ -86,12 +92,16 @@ def _restricted(r: Rotation, basis: np.ndarray) -> Rotation:
     return Rotation(matrix=basis.T @ r.matrix @ basis, angle=r.angle)
 
 
-def _restrict(basis: np.ndarray, d: Rotation, e: Rotation) -> InvariantBlock:
-    return InvariantBlock(
-        basis=basis,
-        d_restricted=basis.T @ d.matrix @ basis,
-        e_restricted=basis.T @ e.matrix @ basis,
-    )
+def _certified_block(basis: np.ndarray, d_r: Rotation,
+                     e_r: Rotation) -> InvariantBlock:
+    """The block on ``span(basis)`` whose restrictions are ``d_r`` and ``e_r``.
+
+    Both must be certified rotations of the block's own coordinates;
+    they become the block's ``rotations``.
+    """
+    block = InvariantBlock(basis, d_r.matrix, e_r.matrix)
+    object.__setattr__(block, "rotations", (d_r, e_r))
+    return block
 
 
 def _real_plane(v: np.ndarray) -> np.ndarray:
@@ -230,11 +240,11 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
         kind, payload = _planes_or_operator(d, e, tol)
         bases = payload if kind == "planes" else (_block_from_operator(payload, tol),)
     _check_blocks(np.hstack(bases), d, e, tol)
-    return tuple(_restrict(basis, d, e) for basis in bases)
+    return tuple(InvariantBlock(b, b.T @ d.matrix @ b, b.T @ e.matrix @ b)
+                 for b in bases)
 
 
-def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
-                   restricted=None) -> bool:
+def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the block has no proper nonzero jointly invariant subspace.
 
     Dimension 1 blocks always are, and blocks of any dimension other
@@ -249,17 +259,16 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL,
     blocks by construction, and ``classify_block`` asks it for a block
     handed in from outside a decomposition.
 
-    ``restricted`` is internal: callers that hold the rotations
-    ``(d_r, e_r)`` of the two restrictions pass them; without it they
-    are certified here, and a restriction that is no rotation, such as a
-    reflection, raises ``NotARotation``.
+    The restrictions are read from ``block.rotations`` when the block
+    carries them; otherwise both are certified here, and a restriction
+    that is no rotation, such as a reflection, raises ``NotARotation``.
     """
     if block.dim == 1:
         return True
     if block.dim not in (2, 4):
         return False
-    d_r, e_r = restricted or (as_rotation(block.d_restricted, tol),
-                              as_rotation(block.e_restricted, tol))
+    d_r, e_r = block.rotations or (as_rotation(block.d_restricted, tol),
+                                   as_rotation(block.e_restricted, tol))
     d_proper = d_r.kind is RotationKind.PROPER
     e_proper = e_r.kind is RotationKind.PROPER
     if block.dim == 2:
@@ -340,7 +349,8 @@ def decompose(d: Rotation, e: Rotation,
 
     The pair is certified here, once: a side built without
     :func:`as_rotation` is certified, and a claimed angle more than
-    ``angle_tol`` off raises ``NumericalFailure`` with the margin.
+    ``angle_tol`` off raises ``NumericalFailure`` with the margin.  Each
+    block carries its restrictions as rotations by the pair's angles.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
@@ -369,13 +379,16 @@ def decompose(d: Rotation, e: Rotation,
         else:
             cur_d, cur_e = _restricted(d, carrier), _restricted(e, carrier)
         if proper and carrier.shape[1] == 4:
-            cluster = InvariantBlock(carrier, cur_d.matrix, cur_e.matrix)
-            if is_irreducible(cluster, tol, restricted=(cur_d, cur_e)):
+            cluster = _certified_block(carrier, cur_d, cur_e)
+            if is_irreducible(cluster, tol):
                 blocks.append(cluster)
                 continue
         while True:
             found = find_block(cur_d, cur_e, tol)
-            blocks.extend(replace(b, basis=carrier @ b.basis) for b in found)
+            blocks.extend(_certified_block(carrier @ b.basis,
+                                           Rotation(b.d_restricted, d.angle),
+                                           Rotation(b.e_restricted, e.angle))
+                          for b in found)
             comp = orthonormal_complement(np.hstack([b.basis for b in found]), tol=tol)
             if comp.shape[1] == 0:
                 break

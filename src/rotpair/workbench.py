@@ -25,7 +25,7 @@ from .classify import (
     Dim2Proper,
     Dim2RightScalar,
     Dim4,
-    pair_block_form,
+    classify_block,
     realize,
 )
 from .decompose import decompose, invariance_residual
@@ -129,19 +129,27 @@ class PairDocument:
             fh.write("\n")
 
 
-def _has_bool(obj) -> bool:
-    if isinstance(obj, (list, tuple)):
-        return any(_has_bool(x) for x in obj)
-    return isinstance(obj, bool)
+def _leaves(obj) -> list:
+    # a loop, not recursion: a document may nest deeper than the stack
+    leaves, todo = [], [obj]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        else:
+            leaves.append(x)
+    return leaves
 
 
 def _matrix_from_json(obj, name: str, n: int) -> np.ndarray:
-    # JSON true loads as a bool, which numpy would read as 1.0
-    if _has_bool(obj):
+    leaves = _leaves(obj)
+    if any(isinstance(x, bool) for x in leaves):
         raise BadParameter(f"{name} has a boolean entry")
+    if not all(isinstance(x, (int, float)) for x in leaves):
+        raise BadParameter(f"{name} is not a numeric matrix")
     try:
         M = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadParameter(f"{name} is not a numeric matrix") from exc
     if M.shape != (n, n):
         raise BadDimension(f"{name} has shape {M.shape}, expected ({n}, {n})")
@@ -153,6 +161,8 @@ def _matrix_from_json(obj, name: str, n: int) -> np.ndarray:
 def pair_from_json_dict(obj: dict, tol: Tolerance = DEFAULT_TOL) -> PairDocument:
     """Validate and build a :class:`PairDocument` from parsed JSON.
 
+    Matrix entries must be JSON numbers; anything else, a boolean or a
+    string such as ``"1"`` included, raises ``BadParameter``.
     Orthogonality of both matrices is checked at load time: a residual
     beyond ``residual_tol`` raises ``NotOrthogonal``.
     """
@@ -183,7 +193,7 @@ def load_pair(path, tol: Tolerance = DEFAULT_TOL) -> PairDocument:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise BadParameter(f"{path}: not valid JSON ({exc})") from exc
     return pair_from_json_dict(obj, tol)
 
@@ -232,7 +242,7 @@ def build_report(d: Rotation, e: Rotation,
     blocks = []
     forms = []
     for b in dec.blocks:
-        form = pair_block_form(b, d, e, tol)
+        form = classify_block(b, tol)
         forms.append(form)
         blocks.append({
             "dim": b.dim,

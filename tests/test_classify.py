@@ -27,6 +27,7 @@ from rotpair import (
     build_report,
     classify,
     classify_block,
+    decompose,
     generate_pair,
     isomorphic,
     labels_match,
@@ -218,6 +219,34 @@ class TestClassifyBlock:
         classify_block(block_of(Dim4(alpha=0.5, beta=1.2, theta=0.8)))
         # each restriction once; the quarter-turn parts take none
         assert len(sizes) == 2
+
+    def test_decompose_blocks_read_their_certificate(self, monkeypatch):
+        spec = [Dim2Proper(alpha=0.5, beta=1.2, r=-1),
+                Dim4(alpha=0.5, beta=1.2, theta=0.8),
+                Dim4(alpha=0.5, beta=1.2, theta=2.1)]
+        d, e = pair_rotations(generate_pair(spec, seed=13))
+        label = classify(d, e)
+        blocks = decompose(d, e).blocks
+        sizes = count_normal_forms(monkeypatch)
+        forms = [classify_block(b) for b in blocks]
+        # the blocks carry the pair's certified rotations: no normal form,
+        # and the very forms of classify, to the last bit
+        assert sizes == []
+        assert ClassLabel(forms=tuple(forms)) == label
+        assert all(f.alpha == d.angle and f.beta == e.angle for f in forms)
+
+    def test_certificate_does_not_survive_a_copy(self):
+        d, e = pair_rotations(generate_pair(
+            [Dim4(alpha=0.5, beta=1.1, theta=0.8)], seed=14))
+        (block,) = decompose(d, e).blocks
+        assert block.rotations is not None
+        # an aligned pair of planes: reducible, so no Dim4 form exists
+        copy = dataclasses.replace(
+            block, d_restricted=block_diag(rot2(0.5), rot2(0.5)),
+            e_restricted=block_diag(rot2(1.1), rot2(1.1)))
+        assert copy.rotations is None
+        with pytest.raises(NotIrreducible):
+            classify_block(copy)
 
 
 class TestClassify:
@@ -545,6 +574,13 @@ class TestOrthogonalizeIntertwiner:
         e = proper(rot2(1.2))
         with pytest.raises(NotIntertwiner):
             orthogonalize_intertwiner(np.eye(3), (d, e), (d, e))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_map(self, value):
+        d = proper(rot2(0.5))
+        e = proper(rot2(1.2))
+        with pytest.raises(NotIntertwiner, match="non-finite"):
+            orthogonalize_intertwiner(np.full((2, 2), value), (d, e), (d, e))
 
 
 def proper_or_scalar(M):

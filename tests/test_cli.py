@@ -84,6 +84,16 @@ class TestCheck:
         assert out == ""
         assert "boolean" in err
 
+    def test_string_entry(self, capsys, tmp_path):
+        # numpy would read the strings as numbers and load the identity
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"n": 2, "delta": [["1", "0"], ["0", "1"]],
+                                    "epsilon": [[1.0, 0.0], [0.0, 1.0]]}))
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: delta is not a numeric matrix\n"
+
     @pytest.mark.parametrize("tol", ["nan", "0"])
     def test_rejects_bad_tolerance(self, tmp_path, tol):
         # orthogonality residual 1.5e-3: a NaN tolerance would let it
@@ -281,6 +291,54 @@ def test_bad_seed_or_samples_is_validation_error(tmp_path, twisted_file, argv):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "DIR"],
+    ["classify", "BINARY"],
+    ["generate", "--spec", "DIR", "-o", "OUT"],
+    ["generate", "--spec", "BINARY", "-o", "OUT"],
+    ["generate", "--spec", TestGenerate.SPEC, "-o", "DIR"],
+])
+def test_unreadable_path_is_validation_error(capsys, tmp_path, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\xff\xfe\x00")
+    paths = {"DIR": str(tmp_path), "BINARY": str(binary),
+             "OUT": str(tmp_path / "gen.json")}
+    rc, out, err = run(capsys, *[paths.get(arg, arg) for arg in argv])
+    assert rc == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not (tmp_path / "gen.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    (), ("--format", "json"), ("--quiet",), ("--format", "json", "--quiet"),
+], ids=["text", "json", "quiet", "json-quiet"])
+@pytest.mark.parametrize("command", [
+    "check", "normal-form", "decompose", "classify", "isomorphic", "generate",
+    "oracle",
+])
+def test_every_subcommand_in_every_output_mode(capsys, tmp_path, pair_file,
+                                               twisted_file, command, flags):
+    argv, code = {
+        "check": (["check", pair_file], EXIT_OK),
+        "normal-form": (["normal-form", pair_file], EXIT_OK),
+        "decompose": (["decompose", pair_file], EXIT_OK),
+        "classify": (["classify", pair_file], EXIT_OK),
+        "isomorphic": (["isomorphic", pair_file, twisted_file], EXIT_NOT_ISOMORPHIC),
+        "generate": (["generate", "--spec", TestGenerate.SPEC,
+                      "-o", str(tmp_path / "gen.json")], EXIT_OK),
+        "oracle": (["oracle", twisted_file, "--samples", "64"], EXIT_OK),
+    }[command]
+    rc, out, err = run(capsys, *argv, *flags)
+    assert (rc, err) == (code, "")
+    # JSON is printed even under --quiet; generate has no JSON and
+    # prints its note as text in both formats
+    if "json" in flags and command != "generate":
+        json.loads(out)
+    else:
+        assert (out == "") == ("--quiet" in flags)
 
 
 def test_module_entry_point(tmp_path):

@@ -121,6 +121,15 @@ class TestPairDocument:
         with pytest.raises(BadParameter):
             load_pair(path)
 
+    @pytest.mark.parametrize("content", [
+        b"\x7fELF\xff\xfe\x00", b"[" * 100000 + b"]" * 100000,
+    ], ids=["binary", "too-deep"])
+    def test_rejects_unreadable_file(self, tmp_path, content):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        with pytest.raises(BadParameter, match="not valid JSON"):
+            load_pair(path)
+
     def test_rejects_missing_keys(self):
         with pytest.raises(BadParameter):
             pair_from_json_dict({"n": 2, "delta": [[1, 0], [0, 1]]})
@@ -148,6 +157,23 @@ class TestPairDocument:
             pair_from_json_dict(
                 {"n": 2, "delta": eye, "epsilon": [[1.0, 0.0], [0.0, True]]}
             )
+
+    @pytest.mark.parametrize("entry", ["1", None, [1.0], {"x": 1}, 10 ** 400],
+                             ids=["string", "null", "nested", "object", "huge-int"])
+    def test_rejects_entries_that_are_no_json_number(self, entry):
+        # numpy reads "1" as 1.0, and 10**400 overflows a float
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(BadParameter, match="not a numeric matrix"):
+            pair_from_json_dict(
+                {"n": 2, "delta": eye, "epsilon": [[entry, 0.0], [0.0, 1.0]]}
+            )
+
+    def test_rejects_deeply_nested_matrix(self):
+        entry = 1.0
+        for _ in range(5000):
+            entry = [entry]
+        with pytest.raises(BadParameter, match="not a numeric matrix"):
+            pair_from_json_dict({"n": 1, "delta": entry, "epsilon": [[1.0]]})
 
     def test_strict_orthogonality(self):
         eye = [[1.0, 0.0], [0.0, 1.0]]
