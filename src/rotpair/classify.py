@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import InvariantBlock, _certified_block, decompose, is_irreducible
+from .decompose import (
+    InvariantBlock,
+    _certified_block,
+    _certify_pair,
+    decompose,
+    is_irreducible,
+)
 from .errors import (
     BadAngle,
     BadParameter,
@@ -160,6 +166,19 @@ def _sign_of(r: Rotation) -> int:
     return 1 if r.kind is RotationKind.IDENTITY else -1
 
 
+def _scalar_form(d: Rotation, e: Rotation):
+    """Form of every block of a pair with a +-I side, from kinds and angles.
+
+    Both sides +-I give the line ``Dim1(r, s)``; otherwise the block is a
+    plane with the scalar side's sign and the proper side's angle.
+    """
+    if d.kind is not RotationKind.PROPER and e.kind is not RotationKind.PROPER:
+        return Dim1(r=_sign_of(d), s=_sign_of(e))
+    if d.kind is not RotationKind.PROPER:
+        return Dim2LeftScalar(r=_sign_of(d), beta=e.angle)
+    return Dim2RightScalar(alpha=d.angle, s=_sign_of(e))
+
+
 def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     """Canonical form of an irreducible block.
 
@@ -169,19 +188,18 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     verdict are computed again; only the form is read, and it equals the
     matching form of :func:`classify` to the last bit.  Any other block,
     including a copy made with ``dataclasses.replace``, is certified
-    first: both restrictions by :func:`as_rotation`, and whether a 2- or
-    4-block is irreducible by :func:`is_irreducible` alone; a reducible
-    block, or one whose restrictions are not rotations, raises
-    ``NotIrreducible``.  A 4-block's twist is read off accurately from
-    the two quarter-turns of :func:`rho`, which take no normal form.
+    first: both restrictions by :func:`as_rotation` (a restriction that
+    is not orthogonal raises ``NotOrthogonal``, a line's included), and
+    whether a 2- or 4-block is irreducible by :func:`is_irreducible`
+    alone; a reducible block, or one whose restrictions are not
+    rotations, raises ``NotIrreducible``.  A line, or a plane with a +-I
+    side, is labelled from the kinds and angles of its restrictions.  A
+    4-block's twist is read off accurately from the two quarter-turns of
+    :func:`rho`, which take no normal form.
     """
     if block.dim not in (1, 2, 4):
         raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
     try:
-        if block.dim == 1:
-            r = 1 if block.d_restricted[0, 0] > 0 else -1
-            s = 1 if block.e_restricted[0, 0] > 0 else -1
-            return Dim1(r=r, s=s)
         if block.rotations is None:
             block = _certified_block(block.basis,
                                      as_rotation(block.d_restricted, tol),
@@ -195,10 +213,8 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
         if block.dim == 4:
             theta = theta_invariant(rho(d_r, tol), rho(e_r, tol), tol)
             return Dim4(alpha=d_r.angle, beta=e_r.angle, theta=theta)
-        if d_r.kind is not RotationKind.PROPER:
-            return Dim2LeftScalar(r=_sign_of(d_r), beta=e_r.angle)
-        if e_r.kind is not RotationKind.PROPER:
-            return Dim2RightScalar(alpha=d_r.angle, s=_sign_of(e_r))
+        if not (d_r.kind is RotationKind.PROPER and e_r.kind is RotationKind.PROPER):
+            return _scalar_form(d_r, e_r)
         # both sides are proper; r = +1 when their sine entries share a sign
         same = (block.d_restricted[1, 0] > 0) == (block.e_restricted[1, 0] > 0)
         return Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=1 if same else -1)
@@ -237,9 +253,23 @@ def realize(form) -> tuple:
 
 
 def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLabel:
-    """Canonical label of a rotation pair: forms of its irreducible blocks."""
-    dec = decompose(d, e, tol)
-    return ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
+    """Canonical label of a rotation pair: forms of its irreducible blocks.
+
+    A pair with a +-I side is labelled from its kinds and certified
+    angles alone: n lines ``Dim1(r, s)`` when both sides are +-I, else
+    n/2 planes ``Dim2LeftScalar(r, beta)`` or ``Dim2RightScalar(alpha,
+    s)``.  It is certified exactly as :func:`decompose` certifies a pair,
+    with the same errors, but no basis is built and no normal form read;
+    :func:`decompose` still builds its blocks, for reports.  A pair of
+    two proper rotations is decomposed and each block labelled by
+    :func:`classify_block`.
+    """
+    if d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER:
+        dec = decompose(d, e, tol)
+        return ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
+    _certify_pair(d, e, tol)
+    form = _scalar_form(d, e)
+    return ClassLabel(forms=(form,) * (d.dim // form.dim))
 
 
 def _forms_equal(f1, f2, angle_tol: float) -> bool:
@@ -290,6 +320,8 @@ def isomorphic(pair1, pair2, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Each argument is a (Rotation, Rotation) tuple.  The spaces need not
     have equal dimension; unequal dimensions simply compare unequal.
+    Both labels come from :func:`classify`, so a pair with a +-I side is
+    labelled from its kinds and angles, with no decomposition.
     """
     label1 = classify(pair1[0], pair1[1], tol)
     label2 = classify(pair2[0], pair2[1], tol)

@@ -320,6 +320,33 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     return [vectors[:, index] for index in reversed(groups)]
 
 
+def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> None:
+    """Certify a pair once: equal dimensions, orthogonal sides, true angles.
+
+    Each side's orthogonality residual must be within ``residual_tol``
+    (``NotOrthogonalPair``), and a side built without
+    :func:`as_rotation` is certified, its claimed angle more than
+    ``angle_tol`` off raising ``NumericalFailure`` with the margin.
+    """
+    if d.dim != e.dim:
+        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+    for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
+        resid = max_abs(r.matrix.T @ r.matrix - np.eye(d.dim))
+        if not resid <= tol.residual_tol:
+            raise NotOrthogonalPair(
+                f"{name} operator orthogonality residual {resid:.3e}"
+            )
+        if r.normal_form is None:
+            certified = as_rotation(r.matrix, tol).angle
+            gap = abs(certified - r.angle)
+            if gap > tol.angle_tol:
+                raise NumericalFailure(
+                    f"{angle_name} {r.angle!r} claimed for the {name} operator "
+                    f"differs from its certified {certified!r} by {gap:.3e}, "
+                    f"beyond angle_tol {tol.angle_tol:.3e}"
+                )
+
+
 def decompose(d: Rotation, e: Rotation,
               tol: Tolerance = DEFAULT_TOL) -> InvariantDecomposition:
     """Full decomposition into irreducible invariant blocks.
@@ -347,30 +374,14 @@ def decompose(d: Rotation, e: Rotation,
     found inside a cluster.  The canonical order is the order of their
     forms, applied by ``ClassLabel``.
 
-    The pair is certified here, once: a side built without
-    :func:`as_rotation` is certified, and a claimed angle more than
-    ``angle_tol`` off raises ``NumericalFailure`` with the margin.  Each
-    block carries its restrictions as rotations by the pair's angles.
+    The pair is certified here, once, by :func:`_certify_pair`: a side
+    built without :func:`as_rotation` is certified, and a claimed angle
+    more than ``angle_tol`` off raises ``NumericalFailure`` with the
+    margin.  Each block carries its restrictions as rotations by the
+    pair's angles.
     """
-    if d.dim != e.dim:
-        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+    _certify_pair(d, e, tol)
     n = d.dim
-    for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
-        resid = max_abs(r.matrix.T @ r.matrix - np.eye(n))
-        if not resid <= tol.residual_tol:
-            raise NotOrthogonalPair(
-                f"{name} operator orthogonality residual {resid:.3e}"
-            )
-        if r.normal_form is None:
-            certified = as_rotation(r.matrix, tol).angle
-            gap = abs(certified - r.angle)
-            if gap > tol.angle_tol:
-                raise NumericalFailure(
-                    f"{angle_name} {r.angle!r} claimed for the {name} operator "
-                    f"differs from its certified {certified!r} by {gap:.3e}, "
-                    f"beyond angle_tol {tol.angle_tol:.3e}"
-                )
-
     proper = d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER
     blocks = []
     for carrier in _twist_clusters(d, e, tol):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib
 import itertools
@@ -18,9 +19,12 @@ from rotpair import (
     Dim2Proper,
     Dim2RightScalar,
     Dim4,
+    NotARotation,
     NotConstant,
     NotIntertwiner,
     NotIrreducible,
+    NotOrthogonal,
+    NotOrthogonalPair,
     NumericalFailure,
     Rotation,
     as_rotation,
@@ -39,7 +43,7 @@ from rotpair import (
     theta_invariant,
 )
 from rotpair.decompose import InvariantBlock
-from rotpair.linalg import block_diag
+from rotpair.linalg import DEFAULT_TOL, block_diag
 
 
 def proper(M):
@@ -208,6 +212,16 @@ class TestClassifyBlock:
         with pytest.raises(NotIrreducible):
             classify_block(b)
 
+    def test_hand_built_line_is_certified(self):
+        # a line is certified like a plane: neither 0.3 nor -5 is orthogonal
+        for dm, em in (([[0.3]], [[-1.0]]), ([[1.0]], [[-5.0]])):
+            b = InvariantBlock(np.eye(1), np.array(dm), np.array(em))
+            with pytest.raises(NotOrthogonal):
+                classify_block(b)
+        plane = InvariantBlock(np.eye(2), 0.3 * np.eye(2), -5.0 * np.eye(2))
+        with pytest.raises(NotOrthogonal):
+            classify_block(plane)
+
     def test_rejects_odd_dimension(self):
         b = InvariantBlock(basis=np.eye(3), d_restricted=np.eye(3),
                            e_restricted=np.eye(3))
@@ -341,6 +355,112 @@ class TestClassify:
         shuffled = tuple(canonical[i] for i in (4, 2, 0, 3, 1))
         assert ClassLabel(forms=shuffled).forms == canonical
         assert ClassLabel(forms=shuffled) == ClassLabel(forms=canonical)
+
+
+def scalar_spec(family, sign, other_sign, angle, count):
+    """``count`` copies of one form of a pair with a +-I side."""
+    if family == "dim1":
+        return [Dim1(r=sign, s=other_sign)] * count
+    if family == "left":
+        return [Dim2LeftScalar(r=sign, beta=angle)] * count
+    return [Dim2RightScalar(alpha=angle, s=sign)] * count
+
+
+def sign_flipped(spec):
+    """The same spec with the sign of the first +-I side negated."""
+    form = spec[0]
+    if isinstance(form, Dim2RightScalar):
+        return [Dim2RightScalar(alpha=form.alpha, s=-form.s)] * len(spec)
+    return [dataclasses.replace(form, r=-form.r)] * len(spec)
+
+
+def noisy_rotations(doc, noise, seed):
+    """Both sides certified after polar-projected Gaussian noise of size ``noise``."""
+    rng = np.random.default_rng(seed)
+
+    def polar(M):
+        u, _, vh = np.linalg.svd(M + noise * rng.standard_normal(M.shape))
+        return u @ vh
+
+    return as_rotation(polar(doc.delta)), as_rotation(polar(doc.epsilon))
+
+
+class TestScalarSideLabels:
+    """A pair with a +-I side is labelled from its kinds and angles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["dim1", "left", "right"]),
+        sign=st.sampled_from([-1, 1]),
+        other_sign=st.sampled_from([-1, 1]),
+        angle=st.floats(0.1, np.pi - 0.1),
+        lines=st.integers(1, 12),
+        log_noise=st.one_of(st.none(), st.floats(-14.0, -9.0)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_label_from_kinds_and_angles(self, family, sign, other_sign, angle,
+                                         lines, log_noise, seed):
+        count = lines if family == "dim1" else (lines + 1) // 2
+        spec = scalar_spec(family, sign, other_sign, angle, count)
+        noise = 0.0 if log_noise is None else 10.0 ** log_noise
+        d, e = noisy_rotations(generate_pair(spec, seed=seed), noise, seed)
+        label = classify(d, e)
+        blocks = decompose(d, e).blocks
+        assert label == ClassLabel(forms=tuple(classify_block(b) for b in blocks))
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        same = noisy_rotations(generate_pair(spec, seed=seed + 1), noise, seed + 1)
+        flipped = noisy_rotations(generate_pair(sign_flipped(spec), seed=seed + 2),
+                                  noise, seed + 2)
+        assert isomorphic((d, e), same)
+        assert not isomorphic((d, e), flipped)
+
+    @contextlib.contextmanager
+    def decompose_calls(self):
+        """List of the pairs ``classify`` hands ``decompose``."""
+        module = importlib.import_module("rotpair.classify")
+        original = module.decompose
+        seen = []
+
+        def counted(d, e, tol=DEFAULT_TOL):
+            seen.append((d, e))
+            return original(d, e, tol)
+
+        module.decompose = counted
+        try:
+            yield seen
+        finally:
+            module.decompose = original
+
+    @pytest.mark.parametrize("spec,calls", [
+        ([Dim1(r=-1, s=1)] * 3, 0),
+        ([Dim2LeftScalar(r=1, beta=0.8)] * 3, 0),
+        ([Dim2RightScalar(alpha=2.1, s=-1)] * 2, 0),
+        ([Dim2Proper(alpha=0.5, beta=1.2, r=1),
+          Dim4(alpha=0.5, beta=1.2, theta=0.8)], 1),
+    ], ids=["dim1", "left", "right", "proper"])
+    def test_decomposes_only_a_proper_pair(self, spec, calls):
+        d, e = pair_rotations(generate_pair(spec, seed=21))
+        with self.decompose_calls() as seen:
+            label = classify(d, e)
+        assert len(seen) == calls
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+
+    def test_errors_match_decompose(self):
+        d, e = pair_rotations(generate_pair([Dim2LeftScalar(r=-1, beta=0.8)] * 2,
+                                            seed=22))
+        reflection = np.diag([-1.0, 1.0, 1.0, 1.0])
+        cases = [
+            (NotOrthogonalPair, d, Rotation(np.eye(6), 0.0)),
+            (NotOrthogonalPair, d, Rotation(1.001 * e.matrix, e.angle)),
+            (NumericalFailure, d, Rotation(e.matrix, e.angle + 2e-7)),
+            (NotARotation, Rotation(reflection, 0.0), e),
+        ]
+        for error, first, second in cases:
+            with pytest.raises(error) as by_classify:
+                classify(first, second)
+            with pytest.raises(error) as by_decompose:
+                decompose(first, second)
+            assert str(by_classify.value) == str(by_decompose.value)
 
 
 def dim4_thetas(forms):
