@@ -21,7 +21,7 @@ from .errors import (
     NotProper,
     NumericalFailure,
 )
-from .linalg import DEFAULT_TOL, Tolerance, max_abs
+from .linalg import DEFAULT_TOL, RANK_TOL, Tolerance, max_abs, numerical_rank
 from .orthogonal import Rotation, RotationKind
 
 
@@ -87,12 +87,12 @@ def eigenplanes(d: Rotation, e: Rotation,
     C = _plane_of(e)
     for plane, rot in ((A, d), (C, e)):
         resid = max_abs(rot.matrix @ plane - np.exp(1j * rot.angle) * plane)
-        if resid > 10 * tol.residual_tol:
+        if resid > tol.check_tol:
             raise NumericalFailure(f"eigenplane residual {resid:.3e}")
     return EigenplaneBases(A=A, B=np.conj(A), C=C, D=np.conj(C))
 
 
-def build_T(planes: EigenplaneBases, tol: Tolerance = DEFAULT_TOL) -> AntilinearOp:
+def build_T(planes: EigenplaneBases) -> AntilinearOp:
     """Antilinear operator on A obtained by factoring C through A and B.
 
     In coordinates the operator is ``x -> M conj(x)`` with
@@ -108,8 +108,8 @@ def build_T(planes: EigenplaneBases, tol: Tolerance = DEFAULT_TOL) -> Antilinear
     Raises
     ------
     IntersectionNonTrivial
-        If A meets or nearly meets C or D: a Gram matrix vanishes, or
-        its relative smallest singular value is at most ``rank_tol``.
+        If A meets or nearly meets C or D: a Gram matrix has
+        :func:`~rotpair.linalg.numerical_rank` below its size.
         The exception's ``which`` names the overlap, ``"AC"`` or ``"AD"``.
     """
     A, B, C = planes.A, planes.B, planes.C
@@ -120,7 +120,7 @@ def build_T(planes: EigenplaneBases, tol: Tolerance = DEFAULT_TOL) -> Antilinear
     # nearly meets A after conjugating; likewise G_BC signals C meeting A.
     for G, which in ((G_AC, "AD"), (G_BC, "AC")):
         s = np.linalg.svd(G, compute_uv=False)
-        if s[0] <= tol.rank_tol or s[-1] <= tol.rank_tol * s[0]:
+        if numerical_rank(s) < s.size:
             raise IntersectionNonTrivial(
                 f"restricted projection nearly singular (sigma_min "
                 f"{s[-1]:.3e}, sigma_max {s[0]:.3e})",
@@ -142,8 +142,8 @@ def antilinear_invariant_line(T: AntilinearOp,
     The square N of the operator is linear; an invariant line spanned by
     u with ``T u = mu u`` gives ``N u = |mu|^2 u``, and T is bijective,
     so a line needs a real eigenvalue lambda > 0.  Eigenvalues count as
-    real when ``|Im| <= rank_tol * |lambda|`` and as positive when
-    ``Re > rank_tol * ||N||``; the small negative eigenvalue
+    real when ``|Im| <= RANK_TOL * |lambda|`` and as positive when
+    ``Re > RANK_TOL * ||N||``; the small negative eigenvalue
     ``-tan(theta/2)^2`` of a 4-block with twist theta near 0 is not a
     line.  Given N u = lambda u, either T u is already parallel to u,
     or ``T u + sqrt(lambda) u`` is fixed up to the factor sqrt(lambda).
@@ -156,9 +156,9 @@ def antilinear_invariant_line(T: AntilinearOp,
     evals, evecs = np.linalg.eig(N)
     best = None
     for i, lam in enumerate(evals):
-        if abs(lam.imag) > tol.rank_tol * abs(lam):
+        if abs(lam.imag) > RANK_TOL * abs(lam):
             continue
-        if lam.real <= tol.rank_tol * norm_n:
+        if lam.real <= RANK_TOL * norm_n:
             continue
         if best is None or lam.real > evals[best].real:
             best = i
@@ -169,13 +169,13 @@ def antilinear_invariant_line(T: AntilinearOp,
     u = u / np.linalg.norm(u)
     Tu = T.apply(u)
     s = np.linalg.svd(np.column_stack([u, Tu]), compute_uv=False)
-    if s.size < 2 or s[1] <= tol.rank_tol * s[0]:
+    if numerical_rank(s) < 2:
         v = u
     else:
         v = Tu + math.sqrt(lam) * u
         v = v / np.linalg.norm(v)
     mu = complex(np.vdot(v, T.apply(v)))
     resid = float(np.linalg.norm(T.apply(v) - mu * v))
-    if resid > 10 * tol.residual_tol:
+    if resid > tol.check_tol:
         raise NumericalFailure(f"invariant-line residual {resid:.3e}")
     return v

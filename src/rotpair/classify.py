@@ -40,7 +40,8 @@ from .errors import (
     NumericalFailure,
     ScaleNotConstant,
 )
-from .linalg import DEFAULT_TOL, Tolerance, block_diag, max_abs
+from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, max_abs,
+                     orthonormality_residual)
 from .orthogonal import Rotation, RotationKind, as_rotation, rho, rot2
 
 
@@ -153,7 +154,7 @@ def theta_invariant(s: Rotation, t: Rotation,
             raise BadAngle(f"angle {r.angle!r} is not pi/2")
     G = s.matrix.T @ t.matrix
     spread = float(np.ptp(np.linalg.eigvalsh(G + G.T))) / 2.0
-    if spread > 10 * tol.residual_tol:
+    if spread > tol.check_tol:
         raise NotConstant(
             f"inner product varies by {spread:.3e} over the unit sphere"
         )
@@ -361,15 +362,15 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
             f"intertwining residuals ({r1:.3e}, {r2:.3e}) too large"
         )
     sing = np.linalg.svd(phi, compute_uv=False)
-    if sing[-1] <= tol.rank_tol * sing[0]:
+    if sing[-1] <= RANK_TOL * sing[0]:
         raise NotIntertwiner("map is singular")
     spread = float(sing[0] - sing[-1])
-    if spread > 10 * tol.residual_tol:
+    if spread > tol.check_tol:
         raise ScaleNotConstant(
             f"stretch varies by {spread:.3e} over the unit sphere"
         )
     out = phi / float(sing.mean())
-    resid = max_abs(out.T @ out - np.eye(n))
-    if resid > 10 * tol.residual_tol:
+    resid = orthonormality_residual(out)
+    if resid > tol.check_tol:
         raise NumericalFailure(f"result orthogonality residual {resid:.3e}")
     return out

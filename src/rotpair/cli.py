@@ -20,7 +20,7 @@ import sys
 
 from .classify import isomorphic
 from .errors import BadParameter, RotPairError, ValidationError
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .orthogonal import as_rotation, orthogonal_normal_form
 from .workbench import (
     _normal_form_dict,
@@ -138,9 +138,10 @@ def _cmd_oracle(args, tol: Tolerance):
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-9, metavar="RESIDUAL",
-                     help="residual tolerance (default 1e-9)")
-    sub.add_argument("--angle-tol", type=float, default=1e-7, metavar="RADIANS",
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL.residual_tol,
+                     metavar="RESIDUAL", help="residual tolerance (default 1e-9)")
+    sub.add_argument("--angle-tol", type=float, default=DEFAULT_TOL.angle_tol,
+                     metavar="RADIANS",
                      help="angle comparison tolerance (default 1e-7)")
     sub.add_argument("--format", choices=("json", "text"), default="text",
                      help="output format (default text)")

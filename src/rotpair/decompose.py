@@ -32,7 +32,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     max_abs,
+    numerical_rank,
     orthonormal_complement,
+    orthonormality_residual,
     orthonormalize,
     single_linkage,
     subspace_meet,
@@ -129,16 +131,16 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     plane is read off by :func:`_real_plane` with no factorization;
     callers check the stacked bases for orthonormality.  The two meets
     are the one overlap decision: they count A as meeting C (or D) when
-    a principal angle phi between them has ``tan(phi/2) <= rank_tol``.
+    a principal angle phi between them has ``tan(phi/2) <= RANK_TOL``.
     :func:`build_T`'s Gram test fires only when ``sin(phi) <=
-    rank_tol``, a smaller set, so it never fires on this path.
+    RANK_TOL``, a smaller set, so it never fires on this path.
     """
     planes = eigenplanes(d, e, tol)
     for meet_with in (planes.C, planes.D):
-        meet = subspace_meet(planes.A, meet_with, tol)
+        meet = subspace_meet(planes.A, meet_with)
         if meet.shape[1]:
             return "planes", tuple(_real_plane(v) for v in meet.T)
-    T = build_T(planes, tol)
+    T = build_T(planes)
     line = antilinear_invariant_line(T, tol)
     if line is not None:
         return "planes", (_real_plane(planes.A @ line),)
@@ -149,14 +151,14 @@ def _check_blocks(stacked: np.ndarray, d: Rotation, e: Rotation,
                   tol: Tolerance) -> None:
     """Check that the columns are orthonormal and jointly invariant.
 
-    Both residuals are compared at ``10 residual_tol``; a failure raises
+    Both residuals are compared at ``check_tol``; a failure raises
     ``NumericalFailure`` with the residual.
     """
-    ortho = max_abs(stacked.T @ stacked - np.eye(stacked.shape[1]))
-    if not ortho <= 10 * tol.residual_tol:
+    ortho = orthonormality_residual(stacked)
+    if not ortho <= tol.check_tol:
         raise NumericalFailure(f"block basis orthonormality residual {ortho:.3e}")
     resid = invariance_residual(stacked, d, e)
-    if not resid <= 10 * tol.residual_tol:
+    if not resid <= tol.check_tol:
         raise NumericalFailure(f"block invariance residual {resid:.3e}")
 
 
@@ -166,7 +168,7 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     Returns ``(True, basis)`` with an orthonormal witness basis, the
     first plane the search step finds, or ``(False, None)``.  The
     witness is checked orthonormal and invariant under both rotations,
-    at ``10 residual_tol``, before being returned.  A rotation that is
+    at ``check_tol``, before being returned.  A rotation that is
     not proper raises ``NotProper`` from :func:`eigenplanes`.
     """
     kind, payload = _planes_or_operator(d, e, tol)
@@ -177,7 +179,7 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     return True, witness
 
 
-def _block_from_operator(T: AntilinearOp, tol: Tolerance) -> np.ndarray:
+def _block_from_operator(T: AntilinearOp) -> np.ndarray:
     """Basis of a 4-block from an eigenvector of the operator's square."""
     N = t_squared(T)
     evals, evecs = np.linalg.eig(N)
@@ -189,7 +191,7 @@ def _block_from_operator(T: AntilinearOp, tol: Tolerance) -> np.ndarray:
     u = u / np.linalg.norm(u)
     v = T.apply(u)
     s = np.linalg.svd(np.column_stack([u, v]), compute_uv=False)
-    if s[1] <= tol.rank_tol * s[0]:
+    if numerical_rank(s) < 2:
         raise NumericalFailure(
             "operator eigenvector is parallel to its image; an invariant "
             "line should have been found instead"
@@ -197,7 +199,7 @@ def _block_from_operator(T: AntilinearOp, tol: Tolerance) -> np.ndarray:
     u_amb = T.basis_a @ u
     v_amb = T.basis_a @ v
     basis = orthonormalize(
-        np.column_stack([u_amb.real, u_amb.imag, v_amb.real, v_amb.imag]), tol
+        np.column_stack([u_amb.real, u_amb.imag, v_amb.real, v_amb.imag])
     )
     if basis.shape[1] != 4:
         raise NumericalFailure(
@@ -223,7 +225,7 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     both eigenplane meets came back empty and the antilinear operator
     had no invariant line, so that no invariant 2-plane exists.  The
     stacked basis is checked once to be orthonormal and invariant, both
-    at ``10 residual_tol``; a failure raises ``NumericalFailure``.
+    at ``check_tol``; a failure raises ``NumericalFailure``.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
@@ -238,7 +240,7 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
             bases = [nf.basis[:, i:i + 2] for i in range(0, n, 2)]
     else:
         kind, payload = _planes_or_operator(d, e, tol)
-        bases = payload if kind == "planes" else (_block_from_operator(payload, tol),)
+        bases = payload if kind == "planes" else (_block_from_operator(payload),)
     _check_blocks(np.hstack(bases), d, e, tol)
     return tuple(InvariantBlock(b, b.T @ d.matrix @ b, b.T @ e.matrix @ b)
                  for b in bases)
@@ -253,7 +255,7 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
     restrictions are scalar (by the ``kind`` of their rotations), and a
     4-block when both are proper and no invariant 2-plane exists; near a
     twist of 0 or pi that is decided by the eigenplane meets of
-    :func:`two_plane_exists`, at ``rank_tol``.  This is the one
+    :func:`two_plane_exists`, at ``RANK_TOL``.  This is the one
     irreducibility verdict: :func:`decompose` asks it once for each
     4-dimensional twist cluster, :func:`find_block` returns irreducible
     blocks by construction, and ``classify_block`` asks it for a block
@@ -288,12 +290,12 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     eigensolve gives them; the ascending eigenvalues are grouped by
     single linkage at the gap ``n eps / residual_tol``, the smallest gap
     at which eigenvectors are resolved to ``residual_tol``.  Each
-    cluster is certified by its invariance residual, at
-    ``10 residual_tol``.  Input error divided by the gap can exceed
-    that, so a cluster that fails is merged with its neighbour across
-    the smaller gap and certified again; the whole space always passes.
-    A cluster that holds several twists costs only time.  Clusters are
-    returned by descending value.
+    cluster is certified by its invariance residual, at ``check_tol``.
+    Input error divided by the gap can exceed that, so a cluster that
+    fails is merged with its neighbour across the smaller gap and
+    certified again; the whole space always passes.  A cluster that
+    holds several twists costs only time.  Clusters are returned by
+    descending value.
 
     A pair with an identity or negated identity side is one cluster, the
     whole space; one :func:`find_block` call takes all its lines or planes.
@@ -307,7 +309,7 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     i = 0
     while i < len(groups):
         resid = invariance_residual(vectors[:, groups[i]], d, e)
-        if resid <= 10 * tol.residual_tol:
+        if resid <= tol.check_tol:
             i += 1
             continue
         if len(groups) == 1:
@@ -331,7 +333,7 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> None:
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
     for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
-        resid = max_abs(r.matrix.T @ r.matrix - np.eye(d.dim))
+        resid = orthonormality_residual(r.matrix)
         if not resid <= tol.residual_tol:
             raise NotOrthogonalPair(
                 f"{name} operator orthogonality residual {resid:.3e}"
@@ -400,7 +402,7 @@ def decompose(d: Rotation, e: Rotation,
                                            Rotation(b.d_restricted, d.angle),
                                            Rotation(b.e_restricted, e.angle))
                           for b in found)
-            comp = orthonormal_complement(np.hstack([b.basis for b in found]), tol=tol)
+            comp = orthonormal_complement(np.hstack([b.basis for b in found]))
             if comp.shape[1] == 0:
                 break
             carrier = carrier @ comp

@@ -8,6 +8,7 @@ decisions against explicit tolerances.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -15,23 +16,34 @@ import numpy as np
 from .errors import DimensionMismatch, NotSymmetric
 
 
+# Every rank decision cuts singular values at RANK_TOL relative to the
+# largest, and the sine floor of the normal form is RANK_TOL absolute.
+RANK_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds used throughout the package.
 
-    ``residual_tol`` bounds equation residuals, ``angle_tol`` compares
-    angles in radians, ``rank_tol`` drives rank decisions relative to
-    the largest singular value.
+    ``residual_tol`` bounds equation residuals of the input and
+    ``angle_tol`` compares angles in radians.  ``check_tol`` is derived,
+    ten times ``residual_tol``: it bounds the residuals of what the
+    package computes from a certified input.
     """
 
     residual_tol: float = 1e-9
     angle_tol: float = 1e-7
-    rank_tol: float = 1e-9
 
     def __post_init__(self):
-        # NaN or infinity would make every ``resid > tol`` check pass
-        if not all(0 < t < np.inf for t in astuple(self)):
+        # bool is an int subclass, but True is no tolerance; NaN or
+        # infinity would make every ``resid > tol`` check pass
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                   and 0 < t < np.inf for t in astuple(self)):
             raise ValueError("tolerances must be finite and strictly positive")
+
+    @property
+    def check_tol(self) -> float:
+        return 10 * self.residual_tol
 
 
 DEFAULT_TOL = Tolerance()
@@ -43,6 +55,22 @@ def max_abs(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a)))
+
+
+def orthonormality_residual(X) -> float:
+    """``max_abs(X^T X - I)`` for a real matrix X of columns."""
+    return max_abs(X.T @ X - np.eye(X.shape[1]))
+
+
+def numerical_rank(s) -> int:
+    """Count of the descending singular values ``s`` above ``RANK_TOL s[0]``.
+
+    0 when ``s[0] <= RANK_TOL``: inputs are unit scale, and pure roundoff
+    must have rank 0 rather than keep every column.
+    """
+    if s.size == 0 or s[0] <= RANK_TOL:
+        return 0
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def block_diag(*blocks) -> np.ndarray:
@@ -72,7 +100,7 @@ def single_linkage(values, gap: float):
     return [np.array(c) for c in clusters]
 
 
-def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Orthonormal basis (as columns) for the span of the given columns.
 
     ``vectors`` is a 2-d array of columns, real or complex; any other
@@ -84,13 +112,7 @@ def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if vectors.shape[1] == 0:
         return vectors
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    # Absolute floor on top of the relative cut: inputs here are always
-    # unit-scale, and a stack of pure roundoff noise must collapse to
-    # rank 0 rather than keep every column.
-    if s.size == 0 or s[0] <= tol.rank_tol:
-        return vectors[:, :0]
-    r = int(np.sum(s > tol.rank_tol * s[0]))
-    return u[:, :r]
+    return u[:, :numerical_rank(s)]
 
 
 def symmetric_eigen(S, tol: Tolerance = DEFAULT_TOL):
@@ -114,7 +136,7 @@ def symmetric_eigen(S, tol: Tolerance = DEFAULT_TOL):
     return w[::-1].copy(), np.ascontiguousarray(V[:, ::-1])
 
 
-def subspace_meet(basis_u, basis_w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def subspace_meet(basis_u, basis_w) -> np.ndarray:
     """Orthonormal basis of the intersection of two subspaces.
 
     Both arguments must be orthonormal column bases over the same
@@ -133,20 +155,11 @@ def subspace_meet(basis_u, basis_w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return U[:, :0]
     stacked = np.hstack([U, -W])
     _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    cols = stacked.shape[1]
-    cutoff = tol.rank_tol * (s[0] if s.size else 1.0)
-    null_vecs = []
-    for i in range(cols):
-        sv = s[i] if i < s.size else 0.0
-        if sv <= cutoff:
-            null_vecs.append(vh[i].conj())
-    if not null_vecs:
-        return U[:, :0]
-    xs = np.column_stack([v[: U.shape[1]] for v in null_vecs])
-    return orthonormalize(U @ xs, tol)
+    xs = vh[numerical_rank(s):, :U.shape[1]].conj().T
+    return orthonormalize(U @ xs) if xs.shape[1] else U[:, :0]
 
 
-def orthonormal_complement(basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_complement(basis) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``span(basis)``.
 
     ``basis`` is a 2-d array of columns; zero columns give the identity.
@@ -157,8 +170,4 @@ def orthonormal_complement(basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if B.shape[1] == 0:
         return np.eye(B.shape[0], dtype=B.dtype)
     u, s, _ = np.linalg.svd(B, full_matrices=True)
-    if s.size == 0 or s[0] <= tol.rank_tol:
-        r = 0
-    else:
-        r = int(np.sum(s > tol.rank_tol * s[0]))
-    return u[:, r:]
+    return u[:, numerical_rank(s):]

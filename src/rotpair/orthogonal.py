@@ -25,8 +25,10 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    RANK_TOL,
     Tolerance,
     max_abs,
+    orthonormality_residual,
     single_linkage,
     symmetric_eigen,
 )
@@ -112,7 +114,7 @@ class Rotation:
 
 
 def _check_orthogonal(M: np.ndarray, tol: Tolerance) -> None:
-    resid = max_abs(M.T @ M - np.eye(M.shape[0]))
+    resid = orthonormality_residual(M)
     if not resid <= tol.residual_tol:
         raise NotOrthogonal(
             f"orthogonality residual {resid:.3e} exceeds {tol.residual_tol:.3e}"
@@ -126,9 +128,9 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     of its eigenspaces ``M`` acts as a rotation with cosine equal to the
     eigenvalue.  Eigenvalues are clustered in angle space at
     ``angle_tol``.  Clusters next to 0 or pi are tried as fixed or
-    negated space first, certified by a direct residual check; a failed
-    certificate falls back to rotation-block extraction, so near-boundary
-    angles still come out as blocks.
+    negated space first, and the residual ``|M E -+ E|`` alone decides,
+    at ``check_tol``; a cluster that fails falls back to rotation-block
+    extraction, so near-boundary angles still come out as blocks.
 
     A rotation cluster with orthonormal basis ``E`` (n x 2m) is split by
     one Hermitian eigensolve.  ``S = E.T @ M @ E`` is orthogonal, and
@@ -139,8 +141,8 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     sin(a) w``; distinct such ``z`` give orthogonal blocks.  Each block
     angle is read off the block's own action, ``atan2(|M u - c u|, c)``
     with ``c = u . M u``.  The split must leave m eigenvalues of H below
-    ``-1e-9`` and m above ``1e-9`` (the sine floor below which a block
-    is too close to 0 or pi to extract).  Within a repeated-angle
+    ``-RANK_TOL`` and m above ``RANK_TOL`` (the sine floor below which a
+    block is too close to 0 or pi to extract).  Within a repeated-angle
     cluster the blocks are not unique; the ones returned are
     deterministic for a given input.
     """
@@ -157,8 +159,8 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
 
     # arccos amplifies eigenvalue noise of order n*eps into angle noise
     # of order sqrt(n*eps) next to the endpoints, so the snap-to-scalar
-    # window must widen to that floor; snaps are certified below and a
-    # failed certificate falls back to block extraction.
+    # window must widen to that floor.  The window only says where the
+    # residual is tried; the residual alone decides.
     snap = max(tol.angle_tol, math.sqrt(1024.0 * n * np.finfo(float).eps))
 
     blocks = []   # (angle, u, w)
@@ -167,26 +169,12 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     for cluster in single_linkage(thetas, tol.angle_tol):
         mean_angle = float(np.mean(thetas[cluster]))
         E = evecs[:, cluster]
-        if mean_angle < snap:
-            resid = max_abs(M @ E - E)
-            if resid <= 10 * tol.residual_tol:
-                fixed.extend(E.T)
-                continue
-            if mean_angle < tol.angle_tol:
-                raise NumericalFailure(
-                    f"fixed-space residual {resid:.3e}; matrix does not act "
-                    "as the identity on its cosine-1 eigenspace"
-                )
-        elif mean_angle > math.pi - snap:
-            resid = max_abs(M @ E + E)
-            if resid <= 10 * tol.residual_tol:
-                negated.extend(E.T)
-                continue
-            if mean_angle > math.pi - tol.angle_tol:
-                raise NumericalFailure(
-                    f"negated-space residual {resid:.3e}; matrix does not act "
-                    "as -identity on its cosine -1 eigenspace"
-                )
+        if mean_angle < snap and max_abs(M @ E - E) <= tol.check_tol:
+            fixed.extend(E.T)
+            continue
+        if mean_angle > math.pi - snap and max_abs(M @ E + E) <= tol.check_tol:
+            negated.extend(E.T)
+            continue
         if E.shape[1] % 2:
             raise NumericalFailure(
                 f"odd-dimensional eigenspace ({E.shape[1]}) at angle "
@@ -195,11 +183,11 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         m = E.shape[1] // 2
         S = E.T @ M @ E
         sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
-        if not (sines[m - 1] < -1e-9 and sines[m] > 1e-9):
+        if not (sines[m - 1] < -RANK_TOL and sines[m] > RANK_TOL):
             raise NumericalFailure(
                 f"block angle too close to 0 or pi to extract: the skew part "
                 f"of the {2 * m}-dim eigenspace at angle {mean_angle:.6f} "
-                f"does not split {m}/{m} beyond the sine floor 1e-9 "
+                f"does not split {m}/{m} beyond the sine floor {RANK_TOL:g} "
                 f"(middle eigenvalues {sines[m - 1]:.3e}, {sines[m]:.3e})"
             )
         U = math.sqrt(2.0) * (E @ Z[:, m:].real)
@@ -207,16 +195,11 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         MU = M @ U
         cos = np.einsum("ij,ij->j", U, MU)
         sin = np.linalg.norm(MU - cos * U, axis=0)
-        for a, u, w in zip(np.arctan2(sin, cos), U.T, W.T):
-            blocks.append((float(a), u, w))
+        blocks.extend(zip(np.arctan2(sin, cos).tolist(), U.T, W.T))
 
     blocks.sort(key=lambda t: t[0])
-    cols = []
-    for _, u, w in blocks:
-        cols.extend([u, w])
-    cols.extend(fixed)
-    cols.extend(negated)
-    basis = np.column_stack(cols)
+    basis = np.column_stack([c for _, u, w in blocks for c in (u, w)]
+                            + fixed + negated)
     nf = NormalForm(
         angles=tuple(a for a, _, _ in blocks),
         fix_dim=len(fixed),
@@ -224,7 +207,7 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         basis=basis,
     )
     resid = max_abs(basis.T @ M @ basis - nf.block_matrix())
-    if resid > 10 * tol.residual_tol:
+    if resid > tol.check_tol:
         raise NumericalFailure(f"normal-form residual {resid:.3e}")
     return nf
 

@@ -37,7 +37,8 @@ from .errors import (
     NotOrthogonal,
     NotProper,
 )
-from .linalg import DEFAULT_TOL, Tolerance, block_diag, max_abs
+from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag,
+                     orthonormality_residual)
 from .orthogonal import (
     NormalForm,
     Rotation,
@@ -177,7 +178,7 @@ def pair_from_json_dict(obj: dict, tol: Tolerance = DEFAULT_TOL) -> PairDocument
     delta = _matrix_from_json(obj["delta"], "delta", n)
     epsilon = _matrix_from_json(obj["epsilon"], "epsilon", n)
     for name, M in (("delta", delta), ("epsilon", epsilon)):
-        resid = max_abs(M.T @ M - np.eye(n))
+        resid = orthonormality_residual(M)
         if resid > tol.residual_tol:
             raise NotOrthogonal(
                 f"{name}: orthogonality residual {resid:.3e} exceeds "
@@ -258,7 +259,7 @@ def build_report(d: Rotation, e: Rotation,
         tolerances={
             "residual_tol": tol.residual_tol,
             "angle_tol": tol.angle_tol,
-            "rank_tol": tol.rank_tol,
+            "rank_tol": RANK_TOL,
         },
         delta_normal_form=_normal_form_dict(normal_form_of(d, tol)),
         epsilon_normal_form=_normal_form_dict(normal_form_of(e, tol)),
@@ -390,14 +391,12 @@ def oracle_two_plane_search(d: Rotation, e: Rotation, samples: int = 10000,
         sing = np.linalg.svd(stacks, compute_uv=False)
         padded = np.zeros((cols, 4))
         padded[:, : sing.shape[1]] = sing
-        ok = (padded[:, 2] <= tol.rank_tol * padded[:, 0]) & (
-            padded[:, 3] <= tol.rank_tol * padded[:, 0]
-        )
-        for i in np.nonzero(ok)[0]:
+        # rank at most 2: the singular values descend, so padded[:, 3] follows
+        for i in np.nonzero(padded[:, 2] <= RANK_TOL * padded[:, 0])[0]:
             v = vectors[:, i]
             plane = np.column_stack([v, dm @ v])
             q, _ = np.linalg.qr(plane)
-            if invariance_residual(q, d, e) <= 10 * tol.residual_tol:
+            if invariance_residual(q, d, e) <= tol.check_tol:
                 return v
         return None
 

@@ -221,6 +221,18 @@ class TestGenerate:
         run(capsys, "generate", "--spec", self.SPEC, "--seed", "7", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_angle_next_to_zero(self, capsys, tmp_path):
+        # 5e-8 lies inside the snap window; the side must still come out
+        # proper, not as a failed identity
+        path = str(tmp_path / "p.json")
+        spec = '[{"family": "dim2_right_scalar", "alpha": 5e-8, "s": 1}]'
+        rc, _, err = run(capsys, "generate", "--spec", spec, "--seed", "3",
+                         "-o", path)
+        assert (rc, err) == (EXIT_OK, "")
+        rc, out, _ = run(capsys, "classify", path, "--format", "json")
+        assert rc == EXIT_OK
+        assert abs(json.loads(out)["label"][0]["alpha"] - 5e-8) <= 1e-15
+
     def test_bad_spec(self, capsys, tmp_path):
         rc, _, err = run(capsys, "generate", "--spec", "[{]",
                          "-o", str(tmp_path / "x.json"))

@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,68 @@ def test_every_exported_name_has_a_caller():
     trees.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     init = ast.parse((SRC / "__init__.py").read_text())
     assert exported_names_unused(init, trees) == []
+
+
+def scattered_thresholds(tree: ast.Module) -> list:
+    """Threshold rules written out in place rather than named in ``linalg``.
+
+    These are float literals in (0, 1e-3), products of a number with a
+    ``residual_tol`` attribute, and ``rank_tol`` attributes.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and type(node.value) is float
+                and 0 < node.value < 1e-3):
+            found.append(f"literal {node.value!r} (line {node.lineno})")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if (any(isinstance(x, ast.Constant) for x in sides)
+                    and any(isinstance(x, ast.Attribute) and x.attr == "residual_tol"
+                            for x in sides)):
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "rank_tol":
+            found.append(f"rank_tol (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "linalg.py"}),
+                         ids=lambda p: p.name)
+def test_thresholds_are_defined_in_linalg(path):
+    assert scattered_thresholds(ast.parse(path.read_text())) == []
+
+
+def test_scattered_thresholds_are_found():
+    tree = ast.parse("a = 1e-9\nb = 10 * tol.residual_tol\nc = tol.rank_tol\n"
+                     "d = 0.5 * x + 2 * y.angle_tol + tol.residual_tol * z\n")
+    assert scattered_thresholds(tree) == [
+        "literal 1e-09 (line 1)",
+        "10 * tol.residual_tol (line 2)",
+        "rank_tol (line 3)",
+    ]
+
+
+def tolerance_keywords(tree: ast.Module) -> dict:
+    """Keyword -> source of every argument of the ``Tolerance(...)`` calls."""
+    return {kw.arg: ast.unparse(kw.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Tolerance" for kw in node.keywords}
+
+
+def test_every_tolerance_field_has_a_cli_flag():
+    """Each field of ``Tolerance`` is set from a CLI option with its default.
+
+    A field that no caller sets is a knob nobody can turn; it belongs in
+    ``linalg`` as a named constant instead.
+    """
+    from rotpair import DEFAULT_TOL, Tolerance
+    from rotpair.cli import build_parser
+
+    keywords = tolerance_keywords(ast.parse((SRC / "cli.py").read_text()))
+    assert sorted(keywords) == sorted(f.name for f in fields(Tolerance))
+    defaults = build_parser().parse_args(["check", "pair.json"])
+    for name, source in keywords.items():
+        assert source.startswith("args."), source
+        assert getattr(defaults, source[len("args."):]) == getattr(DEFAULT_TOL, name)
 
 
 FAILING_PROPERTY = """

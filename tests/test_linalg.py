@@ -13,7 +13,12 @@ from rotpair import (
     subspace_meet,
     symmetric_eigen,
 )
-from rotpair.linalg import block_diag
+from rotpair.linalg import (
+    RANK_TOL,
+    block_diag,
+    numerical_rank,
+    orthonormality_residual,
+)
 
 
 class TestTolerance:
@@ -21,19 +26,42 @@ class TestTolerance:
         tol = Tolerance()
         assert tol.residual_tol == 1e-9
         assert tol.angle_tol == 1e-7
-        assert tol.rank_tol == 1e-9
+        assert tol.check_tol == 1e-8
+        assert RANK_TOL == 1e-9
 
     @pytest.mark.parametrize("kwargs", [
         {"residual_tol": 0.0},
         {"angle_tol": -1e-9},
-        {"rank_tol": 0.0},
+        {"residual_tol": -1e-9},
         {"residual_tol": float("nan")},
         {"angle_tol": float("inf")},
-        {"rank_tol": float("nan")},
+        {"angle_tol": float("nan")},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"residual_tol": True},
+        {"angle_tol": True},
+        {"angle_tol": "x"},
+        {"residual_tol": "1e-9"},
+        {"residual_tol": None},
+    ])
+    def test_rejects_non_numbers(self, kwargs):
+        with pytest.raises(ValueError):
+            Tolerance(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        assert Tolerance(residual_tol=np.float64(1e-8)).check_tol == 1e-7
+
+    def test_check_tol_is_derived(self):
+        tol = Tolerance(residual_tol=2e-9)
+        assert tol.check_tol == 2e-8
+        with pytest.raises(TypeError):
+            Tolerance(check_tol=1e-8)
+        with pytest.raises(AttributeError):
+            tol.check_tol = 1e-8
 
 
 class TestBlockDiag:
@@ -195,3 +223,27 @@ class TestOrthonormalComplement:
     def test_empty_input_gives_identity(self):
         out = orthonormal_complement(np.zeros((3, 0)))
         assert out.shape == (3, 3)
+
+
+class TestNumericalRank:
+    @pytest.mark.parametrize("s, rank", [
+        ([3.0, 2.0, 1.0], 3),
+        ([1.0, 1e-9, 0.0], 1),
+        ([1.0, 1.1e-9], 2),
+        ([2e-9, 1e-9], 2),
+        ([1e-9, 1e-9], 0),
+        ([0.0, 0.0], 0),
+        ([], 0),
+    ])
+    def test_relative_cut_with_absolute_floor(self, s, rank):
+        assert numerical_rank(np.array(s)) == rank
+
+
+class TestOrthonormalityResidual:
+    def test_orthonormal_columns(self):
+        Q = rand_orthogonal(5, np.random.default_rng(7))[:, :3]
+        assert orthonormality_residual(Q) <= 1e-14
+
+    def test_reads_entrywise_max(self):
+        X = np.diag([1.0, 1.5, 1.0])[:, :2]
+        assert orthonormality_residual(X) == 1.25

@@ -19,6 +19,7 @@ from rotpair import (
     RotationKind,
     as_rotation,
     generate_pair,
+    generate_rotation,
     max_abs,
     orthogonal_normal_form,
     rho,
@@ -191,6 +192,17 @@ class TestAsRotation:
                 r = as_rotation(noisy)
                 assert r.kind is RotationKind.PROPER
                 assert abs(r.angle - angle) <= DEFAULT_TOL.angle_tol
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 24, 96])
+    @pytest.mark.parametrize("gap", [5e-8, 1e-7, 2e-7])
+    def test_angle_next_to_boundary_is_proper(self, n, gap):
+        # Inside the snap window but not +-I: the residual alone decides,
+        # and block extraction reads the true angle.
+        for a in (gap, np.pi - gap):
+            for seed in range(3):
+                r = generate_rotation(n, a, seed)
+                assert r.kind is RotationKind.PROPER
+                assert abs(r.angle - a) <= 1e-12
 
     def test_inner_product_is_constant(self):
         rng = np.random.default_rng(2)
