@@ -83,7 +83,6 @@ from .orthogonal import (
 )
 from .workbench import (
     PairDocument,
-    ReportDocument,
     build_report,
     form_from_dict,
     form_to_dict,

@@ -45,11 +45,18 @@ from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, max_abs,
 from .orthogonal import Rotation, RotationKind, as_rotation, rho, rot2
 
 
+# The one declaration of the form schema: each class's ``family`` is its
+# JSON name, and every field holds a sign in {-1, 1} or an angle in (0, pi).
+SIGN_FIELDS = ("r", "s")
+ANGLE_FIELDS = ("alpha", "beta", "theta")
+
+
 @dataclass(frozen=True)
 class Dim1:
     r: int
     s: int
     dim = 1
+    family = "dim1"
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,7 @@ class Dim2LeftScalar:
     r: int
     beta: float
     dim = 2
+    family = "dim2_left_scalar"
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,7 @@ class Dim2RightScalar:
     alpha: float
     s: int
     dim = 2
+    family = "dim2_right_scalar"
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,7 @@ class Dim2Proper:
     beta: float
     r: int
     dim = 2
+    family = "dim2_proper"
 
 
 @dataclass(frozen=True)
@@ -80,20 +90,17 @@ class Dim4:
     beta: float
     theta: float
     dim = 4
+    family = "dim4"
 
 
-_FAMILY_ORDER = (Dim1, Dim2LeftScalar, Dim2RightScalar, Dim2Proper, Dim4)
+FAMILIES = (Dim1, Dim2LeftScalar, Dim2RightScalar, Dim2Proper, Dim4)
 
 
 def _sort_key(form):
-    vals = {"r": 0.0, "s": 0.0, "alpha": 0.0, "beta": 0.0, "theta": 0.0}
-    for name in vals:
-        if hasattr(form, name):
-            vals[name] = float(getattr(form, name))
-    return (
-        _FAMILY_ORDER.index(type(form)),
-        vals["r"], vals["s"], vals["alpha"], vals["beta"], vals["theta"],
-    )
+    key = [FAMILIES.index(type(form))]
+    for name in SIGN_FIELDS + ANGLE_FIELDS:
+        key.append(float(getattr(form, name, 0.0)))
+    return tuple(key)
 
 
 @dataclass(frozen=True)
@@ -225,32 +232,23 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
 
 def realize(form) -> tuple:
     """Matrix pair realizing a canonical form, in its standard basis."""
+    if not isinstance(form, FAMILIES):
+        raise BadParameter(f"unknown canonical form {form!r}")
+    p = {}
+    for name in form.__dataclass_fields__:
+        check = _check_sign if name in SIGN_FIELDS else _check_angle
+        p[name] = check(getattr(form, name), name)
     if isinstance(form, Dim1):
-        r = _check_sign(form.r, "r")
-        s = _check_sign(form.s, "s")
-        return np.array([[float(r)]]), np.array([[float(s)]])
+        return np.array([[float(p["r"])]]), np.array([[float(p["s"])]])
     if isinstance(form, Dim2LeftScalar):
-        r = _check_sign(form.r, "r")
-        beta = _check_angle(form.beta, "beta")
-        return r * np.eye(2), rot2(beta)
+        return p["r"] * np.eye(2), rot2(p["beta"])
     if isinstance(form, Dim2RightScalar):
-        alpha = _check_angle(form.alpha, "alpha")
-        s = _check_sign(form.s, "s")
-        return rot2(alpha), s * np.eye(2)
+        return rot2(p["alpha"]), p["s"] * np.eye(2)
     if isinstance(form, Dim2Proper):
-        alpha = _check_angle(form.alpha, "alpha")
-        beta = _check_angle(form.beta, "beta")
-        r = _check_sign(form.r, "r")
-        return rot2(alpha), rot2(r * beta)
-    if isinstance(form, Dim4):
-        alpha = _check_angle(form.alpha, "alpha")
-        beta = _check_angle(form.beta, "beta")
-        theta = _check_angle(form.theta, "theta")
-        left = block_diag(rot2(alpha), rot2(alpha))
-        twist = t_theta(theta)
-        right = twist @ block_diag(rot2(beta), rot2(beta)) @ twist.T
-        return left, right
-    raise BadParameter(f"unknown canonical form {form!r}")
+        return rot2(p["alpha"]), rot2(p["r"] * p["beta"])
+    left = block_diag(rot2(p["alpha"]), rot2(p["alpha"]))
+    twist = t_theta(p["theta"])
+    return left, twist @ block_diag(rot2(p["beta"]), rot2(p["beta"])) @ twist.T
 
 
 def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLabel:
@@ -276,13 +274,12 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
 def _forms_equal(f1, f2, angle_tol: float) -> bool:
     if type(f1) is not type(f2):
         return False
-    for name in ("r", "s"):
+    for name in SIGN_FIELDS:
         if hasattr(f1, name) and getattr(f1, name) != getattr(f2, name):
             return False
-    for name in ("alpha", "beta", "theta"):
-        if hasattr(f1, name):
-            if abs(getattr(f1, name) - getattr(f2, name)) > angle_tol:
-                return False
+    for name in ANGLE_FIELDS:
+        if hasattr(f1, name) and abs(getattr(f1, name) - getattr(f2, name)) > angle_tol:
+            return False
     return True
 
 
@@ -337,8 +334,10 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     between irreducible pairs scales every vector by one factor; the
     returned ``phi / mu`` is orthogonal and intertwines the same way.
     The singular values of phi span the exact range of |phi v| on the unit sphere.
-    A phi with a NaN or infinite entry raises ``NotIntertwiner``.  A
-    side that carries its normal form is not certified again.
+    Residuals and stretch are judged relative to phi's size, so phi may
+    have any scale.  A phi with a NaN or infinite entry raises
+    ``NotIntertwiner``.  A side that carries its normal form is not
+    certified again.
     """
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
@@ -357,17 +356,17 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
             raise NotIrreducible("pair is reducible")
     r1 = max_abs(phi @ d.matrix - d2.matrix @ phi)
     r2 = max_abs(phi @ e.matrix - e2.matrix @ phi)
-    if max(r1, r2) > tol.residual_tol * max(1.0, max_abs(phi)):
+    if max(r1, r2) > tol.residual_tol * max_abs(phi):
         raise NotIntertwiner(
             f"intertwining residuals ({r1:.3e}, {r2:.3e}) too large"
         )
     sing = np.linalg.svd(phi, compute_uv=False)
     if sing[-1] <= RANK_TOL * sing[0]:
         raise NotIntertwiner("map is singular")
-    spread = float(sing[0] - sing[-1])
+    spread = float(sing[0] - sing[-1]) / sing[0]
     if spread > tol.check_tol:
         raise ScaleNotConstant(
-            f"stretch varies by {spread:.3e} over the unit sphere"
+            f"stretch varies by {spread:.3e} of its largest over the unit sphere"
         )
     out = phi / float(sing.mean())
     resid = orthonormality_residual(out)

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .classify import isomorphic
+from .classify import ANGLE_FIELDS, SIGN_FIELDS, isomorphic
 from .errors import BadParameter, RotPairError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerance
 from .orthogonal import as_rotation, orthogonal_normal_form
@@ -79,7 +79,7 @@ def _cmd_normal_form(args, tol: Tolerance):
 
 def _cmd_decompose(args, tol: Tolerance):
     _, d, e = _load_rotations(args.file, tol)
-    payload = build_report(d, e, tol).to_json_dict()
+    payload = build_report(d, e, tol)
     del payload["label"]
     return EXIT_OK, payload, [
         f"block {i + 1}: dim {b['dim']}, residual {b['invariance_residual']:.3e}"
@@ -89,10 +89,10 @@ def _cmd_decompose(args, tol: Tolerance):
 
 def _cmd_classify(args, tol: Tolerance):
     _, d, e = _load_rotations(args.file, tol)
-    payload = build_report(d, e, tol).to_json_dict()
-    keys = ("r", "s", "alpha", "beta", "theta")
+    payload = build_report(d, e, tol)
     return EXIT_OK, payload, [
-        "  ".join([f["family"]] + [f"{k}={f[k]:.12g}" for k in keys if k in f])
+        "  ".join([f["family"]] + [f"{k}={f[k]:.12g}"
+                                   for k in SIGN_FIELDS + ANGLE_FIELDS if k in f])
         for f in payload["label"]
     ]
 

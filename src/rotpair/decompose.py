@@ -327,8 +327,9 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> None:
 
     Each side's orthogonality residual must be within ``residual_tol``
     (``NotOrthogonalPair``), and a side built without
-    :func:`as_rotation` is certified, its claimed angle more than
-    ``angle_tol`` off raising ``NumericalFailure`` with the margin.
+    :func:`as_rotation` is certified: a claimed angle more than
+    ``angle_tol`` off, or a claimed kind (``+-I`` or proper) that differs
+    from the certified one, raises ``NumericalFailure`` with the margin.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
@@ -339,13 +340,18 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> None:
                 f"{name} operator orthogonality residual {resid:.3e}"
             )
         if r.normal_form is None:
-            certified = as_rotation(r.matrix, tol).angle
-            gap = abs(certified - r.angle)
+            certified = as_rotation(r.matrix, tol)
+            gap = abs(certified.angle - r.angle)
             if gap > tol.angle_tol:
                 raise NumericalFailure(
                     f"{angle_name} {r.angle!r} claimed for the {name} operator "
-                    f"differs from its certified {certified!r} by {gap:.3e}, "
+                    f"differs from its certified {certified.angle!r} by {gap:.3e}, "
                     f"beyond angle_tol {tol.angle_tol:.3e}"
+                )
+            if certified.kind is not r.kind:
+                raise NumericalFailure(
+                    f"{r.kind.value} claimed for the {name} operator, which certifies "
+                    f"as {certified.kind.value} ({angle_name} gap {gap:.3e})"
                 )
 
 
@@ -378,9 +384,9 @@ def decompose(d: Rotation, e: Rotation,
 
     The pair is certified here, once, by :func:`_certify_pair`: a side
     built without :func:`as_rotation` is certified, and a claimed angle
-    more than ``angle_tol`` off raises ``NumericalFailure`` with the
-    margin.  Each block carries its restrictions as rotations by the
-    pair's angles.
+    more than ``angle_tol`` off, or a claimed kind that differs from the
+    certified one, raises ``NumericalFailure`` with the margin.  Each
+    block carries its restrictions as rotations by the pair's angles.
     """
     _certify_pair(d, e, tol)
     n = d.dim

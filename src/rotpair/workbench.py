@@ -2,11 +2,11 @@
 
 File format: a pair document is a JSON object with a dimension ``n``
 and two row-major ``n`` x ``n`` orthogonal matrices ``delta`` and
-``epsilon``, plus free-form ``metadata``.  Reports bundle the block
-form of both operators, the invariant-block decomposition with
-recomputed residuals, and the canonical label.  Seeds, and the
-oracle's sample count, are non-negative integers; anything else raises
-``BadParameter``.
+``epsilon``, plus free-form ``metadata``.  A report is a JSON-ready
+dict that bundles the block form of both operators, the
+invariant-block decomposition with recomputed residuals, and the
+canonical label.  Seeds, and the oracle's sample count, are
+non-negative integers; anything else raises ``BadParameter``.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import (
+    ANGLE_FIELDS,
+    FAMILIES,
+    SIGN_FIELDS,
     ClassLabel,
-    Dim1,
-    Dim2LeftScalar,
-    Dim2Proper,
-    Dim2RightScalar,
-    Dim4,
     classify_block,
     realize,
 )
@@ -54,35 +52,21 @@ def _sig12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-_FAMILY_NAMES = {
-    Dim1: "dim1",
-    Dim2LeftScalar: "dim2_left_scalar",
-    Dim2RightScalar: "dim2_right_scalar",
-    Dim2Proper: "dim2_proper",
-    Dim4: "dim4",
-}
-
-
 def form_to_dict(form) -> dict:
     """JSON-ready dict for a canonical form; angles at 12 significant digits."""
-    if type(form) not in _FAMILY_NAMES:
+    if type(form) not in FAMILIES:
         raise BadParameter(f"unknown canonical form {form!r}")
-    out = {"family": _FAMILY_NAMES[type(form)]}
-    for name in ("r", "s"):
-        if hasattr(form, name):
-            out[name] = int(getattr(form, name))
-    for name in ("alpha", "beta", "theta"):
-        if hasattr(form, name):
-            out[name] = _sig12(getattr(form, name))
-    return out
+    # key order shows in unsorted JSON: signs before angles, as declared
+    return {"family": form.family,
+            **{f: int(getattr(form, f)) for f in SIGN_FIELDS if hasattr(form, f)},
+            **{f: _sig12(getattr(form, f)) for f in ANGLE_FIELDS if hasattr(form, f)}}
 
 
 def form_from_dict(obj: dict):
     """Inverse of :func:`form_to_dict`."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise BadParameter(f"canonical form must be an object with a family: {obj!r}")
-    by_name = {v: k for k, v in _FAMILY_NAMES.items()}
-    cls = by_name.get(obj["family"])
+    cls = next((c for c in FAMILIES if c.family == obj["family"]), None)
     if cls is None:
         raise BadParameter(f"unknown family {obj['family']!r}")
     kwargs = {}
@@ -91,12 +75,11 @@ def form_from_dict(obj: dict):
             raise BadParameter(f"family {obj['family']!r} needs field {f!r}")
         value = obj[f]
         # exact types: JSON true loads as a bool, which Python counts as an int
-        if f in ("r", "s"):
-            if type(value) is not int or value not in (-1, 1):
-                raise BadParameter(f"{f} must be the integer +1 or -1, got {value!r}")
-        elif type(value) not in (int, float):
+        if f in SIGN_FIELDS and (type(value) is not int or value not in (-1, 1)):
+            raise BadParameter(f"{f} must be the integer +1 or -1, got {value!r}")
+        if f in ANGLE_FIELDS and type(value) not in (int, float):
             raise BadParameter(f"{f} must be a number, got {value!r}")
-        kwargs[f] = value if f in ("r", "s") else float(value)
+        kwargs[f] = value if f in SIGN_FIELDS else float(value)
     extra = set(obj) - set(cls.__dataclass_fields__) - {"family"}
     if extra:
         raise BadParameter(f"unexpected fields {sorted(extra)} for {obj['family']!r}")
@@ -208,31 +191,8 @@ def _normal_form_dict(nf: NormalForm) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """Full analysis of one pair, ready for serialization."""
-
-    n: int
-    tolerances: dict
-    delta_normal_form: dict
-    epsilon_normal_form: dict
-    blocks: tuple
-    label: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tolerances": dict(self.tolerances),
-            "delta_normal_form": self.delta_normal_form,
-            "epsilon_normal_form": self.epsilon_normal_form,
-            "blocks": [dict(b) for b in self.blocks],
-            "label": [dict(f) for f in self.label],
-        }
-
-
-def build_report(d: Rotation, e: Rotation,
-                 tol: Tolerance = DEFAULT_TOL) -> ReportDocument:
-    """Decompose, classify, and package the results.
+def build_report(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """Decompose and classify a pair; the report as a JSON-ready dict.
 
     Residuals in the report are recomputed from the returned bases, not
     read back from intermediate state.  The two normal forms are the
@@ -240,32 +200,27 @@ def build_report(d: Rotation, e: Rotation,
     rotation built without :func:`as_rotation` gets one computed here.
     """
     dec = decompose(d, e, tol)
-    blocks = []
-    forms = []
-    for b in dec.blocks:
-        form = classify_block(b, tol)
-        forms.append(form)
-        blocks.append({
-            "dim": b.dim,
-            "basis": [[float(x) for x in row] for row in b.basis],
-            "d_restricted": [[float(x) for x in row] for row in b.d_restricted],
-            "e_restricted": [[float(x) for x in row] for row in b.e_restricted],
-            "invariance_residual": float(invariance_residual(b.basis, d, e)),
-            "form": form_to_dict(form),
-        })
-    label = ClassLabel(forms=tuple(forms))
-    return ReportDocument(
-        n=d.dim,
-        tolerances={
+    forms = [classify_block(b, tol) for b in dec.blocks]
+    blocks = [{
+        "dim": b.dim,
+        "basis": [[float(x) for x in row] for row in b.basis],
+        "d_restricted": [[float(x) for x in row] for row in b.d_restricted],
+        "e_restricted": [[float(x) for x in row] for row in b.e_restricted],
+        "invariance_residual": float(invariance_residual(b.basis, d, e)),
+        "form": form_to_dict(form),
+    } for b, form in zip(dec.blocks, forms)]
+    return {
+        "n": d.dim,
+        "tolerances": {
             "residual_tol": tol.residual_tol,
             "angle_tol": tol.angle_tol,
             "rank_tol": RANK_TOL,
         },
-        delta_normal_form=_normal_form_dict(normal_form_of(d, tol)),
-        epsilon_normal_form=_normal_form_dict(normal_form_of(e, tol)),
-        blocks=tuple(blocks),
-        label=tuple(label_to_list(label)),
-    )
+        "delta_normal_form": _normal_form_dict(normal_form_of(d, tol)),
+        "epsilon_normal_form": _normal_form_dict(normal_form_of(e, tol)),
+        "blocks": blocks,
+        "label": label_to_list(ClassLabel(forms=tuple(forms))),
+    }
 
 
 def _check_count(value, name: str) -> int:

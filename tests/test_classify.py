@@ -328,6 +328,14 @@ class TestClassify:
         off = dataclasses.replace(d, angle=d.angle + 1e-6)
         with pytest.raises(NumericalFailure, match=r"alpha .* by 1\.000e-06"):
             classify(off, e)
+        # a claimed kind is certified too, even when the angle is within angle_tol
+        doc = generate_pair([Dim2RightScalar(alpha=1.0, s=1)] * 2, seed=3)
+        with pytest.raises(NumericalFailure, match=r"proper .* certifies as "
+                                                   r"identity \(beta gap 1\.000e-08\)"):
+            classify(as_rotation(doc.delta), Rotation(doc.epsilon, 1e-8))
+        with pytest.raises(NumericalFailure,
+                           match=r"proper .* certifies as neg_identity \(alpha gap"):
+            classify(Rotation(-np.eye(4), math.pi - 1e-8), Rotation(np.eye(4), 0.0))
 
     def test_pair_certified_once(self, monkeypatch):
         spec = [Dim2Proper(alpha=0.5, beta=1.2, r=1),
@@ -342,7 +350,7 @@ class TestClassify:
         report = build_report(d, e)
         assert sizes == []
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
-        assert len(report.label) == len(spec)
+        assert len(report["label"]) == len(spec)
 
     def test_label_sorts_on_construction(self):
         canonical = (
@@ -657,6 +665,20 @@ class TestOrthogonalizeIntertwiner:
         phi, Q, pair1, pair2 = self.scaled_conjugation(form, scale, seed=30)
         out = orthogonalize_intertwiner(phi, pair1, pair2)
         assert max_abs(out - Q) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_any_scale(self, scale):
+        phi, Q, pair1, pair2 = self.scaled_conjugation(
+            Dim4(alpha=0.5, beta=1.2, theta=0.8), scale, seed=32)
+        assert max_abs(orthogonalize_intertwiner(phi, pair1, pair2) - Q) <= 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0])
+    def test_rejects_scaled_non_intertwiner(self, scale):
+        _, _, pair1, _ = self.scaled_conjugation(
+            Dim4(alpha=0.5, beta=1.2, theta=0.8), 1.0, seed=33)
+        phi = scale * np.random.default_rng(33).standard_normal((4, 4))
+        with pytest.raises(NotIntertwiner, match="intertwining residuals"):
+            orthogonalize_intertwiner(phi, pair1, pair1)
 
     def test_certified_pairs_take_no_normal_form(self, monkeypatch):
         phi, Q, pair1, pair2 = self.scaled_conjugation(

@@ -39,7 +39,7 @@ from rotpair import (
     unrho,
 )
 from rotpair.decompose import _twist_clusters, invariance_residual
-from rotpair.linalg import DEFAULT_TOL, block_diag
+from rotpair.linalg import DEFAULT_TOL, block_diag, single_linkage
 
 
 def proper(M):
@@ -439,6 +439,35 @@ class TestTwistClusters:
         for b in dec.blocks:
             assert invariance_residual(b.basis, d, e) <= 1e-9
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_close_twists_merge(self, seed):
+        """Two twists 3e-6 apart group apart, fail invariance, and merge.
+
+        With noise of 5e-10 on both sides the two 4-dimensional groups
+        are resolved only to the noise over the gap, which fails
+        ``check_tol``; they merge into one cluster that passes, and the
+        peel loop inside it still finds both twists.
+        """
+        spec = [Dim4(1.0, 2.0, 1.0), Dim4(1.0, 2.0, 1.0 + 3e-6)]
+        doc = generate_pair(spec, seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        d, e = (as_rotation(polar(M + 5e-10 * rng.standard_normal(M.shape)))
+                for M in (doc.delta, doc.epsilon))
+        G = d.matrix.T @ e.matrix
+        groups = single_linkage(np.linalg.eigvalsh((G + G.T) / 2.0),
+                                8 * np.finfo(float).eps / DEFAULT_TOL.residual_tol)
+        clusters = _twist_clusters(d, e, DEFAULT_TOL)
+        assert len(clusters) < len(groups)
+        for c in clusters:
+            assert invariance_residual(c, d, e) <= DEFAULT_TOL.check_tol
+        assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+
+def polar(M):
+    """Nearest orthogonal matrix: the polar factor of M."""
+    u, _, vt = np.linalg.svd(M)
+    return u @ vt
 
 
 @st.composite

@@ -139,6 +139,47 @@ def test_scattered_thresholds_are_found():
     ]
 
 
+def schema_literals(tree: ast.Module, families, fields) -> list:
+    """Canonical-form schema written out in place rather than read from ``classify``.
+
+    These are string literals equal to a family name, and tuple or list
+    literals made only of field names.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in families:
+            found.append((node.lineno, node.col_offset, f"family {node.value!r}"))
+        elif (isinstance(node, (ast.Tuple, ast.List)) and node.elts
+              and all(isinstance(x, ast.Constant) and x.value in fields
+                      for x in node.elts)):
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{text} (line {line})" for line, _, text in sorted(found)]
+
+
+def schema_names():
+    from rotpair.classify import ANGLE_FIELDS, FAMILIES, SIGN_FIELDS
+
+    return {cls.family for cls in FAMILIES}, set(SIGN_FIELDS + ANGLE_FIELDS)
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "classify.py"}),
+                         ids=lambda p: p.name)
+def test_schema_is_declared_in_classify(path):
+    assert schema_literals(ast.parse(path.read_text()), *schema_names()) == []
+
+
+def test_schema_literals_are_found():
+    tree = ast.parse('names = {Dim1: "dim1", Dim4: "dim4"}\nkeys = ("r", "s")\n'
+                     'angles = ["alpha", "beta", "theta"]\n'
+                     'ok = ("first", "alpha", d), "r", (), f"{name}"\n')
+    assert schema_literals(tree, *schema_names()) == [
+        "family 'dim1' (line 1)",
+        "family 'dim4' (line 1)",
+        "('r', 's') (line 2)",
+        "['alpha', 'beta', 'theta'] (line 3)",
+    ]
+
+
 def tolerance_keywords(tree: ast.Module) -> dict:
     """Keyword -> source of every argument of the ``Tolerance(...)`` calls."""
     return {kw.arg: ast.unparse(kw.value) for node in ast.walk(tree)

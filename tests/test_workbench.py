@@ -189,22 +189,22 @@ class TestBuildReport:
         doc = generate_pair(spec, seed=7)
         d, e = pair_rotations(doc)
         report = build_report(d, e)
-        assert report.n == 6
-        assert sorted(b["dim"] for b in report.blocks) == [2, 4]
-        for b in report.blocks:
+        assert report["n"] == 6
+        assert sorted(b["dim"] for b in report["blocks"]) == [2, 4]
+        for b in report["blocks"]:
             assert b["invariance_residual"] <= 1e-8
         want = ClassLabel(forms=tuple(spec))
         assert labels_match(
-            ClassLabel(forms=tuple(form_from_dict(f) for f in report.label)),
+            ClassLabel(forms=tuple(form_from_dict(f) for f in report["label"])),
             want,
         )
         # blocks come in extraction order; their forms are the label
         block_forms = sorted(json.dumps(b["form"], sort_keys=True)
-                             for b in report.blocks)
+                             for b in report["blocks"])
         assert block_forms == sorted(json.dumps(f, sort_keys=True)
-                                     for f in report.label)
+                                     for f in report["label"])
         # round trips through json untouched
-        blob = json.dumps(report.to_json_dict(), sort_keys=True)
+        blob = json.dumps(report, sort_keys=True)
         assert json.loads(blob)["n"] == 6
 
     def test_report_reuses_certifying_normal_forms(self, monkeypatch):
@@ -215,8 +215,8 @@ class TestBuildReport:
         sizes = count_normal_forms(monkeypatch)
         report = build_report(d, e)
         assert 6 not in sizes
-        assert (json.dumps(report.to_json_dict(), sort_keys=True)
-                == json.dumps(fresh.to_json_dict(), sort_keys=True))
+        assert (json.dumps(report, sort_keys=True)
+                == json.dumps(fresh, sort_keys=True))
 
     def test_replaced_rotation_gets_fresh_normal_form(self):
         spec = [Dim2Proper(alpha=0.5, beta=1.2, r=-1),
@@ -226,10 +226,10 @@ class TestBuildReport:
         moved_d = dataclasses.replace(d, matrix=Q @ d.matrix @ Q.T)
         moved_e = dataclasses.replace(e, matrix=Q @ e.matrix @ Q.T)
         assert moved_d.normal_form is None and moved_e.normal_form is None
-        report = build_report(moved_d, moved_e).to_json_dict()
+        report = build_report(moved_d, moved_e)
         certified = build_report(as_rotation(moved_d.matrix),
-                                 as_rotation(moved_e.matrix)).to_json_dict()
-        stale = build_report(d, e).to_json_dict()
+                                 as_rotation(moved_e.matrix))
+        stale = build_report(d, e)
         for key in ("delta_normal_form", "epsilon_normal_form"):
             assert report[key] == certified[key]
             assert report[key] != stale[key]
@@ -242,7 +242,7 @@ class TestBuildReport:
             spec = random_compatible_spec(rng)
             doc = generate_pair(spec, seed=int(rng.integers(1 << 31)))
             report = build_report(*pair_rotations(doc))
-            got = [form_from_dict(f) for f in report.label]
+            got = [form_from_dict(f) for f in report["label"]]
             want = [form_from_dict(f) for f in doc.metadata["label"]]
             assert labels_match(ClassLabel(forms=tuple(got)),
                                 ClassLabel(forms=tuple(want)))
