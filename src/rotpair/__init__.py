@@ -9,14 +9,7 @@ forms agree.  This package computes the decomposition, the forms, and
 the isomorphism test, and ships a CLI over JSON pair documents.
 """
 
-from .antilinear import (
-    AntilinearOp,
-    EigenplaneBases,
-    antilinear_invariant_line,
-    build_T,
-    eigenplanes,
-    t_squared,
-)
+from .antilinear import AntilinearOp, antilinear_invariant_line
 from .classify import (
     ClassLabel,
     Dim1,
@@ -37,7 +30,6 @@ from .decompose import (
     InvariantBlock,
     InvariantDecomposition,
     decompose,
-    find_block,
     invariance_residual,
     is_irreducible,
     two_plane_exists,
@@ -46,8 +38,6 @@ from .errors import (
     BadAngle,
     BadDimension,
     BadParameter,
-    DimensionMismatch,
-    IntersectionNonTrivial,
     NotARotation,
     NotConstant,
     NotIntertwiner,
@@ -55,22 +45,13 @@ from .errors import (
     NotOrthogonal,
     NotOrthogonalPair,
     NotProper,
-    NotSymmetric,
     NumericalError,
     NumericalFailure,
     RotPairError,
     ScaleNotConstant,
     ValidationError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    max_abs,
-    orthonormal_complement,
-    orthonormalize,
-    subspace_meet,
-    symmetric_eigen,
-)
+from .linalg import DEFAULT_TOL, Tolerance, max_abs
 from .orthogonal import (
     NormalForm,
     Rotation,

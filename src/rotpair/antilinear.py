@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IntersectionNonTrivial,
-    NotProper,
-    NumericalFailure,
-)
+from .errors import NumericalFailure
 from .linalg import DEFAULT_TOL, RANK_TOL, Tolerance, max_abs, numerical_rank
-from .orthogonal import Rotation, RotationKind
+from .orthogonal import Rotation
 
 
 @dataclass(frozen=True)
@@ -74,15 +69,11 @@ def eigenplanes(d: Rotation, e: Rotation,
                 tol: Tolerance = DEFAULT_TOL) -> EigenplaneBases:
     """Eigenplane bases A, B (from ``d``) and C, D (from ``e``).
 
-    Both rotations must be proper and act on the same even-dimensional
-    space.  The returned bases are orthonormal, with ``B = conj(A)`` and
+    Both rotations are proper and act on the same even-dimensional
+    space, as :func:`~rotpair.decompose.two_plane_exists` checks.  The
+    returned bases are orthonormal, with ``B = conj(A)`` and
     ``D = conj(C)``.
     """
-    for r in (d, e):
-        if r.kind is not RotationKind.PROPER:
-            raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
-    if d.dim != e.dim:
-        raise DimensionMismatch(f"ambient dimensions differ: {d.dim} vs {e.dim}")
     A = _plane_of(d)
     C = _plane_of(e)
     for plane, rot in ((A, d), (C, e)):
@@ -98,36 +89,17 @@ def build_T(planes: EigenplaneBases) -> AntilinearOp:
     In coordinates the operator is ``x -> M conj(x)`` with
     ``M = conj(G_BC @ inv(G_AC))`` where ``G_AC = A^H C`` and
     ``G_BC = B^H C`` are the Gram matrices of the restricted
-    projections.
-
-    The singular values of the Gram matrices are the only overlap test:
-    ``G_BC`` is singular exactly when A meets C, ``G_AC`` when A meets D.
-    M is singular only if ``G_BC`` is, so once that test passes M is
-    invertible and needs no check of its own.
-
-    Raises
-    ------
-    IntersectionNonTrivial
-        If A meets or nearly meets C or D: a Gram matrix has
-        :func:`~rotpair.linalg.numerical_rank` below its size.
-        The exception's ``which`` names the overlap, ``"AC"`` or ``"AD"``.
+    projections; their singular values are the cosines and sines of
+    the principal angles phi between A and C.  So ``G_BC`` is singular
+    exactly when A meets C, and ``G_AC`` when A meets D.  The caller's
+    eigenplane meets are the one overlap rule: they take every phi with
+    ``tan(phi/2) <= RANK_TOL`` as a meet, which covers either Gram
+    matrix falling below full relative rank, so M is invertible here.
     """
     A, B, C = planes.A, planes.B, planes.C
     G_AC = A.conj().T @ C
     G_BC = B.conj().T @ C
-    # A direction of C orthogonal to A lies in B (A and B fill C^n), so a
-    # vanishing singular value of G_AC means C nearly meets B, i.e. D
-    # nearly meets A after conjugating; likewise G_BC signals C meeting A.
-    for G, which in ((G_AC, "AD"), (G_BC, "AC")):
-        s = np.linalg.svd(G, compute_uv=False)
-        if numerical_rank(s) < s.size:
-            raise IntersectionNonTrivial(
-                f"restricted projection nearly singular (sigma_min "
-                f"{s[-1]:.3e}, sigma_max {s[0]:.3e})",
-                which=which,
-            )
-    M = np.conj(G_BC @ np.linalg.inv(G_AC))
-    return AntilinearOp(M=M, basis_a=A)
+    return AntilinearOp(M=np.conj(G_BC @ np.linalg.inv(G_AC)), basis_a=A)
 
 
 def t_squared(T: AntilinearOp) -> np.ndarray:

@@ -41,7 +41,7 @@ from .errors import (
     ScaleNotConstant,
 )
 from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, max_abs,
-                     orthonormality_residual)
+                     orthonormality_residual, real_array)
 from .orthogonal import Rotation, RotationKind, as_rotation, rho, rot2
 
 
@@ -96,8 +96,15 @@ class Dim4:
 FAMILIES = (Dim1, Dim2LeftScalar, Dim2RightScalar, Dim2Proper, Dim4)
 
 
+def _check_form(form):
+    """``form`` itself, if its type is exactly one of the five families."""
+    if type(form) not in FAMILIES:
+        raise BadParameter(f"unknown canonical form {form!r}")
+    return form
+
+
 def _sort_key(form):
-    key = [FAMILIES.index(type(form))]
+    key = [FAMILIES.index(type(_check_form(form)))]
     for name in SIGN_FIELDS + ANGLE_FIELDS:
         key.append(float(getattr(form, name, 0.0)))
     return tuple(key)
@@ -232,8 +239,7 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
 
 def realize(form) -> tuple:
     """Matrix pair realizing a canonical form, in its standard basis."""
-    if not isinstance(form, FAMILIES):
-        raise BadParameter(f"unknown canonical form {form!r}")
+    _check_form(form)
     p = {}
     for name in form.__dataclass_fields__:
         check = _check_sign if name in SIGN_FIELDS else _check_angle
@@ -336,10 +342,11 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     The singular values of phi span the exact range of |phi v| on the unit sphere.
     Residuals and stretch are judged relative to phi's size, so phi may
     have any scale.  A phi with a NaN or infinite entry raises
-    ``NotIntertwiner``.  A side that carries its normal form is not
+    ``NotIntertwiner``, and a phi that holds no real numbers
+    ``BadParameter``.  A side that carries its normal form is not
     certified again.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = real_array(phi, "phi")
     if not np.all(np.isfinite(phi)):
         raise NotIntertwiner("phi has non-finite entries")
     d, e = pair1

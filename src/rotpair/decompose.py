@@ -27,7 +27,7 @@ from .antilinear import (
     eigenplanes,
     t_squared,
 )
-from .errors import NotOrthogonalPair, NumericalFailure
+from .errors import NotOrthogonalPair, NotProper, NumericalFailure
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -130,10 +130,9 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     a plane.  Every meet column and the line's vector lie in A, so each
     plane is read off by :func:`_real_plane` with no factorization;
     callers check the stacked bases for orthonormality.  The two meets
-    are the one overlap decision: they count A as meeting C (or D) when
-    a principal angle phi between them has ``tan(phi/2) <= RANK_TOL``.
-    :func:`build_T`'s Gram test fires only when ``sin(phi) <=
-    RANK_TOL``, a smaller set, so it never fires on this path.
+    are the one overlap rule: they count A as meeting C (or D) when a
+    principal angle phi between them has ``tan(phi/2) <= RANK_TOL``,
+    and :func:`build_T` is reached only when both are trivial.
     """
     planes = eigenplanes(d, e, tol)
     for meet_with in (planes.C, planes.D):
@@ -168,9 +167,15 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     Returns ``(True, basis)`` with an orthonormal witness basis, the
     first plane the search step finds, or ``(False, None)``.  The
     witness is checked orthonormal and invariant under both rotations,
-    at ``check_tol``, before being returned.  A rotation that is
-    not proper raises ``NotProper`` from :func:`eigenplanes`.
+    at ``check_tol``, before being returned.  A rotation that is not
+    proper raises ``NotProper``, and a pair of unequal dimensions
+    ``NotOrthogonalPair``.
     """
+    for r in (d, e):
+        if r.kind is not RotationKind.PROPER:
+            raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
+    if d.dim != e.dim:
+        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
     kind, payload = _planes_or_operator(d, e, tol)
     if kind != "planes":
         return False, None
@@ -225,10 +230,9 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     both eigenplane meets came back empty and the antilinear operator
     had no invariant line, so that no invariant 2-plane exists.  The
     stacked basis is checked once to be orthonormal and invariant, both
-    at ``check_tol``; a failure raises ``NumericalFailure``.
+    at ``check_tol``; a failure raises ``NumericalFailure``.  The pair
+    is one that :func:`decompose` has certified, or a restriction of it.
     """
-    if d.dim != e.dim:
-        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
     n = d.dim
     d_proper = d.kind is RotationKind.PROPER
     e_proper = e.kind is RotationKind.PROPER

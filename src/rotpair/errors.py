@@ -19,14 +19,6 @@ class NumericalError(RotPairError):
     """A computation could not reach the requested accuracy."""
 
 
-class NotSymmetric(ValidationError):
-    """Matrix expected to be symmetric is not."""
-
-
-class DimensionMismatch(ValidationError):
-    """Operands have incompatible shapes or ambient dimensions."""
-
-
 class NotOrthogonal(ValidationError):
     """Matrix fails the orthogonality residual check."""
 
@@ -73,14 +65,3 @@ class ScaleNotConstant(ValidationError):
 
 class NumericalFailure(NumericalError):
     """Internal consistency check failed; carries the offending residual."""
-
-
-class IntersectionNonTrivial(RotPairError):
-    """Eigenplanes overlap, so the antilinear operator is not defined.
-
-    ``which`` is ``"AC"`` or ``"AD"``, naming the overlapping pair.
-    """
-
-    def __init__(self, message, which=None):
-        super().__init__(message)
-        self.which = which

@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymmetric
+from .errors import BadParameter
 
 
 # Every rank decision cuts singular values at RANK_TOL relative to the
@@ -100,74 +100,61 @@ def single_linkage(values, gap: float):
     return [np.array(c) for c in clusters]
 
 
-def orthonormalize(vectors) -> np.ndarray:
+def real_array(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a float array; ``BadParameter`` unless it holds real numbers.
+
+    The dtype is checked before any cast, so complex, boolean, string
+    and ragged input is refused rather than coerced.
+    """
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:
+        raise BadParameter(f"{name} is not a numeric array") from exc
+    if a.dtype.kind not in "iuf":
+        raise BadParameter(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as columns) for the span of the given columns.
 
-    ``vectors`` is a 2-d array of columns, real or complex; any other
-    input raises ``DimensionMismatch``.  Linearly dependent directions
-    are dropped.  An all-zero input yields a matrix with zero columns.
+    ``vectors`` is a 2-d array of columns, real or complex.  Linearly
+    dependent directions are dropped; an all-zero input yields a matrix
+    with zero columns.
     """
-    if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
-        raise DimensionMismatch("expected a 2-d array of columns")
-    if vectors.shape[1] == 0:
-        return vectors
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     return u[:, :numerical_rank(s)]
 
 
-def symmetric_eigen(S, tol: Tolerance = DEFAULT_TOL):
+def symmetric_eigen(S: np.ndarray):
     """Eigendecomposition of a real symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and eigenvectors as matching orthonormal columns.
-
-    Raises
-    ------
-    NotSymmetric
-        If ``S`` deviates from its transpose beyond ``residual_tol``.
+    Only the lower triangle of ``S`` is read.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {S.shape}")
-    asym = max_abs(S - S.T)
-    if asym > tol.residual_tol:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {tol.residual_tol:.3e}")
-    w, V = np.linalg.eigh((S + S.T) / 2.0)
+    w, V = np.linalg.eigh(S)
     return w[::-1].copy(), np.ascontiguousarray(V[:, ::-1])
 
 
-def subspace_meet(basis_u, basis_w) -> np.ndarray:
+def subspace_meet(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the intersection of two subspaces.
 
-    Both arguments must be orthonormal column bases over the same
-    ambient space (real or complex).  The intersection is read off the
+    Both arguments are orthonormal column bases over the same ambient
+    space (real or complex).  The intersection is read off the
     nullspace of the stacked matrix ``[U | -W]``: a nullspace vector
     ``(x, y)`` has ``U x = W y``, which lies in both spans.  Returns a
     matrix with zero columns when the intersection is trivial.
     """
-    U = np.asarray(basis_u)
-    W = np.asarray(basis_w)
-    if U.ndim != 2 or W.ndim != 2 or U.shape[0] != W.shape[0]:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {U.shape} vs {W.shape}"
-        )
-    if U.shape[1] == 0 or W.shape[1] == 0:
-        return U[:, :0]
-    stacked = np.hstack([U, -W])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+    _, s, vh = np.linalg.svd(np.hstack([U, -W]), full_matrices=True)
     xs = vh[numerical_rank(s):, :U.shape[1]].conj().T
     return orthonormalize(U @ xs) if xs.shape[1] else U[:, :0]
 
 
-def orthonormal_complement(basis) -> np.ndarray:
+def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``span(basis)``.
 
     ``basis`` is a 2-d array of columns; zero columns give the identity.
     """
-    B = np.asarray(basis)
-    if B.ndim != 2:
-        raise DimensionMismatch("expected a 2-d array of columns")
-    if B.shape[1] == 0:
-        return np.eye(B.shape[0], dtype=B.dtype)
-    u, s, _ = np.linalg.svd(B, full_matrices=True)
+    u, s, _ = np.linalg.svd(basis, full_matrices=True)
     return u[:, numerical_rank(s):]

@@ -29,6 +29,7 @@ from .linalg import (
     Tolerance,
     max_abs,
     orthonormality_residual,
+    real_array,
     single_linkage,
     symmetric_eigen,
 )
@@ -146,7 +147,7 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     cluster the blocks are not unique; the ones returned are
     deterministic for a given input.
     """
-    M = np.asarray(M, dtype=float)
+    M = real_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
@@ -154,7 +155,7 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         raise BadDimension("zero-dimensional space")
     _check_orthogonal(M, tol)
 
-    evals, evecs = symmetric_eigen((M + M.T) / 2.0, tol)
+    evals, evecs = symmetric_eigen((M + M.T) / 2.0)
     thetas = np.arccos(np.clip(evals, -1.0, 1.0))
 
     # arccos amplifies eigenvalue noise of order n*eps into angle noise
@@ -220,7 +221,7 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     angle is 0 for the identity, pi for the negative, and otherwise the
     mean of the per-block angles (which agree within ``angle_tol``).
     """
-    M = np.asarray(M, dtype=float)
+    M = real_array(M)
     nf = orthogonal_normal_form(M, tol)
     if not nf.angles:
         if nf.fix_dim and nf.neg_dim:

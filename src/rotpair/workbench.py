@@ -23,6 +23,7 @@ from .classify import (
     FAMILIES,
     SIGN_FIELDS,
     ClassLabel,
+    _check_form,
     classify_block,
     realize,
 )
@@ -54,8 +55,7 @@ def _sig12(x: float) -> float:
 
 def form_to_dict(form) -> dict:
     """JSON-ready dict for a canonical form; angles at 12 significant digits."""
-    if type(form) not in FAMILIES:
-        raise BadParameter(f"unknown canonical form {form!r}")
+    _check_form(form)
     # key order shows in unsorted JSON: signs before angles, as declared
     return {"family": form.family,
             **{f: int(getattr(form, f)) for f in SIGN_FIELDS if hasattr(form, f)},
@@ -246,8 +246,9 @@ def generate_rotation(n: int, alpha: float, seed: int,
     equal 2x2 blocks by a random orthogonal matrix.
     """
     seed = _check_count(seed, "seed")
-    if n < 1:
-        raise BadDimension(f"n must be positive, got {n}")
+    # bool is an int subclass, but True is no dimension
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise BadDimension(f"n must be a positive integer, got {n!r}")
     if not (0.0 <= alpha <= math.pi):
         raise BadAngle(f"alpha {alpha!r} outside [0, pi]")
     if alpha == 0.0:

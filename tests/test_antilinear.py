@@ -1,3 +1,5 @@
+import contextlib
+import importlib
 import math
 import warnings
 
@@ -12,21 +14,22 @@ from rotpair import (
     AntilinearOp,
     Dim2Proper,
     Dim4,
-    DimensionMismatch,
-    IntersectionNonTrivial,
+    NotOrthogonalPair,
     NotProper,
     NumericalFailure,
     Rotation,
     antilinear_invariant_line,
     as_rotation,
-    build_T,
-    eigenplanes,
+    classify,
+    generate_pair,
     max_abs,
     realize,
     rot2,
-    t_squared,
+    two_plane_exists,
 )
-from rotpair.linalg import block_diag
+from rotpair.antilinear import build_T, eigenplanes, t_squared
+from rotpair.decompose import find_block, invariance_residual
+from rotpair.linalg import RANK_TOL, block_diag, subspace_meet
 
 
 def proper(M):
@@ -95,44 +98,84 @@ class TestEigenplanes:
         assert max_abs(e.matrix @ pl.C - np.exp(2.1j) * pl.C) <= 1e-9
         assert max_abs(e.matrix @ pl.D - np.exp(-2.1j) * pl.D) <= 1e-9
 
+    # The eigenplane search checks its pair at its public entry,
+    # two_plane_exists; eigenplanes itself takes what that guarantees.
     def test_rejects_non_proper(self):
         ident = Rotation(matrix=np.eye(4), angle=0.0)
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
         with pytest.raises(NotProper):
-            eigenplanes(ident, d)
+            two_plane_exists(ident, d)
         with pytest.raises(NotProper):
-            eigenplanes(d, ident)
+            two_plane_exists(d, ident)
 
     def test_rejects_dimension_mismatch(self):
         d = proper(rot2(0.5))
         e = proper(block_diag(rot2(0.5), rot2(0.5)))
-        with pytest.raises(DimensionMismatch):
-            eigenplanes(d, e)
+        with pytest.raises(NotOrthogonalPair):
+            two_plane_exists(d, e)
+
+
+def assert_meet_case(d, e, which):
+    """The eigenplane meet ``which`` of the pair is where the search stops.
+
+    Overlapping eigenplanes leave the antilinear operator undefined, so
+    the meets must catch them before it is built: ``find_block`` returns
+    one plane per meet column and ``two_plane_exists`` a checked witness.
+    """
+    planes = eigenplanes(d, e)
+    meets = {"AC": subspace_meet(planes.A, planes.C),
+             "AD": subspace_meet(planes.A, planes.D)}
+    assert meets[which].shape[1] > 0
+    assert which == "AC" or meets["AC"].shape[1] == 0
+    blocks = find_block(d, e)
+    assert [b.dim for b in blocks] == [2] * meets[which].shape[1]
+    exists, witness = two_plane_exists(d, e)
+    assert exists
+    assert invariance_residual(witness, d, e) <= 1e-8
+
+
+@contextlib.contextmanager
+def gram_conditions():
+    """``sigma_min / sigma_max`` of both Gram matrices at every ``build_T`` call.
+
+    Each call's operator is also checked to be finite.
+    """
+    module = importlib.import_module("rotpair.decompose")
+    original = module.build_T
+    seen = []
+
+    def checked(planes):
+        for G in (planes.A.conj().T @ planes.C, planes.B.conj().T @ planes.C):
+            s = np.linalg.svd(G, compute_uv=False)
+            seen.append(s[-1] / s[0])
+        T = original(planes)
+        assert np.all(np.isfinite(T.M))
+        return T
+
+    module.build_T = checked
+    try:
+        yield seen
+    finally:
+        module.build_T = original
 
 
 class TestBuildT:
     def test_aligned_same_orientation_overlaps(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
         e = proper(block_diag(rot2(1.1), rot2(1.1)))
-        with pytest.raises(IntersectionNonTrivial) as exc_info:
-            build_T(eigenplanes(d, e))
-        assert exc_info.value.which == "AC"
+        assert_meet_case(d, e, "AC")
 
     def test_aligned_opposite_orientation_overlaps(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
         e = proper(block_diag(rot2(-1.1), rot2(-1.1)))
-        with pytest.raises(IntersectionNonTrivial) as exc_info:
-            build_T(eigenplanes(d, e))
-        assert exc_info.value.which == "AD"
+        assert_meet_case(d, e, "AD")
 
     def test_exact_overlap_in_the_plane(self):
-        # G_BC is exactly zero here; the message must not divide by it
+        # G_BC is exactly zero here; nothing may divide by it
         d, e = proper(rot2(0.5)), proper(rot2(1.1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntersectionNonTrivial) as exc_info:
-                build_T(eigenplanes(d, e))
-        assert exc_info.value.which == "AC"
+            assert_meet_case(d, e, "AC")
 
     @pytest.mark.parametrize("r,which", [(1, "AC"), (-1, "AD")])
     def test_overlap_beside_four_block(self, r, which):
@@ -143,9 +186,25 @@ class TestBuildT:
         d4, e4 = realize(Dim4(alpha=0.5, beta=1.2, theta=0.8))
         d = proper(Q @ block_diag(d2, d4) @ Q.T)
         e = proper(Q @ block_diag(e2, e4) @ Q.T)
-        with pytest.raises(IntersectionNonTrivial) as exc_info:
-            build_T(eigenplanes(d, e))
-        assert exc_info.value.which == which
+        assert_meet_case(d, e, which)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.1, math.pi - 0.1), beta=st.floats(0.1, math.pi - 0.1),
+           log_gap=st.floats(math.log(1e-10), math.log(1e-2)),
+           near_pi=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    def test_reached_only_with_invertible_gram_matrices(self, alpha, beta, log_gap,
+                                                        near_pi, seed):
+        # A twist next to 0 or pi nearly overlaps the eigenplanes, beside
+        # planes that overlap them exactly in both orientations.
+        gap = math.exp(log_gap)
+        theta = math.pi - gap if near_pi else gap
+        doc = generate_pair([Dim4(alpha, beta, theta), Dim2Proper(alpha, beta, 1),
+                             Dim2Proper(alpha, beta, -1)], seed)
+        with gram_conditions() as seen:
+            classify(as_rotation(doc.delta), as_rotation(doc.epsilon))
+        assert all(ratio > RANK_TOL for ratio in seen)
+        # the 4-block stays whole, and reaches the operator, from 1e-8 on
+        assert seen or gap < 1e-8
 
     def test_well_defined_on_c(self):
         rng = np.random.default_rng(6)

@@ -46,6 +46,10 @@ from rotpair.decompose import InvariantBlock
 from rotpair.linalg import DEFAULT_TOL, block_diag
 
 
+class SubDim4(Dim4):
+    """A subclass of a family, which is no canonical form of its own."""
+
+
 def proper(M):
     return as_rotation(np.asarray(M, dtype=float))
 
@@ -154,6 +158,10 @@ class TestRealize:
     def test_rejects_bad_parameters(self, form):
         with pytest.raises(BadParameter):
             realize(form)
+
+    def test_rejects_subclass_of_a_family(self):
+        with pytest.raises(BadParameter):
+            realize(SubDim4(alpha=0.5, beta=1.2, theta=0.3))
 
 
 class TestClassifyBlock:
@@ -363,6 +371,14 @@ class TestClassify:
         shuffled = tuple(canonical[i] for i in (4, 2, 0, 3, 1))
         assert ClassLabel(forms=shuffled).forms == canonical
         assert ClassLabel(forms=shuffled) == ClassLabel(forms=canonical)
+
+    @pytest.mark.parametrize("forms", [
+        ("x",),
+        (Dim1(r=1, s=1), SubDim4(alpha=0.5, beta=1.2, theta=0.3)),
+    ], ids=["string", "subclass"])
+    def test_label_rejects_unknown_forms(self, forms):
+        with pytest.raises(BadParameter):
+            ClassLabel(forms=forms)
 
 
 def scalar_spec(family, sign, other_sign, angle, count):
@@ -716,6 +732,15 @@ class TestOrthogonalizeIntertwiner:
         e = proper(rot2(1.2))
         with pytest.raises(NotIntertwiner):
             orthogonalize_intertwiner(np.eye(3), (d, e), (d, e))
+
+    @pytest.mark.parametrize("phi", ["x", np.eye(2) + 0.5j, np.eye(2, dtype=bool),
+                                     [[1.0, 0.0], [0.0]]],
+                             ids=["string", "complex", "booleans", "ragged"])
+    def test_rejects_non_real_phi(self, phi):
+        d = proper(rot2(0.5))
+        e = proper(rot2(1.2))
+        with pytest.raises(BadParameter):
+            orthogonalize_intertwiner(phi, (d, e), (d, e))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_map(self, value):

@@ -27,7 +27,6 @@ from rotpair import (
     as_rotation,
     classify,
     decompose,
-    find_block,
     generate_pair,
     is_irreducible,
     labels_match,
@@ -38,7 +37,7 @@ from rotpair import (
     two_plane_exists,
     unrho,
 )
-from rotpair.decompose import _twist_clusters, invariance_residual
+from rotpair.decompose import _twist_clusters, find_block, invariance_residual
 from rotpair.linalg import DEFAULT_TOL, block_diag, single_linkage
 
 
@@ -130,8 +129,10 @@ class TestFindBlock:
             assert max_abs(b.basis.T @ b.basis - np.eye(4)) <= 1e-9
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(NotOrthogonalPair):
-            find_block(Rotation(np.eye(2), 0.0), Rotation(np.eye(3), 0.0))
+        # decompose certifies the pair before any search step runs
+        with find_block_dims() as seen, pytest.raises(NotOrthogonalPair):
+            decompose(Rotation(np.eye(2), 0.0), Rotation(np.eye(3), 0.0))
+        assert seen == []
 
     def test_meet_gives_every_plane(self):
         rng = np.random.default_rng(44)

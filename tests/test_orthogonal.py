@@ -10,6 +10,7 @@ from rotpair import (
     DEFAULT_TOL,
     BadAngle,
     BadDimension,
+    BadParameter,
     Dim2Proper,
     Dim4,
     NotARotation,
@@ -160,9 +161,10 @@ class TestAsRotation:
         assert r.angle == math.pi
 
     def test_identity(self):
-        r = as_rotation(np.eye(2))
-        assert r.kind is RotationKind.IDENTITY
-        assert r.angle == 0.0
+        for M in (np.eye(2), [[1, 0], [0, 1]]):
+            r = as_rotation(M)
+            assert r.kind is RotationKind.IDENTITY
+            assert r.angle == 0.0
 
     def test_rejects_two_angles(self):
         with pytest.raises(NotARotation):
@@ -175,6 +177,21 @@ class TestAsRotation:
     def test_rejects_nan(self):
         with pytest.raises(NotOrthogonal):
             as_rotation(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("M", [
+        np.eye(2) + 0.5j,
+        [["1", "0"], ["0", "1"]],
+        np.eye(2, dtype=bool),
+        "abc",
+        [[1.0, 0.0], [0.0]],
+        [[10**400]],
+    ], ids=["complex", "strings", "booleans", "string", "ragged", "huge-int"])
+    def test_rejects_non_real_input(self, M):
+        # checked before any cast: a complex identity is no rotation
+        with pytest.raises(BadParameter):
+            as_rotation(M)
+        with pytest.raises(BadParameter):
+            orthogonal_normal_form(M)
 
     def test_rejects_angle_with_fixed_space(self):
         with pytest.raises(NotARotation):

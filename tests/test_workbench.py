@@ -279,6 +279,9 @@ class TestGenerateRotation:
             generate_rotation(4, -0.5, seed=0)
         with pytest.raises(BadAngle):
             generate_rotation(4, 3.5, seed=0)
+        for n in (2.0, "2"):
+            with pytest.raises(BadDimension):
+                generate_rotation(n, 0.5, seed=0)
 
 
 class TestGeneratePair:
@@ -321,6 +324,13 @@ class TestGeneratePair:
     def test_rejects_mixed_signs(self):
         with pytest.raises(BadParameter):
             generate_pair([Dim1(r=1, s=1), Dim1(r=-1, s=1)], seed=0)
+
+    def test_rejects_subclass_of_a_family(self):
+        class SubDim4(Dim4):
+            pass
+
+        with pytest.raises(BadParameter):
+            generate_pair([SubDim4(0.5, 1.2, 0.3)], seed=0)
 
 
 class TestOracle:
