@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .linalg import DEFAULT_TOL, RANK_TOL, Tolerance, max_abs, numerical_rank
+from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, max_abs, numerical_rank,
+                     require)
 from .orthogonal import Rotation
 
 
@@ -77,9 +78,8 @@ def eigenplanes(d: Rotation, e: Rotation,
     A = _plane_of(d)
     C = _plane_of(e)
     for plane, rot in ((A, d), (C, e)):
-        resid = max_abs(rot.matrix @ plane - np.exp(1j * rot.angle) * plane)
-        if resid > tol.check_tol:
-            raise NumericalFailure(f"eigenplane residual {resid:.3e}")
+        require(max_abs(rot.matrix @ plane - np.exp(1j * rot.angle) * plane),
+                tol.check_tol, NumericalFailure, "eigenplane residual")
     return EigenplaneBases(A=A, B=np.conj(A), C=C, D=np.conj(C))
 
 
@@ -147,7 +147,6 @@ def antilinear_invariant_line(T: AntilinearOp,
         v = Tu + math.sqrt(lam) * u
         v = v / np.linalg.norm(v)
     mu = complex(np.vdot(v, T.apply(v)))
-    resid = float(np.linalg.norm(T.apply(v) - mu * v))
-    if resid > tol.check_tol:
-        raise NumericalFailure(f"invariant-line residual {resid:.3e}")
+    require(float(np.linalg.norm(T.apply(v) - mu * v)), tol.check_tol,
+            NumericalFailure, "invariant-line residual")
     return v

@@ -36,12 +36,13 @@ from .errors import (
     NotConstant,
     NotIntertwiner,
     NotIrreducible,
+    NotOrthogonal,
     NotProper,
     NumericalFailure,
     ScaleNotConstant,
 )
 from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, max_abs,
-                     orthonormality_residual, real_array)
+                     orthonormality_residual, real_array, require)
 from .orthogonal import Rotation, RotationKind, as_rotation, rho, rot2
 
 
@@ -159,19 +160,19 @@ def theta_invariant(s: Rotation, t: Rotation,
     the exact range of that product over the unit sphere.  The angle is
     returned as ``2 atan2(|s - t|_F, |s + t|_F)``, using
     ``|s -+ t|_F^2 = 8 -+ 8 cos(theta)``, which stays accurate next to
-    0 and pi where the arccos of the trace loses every digit.
+    0 and pi where the arccos of the trace loses every digit.  Each side
+    must be orthogonal within ``residual_tol`` (``NotOrthogonal``).
     """
     for r in (s, t):
         if r.dim != 4:
             raise BadParameter(f"expected rotations of R^4, got dimension {r.dim}")
-        if abs(r.angle - math.pi / 2) > tol.angle_tol:
-            raise BadAngle(f"angle {r.angle!r} is not pi/2")
+        require(abs(r.angle - math.pi / 2), tol.angle_tol, BadAngle,
+                "angle distance from pi/2")
+        require(orthonormality_residual(r.matrix), tol.residual_tol,
+                NotOrthogonal, "orthogonality residual")
     G = s.matrix.T @ t.matrix
-    spread = float(np.ptp(np.linalg.eigvalsh(G + G.T))) / 2.0
-    if spread > tol.check_tol:
-        raise NotConstant(
-            f"inner product varies by {spread:.3e} over the unit sphere"
-        )
+    require(float(np.ptp(np.linalg.eigvalsh(G + G.T))) / 2.0, tol.check_tol,
+            NotConstant, "inner product spread over the unit sphere")
     return 2.0 * math.atan2(float(np.linalg.norm(s.matrix - t.matrix)),
                             float(np.linalg.norm(s.matrix + t.matrix)))
 
@@ -361,22 +362,16 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
                     for r in p)
         if not is_irreducible(_certified_block(np.eye(n), d_r, e_r), tol):
             raise NotIrreducible("pair is reducible")
-    r1 = max_abs(phi @ d.matrix - d2.matrix @ phi)
-    r2 = max_abs(phi @ e.matrix - e2.matrix @ phi)
-    if max(r1, r2) > tol.residual_tol * max_abs(phi):
-        raise NotIntertwiner(
-            f"intertwining residuals ({r1:.3e}, {r2:.3e}) too large"
-        )
+    require(max(max_abs(phi @ d.matrix - d2.matrix @ phi),
+                max_abs(phi @ e.matrix - e2.matrix @ phi)),
+            tol.residual_tol * max_abs(phi), NotIntertwiner,
+            "larger of the intertwining residuals")
     sing = np.linalg.svd(phi, compute_uv=False)
     if sing[-1] <= RANK_TOL * sing[0]:
         raise NotIntertwiner("map is singular")
-    spread = float(sing[0] - sing[-1]) / sing[0]
-    if spread > tol.check_tol:
-        raise ScaleNotConstant(
-            f"stretch varies by {spread:.3e} of its largest over the unit sphere"
-        )
+    require(float(sing[0] - sing[-1]) / sing[0], tol.check_tol, ScaleNotConstant,
+            "relative stretch spread over the unit sphere")
     out = phi / float(sing.mean())
-    resid = orthonormality_residual(out)
-    if resid > tol.check_tol:
-        raise NumericalFailure(f"result orthogonality residual {resid:.3e}")
+    require(orthonormality_residual(out), tol.check_tol, NumericalFailure,
+            "result orthogonality residual")
     return out

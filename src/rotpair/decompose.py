@@ -8,8 +8,8 @@ v, so the eigenspaces of ``sym(d^T e)`` are jointly invariant.  Inside
 each cluster the search works through the complexified eigenplanes: an
 overlap between the planes of the two rotations yields one invariant
 2-plane per dimension of the overlap, and otherwise the antilinear
-operator on the first plane either has an invariant line (again a
-2-plane) or hands us a 4-dimensional block.  A 4-dimensional cluster is
+operator on the first plane hands us a 4-dimensional block; its
+invariant-line branch serves no input.  A 4-dimensional cluster is
 one 4-block or two planes, and one irreducibility verdict decides which.
 """
 
@@ -27,7 +27,7 @@ from .antilinear import (
     eigenplanes,
     t_squared,
 )
-from .errors import NotOrthogonalPair, NotProper, NumericalFailure
+from .errors import BadParameter, NotOrthogonalPair, NotProper, NumericalFailure
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -36,6 +36,7 @@ from .linalg import (
     orthonormal_complement,
     orthonormality_residual,
     orthonormalize,
+    require,
     single_linkage,
     subspace_meet,
 )
@@ -125,14 +126,19 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     rotation turns every vector by its one angle, so each column of the
     first non-empty meet, A with C or else A with D, spans a jointly
     invariant plane with its conjugate, and the planes of distinct
-    columns are orthogonal.  Only when both meets are trivial does the
-    antilinear operator exist, and an invariant line of it still yields
-    a plane.  Every meet column and the line's vector lie in A, so each
-    plane is read off by :func:`_real_plane` with no factorization;
-    callers check the stacked bases for orthonormality.  The two meets
-    are the one overlap rule: they count A as meeting C (or D) when a
-    principal angle phi between them has ``tan(phi/2) <= RANK_TOL``,
-    and :func:`build_T` is reached only when both are trivial.
+    columns are orthogonal.  Each column lies in A, so its plane is read
+    off by :func:`_real_plane` with no factorization; callers check the
+    stacked bases for orthonormality.  The two meets are the one overlap
+    rule: they count A as meeting C (or D) when a principal angle phi
+    between them has ``tan(phi/2) <= RANK_TOL``, and :func:`build_T` is
+    reached only when both are trivial.  The invariant-line branch
+    serves no input.  Two proper rotations act on an invariant plane as
+    plane rotations, sharing its complex eigenvectors, so any invariant
+    plane makes a meet non-empty.  With both meets empty, ``T u = mu u``
+    would put ``c = u + conj(mu) conj(u)`` in C with ``c^H conj(c) =
+    2 mu |u|^2 != 0``, although C is orthogonal to ``D = conj(C)``.
+    The branch stays until ROADMAP item 1 frees ``build_T`` and
+    ``antilinear_invariant_line`` from the tracer of ``perfbench``.
     """
     planes = eigenplanes(d, e, tol)
     for meet_with in (planes.C, planes.D):
@@ -153,12 +159,10 @@ def _check_blocks(stacked: np.ndarray, d: Rotation, e: Rotation,
     Both residuals are compared at ``check_tol``; a failure raises
     ``NumericalFailure`` with the residual.
     """
-    ortho = orthonormality_residual(stacked)
-    if not ortho <= tol.check_tol:
-        raise NumericalFailure(f"block basis orthonormality residual {ortho:.3e}")
-    resid = invariance_residual(stacked, d, e)
-    if not resid <= tol.check_tol:
-        raise NumericalFailure(f"block invariance residual {resid:.3e}")
+    require(orthonormality_residual(stacked), tol.check_tol, NumericalFailure,
+            "block basis orthonormality residual")
+    require(invariance_residual(stacked, d, e), tol.check_tol, NumericalFailure,
+            "block invariance residual")
 
 
 def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
@@ -168,14 +172,16 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     first plane the search step finds, or ``(False, None)``.  The
     witness is checked orthonormal and invariant under both rotations,
     at ``check_tol``, before being returned.  A rotation that is not
-    proper raises ``NotProper``, and a pair of unequal dimensions
-    ``NotOrthogonalPair``.
+    proper raises ``NotProper``, a pair of unequal dimensions
+    ``NotOrthogonalPair``, and a NaN or infinite entry ``BadParameter``.
     """
     for r in (d, e):
         if r.kind is not RotationKind.PROPER:
             raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+    if not (np.isfinite(d.matrix).all() and np.isfinite(e.matrix).all()):
+        raise BadParameter("rotation matrix has non-finite entries")
     kind, payload = _planes_or_operator(d, e, tol)
     if kind != "planes":
         return False, None
@@ -222,16 +228,15 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     normal form (the one that certified it, when it carries one), or
     every coordinate line when both are.  Otherwise the pair is proper:
     the blocks are one plane per column of the first non-empty
-    eigenplane meet, else the single plane of an invariant line of the
-    antilinear operator, else a single 4-block.
+    eigenplane meet, else a single 4-block.
 
     Each block is irreducible by construction: a line, a plane on which
     at least one operator is proper, or a 4-block reached only after
-    both eigenplane meets came back empty and the antilinear operator
-    had no invariant line, so that no invariant 2-plane exists.  The
-    stacked basis is checked once to be orthonormal and invariant, both
-    at ``check_tol``; a failure raises ``NumericalFailure``.  The pair
-    is one that :func:`decompose` has certified, or a restriction of it.
+    both eigenplane meets came back empty, so that no invariant 2-plane
+    exists.  The stacked basis is checked once to be orthonormal and
+    invariant, both at ``check_tol``; a failure raises
+    ``NumericalFailure``.  The pair is one that :func:`decompose` has
+    certified, or a restriction of it.
     """
     n = d.dim
     d_proper = d.kind is RotationKind.PROPER
@@ -313,11 +318,12 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     i = 0
     while i < len(groups):
         resid = invariance_residual(vectors[:, groups[i]], d, e)
+        if len(groups) == 1:
+            require(resid, tol.check_tol, NumericalFailure,
+                    "whole-space invariance residual")
         if resid <= tol.check_tol:
             i += 1
             continue
-        if len(groups) == 1:
-            raise NumericalFailure(f"whole-space invariance residual {resid:.3e}")
         below = values[groups[i][0]] - values[groups[i - 1][-1]] if i else np.inf
         above = (values[groups[i + 1][0]] - values[groups[i][-1]]
                  if i + 1 < len(groups) else np.inf)
@@ -338,20 +344,14 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> None:
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
     for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
-        resid = orthonormality_residual(r.matrix)
-        if not resid <= tol.residual_tol:
-            raise NotOrthogonalPair(
-                f"{name} operator orthogonality residual {resid:.3e}"
-            )
+        require(orthonormality_residual(r.matrix), tol.residual_tol,
+                NotOrthogonalPair, f"{name} operator orthogonality residual")
         if r.normal_form is None:
             certified = as_rotation(r.matrix, tol)
             gap = abs(certified.angle - r.angle)
-            if gap > tol.angle_tol:
-                raise NumericalFailure(
+            require(gap, tol.angle_tol, NumericalFailure,
                     f"{angle_name} {r.angle!r} claimed for the {name} operator "
-                    f"differs from its certified {certified.angle!r} by {gap:.3e}, "
-                    f"beyond angle_tol {tol.angle_tol:.3e}"
-                )
+                    f"differs from its certified {certified.angle!r} by")
             if certified.kind is not r.kind:
                 raise NumericalFailure(
                     f"{r.kind.value} claimed for the {name} operator, which certifies "
@@ -386,10 +386,7 @@ def decompose(d: Rotation, e: Rotation,
     found inside a cluster.  The canonical order is the order of their
     forms, applied by ``ClassLabel``.
 
-    The pair is certified here, once, by :func:`_certify_pair`: a side
-    built without :func:`as_rotation` is certified, and a claimed angle
-    more than ``angle_tol`` off, or a claimed kind that differs from the
-    certified one, raises ``NumericalFailure`` with the margin.  Each
+    The pair is certified here, once, by :func:`_certify_pair`.  Each
     block carries its restrictions as rotations by the pair's angles.
     """
     _certify_pair(d, e, tol)

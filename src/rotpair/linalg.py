@@ -35,8 +35,8 @@ class Tolerance:
     angle_tol: float = 1e-7
 
     def __post_init__(self):
-        # bool is an int subclass, but True is no tolerance; NaN or
-        # infinity would make every ``resid > tol`` check pass
+        # bool is an int subclass, but True is no tolerance; a NaN bound
+        # would fail every verdict of ``require``, an infinite one pass it
         if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
                    and 0 < t < np.inf for t in astuple(self)):
             raise ValueError("tolerances must be finite and strictly positive")
@@ -47,6 +47,16 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def require(measured: float, bound: float, error, what: str) -> None:
+    """The one verdict rule: raise ``error`` unless ``measured <= bound``.
+
+    NaN fails.  ``what`` names the measured quantity; the message is
+    ``"{what} {measured:.3e} exceeds {bound:.3e}"``.
+    """
+    if not measured <= bound:
+        raise error(f"{what} {measured:.3e} exceeds {bound:.3e}")
 
 
 def max_abs(a) -> float:

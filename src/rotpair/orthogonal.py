@@ -10,6 +10,7 @@ quarter-turn part.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,6 +31,7 @@ from .linalg import (
     max_abs,
     orthonormality_residual,
     real_array,
+    require,
     single_linkage,
     symmetric_eigen,
 )
@@ -114,14 +116,6 @@ class Rotation:
         return RotationKind.PROPER
 
 
-def _check_orthogonal(M: np.ndarray, tol: Tolerance) -> None:
-    resid = orthonormality_residual(M)
-    if not resid <= tol.residual_tol:
-        raise NotOrthogonal(
-            f"orthogonality residual {resid:.3e} exceeds {tol.residual_tol:.3e}"
-        )
-
-
 def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     """Block form of an orthogonal matrix.
 
@@ -153,7 +147,8 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     n = M.shape[0]
     if n == 0:
         raise BadDimension("zero-dimensional space")
-    _check_orthogonal(M, tol)
+    require(orthonormality_residual(M), tol.residual_tol, NotOrthogonal,
+            "orthogonality residual")
 
     evals, evecs = symmetric_eigen((M + M.T) / 2.0)
     thetas = np.arccos(np.clip(evals, -1.0, 1.0))
@@ -207,9 +202,8 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         neg_dim=len(negated),
         basis=basis,
     )
-    resid = max_abs(basis.T @ M @ basis - nf.block_matrix())
-    if resid > tol.check_tol:
-        raise NumericalFailure(f"normal-form residual {resid:.3e}")
+    require(max_abs(basis.T @ M @ basis - nf.block_matrix()), tol.check_tol,
+            NumericalFailure, "normal-form residual")
     return nf
 
 
@@ -234,12 +228,8 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
             "rotation blocks mixed with +-1 blocks "
             f"(fix={nf.fix_dim}, neg={nf.neg_dim})"
         )
-    spread = nf.angles[-1] - nf.angles[0]
-    if spread > tol.angle_tol:
-        raise NotARotation(
-            f"distinct block angles, spread {spread:.3e} exceeds "
-            f"{tol.angle_tol:.3e}"
-        )
+    require(nf.angles[-1] - nf.angles[0], tol.angle_tol, NotARotation,
+            "distinct block angles, spread")
     return _certified(M, float(np.mean(nf.angles)), nf)
 
 
@@ -275,7 +265,8 @@ def rho(d: Rotation, tol: Tolerance = DEFAULT_TOL) -> Rotation:
             f"angle {d.angle} with skew part of norm {norm:.3e} is no proper rotation"
         )
     S = K * (math.sqrt(d.dim) / norm)
-    _check_orthogonal(S, tol)
+    require(orthonormality_residual(S), tol.residual_tol, NotOrthogonal,
+            "orthogonality residual")
     return Rotation(matrix=S, angle=math.pi / 2)
 
 
@@ -283,12 +274,13 @@ def unrho(s: Rotation, alpha: float, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     """Proper rotation with angle ``alpha`` whose quarter-turn part is ``s``.
 
     Inverse of :func:`rho`: returns ``cos(alpha) I + sin(alpha) S``.
-    ``alpha`` must lie strictly inside (0, pi) and ``s`` must have angle
-    pi/2 within ``angle_tol``.
+    ``alpha`` must be a real number strictly inside (0, pi), not a bool,
+    and ``s`` must have angle pi/2 within ``angle_tol``; else ``BadAngle``.
     """
-    if abs(s.angle - math.pi / 2) > tol.angle_tol:
-        raise BadAngle(f"input angle {s.angle!r} is not pi/2")
-    if not (0.0 < alpha < math.pi):
-        raise BadAngle(f"alpha {alpha!r} outside (0, pi)")
+    require(abs(s.angle - math.pi / 2), tol.angle_tol, BadAngle,
+            f"input angle {s.angle!r}: distance from pi/2")
+    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+            or not 0.0 < alpha < math.pi):
+        raise BadAngle(f"alpha {alpha!r} is not a real number in (0, pi)")
     M = math.cos(alpha) * np.eye(s.dim) + math.sin(alpha) * s.matrix
     return as_rotation(M, tol)

@@ -37,7 +37,7 @@ from .errors import (
     NotProper,
 )
 from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag,
-                     orthonormality_residual)
+                     orthonormality_residual, require)
 from .orthogonal import (
     NormalForm,
     Rotation,
@@ -161,12 +161,8 @@ def pair_from_json_dict(obj: dict, tol: Tolerance = DEFAULT_TOL) -> PairDocument
     delta = _matrix_from_json(obj["delta"], "delta", n)
     epsilon = _matrix_from_json(obj["epsilon"], "epsilon", n)
     for name, M in (("delta", delta), ("epsilon", epsilon)):
-        resid = orthonormality_residual(M)
-        if resid > tol.residual_tol:
-            raise NotOrthogonal(
-                f"{name}: orthogonality residual {resid:.3e} exceeds "
-                f"{tol.residual_tol:.3e}"
-            )
+        require(orthonormality_residual(M), tol.residual_tol, NotOrthogonal,
+                f"{name}: orthogonality residual")
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise BadParameter("metadata must be an object")
@@ -246,11 +242,12 @@ def generate_rotation(n: int, alpha: float, seed: int,
     equal 2x2 blocks by a random orthogonal matrix.
     """
     seed = _check_count(seed, "seed")
-    # bool is an int subclass, but True is no dimension
+    # bool is an int subclass, but True is no dimension and no angle
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise BadDimension(f"n must be a positive integer, got {n!r}")
-    if not (0.0 <= alpha <= math.pi):
-        raise BadAngle(f"alpha {alpha!r} outside [0, pi]")
+    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+            or not 0.0 <= alpha <= math.pi):
+        raise BadAngle(f"alpha {alpha!r} is not a real number in [0, pi]")
     if alpha == 0.0:
         return Rotation(matrix=np.eye(n), angle=0.0)
     if alpha == math.pi:

@@ -19,6 +19,12 @@ def rand_orthogonal(n, rng):
     return q * np.where(np.diag(r) >= 0, 1.0, -1.0)
 
 
+def polar(M):
+    """Nearest orthogonal matrix: the polar factor of M."""
+    u, _, vt = np.linalg.svd(M)
+    return u @ vt
+
+
 def rand_angle(rng, lo=0.1, hi=np.pi - 0.1):
     return float(rng.uniform(lo, hi))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_orthogonal
+from conftest import polar, rand_orthogonal
 from rotpair import (
     DEFAULT_TOL,
     AntilinearOp,
@@ -301,3 +301,53 @@ class TestInvariantLine:
                          basis_a=np.eye(3, dtype=complex))
         with pytest.raises(NumericalFailure):
             antilinear_invariant_line(T)
+
+
+# A twist next to 0 or pi is drawn as its log10 distance from the end.
+TWISTS = st.one_of(
+    st.floats(0.05, math.pi - 0.05),
+    st.floats(-7.0, -1.0).map(lambda x: 10.0 ** x),
+    st.floats(-7.0, -1.0).map(lambda x: math.pi - 10.0 ** x),
+)
+
+
+@st.composite
+def dim4_only_pairs(draw):
+    """Haar-conjugated sum of 1 to 3 Dim4 blocks, equal or distinct twists.
+
+    Half of the pairs get Gaussian noise of size 1e-10 on both sides,
+    projected back to the nearest orthogonal matrices.
+    """
+    alpha = draw(st.floats(0.1, math.pi - 0.1))
+    beta = draw(st.floats(0.1, math.pi - 0.1))
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        thetas = [draw(TWISTS)] * count
+    else:
+        thetas = [draw(TWISTS) for _ in range(count)]
+    seed = draw(st.integers(0, 2**31 - 1))
+    doc = generate_pair([Dim4(alpha, beta, t) for t in thetas], seed)
+    d, e = doc.delta, doc.epsilon
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        d = polar(d + 1e-10 * rng.standard_normal(d.shape))
+        e = polar(e + 1e-10 * rng.standard_normal(e.shape))
+    return proper(d), proper(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=dim4_only_pairs())
+def test_pair_without_invariant_plane_gives_no_operator_line(pair):
+    """With both eigenplane meets empty, the antilinear operator has no line.
+
+    An invariant plane makes a meet non-empty, and ``T u = mu u`` would
+    put ``c = u + conj(mu) conj(u)`` in C with ``c^T c = 2 conj(mu)
+    |u|^2 != 0``, although C is orthogonal to conj(C).  So the line
+    branch of the eigenplane search serves no input.
+    """
+    d, e = pair
+    planes = eigenplanes(d, e)
+    assert subspace_meet(planes.A, planes.C).shape[1] == 0
+    assert subspace_meet(planes.A, planes.D).shape[1] == 0
+    assert antilinear_invariant_line(build_T(planes)) is None
+    assert two_plane_exists(d, e) == (False, None)

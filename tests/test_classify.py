@@ -116,6 +116,32 @@ class TestThetaInvariant:
         with pytest.raises(BadParameter):
             theta_invariant(s, s)
 
+    def test_rejects_sides_that_are_not_orthogonal(self):
+        # sym(s^T t) = 4 I is constant, so only the orthogonality check
+        # stops this pair from getting the twist 0
+        s = Rotation(2.0 * np.eye(4), np.pi / 2)
+        with pytest.raises(NotOrthogonal, match=r"exceeds 1\.000e-09$"):
+            theta_invariant(s, s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        s, t = self.quarter_turns(0.9)
+        m = t.matrix.copy()
+        m[1, 2] = bad
+        with pytest.raises(NotOrthogonal):
+            theta_invariant(s, Rotation(m, t.angle))
+
+    def test_messages_name_their_bound(self):
+        s = proper(block_diag(rot2(0.5), rot2(0.5)))
+        with pytest.raises(BadAngle, match=r"^angle distance from pi/2 1\.071e\+00 "
+                           r"exceeds 1\.000e-07$"):
+            theta_invariant(s, s)
+        s = proper(block_diag(rot2(np.pi / 2), rot2(np.pi / 2)))
+        t = proper(block_diag(rot2(np.pi / 2), rot2(-np.pi / 2)))
+        with pytest.raises(NotConstant, match=r"^inner product spread over the unit "
+                           r"sphere 2\.000e\+00 exceeds 1\.000e-08$"):
+            theta_invariant(s, t)
+
 
 class TestRealize:
     def test_dim1(self):

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (
     count_normal_forms,
     pair_rotations,
+    polar,
     rand_orthogonal,
     random_compatible_spec,
 )
 from rotpair import (
+    BadParameter,
     ClassLabel,
     Dim1,
     Dim2LeftScalar,
@@ -77,6 +79,16 @@ class TestTwoPlaneExists:
         e = proper(block_diag(rot2(0.5), rot2(0.5)))
         with pytest.raises(NotProper):
             two_plane_exists(d, e)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        d = proper(block_diag(rot2(0.5), rot2(0.5)))
+        m = d.matrix.copy()
+        m[0, 3] = bad
+        with pytest.raises(BadParameter, match="non-finite"):
+            two_plane_exists(d, Rotation(m, 1.1))
+        with pytest.raises(BadParameter, match="non-finite"):
+            two_plane_exists(Rotation(m, 1.1), d)
 
     def test_conjugation_invariant(self):
         rng = np.random.default_rng(14)
@@ -463,12 +475,6 @@ class TestTwistClusters:
         for c in clusters:
             assert invariance_residual(c, d, e) <= DEFAULT_TOL.check_tol
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
-
-
-def polar(M):
-    """Nearest orthogonal matrix: the polar factor of M."""
-    u, _, vt = np.linalg.svd(M)
-    return u @ vt
 
 
 @st.composite

@@ -38,13 +38,24 @@ BASE_ERRORS = {"RotPairError", "ValidationError", "NumericalError"}
 
 
 def raised_names(tree: ast.Module) -> set:
+    """Error classes raised directly, or passed to ``require`` to raise."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name):
                 names.add(exc.id)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "require" and len(node.args) > 2
+              and isinstance(node.args[2], ast.Name)):
+            names.add(node.args[2].id)
     return names
+
+
+def test_raised_names_counts_the_class_passed_to_require():
+    tree = ast.parse("raise A('x')\nraise B\nrequire(r, tol.check_tol, C, 'c')\n"
+                     "other(r, tol.check_tol, D, 'd')\n")
+    assert raised_names(tree) == {"A", "B", "C"}
 
 
 def test_every_error_class_is_raised():
@@ -147,6 +158,49 @@ def test_scattered_thresholds_are_found():
         "literal 1e-09 (line 1)",
         "10 * tol.residual_tol (line 2)",
         "rank_tol (line 3)",
+    ]
+
+
+TOLERANCE_ATTRS = {"residual_tol", "angle_tol", "check_tol"}
+
+
+def written_out_verdicts(tree: ast.Module) -> list:
+    """Threshold verdicts written out in place rather than passed to ``require``.
+
+    These are ``raise`` statements directly in the body of an ``if``
+    whose test compares against a ``residual_tol``, ``angle_tol`` or
+    ``check_tol`` attribute.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.If)
+                and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+                and any(isinstance(cmp, ast.Compare)
+                        and any(isinstance(x, ast.Attribute) and x.attr in TOLERANCE_ATTRS
+                                for x in ast.walk(cmp))
+                        for cmp in ast.walk(node.test))):
+            found.append(f"{ast.unparse(node.test)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "linalg.py"}),
+                         ids=lambda p: p.name)
+def test_threshold_verdicts_go_through_require(path):
+    assert written_out_verdicts(ast.parse(path.read_text())) == []
+
+
+def test_written_out_verdicts_are_found():
+    tree = ast.parse(
+        "if r > tol.residual_tol:\n    raise E('r')\n"
+        "if not abs(a) <= 2 * tol.angle_tol:\n    x = 1\n    raise E('a')\n"
+        "if r <= tol.check_tol:\n    i += 1\n"
+        "if n == 1:\n    raise E('n')\n"
+        "if r > tol.check_tol:\n    if n:\n        raise E('nested')\n"
+        "require(r, tol.check_tol, E, 'r')\n"
+    )
+    assert written_out_verdicts(tree) == [
+        "r > tol.residual_tol (line 1)",
+        "not abs(a) <= 2 * tol.angle_tol (line 3)",
     ]
 
 

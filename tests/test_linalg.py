@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from conftest import rand_orthogonal
-from rotpair import Tolerance, max_abs
+from rotpair import NotOrthogonal, NumericalFailure, Tolerance, max_abs
 from rotpair.linalg import (
     RANK_TOL,
     block_diag,
@@ -11,9 +11,26 @@ from rotpair.linalg import (
     orthonormal_complement,
     orthonormality_residual,
     orthonormalize,
+    require,
     subspace_meet,
     symmetric_eigen,
 )
+
+
+class TestRequire:
+    @pytest.mark.parametrize("measured", [0.0, -1.0, 1e-9])
+    def test_up_to_the_bound_itself_passes(self, measured):
+        assert require(measured, 1e-9, NumericalFailure, "residual") is None
+
+    @pytest.mark.parametrize("measured", [float("nan"), np.nan, np.inf])
+    def test_nan_and_infinity_fail(self, measured):
+        with pytest.raises(NumericalFailure, match=r"^residual (nan|inf) exceeds"):
+            require(measured, 1e-9, NumericalFailure, "residual")
+
+    def test_message_names_decision_value_and_bound(self):
+        with pytest.raises(NotOrthogonal) as info:
+            require(np.float64(2.5e-9), 1e-9, NotOrthogonal, "orthogonality residual")
+        assert str(info.value) == "orthogonality residual 2.500e-09 exceeds 1.000e-09"
 
 
 class TestTolerance:

@@ -314,8 +314,15 @@ class TestUnrho:
         with pytest.raises(BadAngle):
             unrho(as_rotation(rot2(0.3)), 0.5)
 
-    @pytest.mark.parametrize("alpha", [0.0, np.pi, -0.2, 4.0])
+    # a string, None, a bool or a complex number is no angle
+    @pytest.mark.parametrize("alpha", [0.0, np.pi, -0.2, 4.0, float("nan"),
+                                       "1", None, True, False, 1j])
     def test_rejects_alpha_outside_open_interval(self, alpha):
         s = as_rotation(rot2(np.pi / 2))
-        with pytest.raises(BadAngle):
+        with pytest.raises(BadAngle, match=r"is not a real number in \(0, pi\)"):
             unrho(s, alpha)
+
+    def test_wrong_input_angle_message_names_its_bound(self):
+        with pytest.raises(BadAngle, match=r"input angle 0\.3: distance from pi/2 "
+                           r"1\.271e\+00 exceeds 1\.000e-07"):
+            unrho(Rotation(rot2(0.3), 0.3), 0.5)

@@ -282,6 +282,13 @@ class TestGenerateRotation:
         for n in (2.0, "2"):
             with pytest.raises(BadDimension):
                 generate_rotation(n, 0.5, seed=0)
+        for alpha in ("0.5", None, True, False, 1j, float("nan")):
+            with pytest.raises(BadAngle, match=r"is not a real number in \[0, pi\]"):
+                generate_rotation(4, alpha, seed=0)
+
+    def test_accepts_numpy_and_integer_angles(self):
+        assert generate_rotation(4, np.float64(0.5), seed=0).angle == pytest.approx(0.5)
+        assert generate_rotation(3, 0, seed=0).kind is RotationKind.IDENTITY
 
 
 class TestGeneratePair:
