@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .linalg import (
     require,
     single_linkage,
     subspace_meet,
+    symmetric_eigen,
 )
 from .orthogonal import (
     Rotation,
@@ -81,18 +83,40 @@ class InvariantDecomposition:
         return tuple(b.dim for b in self.blocks)
 
 
-def invariance_residual(basis: np.ndarray, d: Rotation, e: Rotation) -> float:
-    """Worst residual of ``span(basis)`` being invariant under both."""
-    out = 0.0
+def _invariance(basis: np.ndarray, d: Rotation, e: Rotation):
+    """``(residual, [R_d, R_e])``: the worst invariance residual of
+    ``span(basis)`` under both, and ``R = basis^T M basis`` for each,
+    which is the restriction when the span is invariant."""
+    out, restricted = 0.0, []
     for M in (d.matrix, e.matrix):
         image = M @ basis
-        out = max(out, max_abs(image - basis @ (basis.T @ image)))
-    return out
+        R = basis.T @ image
+        out = max(out, max_abs(image - basis @ R))
+        restricted.append(R)
+    return out, restricted
 
 
-def _restricted(r: Rotation, basis: np.ndarray) -> Rotation:
-    """``r`` acting on ``span(basis)``, which must be invariant under it."""
-    return Rotation(matrix=basis.T @ r.matrix @ basis, angle=r.angle)
+def invariance_residual(basis: np.ndarray, d: Rotation, e: Rotation) -> float:
+    """Worst residual of ``span(basis)`` being invariant under both."""
+    return _invariance(basis, d, e)[0]
+
+
+def _spans(widths) -> list:
+    """Slices of consecutive blocks of the given widths."""
+    return [slice(j - w, j) for w, j in zip(widths, accumulate(widths))]
+
+
+def _restrictions(r: Rotation, bases) -> list:
+    """``r`` on the span of each basis in ``bases``, each invariant under it.
+
+    One product of ``r`` with the bases side by side serves them all:
+    each restriction is the basis's own block of columns of that
+    product, projected onto the basis.
+    """
+    image = r.matrix @ np.hstack(bases)
+    spans = _spans([b.shape[1] for b in bases])
+    return [Rotation(matrix=b.T @ image[:, s], angle=r.angle)
+            for b, s in zip(bases, spans)]
 
 
 def _certified_block(basis: np.ndarray, d_r: Rotation,
@@ -153,16 +177,18 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
 
 
 def _check_blocks(stacked: np.ndarray, d: Rotation, e: Rotation,
-                  tol: Tolerance) -> None:
+                  tol: Tolerance) -> list:
     """Check that the columns are orthonormal and jointly invariant.
 
     Both residuals are compared at ``check_tol``; a failure raises
-    ``NumericalFailure`` with the residual.
+    ``NumericalFailure`` with the residual.  Returns
+    ``[stacked^T d stacked, stacked^T e stacked]``.
     """
     require(orthonormality_residual(stacked), tol.check_tol, NumericalFailure,
             "block basis orthonormality residual")
-    require(invariance_residual(stacked, d, e), tol.check_tol, NumericalFailure,
-            "block invariance residual")
+    resid, restricted = _invariance(stacked, d, e)
+    require(resid, tol.check_tol, NumericalFailure, "block invariance residual")
+    return restricted
 
 
 def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
@@ -235,8 +261,10 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     both eigenplane meets came back empty, so that no invariant 2-plane
     exists.  The stacked basis is checked once to be orthonormal and
     invariant, both at ``check_tol``; a failure raises
-    ``NumericalFailure``.  The pair is one that :func:`decompose` has
-    certified, or a restriction of it.
+    ``NumericalFailure``.  The blocks' restrictions are the diagonal
+    blocks of the stacked basis's two restrictions, one product per
+    side.  The pair is one that :func:`decompose` has certified, or a
+    restriction of it.
     """
     n = d.dim
     d_proper = d.kind is RotationKind.PROPER
@@ -250,9 +278,9 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     else:
         kind, payload = _planes_or_operator(d, e, tol)
         bases = payload if kind == "planes" else (_block_from_operator(payload),)
-    _check_blocks(np.hstack(bases), d, e, tol)
-    return tuple(InvariantBlock(b, b.T @ d.matrix @ b, b.T @ e.matrix @ b)
-                 for b in bases)
+    R_d, R_e = _check_blocks(np.hstack(bases), d, e, tol)
+    return tuple(InvariantBlock(b, R_d[s, s], R_e[s, s])
+                 for b, s in zip(bases, _spans([b.shape[1] for b in bases])))
 
 
 def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -295,8 +323,8 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     ``cos a cos b + r sin a sin b`` on a plane and
     ``cos a cos b + sin a sin b cos(theta)`` on a 4-block of twist
     theta.  So ``sym(d^T e)`` is that value times the identity on each
-    block, and its eigenspaces are jointly invariant.  One symmetric
-    eigensolve gives them; the ascending eigenvalues are grouped by
+    block, and its eigenspaces are jointly invariant.  One
+    :func:`symmetric_eigen` gives them; the eigenvalues are grouped by
     single linkage at the gap ``n eps / residual_tol``, the smallest gap
     at which eigenvectors are resolved to ``residual_tol``.  Each
     cluster is certified by its invariance residual, at ``check_tol``.
@@ -313,7 +341,7 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
         return [np.eye(n)]
     G = d.matrix.T @ e.matrix
-    values, vectors = np.linalg.eigh((G + G.T) / 2.0)
+    values, vectors = symmetric_eigen((G + G.T) / 2.0)
     groups = single_linkage(values, n * np.finfo(float).eps / tol.residual_tol)
     i = 0
     while i < len(groups):
@@ -392,12 +420,13 @@ def decompose(d: Rotation, e: Rotation,
     _certify_pair(d, e, tol)
     n = d.dim
     proper = d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER
+    clusters = _twist_clusters(d, e, tol)
+    if len(clusters) == 1:
+        pieces = [(np.eye(n), d, e)]
+    else:
+        pieces = zip(clusters, _restrictions(d, clusters), _restrictions(e, clusters))
     blocks = []
-    for carrier in _twist_clusters(d, e, tol):
-        if carrier.shape[1] == n:
-            carrier, cur_d, cur_e = np.eye(n), d, e
-        else:
-            cur_d, cur_e = _restricted(d, carrier), _restricted(e, carrier)
+    for carrier, cur_d, cur_e in pieces:
         if proper and carrier.shape[1] == 4:
             cluster = _certified_block(carrier, cur_d, cur_e)
             if is_irreducible(cluster, tol):
@@ -405,15 +434,17 @@ def decompose(d: Rotation, e: Rotation,
                 continue
         while True:
             found = find_block(cur_d, cur_e, tol)
-            blocks.extend(_certified_block(carrier @ b.basis,
+            local = np.hstack([b.basis for b in found])
+            ambient = carrier @ local
+            blocks.extend(_certified_block(ambient[:, s],
                                            Rotation(b.d_restricted, d.angle),
                                            Rotation(b.e_restricted, e.angle))
-                          for b in found)
-            comp = orthonormal_complement(np.hstack([b.basis for b in found]))
+                          for b, s in zip(found, _spans([b.dim for b in found])))
+            comp = orthonormal_complement(local)
             if comp.shape[1] == 0:
                 break
             carrier = carrier @ comp
-            cur_d, cur_e = _restricted(cur_d, comp), _restricted(cur_e, comp)
+            (cur_d,), (cur_e,) = _restrictions(cur_d, [comp]), _restrictions(cur_e, [comp])
     blocks.sort(key=lambda b: b.dim)
 
     total = sum(b.dim for b in blocks)

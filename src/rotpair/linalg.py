@@ -64,12 +64,16 @@ def max_abs(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def orthonormality_residual(X) -> float:
     """``max_abs(X^T X - I)`` for a real matrix X of columns."""
-    return max_abs(X.T @ X - np.eye(X.shape[1]))
+    G = X.T @ X
+    if G.dtype != np.float64:   # the subtraction below is done in place
+        G = G.astype(np.result_type(G.dtype, np.float64))
+    G.reshape(-1)[::G.shape[0] + 1] -= 1.0
+    return max_abs(G)
 
 
 def numerical_rank(s) -> int:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BadAngle,
     BadDimension,
+    BadParameter,
     NotARotation,
     NotOrthogonal,
     NotProper,
@@ -71,17 +72,16 @@ class NormalForm:
         return self.basis.shape[0]
 
     def block_matrix(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        pos = 0
-        for a in self.angles:
-            out[pos:pos + 2, pos:pos + 2] = rot2(a)
-            pos += 2
-        for _ in range(self.fix_dim):
-            out[pos, pos] = 1.0
-            pos += 1
-        for _ in range(self.neg_dim):
-            out[pos, pos] = -1.0
-            pos += 1
+        n, k = self.dim, 2 * len(self.angles)
+        out = np.zeros((n, n))
+        flat = out.reshape(-1)
+        flat[::n + 1] = ([c for a in self.angles for c in (math.cos(a),) * 2]
+                         + [1.0] * self.fix_dim + [-1.0] * self.neg_dim)
+        if k:
+            # each block's sine at (2i+1, 2i) and its negative at (2i, 2i+1)
+            sin = [math.sin(a) for a in self.angles]
+            flat[n:k * (n + 1):2 * n + 2] = sin
+            flat[1:k * (n + 1):2 * n + 2] = [-s for s in sin]
         return out
 
 
@@ -103,6 +103,11 @@ class Rotation:
     normal_form: NormalForm | None = field(default=None, init=False,
                                            repr=False, compare=False)
 
+    def __post_init__(self):
+        # bool is an int subclass, but True is no angle
+        if isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real):
+            raise BadParameter(f"angle {self.angle!r} is not a real number")
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -121,8 +126,13 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
 
     The symmetric part ``(M + M.T)/2`` commutes with ``M``, and on each
     of its eigenspaces ``M`` acts as a rotation with cosine equal to the
-    eigenvalue.  Eigenvalues are clustered in angle space at
-    ``angle_tol``.  Clusters next to 0 or pi are tried as fixed or
+    eigenvalue.  The eigenvalues alone are computed first and clustered
+    in angle space at ``angle_tol``.  One cluster, as every single-angle
+    rotation and +-I has, is the whole space: its eigenbasis is the
+    identity, so no eigenvectors are computed, and ``E = I`` below.
+    Several clusters take a full symmetric eigensolve, whose
+    eigenvalues are clustered again and whose eigenvectors give each
+    cluster's basis ``E``.  Clusters next to 0 or pi are tried as fixed or
     negated space first, and the residual ``|M E -+ E|`` alone decides,
     at ``check_tol``; a cluster that fails falls back to rotation-block
     extraction, so near-boundary angles still come out as blocks.
@@ -150,8 +160,18 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     require(orthonormality_residual(M), tol.residual_tol, NotOrthogonal,
             "orthogonality residual")
 
-    evals, evecs = symmetric_eigen((M + M.T) / 2.0)
-    thetas = np.arccos(np.clip(evals, -1.0, 1.0))
+    sym = (M + M.T) / 2.0
+    thetas = np.arccos(np.clip(np.linalg.eigvalsh(sym), -1.0, 1.0))
+    clusters = single_linkage(thetas, tol.angle_tol)
+    if len(clusters) == 1:
+        # the one eigenspace is the whole space, and the identity is a
+        # basis of it: no eigenvectors are computed
+        spaces = [(None, float(thetas.mean()))]
+    else:
+        evals, evecs = symmetric_eigen(sym)
+        thetas = np.arccos(np.clip(evals, -1.0, 1.0))
+        spaces = [(evecs[:, c], float(thetas[c].mean()))
+                  for c in single_linkage(thetas, tol.angle_tol)]
 
     # arccos amplifies eigenvalue noise of order n*eps into angle noise
     # of order sqrt(n*eps) next to the endpoints, so the snap-to-scalar
@@ -159,17 +179,20 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     # residual is tried; the residual alone decides.
     snap = max(tol.angle_tol, math.sqrt(1024.0 * n * np.finfo(float).eps))
 
-    blocks = []   # (angle, u, w)
-    fixed = []
-    negated = []
-    for cluster in single_linkage(thetas, tol.angle_tol):
-        mean_angle = float(np.mean(thetas[cluster]))
-        E = evecs[:, cluster]
-        if mean_angle < snap and max_abs(M @ E - E) <= tol.check_tol:
-            fixed.extend(E.T)
+    rotations = [(np.empty(0), np.empty((n, 0)), np.empty((n, 0)))]  # (angles, U, W)
+    fixed, negated = [], []
+    for E, mean_angle in spaces:
+        # with the identity basis, M E = M and E^T M E = M exactly, so
+        # those products are skipped
+        whole = E is None
+        if whole:
+            E = np.eye(n)
+        if mean_angle < snap and max_abs((M if whole else M @ E) - E) <= tol.check_tol:
+            fixed.append(E)
             continue
-        if mean_angle > math.pi - snap and max_abs(M @ E + E) <= tol.check_tol:
-            negated.extend(E.T)
+        if (mean_angle > math.pi - snap
+                and max_abs((M if whole else M @ E) + E) <= tol.check_tol):
+            negated.append(E)
             continue
         if E.shape[1] % 2:
             raise NumericalFailure(
@@ -177,7 +200,7 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
                 f"{mean_angle:.6f}"
             )
         m = E.shape[1] // 2
-        S = E.T @ M @ E
+        S = M if whole else E.T @ M @ E
         sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
         if not (sines[m - 1] < -RANK_TOL and sines[m] > RANK_TOL):
             raise NumericalFailure(
@@ -186,20 +209,25 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
                 f"does not split {m}/{m} beyond the sine floor {RANK_TOL:g} "
                 f"(middle eigenvalues {sines[m - 1]:.3e}, {sines[m]:.3e})"
             )
-        U = math.sqrt(2.0) * (E @ Z[:, m:].real)
-        W = -math.sqrt(2.0) * (E @ Z[:, m:].imag)
+        U = math.sqrt(2.0) * (Z[:, m:].real if whole else E @ Z[:, m:].real)
+        W = -math.sqrt(2.0) * (Z[:, m:].imag if whole else E @ Z[:, m:].imag)
         MU = M @ U
         cos = np.einsum("ij,ij->j", U, MU)
         sin = np.linalg.norm(MU - cos * U, axis=0)
-        blocks.extend(zip(np.arctan2(sin, cos).tolist(), U.T, W.T))
+        rotations.append((np.arctan2(sin, cos), U, W))
 
-    blocks.sort(key=lambda t: t[0])
-    basis = np.column_stack([c for _, u, w in blocks for c in (u, w)]
-                            + fixed + negated)
+    # blocks by ascending angle, each as the column pair (u, w)
+    angles, U, W = (np.concatenate(part, axis=-1) for part in zip(*rotations))
+    order = np.argsort(angles, kind="stable")
+    k = 2 * order.size
+    basis = np.empty((n, n))
+    basis[:, 0:k:2], basis[:, 1:k:2] = U[:, order], W[:, order]
+    if fixed or negated:
+        basis[:, k:] = np.concatenate(fixed + negated, axis=1)
     nf = NormalForm(
-        angles=tuple(a for a, _, _ in blocks),
-        fix_dim=len(fixed),
-        neg_dim=len(negated),
+        angles=tuple(angles[order].tolist()),
+        fix_dim=sum(f.shape[1] for f in fixed),
+        neg_dim=sum(f.shape[1] for f in negated),
         basis=basis,
     )
     require(max_abs(basis.T @ M @ basis - nf.block_matrix()), tol.check_tol,

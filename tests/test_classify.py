@@ -41,6 +41,7 @@ from rotpair import (
     rot2,
     t_theta,
     theta_invariant,
+    two_plane_exists,
 )
 from rotpair.decompose import InvariantBlock
 from rotpair.linalg import DEFAULT_TOL, block_diag
@@ -784,3 +785,16 @@ def proper_or_scalar(M):
     if np.allclose(M, -np.eye(n)):
         return Rotation(-np.eye(n), np.pi)
     return as_rotation(M)
+
+
+# a string, a bool, None or a complex number is no angle; each entry that
+# reads a hand-built rotation's angle sees the one ValidationError
+@pytest.mark.parametrize("angle", ["0.5", True, None, 1j],
+                         ids=["string", "bool", "none", "complex"])
+@pytest.mark.parametrize("entry", [classify, decompose, two_plane_exists,
+                                   theta_invariant])
+def test_rotation_with_non_real_angle_is_refused(entry, angle):
+    M = block_diag(rot2(math.pi / 2), rot2(math.pi / 2))
+    other = as_rotation(M)
+    with pytest.raises(BadParameter, match="is not a real number"):
+        entry(Rotation(M, angle), other)

@@ -535,3 +535,26 @@ def test_compatible_spec_steps_and_labels(seed):
     full = np.column_stack([b.basis for b in dec.blocks])
     assert max_abs(full.T @ full - np.eye(d.dim)) <= 1e-12
     assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+
+def _assert_restrictions_match_basis(d, e, bound=1e-13):
+    for b in decompose(d, e).blocks:
+        assert max_abs(b.d_restricted - b.basis.T @ d.matrix @ b.basis) <= bound
+        assert max_abs(b.e_restricted - b.basis.T @ e.matrix @ b.basis) <= bound
+
+
+def test_restrictions_match_the_basis_at_n96():
+    # the benchmark's n=96 mix: 12 twisted 4-blocks and 12 planes of each
+    # orientation, at one pair of angles
+    alpha, beta = 0.9, 2.1
+    spec = [Dim4(alpha, beta, 0.2 + 0.2 * k) for k in range(12)]
+    spec += [Dim2Proper(alpha, beta, r) for r in (1, -1) for _ in range(12)]
+    _assert_restrictions_match_basis(*pair_rotations(generate_pair(spec, seed=5)))
+
+
+def test_restrictions_match_the_basis_on_compatible_specs():
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        spec = random_compatible_spec(rng)
+        doc = generate_pair(spec, seed=int(rng.integers(1 << 31)))
+        _assert_restrictions_match_basis(*pair_rotations(doc))

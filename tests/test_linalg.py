@@ -238,3 +238,31 @@ class TestOrthonormalityResidual:
     def test_reads_entrywise_max(self):
         X = np.diag([1.0, 1.5, 1.0])[:, :2]
         assert orthonormality_residual(X) == 1.25
+
+
+def _old_max_abs(a):
+    a = np.asarray(a)
+    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+
+
+def _same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes() or (
+        np.isnan(x) and np.isnan(y))
+
+
+@pytest.mark.parametrize("X", [
+    np.random.default_rng(1).standard_normal((6, 4)),
+    rand_orthogonal(8, np.random.default_rng(2)),
+    np.random.default_rng(3).standard_normal((3, 7)),   # wide: more columns than rows
+    np.zeros((4, 0)),
+    np.zeros((0, 3)),
+    np.array([[np.nan, 1.0], [0.0, 1.0]]),
+    np.array([[-0.0, 1.0], [1.0, -0.0]]),
+    np.array([[1, 2], [3, 4]]),
+    np.random.default_rng(4).standard_normal((5, 5)).astype(np.float32),
+], ids=["random", "orthogonal", "wide", "no-columns", "no-rows", "nan",
+        "negative-zero", "integer", "float32"])
+def test_helpers_match_the_plain_formulas_bit_for_bit(X):
+    assert _same_bits(max_abs(X), _old_max_abs(X))
+    old = _old_max_abs(X.T @ X - np.eye(X.shape[1]))
+    assert _same_bits(orthonormality_residual(X), old)

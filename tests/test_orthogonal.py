@@ -16,6 +16,7 @@ from rotpair import (
     NotARotation,
     NotOrthogonal,
     NotProper,
+    NormalForm,
     Rotation,
     RotationKind,
     as_rotation,
@@ -147,6 +148,32 @@ class TestNormalForm:
     def test_rejects_empty(self):
         with pytest.raises(BadDimension):
             orthogonal_normal_form(np.zeros((0, 0)))
+
+
+def _block_matrix_by_loop(nf):
+    """The block form assembled one block at a time, as a reference."""
+    out = np.zeros((nf.dim, nf.dim))
+    pos = 0
+    for a in nf.angles:
+        out[pos:pos + 2, pos:pos + 2] = rot2(a)
+        pos += 2
+    for sign in [1.0] * nf.fix_dim + [-1.0] * nf.neg_dim:
+        out[pos, pos] = sign
+        pos += 1
+    return out
+
+
+@pytest.mark.parametrize("angles, fix_dim, neg_dim", [
+    ((), 1, 0), ((), 0, 3), ((), 2, 2), ((0.7,), 0, 0), ((0.0, 0.7), 0, 0),
+    ((0.3, 0.3, 2.9), 1, 2), ((np.pi - 1e-9,) * 5, 0, 1),
+])
+def test_block_matrix_matches_the_loop_bit_for_bit(angles, fix_dim, neg_dim):
+    n = 2 * len(angles) + fix_dim + neg_dim
+    nf = NormalForm(angles=angles, fix_dim=fix_dim, neg_dim=neg_dim, basis=np.eye(n))
+    want = _block_matrix_by_loop(nf)
+    got = nf.block_matrix()
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestAsRotation:
@@ -326,3 +353,112 @@ class TestUnrho:
         with pytest.raises(BadAngle, match=r"input angle 0\.3: distance from pi/2 "
                            r"1\.271e\+00 exceeds 1\.000e-07"):
             unrho(Rotation(rot2(0.3), 0.3), 0.5)
+
+
+def count_eigensolves(monkeypatch):
+    """Counter of ``numpy.linalg`` eigensolves and ``symmetric_eigen`` calls.
+
+    ``eigh`` is counted as ``real_eigh`` or ``hermitian_eigh`` by the
+    dtype of its argument.
+    """
+    from rotpair import orthogonal
+
+    counts = {"eigvalsh": 0, "real_eigh": 0, "hermitian_eigh": 0,
+              "symmetric_eigen": 0}
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+    symmetric_eigen = orthogonal.symmetric_eigen
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_eigh(a, *args, **kwargs):
+        counts["hermitian_eigh" if np.iscomplexobj(a) else "real_eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    def counted_symmetric_eigen(S):
+        counts["symmetric_eigen"] += 1
+        return symmetric_eigen(S)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(orthogonal, "symmetric_eigen", counted_symmetric_eigen)
+    return counts
+
+
+class TestEigensolveCount:
+    """One eigenvalue-only solve; eigenvectors only where a spectrum splits."""
+
+    @pytest.mark.parametrize("n", [2, 8, 96])
+    def test_single_angle_rotation(self, monkeypatch, n):
+        M = generate_rotation(n, 1.3, seed=n).matrix
+        counts = count_eigensolves(monkeypatch)
+        nf = orthogonal_normal_form(M)
+        assert len(nf.angles) == n // 2
+        assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 1,
+                          "symmetric_eigen": 0}
+
+    @pytest.mark.parametrize("n", [2, 8, 96])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar(self, monkeypatch, n, sign):
+        Q = rand_orthogonal(n, np.random.default_rng(n))
+        M = sign * (Q @ Q.T)
+        counts = count_eigensolves(monkeypatch)
+        nf = orthogonal_normal_form(M)
+        assert (nf.fix_dim, nf.neg_dim) == ((n, 0) if sign > 0 else (0, n))
+        assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 0,
+                          "symmetric_eigen": 0}
+
+    @pytest.mark.parametrize("n", [2, 8, 96])
+    def test_reflection_takes_the_general_path(self, monkeypatch, n):
+        Q = rand_orthogonal(n, np.random.default_rng(n))
+        M = Q @ np.diag([1.0] * (n - 1) + [-1.0]) @ Q.T
+        counts = count_eigensolves(monkeypatch)
+        nf = orthogonal_normal_form(M)
+        assert (nf.fix_dim, nf.neg_dim) == (n - 1, 1)
+        assert counts["symmetric_eigen"] == counts["real_eigh"] == 1
+
+    @pytest.mark.parametrize("n", [8, 96])
+    def test_two_angles_take_the_general_path(self, monkeypatch, n):
+        Q = rand_orthogonal(n, np.random.default_rng(n))
+        M = Q @ block_diag(*[rot2(0.4)] * (n // 4), *[rot2(2.0)] * (n // 4)) @ Q.T
+        counts = count_eigensolves(monkeypatch)
+        nf = orthogonal_normal_form(M)
+        assert len(nf.angles) == n // 2
+        assert counts["symmetric_eigen"] == counts["real_eigh"] == 1
+        assert counts["hermitian_eigh"] == 2
+
+
+def _assert_certified_basis(nf, M):
+    bound = DEFAULT_TOL.check_tol
+    assert max_abs(nf.basis.T @ nf.basis - np.eye(M.shape[0])) <= bound
+    assert max_abs(nf.basis.T @ M @ nf.basis - nf.block_matrix()) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, ANGLE_GRID), other=st.integers(1, ANGLE_GRID - 1),
+       m=st.integers(1, 6), mr=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_one_cluster_path_agrees_with_the_general_path(k, other, m, mr, seed):
+    # M turns by k pi / ANGLE_GRID (the identity at 0, its negative at
+    # ANGLE_GRID); R by a different angle, so M + R has two clusters.
+    assume(abs(k - other) >= 2)
+    rng = np.random.default_rng(seed)
+    a = k * math.pi / ANGLE_GRID
+    D = np.cos(a) * np.eye(2 * m) if k in (0, ANGLE_GRID) else block_diag(*[rot2(a)] * m)
+    Q = rand_orthogonal(2 * m, rng)
+    M = Q @ D @ Q.T
+    R = block_diag(*[rot2(other * math.pi / ANGLE_GRID)] * mr)
+    P = rand_orthogonal(2 * (m + mr), rng)
+    MR = P @ block_diag(M, R) @ P.T
+    with pytest.MonkeyPatch.context() as patch:
+        counts = count_eigensolves(patch)
+        alone = orthogonal_normal_form(M)
+        assert counts["symmetric_eigen"] == 0
+        joint = orthogonal_normal_form(MR)
+        assert counts["symmetric_eigen"] == 1
+    mine = [x for x in joint.angles if abs(x - a) <= DEFAULT_TOL.angle_tol]
+    assert len(mine) == len(alone.angles)
+    assert max_abs(np.subtract(mine, alone.angles)) <= 1e-12
+    assert (joint.fix_dim, joint.neg_dim) == (alone.fix_dim, alone.neg_dim)
+    _assert_certified_basis(alone, M)
+    _assert_certified_basis(joint, MR)
