@@ -24,6 +24,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .orthogonal import as_rotation, orthogonal_normal_form
 from .workbench import (
     _normal_form_dict,
+    _read_json,
     _sig12,
     build_report,
     form_from_dict,
@@ -106,14 +107,9 @@ def _cmd_isomorphic(args, tol: Tolerance):
 
 
 def _cmd_generate(args, tol: Tolerance):
-    raw = args.spec
-    try:
-        if not raw.lstrip().startswith("["):
-            with open(raw) as fh:
-                raw = fh.read()
-        spec_list = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"--spec is not valid JSON: {exc}") from exc
+    inline = args.spec.lstrip().startswith("[")
+    spec_list = (_read_json("--spec", args.spec) if inline
+                 else _read_json(args.spec))
     if not isinstance(spec_list, list):
         raise ValidationError("--spec must be a JSON array of canonical forms")
     forms = [form_from_dict(obj) for obj in spec_list]

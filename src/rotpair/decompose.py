@@ -1,16 +1,20 @@
 """Decomposition of a rotation pair into invariant blocks.
 
 Every pair of rotations on a Euclidean space splits into an orthogonal
-direct sum of jointly invariant subspaces of dimension 1, 2 or 4.  A
-proper pair is first split into twist clusters: on every irreducible
-block the inner product of ``d v`` and ``e v`` is the same for all unit
-v, so the eigenspaces of ``sym(d^T e)`` are jointly invariant.  Inside
-each cluster the search works through the complexified eigenplanes: an
-overlap between the planes of the two rotations yields one invariant
-2-plane per dimension of the overlap, and otherwise the antilinear
-operator on the first plane hands us a 4-dimensional block; its
-invariant-line branch serves no input.  A 4-dimensional cluster is
-one 4-block or two planes, and one irreducibility verdict decides which.
+direct sum of jointly invariant subspaces of dimension 1, 2 or 4.  The
+one unit of work is the certified :class:`InvariantBlock`: an
+orthonormal basis with both restrictions to its span, as rotations by
+the pair's own angles.  A proper pair is first split into twist
+clusters: on every irreducible block the inner product of ``d v`` and
+``e v`` is the same for all unit v, so the eigenspaces of
+``sym(d^T e)`` are jointly invariant.  :func:`decompose` then works off
+one list of pieces.  A 4-dimensional piece is one 4-block or two
+planes, and one irreducibility verdict decides which.  Any other piece
+takes one search step through the complexified eigenplanes: an overlap
+between the planes of the two rotations yields one invariant 2-plane
+per dimension of the overlap, and otherwise the antilinear operator on
+the first plane hands us a 4-dimensional block; its invariant-line
+branch serves no input.  What the step leaves goes back on the list.
 """
 
 from __future__ import annotations
@@ -54,13 +58,14 @@ from .orthogonal import (
 class InvariantBlock:
     """A jointly invariant subspace with the two restricted operators.
 
-    ``basis`` has orthonormal columns (1, 2 or 4 of them) in ambient
-    coordinates; ``d_restricted`` and ``e_restricted`` are the operators
-    expressed in that basis.  A block of :func:`decompose` also carries
-    them as rotations by the pair's certified angles in ``rotations``,
-    which :func:`is_irreducible` and ``classify_block`` read instead of
-    certifying the block again.  A block built directly, or with
-    ``dataclasses.replace``, has ``rotations`` None.
+    ``basis`` has orthonormal columns in ambient coordinates, 1, 2 or 4
+    of them in a block of :func:`decompose`; ``d_restricted`` and
+    ``e_restricted`` are the operators expressed in that basis.  Every
+    block the package builds also carries them as rotations by the
+    pair's certified angles in ``rotations``, which :func:`is_irreducible`
+    and ``classify_block`` read instead of certifying the block again.
+    A block built directly, or with ``dataclasses.replace``, has
+    ``rotations`` None.
     """
 
     basis: np.ndarray
@@ -104,19 +109,6 @@ def invariance_residual(basis: np.ndarray, d: Rotation, e: Rotation) -> float:
 def _spans(widths) -> list:
     """Slices of consecutive blocks of the given widths."""
     return [slice(j - w, j) for w, j in zip(widths, accumulate(widths))]
-
-
-def _restrictions(r: Rotation, bases) -> list:
-    """``r`` on the span of each basis in ``bases``, each invariant under it.
-
-    One product of ``r`` with the bases side by side serves them all:
-    each restriction is the basis's own block of columns of that
-    product, projected onto the basis.
-    """
-    image = r.matrix @ np.hstack(bases)
-    spans = _spans([b.shape[1] for b in bases])
-    return [Rotation(matrix=b.T @ image[:, s], angle=r.angle)
-            for b, s in zip(bases, spans)]
 
 
 def _certified_block(basis: np.ndarray, d_r: Rotation,
@@ -248,8 +240,8 @@ def _block_from_operator(T: AntilinearOp) -> np.ndarray:
 def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Every jointly invariant block that one search step determines.
 
-    Returns a tuple of blocks of dimension 1, 2 or 4 with mutually
-    orthogonal bases.  If either operator is the identity or its
+    Returns a tuple of certified blocks of dimension 1, 2 or 4 with
+    mutually orthogonal bases.  If either operator is the identity or its
     negative, the blocks are the planes of the other operator's one
     normal form (the one that certified it, when it carries one), or
     every coordinate line when both are.  Otherwise the pair is proper:
@@ -261,10 +253,10 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     both eigenplane meets came back empty, so that no invariant 2-plane
     exists.  The stacked basis is checked once to be orthonormal and
     invariant, both at ``check_tol``; a failure raises
-    ``NumericalFailure``.  The blocks' restrictions are the diagonal
-    blocks of the stacked basis's two restrictions, one product per
-    side.  The pair is one that :func:`decompose` has certified, or a
-    restriction of it.
+    ``NumericalFailure``.  Each block's ``rotations`` are the diagonal
+    blocks of the two restrictions that check forms, at the angles of
+    ``d`` and ``e``.  The pair is one that :func:`decompose` has
+    certified, or a restriction of it.
     """
     n = d.dim
     d_proper = d.kind is RotationKind.PROPER
@@ -279,7 +271,8 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
         kind, payload = _planes_or_operator(d, e, tol)
         bases = payload if kind == "planes" else (_block_from_operator(payload),)
     R_d, R_e = _check_blocks(np.hstack(bases), d, e, tol)
-    return tuple(InvariantBlock(b, R_d[s, s], R_e[s, s])
+    return tuple(_certified_block(b, Rotation(R_d[s, s], d.angle),
+                                  Rotation(R_e[s, s], e.angle))
                  for b, s in zip(bases, _spans([b.shape[1] for b in bases])))
 
 
@@ -294,9 +287,10 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
     twist of 0 or pi that is decided by the eigenplane meets of
     :func:`two_plane_exists`, at ``RANK_TOL``.  This is the one
     irreducibility verdict: :func:`decompose` asks it once for each
-    4-dimensional twist cluster, :func:`find_block` returns irreducible
-    blocks by construction, and ``classify_block`` asks it for a block
-    handed in from outside a decomposition.
+    4-dimensional piece on its work list, a twist cluster or what a
+    search step left, :func:`find_block` returns irreducible blocks by
+    construction, and ``classify_block`` asks it for a block handed in
+    from outside a decomposition.
 
     The restrictions are read from ``block.rotations`` when the block
     carries them; otherwise both are certified here, and a restriction
@@ -316,7 +310,7 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
-    """Orthonormal bases of jointly invariant subspaces that fill the space.
+    """Certified jointly invariant blocks, one per twist cluster, that fill the space.
 
     When both rotations are proper, on every irreducible block the inner
     product of ``d v`` and ``e v`` is one value for all unit v,
@@ -331,33 +325,43 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     Input error divided by the gap can exceed that, so a cluster that
     fails is merged with its neighbour across the smaller gap and
     certified again; the whole space always passes.  A cluster that
-    holds several twists costs only time.  Clusters are returned by
-    descending value.
+    holds several twists costs only time.  Each cluster's restrictions
+    are the two products ``V^T M V`` that its invariance check forms.
+    Clusters are returned by descending value.
 
-    A pair with an identity or negated identity side is one cluster, the
-    whole space; one :func:`find_block` call takes all its lines or planes.
+    A pair with an identity or negated identity side, and a proper pair
+    whose eigenvalues form one group, is one cluster: the pair itself on
+    the identity basis, which keeps the normal forms that certified it.
+    One :func:`find_block` call takes all the lines or planes of a pair
+    with a +-I side.
     """
     n = d.dim
+    whole = [_certified_block(np.eye(n), d, e)]
     if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
-        return [np.eye(n)]
+        return whole
     G = d.matrix.T @ e.matrix
     values, vectors = symmetric_eigen((G + G.T) / 2.0)
     groups = single_linkage(values, n * np.finfo(float).eps / tol.residual_tol)
-    i = 0
-    while i < len(groups):
-        resid = invariance_residual(vectors[:, groups[i]], d, e)
+    clusters = []
+    while len(clusters) < len(groups):
+        i = len(clusters)
+        basis = vectors[:, groups[i]]
+        resid, (R_d, R_e) = _invariance(basis, d, e)
         if len(groups) == 1:
             require(resid, tol.check_tol, NumericalFailure,
                     "whole-space invariance residual")
+            return whole
         if resid <= tol.check_tol:
-            i += 1
+            clusters.append(_certified_block(basis, Rotation(R_d, d.angle),
+                                             Rotation(R_e, e.angle)))
             continue
         below = values[groups[i][0]] - values[groups[i - 1][-1]] if i else np.inf
         above = (values[groups[i + 1][0]] - values[groups[i][-1]]
                  if i + 1 < len(groups) else np.inf)
         i = i - 1 if below < above else i
+        del clusters[i:]
         groups[i:i + 2] = [np.concatenate(groups[i:i + 2])]
-    return [vectors[:, index] for index in reversed(groups)]
+    return clusters[::-1]
 
 
 def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> None:
@@ -391,63 +395,50 @@ def decompose(d: Rotation, e: Rotation,
               tol: Tolerance = DEFAULT_TOL) -> InvariantDecomposition:
     """Full decomposition into irreducible invariant blocks.
 
-    The space is first split by :func:`_twist_clusters`; a cluster that
-    is the whole space is searched on the pair itself, so a side with
-    a +-I partner keeps the normal form that certified it.  Every
-    irreducible block has dimension 1, 2 or 4, so a 4-dimensional
-    cluster of a proper pair is either one 4-block or two planes, and
-    the one :func:`is_irreducible` verdict on it decides which: an
-    irreducible cluster is kept as the block, its invariance already
-    certified by the clustering.  Inside every other cluster blocks are
-    peeled off one search step at a time; both operators restrict to
-    the orthogonal complement of all the blocks one :func:`find_block`
-    call returns, and the restriction of a single-angle rotation to an
-    invariant subspace keeps its angle, so no re-certification is needed
-    along the way.  Each block is irreducible, so it is kept as it is
-    and labelled with no second verdict.  A step costs O(m^3) for the
-    cluster dimension m, and one step takes every plane of an eigenplane
-    meet or of a pair with a +-I side, so a pair whose twists are
-    distinct costs O(n^3) in all.
+    One work list of certified pieces, each an :class:`InvariantBlock`
+    that carries its restrictions, starts as the twist clusters of
+    :func:`_twist_clusters`.  Each piece popped off it is worked once.
+    Every irreducible block has dimension 1, 2 or 4, so a 4-dimensional
+    piece is either one 4-block or two planes, and the one
+    :func:`is_irreducible` verdict on it decides which: an irreducible
+    piece is kept as the block.  Any other piece takes one
+    :func:`find_block` step on its restrictions.  The step's blocks are
+    irreducible by construction; one product with the piece's basis
+    takes them to ambient coordinates, and they are kept with no second
+    verdict.  The orthogonal complement of the step's blocks goes back
+    on the list, with the restrictions ``comp^T R comp`` of the piece's
+    own: the restriction of a single-angle rotation to an invariant
+    subspace keeps its angle, so no re-certification is needed.  A step
+    costs O(m^3) for the piece dimension m, and one step takes every
+    plane of an eigenplane meet or of a pair with a +-I side, so a pair
+    whose twists are distinct costs O(n^3) in all.
 
     Blocks come in extraction order, which is deterministic: lines and
     planes before 4-blocks, each in cluster order and then in the order
-    found inside a cluster.  The canonical order is the order of their
-    forms, applied by ``ClassLabel``.
+    found inside a cluster, since a remainder is worked before the next
+    cluster.  The canonical order is the order of their forms, applied
+    by ``ClassLabel``.
 
     The pair is certified here, once, by :func:`_certify_pair`.  Each
     block carries its restrictions as rotations by the pair's angles.
     """
     _certify_pair(d, e, tol)
-    n = d.dim
-    proper = d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER
-    clusters = _twist_clusters(d, e, tol)
-    if len(clusters) == 1:
-        pieces = [(np.eye(n), d, e)]
-    else:
-        pieces = zip(clusters, _restrictions(d, clusters), _restrictions(e, clusters))
+    work = _twist_clusters(d, e, tol)[::-1]
     blocks = []
-    for carrier, cur_d, cur_e in pieces:
-        if proper and carrier.shape[1] == 4:
-            cluster = _certified_block(carrier, cur_d, cur_e)
-            if is_irreducible(cluster, tol):
-                blocks.append(cluster)
-                continue
-        while True:
-            found = find_block(cur_d, cur_e, tol)
-            local = np.hstack([b.basis for b in found])
-            ambient = carrier @ local
-            blocks.extend(_certified_block(ambient[:, s],
-                                           Rotation(b.d_restricted, d.angle),
-                                           Rotation(b.e_restricted, e.angle))
-                          for b, s in zip(found, _spans([b.dim for b in found])))
-            comp = orthonormal_complement(local)
-            if comp.shape[1] == 0:
-                break
-            carrier = carrier @ comp
-            (cur_d,), (cur_e,) = _restrictions(cur_d, [comp]), _restrictions(cur_e, [comp])
+    while work:
+        piece = work.pop()
+        if piece.dim == 4 and is_irreducible(piece, tol):
+            blocks.append(piece)
+            continue
+        found = find_block(*piece.rotations, tol)
+        local = np.hstack([b.basis for b in found])
+        ambient = piece.basis @ local
+        blocks.extend(_certified_block(ambient[:, s], *b.rotations)
+                      for b, s in zip(found, _spans([b.dim for b in found])))
+        comp = orthonormal_complement(local)
+        if comp.shape[1]:
+            rest = [Rotation(comp.T @ (r.matrix @ comp), r.angle)
+                    for r in piece.rotations]
+            work.append(_certified_block(piece.basis @ comp, *rest))
     blocks.sort(key=lambda b: b.dim)
-
-    total = sum(b.dim for b in blocks)
-    if total != n:
-        raise NumericalFailure(f"block dimensions sum to {total}, expected {n}")
     return InvariantDecomposition(blocks=tuple(blocks))

@@ -79,7 +79,10 @@ def form_from_dict(obj: dict):
             raise BadParameter(f"{f} must be the integer +1 or -1, got {value!r}")
         if f in ANGLE_FIELDS and type(value) not in (int, float):
             raise BadParameter(f"{f} must be a number, got {value!r}")
-        kwargs[f] = value if f in SIGN_FIELDS else float(value)
+        try:
+            kwargs[f] = value if f in SIGN_FIELDS else float(value)
+        except OverflowError as exc:
+            raise BadParameter(f"{f} is an integer too large for a float") from exc
     extra = set(obj) - set(cls.__dataclass_fields__) - {"family"}
     if extra:
         raise BadParameter(f"unexpected fields {sorted(extra)} for {obj['family']!r}")
@@ -169,13 +172,25 @@ def pair_from_json_dict(obj: dict, tol: Tolerance = DEFAULT_TOL) -> PairDocument
     return PairDocument(n=n, delta=delta, epsilon=epsilon, metadata=metadata)
 
 
+def _read_json(source, text=None):
+    """Parsed JSON of ``text``, or of the file ``source`` when text is None.
+
+    Text that is not UTF-8, not JSON, nested deeper than the parser's
+    stack, or an integer literal too long to convert raises
+    ``BadParameter`` naming ``source``; each of these is a ``ValueError``
+    or a ``RecursionError``.
+    """
+    try:
+        if text is None:
+            with open(source) as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise BadParameter(f"{source}: not valid JSON ({exc})") from exc
+
+
 def load_pair(path, tol: Tolerance = DEFAULT_TOL) -> PairDocument:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise BadParameter(f"{path}: not valid JSON ({exc})") from exc
-    return pair_from_json_dict(obj, tol)
+    return pair_from_json_dict(_read_json(path), tol)
 
 
 def _normal_form_dict(nf: NormalForm) -> dict:

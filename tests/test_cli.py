@@ -305,6 +305,24 @@ def test_bad_seed_or_samples_is_validation_error(tmp_path, twisted_file, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("spec", [
+    "[" * 100000 + "]" * 100000,
+    '[{"family": "dim2_right_scalar", "alpha": 1' + "0" * 400 + ', "s": 1}]',
+    '[{"family": "dim2_right_scalar", "alpha": 1' + "0" * 5000 + ', "s": 1}]',
+], ids=["too-deep", "huge-int", "too-many-digits"])
+def test_unusable_spec_file_is_validation_error(tmp_path, spec):
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "gen.json"
+    spec_path.write_text(spec)
+    proc = subprocess.run([sys.executable, "-m", "rotpair.cli", "generate",
+                           "--spec", str(spec_path), "-o", str(out_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "DIR"],
     ["classify", "BINARY"],

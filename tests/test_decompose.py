@@ -356,17 +356,19 @@ class TestTwistClusters:
         d, e = pair_rotations(generate_pair(spec, seed=41))
         clusters = _twist_clusters(d, e, DEFAULT_TOL)
         # descending <d v, e v>: r = +1 planes, twists ascending, r = -1 planes
-        assert [c.shape[1] for c in clusters] == [24] + [4] * 12 + [24]
-        full = np.column_stack(clusters)
+        assert [c.dim for c in clusters] == [24] + [4] * 12 + [24]
+        full = np.column_stack([c.basis for c in clusters])
         assert max_abs(full.T @ full - np.eye(96)) <= 1e-12
         for c in clusters:
-            assert invariance_residual(c, d, e) <= 1e-9
+            assert invariance_residual(c.basis, d, e) <= 1e-9
 
     def test_scalar_side_is_one_cluster(self):
         d, e = pair_rotations(generate_pair([Dim2LeftScalar(r=-1, beta=0.8)] * 3,
                                             seed=42))
         clusters = _twist_clusters(d, e, DEFAULT_TOL)
-        assert len(clusters) == 1 and np.array_equal(clusters[0], np.eye(6))
+        assert len(clusters) == 1 and np.array_equal(clusters[0].basis, np.eye(6))
+        # the pair itself, with the normal forms that certified it
+        assert clusters[0].rotations[0] is d and clusters[0].rotations[1] is e
         assert decompose(d, e).dims == (2, 2, 2)
         lines = decompose(Rotation(np.eye(3), 0.0), Rotation(-np.eye(3), np.pi))
         assert lines.dims == (1, 1, 1)
@@ -381,7 +383,7 @@ class TestTwistClusters:
         assert sizes == []
 
     def test_peel_work_is_cubic(self, monkeypatch):
-        """The peel loop works on clusters, not on the whole space.
+        """Search steps work on clusters, not on the whole space.
 
         Peeling 36 blocks off the whole n = 96 space sums m^3 over the
         dimensions m that find_block sees to about 12 n^3; inside twist
@@ -438,13 +440,30 @@ class TestTwistClusters:
         assert dec.dims == (4,)
         [cluster] = _twist_clusters(d, e, DEFAULT_TOL)
         basis = dec.blocks[0].basis
-        assert max_abs(basis @ basis.T - cluster @ cluster.T) <= 1e-12
+        assert max_abs(basis @ basis.T - cluster.basis @ cluster.basis.T) <= 1e-12
         assert invariance_residual(basis, d, e) <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_last_equal_twist_remainder_takes_no_step(self, k):
+        """k equal twists are one cluster; each step takes one 4-block.
+
+        The last 4-dimensional remainder is one 4-block, and one
+        irreducibility verdict keeps it with no further search step.
+        """
+        spec = [Dim4(0.7, 1.9, 1.1)] * k
+        d, e = pair_rotations(generate_pair(spec, seed=49))
+        with find_block_dims() as seen:
+            dec = decompose(d, e)
+        assert seen == [4 * j for j in range(k, 1, -1)]
+        assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)] == [4 * k]
+        assert dec.dims == (4,) * k
+        _assert_restrictions_match_basis(d, e)
+        assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
     def test_reducible_four_dim_cluster_gives_two_planes(self):
         spec = [Dim2Proper(0.7, 1.9, 1)] * 2 + [Dim4(0.7, 1.9, 1.0)]
         d, e = pair_rotations(generate_pair(spec, seed=48))
-        assert [c.shape[1] for c in _twist_clusters(d, e, DEFAULT_TOL)] == [4, 4]
+        assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)] == [4, 4]
         with find_block_dims() as seen:
             dec = decompose(d, e)
         assert seen == [4]
@@ -460,7 +479,7 @@ class TestTwistClusters:
         With noise of 5e-10 on both sides the two 4-dimensional groups
         are resolved only to the noise over the gap, which fails
         ``check_tol``; they merge into one cluster that passes, and the
-        peel loop inside it still finds both twists.
+        work list still finds both twists inside it.
         """
         spec = [Dim4(1.0, 2.0, 1.0), Dim4(1.0, 2.0, 1.0 + 3e-6)]
         doc = generate_pair(spec, seed=seed)
@@ -473,7 +492,7 @@ class TestTwistClusters:
         clusters = _twist_clusters(d, e, DEFAULT_TOL)
         assert len(clusters) < len(groups)
         for c in clusters:
-            assert invariance_residual(c, d, e) <= DEFAULT_TOL.check_tol
+            assert invariance_residual(c.basis, d, e) <= DEFAULT_TOL.check_tol
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
 
@@ -505,9 +524,9 @@ def proper_specs(draw):
 def test_proper_spec_clusters_and_labels(spec, seed):
     d, e = pair_rotations(generate_pair(spec, seed=seed))
     clusters = _twist_clusters(d, e, DEFAULT_TOL)
-    assert sum(c.shape[1] for c in clusters) == d.dim
+    assert sum(c.dim for c in clusters) == d.dim
     for c in clusters:
-        assert invariance_residual(c, d, e) <= 10 * DEFAULT_TOL.residual_tol
+        assert invariance_residual(c.basis, d, e) <= 10 * DEFAULT_TOL.residual_tol
     assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
 
@@ -538,7 +557,12 @@ def test_compatible_spec_steps_and_labels(seed):
 
 
 def _assert_restrictions_match_basis(d, e, bound=1e-13):
-    for b in decompose(d, e).blocks:
+    """Blocks and twist clusters carry their restrictions at the pair's angles."""
+    clusters = _twist_clusters(d, e, DEFAULT_TOL)
+    for b in decompose(d, e).blocks + tuple(clusters):
+        assert [r.angle for r in b.rotations] == [d.angle, e.angle]
+        assert b.rotations[0].matrix is b.d_restricted
+        assert b.rotations[1].matrix is b.e_restricted
         assert max_abs(b.d_restricted - b.basis.T @ d.matrix @ b.basis) <= bound
         assert max_abs(b.e_restricted - b.basis.T @ e.matrix @ b.basis) <= bound
 

@@ -245,6 +245,42 @@ def test_schema_literals_are_found():
     ]
 
 
+def uncertified_blocks(tree: ast.Module) -> list:
+    """``InvariantBlock(...)`` calls outside ``_certified_block``.
+
+    Every block the package builds carries its restrictions as certified
+    rotations, so ``_certified_block`` is the one place that constructs
+    one.
+    """
+    inside = {id(node) for stmt in ast.walk(tree)
+              if isinstance(stmt, ast.FunctionDef) and stmt.name == "_certified_block"
+              for node in ast.walk(stmt)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in inside
+             and (node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)) == "InvariantBlock"]
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_blocks_are_built_only_certified(path):
+    assert uncertified_blocks(ast.parse(path.read_text())) == []
+
+
+def test_uncertified_blocks_are_found():
+    tree = ast.parse(
+        "def _certified_block(b, d, e):\n    return InvariantBlock(b, d.matrix, e.matrix)\n"
+        "def step(b, R):\n    return InvariantBlock(b, R, R)\n"
+        "x = decompose.InvariantBlock(basis=b, d_restricted=R, e_restricted=R)\n"
+        "y = _certified_block(b, d, e)\n"
+    )
+    assert uncertified_blocks(tree) == [
+        "InvariantBlock(b, R, R) (line 4)",
+        "decompose.InvariantBlock(basis=b, d_restricted=R, e_restricted=R) (line 5)",
+    ]
+
+
 def tolerance_keywords(tree: ast.Module) -> dict:
     """Keyword -> source of every argument of the ``Tolerance(...)`` calls."""
     return {kw.arg: ast.unparse(kw.value) for node in ast.walk(tree)

@@ -86,6 +86,8 @@ class TestFormSerialization:
         {"family": "dim2_left_scalar", "r": 1, "beta": None},
         {"family": "dim2_left_scalar", "r": 1, "beta": True},
         {"family": "dim4", "alpha": 0.5, "beta": [1.2], "theta": 0.8},
+        pytest.param({"family": "dim2_right_scalar", "alpha": 10**400, "s": 1},
+                     id="huge-int"),
     ])
     def test_rejects_mistyped_field(self, obj):
         with pytest.raises(BadParameter):
@@ -123,7 +125,8 @@ class TestPairDocument:
 
     @pytest.mark.parametrize("content", [
         b"\x7fELF\xff\xfe\x00", b"[" * 100000 + b"]" * 100000,
-    ], ids=["binary", "too-deep"])
+        b"[" + b"1" * 5000 + b"]",
+    ], ids=["binary", "too-deep", "too-many-digits"])
     def test_rejects_unreadable_file(self, tmp_path, content):
         path = tmp_path / "unreadable.json"
         path.write_bytes(content)
