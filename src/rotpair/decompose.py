@@ -4,17 +4,18 @@ Every pair of rotations on a Euclidean space splits into an orthogonal
 direct sum of jointly invariant subspaces of dimension 1, 2 or 4.  The
 one unit of work is the certified :class:`InvariantBlock`: an
 orthonormal basis with both restrictions to its span, as rotations by
-the pair's own angles.  A proper pair is first split into twist
+the pair's own angles.  A pair with a +-I side takes one search step for
+all its lines or planes.  A proper pair is first split into twist
 clusters: on every irreducible block the inner product of ``d v`` and
-``e v`` is the same for all unit v, so the eigenspaces of
-``sym(d^T e)`` are jointly invariant.  :func:`decompose` then works off
-one list of pieces.  A 4-dimensional piece is one 4-block or two
-planes, and one irreducibility verdict decides which.  Any other piece
-takes one search step through the complexified eigenplanes: an overlap
-between the planes of the two rotations yields one invariant 2-plane
-per dimension of the overlap, and otherwise the antilinear operator on
-the first plane hands us a 4-dimensional block; its invariant-line
-branch serves no input.  What the step leaves goes back on the list.
+``e v`` is the same for all unit v, so the eigenspaces of ``sym(d^T e)``
+are jointly invariant.  :func:`decompose` then works off one list of
+pieces.  A 4-dimensional piece is one 4-block or two planes, and one
+irreducibility verdict decides which.  Any other piece takes one search
+step through the complexified eigenplanes: an overlap between the planes
+of the two rotations yields one invariant 2-plane per dimension of the
+overlap, and otherwise the antilinear operator on the first plane hands
+us a 4-dimensional block; its invariant-line branch serves no input.
+What the step leaves goes back on the list.
 """
 
 from __future__ import annotations
@@ -244,7 +245,8 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     mutually orthogonal bases.  If either operator is the identity or its
     negative, the blocks are the planes of the other operator's one
     normal form (the one that certified it, when it carries one), or
-    every coordinate line when both are.  Otherwise the pair is proper:
+    every coordinate line when both are: one step, which
+    :func:`decompose` takes directly.  Otherwise the pair is proper:
     the blocks are one plane per column of the first non-empty
     eigenplane meet, else a single 4-block.
 
@@ -312,7 +314,7 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     """Certified jointly invariant blocks, one per twist cluster, that fill the space.
 
-    When both rotations are proper, on every irreducible block the inner
+    Both rotations are proper.  On every irreducible block the inner
     product of ``d v`` and ``e v`` is one value for all unit v,
     ``cos a cos b + r sin a sin b`` on a plane and
     ``cos a cos b + sin a sin b cos(theta)`` on a 4-block of twist
@@ -320,37 +322,28 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     block, and its eigenspaces are jointly invariant.  One
     :func:`symmetric_eigen` gives them; the eigenvalues are grouped by
     single linkage at the gap ``n eps / residual_tol``, the smallest gap
-    at which eigenvectors are resolved to ``residual_tol``.  Each
-    cluster is certified by its invariance residual, at ``check_tol``.
-    Input error divided by the gap can exceed that, so a cluster that
-    fails is merged with its neighbour across the smaller gap and
-    certified again; the whole space always passes.  A cluster that
-    holds several twists costs only time.  Each cluster's restrictions
-    are the two products ``V^T M V`` that its invariance check forms.
-    Clusters are returned by descending value.
+    at which eigenvectors are resolved to ``residual_tol``.
 
-    A pair with an identity or negated identity side, and a proper pair
-    whose eigenvalues form one group, is one cluster: the pair itself on
-    the identity basis, which keeps the normal forms that certified it.
-    One :func:`find_block` call takes all the lines or planes of a pair
-    with a +-I side.
+    With two or more groups each cluster is certified by its invariance
+    residual, at ``check_tol``.  Input error divided by the gap can
+    exceed that, so a cluster that fails is merged with its neighbour
+    across the smaller gap and certified again.  One group, from the
+    start or after merging, is the whole space, which is invariant: the
+    one cluster is the pair itself on the identity basis, which keeps
+    the normal forms that certified it, and no product is formed for it.
+    A cluster that holds several twists costs only time.  Each cluster's
+    restrictions are the two products ``V^T M V`` that its invariance
+    check forms.  Clusters are returned by descending value.
     """
     n = d.dim
-    whole = [_certified_block(np.eye(n), d, e)]
-    if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
-        return whole
     G = d.matrix.T @ e.matrix
     values, vectors = symmetric_eigen((G + G.T) / 2.0)
     groups = single_linkage(values, n * np.finfo(float).eps / tol.residual_tol)
     clusters = []
-    while len(clusters) < len(groups):
+    while len(groups) > 1 and len(clusters) < len(groups):
         i = len(clusters)
         basis = vectors[:, groups[i]]
         resid, (R_d, R_e) = _invariance(basis, d, e)
-        if len(groups) == 1:
-            require(resid, tol.check_tol, NumericalFailure,
-                    "whole-space invariance residual")
-            return whole
         if resid <= tol.check_tol:
             clusters.append(_certified_block(basis, Rotation(R_d, d.angle),
                                              Rotation(R_e, e.angle)))
@@ -361,6 +354,8 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
         i = i - 1 if below < above else i
         del clusters[i:]
         groups[i:i + 2] = [np.concatenate(groups[i:i + 2])]
+    if len(groups) == 1:
+        return [_certified_block(np.eye(n), d, e)]
     return clusters[::-1]
 
 
@@ -395,11 +390,13 @@ def decompose(d: Rotation, e: Rotation,
               tol: Tolerance = DEFAULT_TOL) -> InvariantDecomposition:
     """Full decomposition into irreducible invariant blocks.
 
-    One work list of certified pieces, each an :class:`InvariantBlock`
-    that carries its restrictions, starts as the twist clusters of
-    :func:`_twist_clusters`.  Each piece popped off it is worked once.
-    Every irreducible block has dimension 1, 2 or 4, so a 4-dimensional
-    piece is either one 4-block or two planes, and the one
+    A pair with a +-I side goes, before any product, to one
+    :func:`find_block` step on itself, which returns all its lines or
+    planes.  For a proper pair one work list of certified pieces, each an
+    :class:`InvariantBlock` that carries its restrictions, starts as the
+    twist clusters of :func:`_twist_clusters`.  Each piece popped off it
+    is worked once.  Every irreducible block has dimension 1, 2 or 4, so
+    a 4-dimensional piece is either one 4-block or two planes, and the one
     :func:`is_irreducible` verdict on it decides which: an irreducible
     piece is kept as the block.  Any other piece takes one
     :func:`find_block` step on its restrictions.  The step's blocks are
@@ -410,8 +407,8 @@ def decompose(d: Rotation, e: Rotation,
     own: the restriction of a single-angle rotation to an invariant
     subspace keeps its angle, so no re-certification is needed.  A step
     costs O(m^3) for the piece dimension m, and one step takes every
-    plane of an eigenplane meet or of a pair with a +-I side, so a pair
-    whose twists are distinct costs O(n^3) in all.
+    plane of an eigenplane meet, so a pair whose twists are distinct
+    costs O(n^3) in all.
 
     Blocks come in extraction order, which is deterministic: lines and
     planes before 4-blocks, each in cluster order and then in the order
@@ -423,6 +420,8 @@ def decompose(d: Rotation, e: Rotation,
     block carries its restrictions as rotations by the pair's angles.
     """
     _certify_pair(d, e, tol)
+    if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
+        return InvariantDecomposition(blocks=find_block(d, e, tol))
     work = _twist_clusters(d, e, tol)[::-1]
     blocks = []
     while work:

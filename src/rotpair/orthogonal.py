@@ -95,7 +95,9 @@ class Rotation:
     certified it in ``normal_form``.  Building one directly, or with
     ``dataclasses.replace``, skips that verification and leaves
     ``normal_form`` as None, so a form is never carried over to a new
-    matrix.
+    matrix.  Either way ``matrix`` is stored as a square float array:
+    entries that are not real numbers raise ``BadParameter``, and any
+    other shape ``BadDimension``.
     """
 
     matrix: np.ndarray
@@ -107,6 +109,10 @@ class Rotation:
         # bool is an int subclass, but True is no angle
         if isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real):
             raise BadParameter(f"angle {self.angle!r} is not a real number")
+        M = real_array(self.matrix)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise BadDimension(f"expected a square matrix, got shape {M.shape}")
+        object.__setattr__(self, "matrix", M)
 
     @property
     def dim(self) -> int:
@@ -130,12 +136,13 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     in angle space at ``angle_tol``.  One cluster, as every single-angle
     rotation and +-I has, is the whole space: its eigenbasis is the
     identity, so no eigenvectors are computed, and ``E = I`` below.
-    Several clusters take a full symmetric eigensolve, whose
-    eigenvalues are clustered again and whose eigenvectors give each
-    cluster's basis ``E``.  Clusters next to 0 or pi are tried as fixed or
-    negated space first, and the residual ``|M E -+ E|`` alone decides,
-    at ``check_tol``; a cluster that fails falls back to rotation-block
-    extraction, so near-boundary angles still come out as blocks.
+    Several clusters take a full symmetric eigensolve for its
+    eigenvectors alone: the spectrum is clustered once, and each
+    cluster's columns give its basis ``E``.  Clusters next to 0 or pi
+    are tried as fixed or negated space first, and the residual
+    ``|M E -+ E|`` alone decides, at ``check_tol``; a cluster that fails
+    falls back to rotation-block extraction, so near-boundary angles
+    still come out as blocks.
 
     A rotation cluster with orthonormal basis ``E`` (n x 2m) is split by
     one Hermitian eigensolve.  ``S = E.T @ M @ E`` is orthogonal, and
@@ -168,10 +175,11 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         # basis of it: no eigenvectors are computed
         spaces = [(None, float(thetas.mean()))]
     else:
-        evals, evecs = symmetric_eigen(sym)
-        thetas = np.arccos(np.clip(evals, -1.0, 1.0))
-        spaces = [(evecs[:, c], float(thetas[c].mean()))
-                  for c in single_linkage(thetas, tol.angle_tol)]
+        # eigvalsh ascends and symmetric_eigen descends: index i of the
+        # one is column n - 1 - i of the other
+        evecs = symmetric_eigen(sym)[1]
+        spaces = [(evecs[:, np.sort(n - 1 - c)], float(thetas[c].mean()))
+                  for c in clusters]
 
     # arccos amplifies eigenvalue noise of order n*eps into angle noise
     # of order sqrt(n*eps) next to the endpoints, so the snap-to-scalar

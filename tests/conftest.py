@@ -109,3 +109,21 @@ def count_normal_forms(monkeypatch):
                 getattr(module, "orthogonal_normal_form", None) is original:
             monkeypatch.setattr(module, "orthogonal_normal_form", counted)
     return sizes
+
+
+def record_calls(monkeypatch, module, name):
+    """List of the positional arguments of every call to ``module.name``.
+
+    The attribute is replaced, through ``monkeypatch``, by a wrapper that
+    appends each call's argument tuple and then calls the original, so
+    only callers that look the name up in ``module`` are seen.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import count_normal_forms, pair_rotations, rand_orthogonal
 from rotpair import (
     BadAngle,
+    BadDimension,
     BadParameter,
     ClassLabel,
     Dim1,
@@ -36,12 +37,15 @@ from rotpair import (
     isomorphic,
     labels_match,
     max_abs,
+    oracle_two_plane_search,
     orthogonalize_intertwiner,
     realize,
+    rho,
     rot2,
     t_theta,
     theta_invariant,
     two_plane_exists,
+    unrho,
 )
 from rotpair.decompose import InvariantBlock
 from rotpair.linalg import DEFAULT_TOL, block_diag
@@ -798,3 +802,41 @@ def test_rotation_with_non_real_angle_is_refused(entry, angle):
     other = as_rotation(M)
     with pytest.raises(BadParameter, match="is not a real number"):
         entry(Rotation(M, angle), other)
+
+
+WIDE = np.ones((2, 3))
+QUARTER = block_diag(rot2(math.pi / 2), rot2(math.pi / 2))
+
+
+# a hand-built rotation's matrix is checked once, when it is built: a
+# matrix that is not square is refused, and a list of lists is taken as
+# its array, so no entry ends in an exception of its own
+@pytest.mark.parametrize("call, error", [
+    (lambda: rho(Rotation(WIDE, 0.5)), BadDimension),
+    (lambda: unrho(Rotation(WIDE, math.pi / 2), 0.5), BadDimension),
+    (lambda: two_plane_exists(Rotation(WIDE, 0.5), Rotation(WIDE, 0.5)),
+     BadDimension),
+    (lambda: oracle_two_plane_search(Rotation(WIDE, 0.5), Rotation(WIDE, 0.5)),
+     BadDimension),
+    (lambda: classify(Rotation([[1.0, 0], [0, 1]], 0.0), Rotation(np.eye(2), 0.0)),
+     None),
+    (lambda: two_plane_exists(Rotation(QUARTER.tolist(), math.pi / 2),
+                              as_rotation(QUARTER)), None),
+    (lambda: theta_invariant(Rotation(QUARTER.tolist(), math.pi / 2),
+                             as_rotation(QUARTER)), None),
+], ids=["rho-wide", "unrho-wide", "two-plane-wide", "oracle-wide",
+        "classify-list", "two-plane-list", "theta-list"])
+def test_rotation_matrix_is_checked_when_built(call, error):
+    if error is None:
+        call()
+    else:
+        with pytest.raises(error, match="expected a square matrix"):
+            call()
+
+
+def test_list_matrix_classifies_like_its_array():
+    spec = [Dim4(0.5, 1.2, 0.8), Dim2Proper(0.5, 1.2, -1)]
+    d, e = pair_rotations(generate_pair(spec, seed=3))
+    listed = Rotation(d.matrix.tolist(), d.angle)
+    assert listed.matrix.dtype == np.float64
+    assert classify(listed, e) == classify(Rotation(d.matrix, d.angle), e)

@@ -1,4 +1,3 @@
-import contextlib
 import importlib
 import math
 
@@ -13,6 +12,7 @@ from conftest import (
     polar,
     rand_orthogonal,
     random_compatible_spec,
+    record_calls,
 )
 from rotpair import (
     BadParameter,
@@ -41,6 +41,9 @@ from rotpair import (
 )
 from rotpair.decompose import _twist_clusters, find_block, invariance_residual
 from rotpair.linalg import DEFAULT_TOL, block_diag, single_linkage
+
+# the package namespace binds ``decompose`` to the function
+DECOMPOSE = importlib.import_module("rotpair.decompose")
 
 
 def proper(M):
@@ -140,9 +143,10 @@ class TestFindBlock:
             assert invariance_residual(b.basis, d, e) <= 1e-8
             assert max_abs(b.basis.T @ b.basis - np.eye(4)) <= 1e-9
 
-    def test_rejects_dimension_mismatch(self):
+    def test_rejects_dimension_mismatch(self, monkeypatch):
         # decompose certifies the pair before any search step runs
-        with find_block_dims() as seen, pytest.raises(NotOrthogonalPair):
+        seen = record_calls(monkeypatch, DECOMPOSE, "find_block")
+        with pytest.raises(NotOrthogonalPair):
             decompose(Rotation(np.eye(2), 0.0), Rotation(np.eye(3), 0.0))
         assert seen == []
 
@@ -323,22 +327,9 @@ class TestDecompose:
             decompose(Rotation(np.eye(2), 0.0), Rotation(np.eye(4), 0.0))
 
 
-@contextlib.contextmanager
-def find_block_dims():
-    """List of the dimensions of the spaces ``decompose`` hands ``find_block``."""
-    module = importlib.import_module("rotpair.decompose")
-    original = module.find_block
-    seen = []
-
-    def counted(d, e, tol=DEFAULT_TOL):
-        seen.append(d.dim)
-        return original(d, e, tol)
-
-    module.find_block = counted
-    try:
-        yield seen
-    finally:
-        module.find_block = original
+def dims(calls):
+    """Dimension of the first rotation of each recorded call."""
+    return [args[0].dim for args in calls]
 
 
 def n96_spec(rng):
@@ -377,10 +368,36 @@ class TestTwistClusters:
         d, e = pair_rotations(generate_pair([Dim2LeftScalar(r=1, beta=0.8)] * 4,
                                             seed=45))
         sizes = count_normal_forms(monkeypatch)
-        with find_block_dims() as seen:
-            assert decompose(d, e).dims == (2, 2, 2, 2)
-        assert seen == [8]
+        calls = record_calls(monkeypatch, DECOMPOSE, "find_block")
+        assert decompose(d, e).dims == (2, 2, 2, 2)
+        assert dims(calls) == [8]
         assert sizes == []
+
+    @pytest.mark.parametrize("spec, dim", [
+        ([Dim2LeftScalar(r=-1, beta=0.8)] * 4, 2),
+        ([Dim1(r=1, s=-1)] * 3, 1),
+    ], ids=["planes", "lines"])
+    def test_scalar_side_is_routed_to_one_step(self, monkeypatch, spec, dim):
+        """A pair with a +-I side takes one search step on the pair itself."""
+        d, e = pair_rotations(generate_pair(spec, seed=50))
+        clusters = record_calls(monkeypatch, DECOMPOSE, "_twist_clusters")
+        steps = record_calls(monkeypatch, DECOMPOSE, "find_block")
+        assert decompose(d, e).dims == (dim,) * len(spec)
+        assert clusters == []
+        assert len(steps) == 1 and steps[0][0] is d and steps[0][1] is e
+
+    @pytest.mark.parametrize("spec", [
+        [Dim2Proper(0.5, 1.2, 1)] * 4,
+        [Dim4(0.7, 1.9, 1.1)] * 3,
+    ], ids=["planes", "four-blocks"])
+    def test_one_group_is_the_pair_itself(self, monkeypatch, spec):
+        """One eigenvalue group is the whole space: no product is formed."""
+        d, e = pair_rotations(generate_pair(spec, seed=51))
+        products = record_calls(monkeypatch, DECOMPOSE, "_invariance")
+        [cluster] = _twist_clusters(d, e, DEFAULT_TOL)
+        assert products == []
+        assert np.array_equal(cluster.basis, np.eye(d.dim))
+        assert cluster.rotations[0] is d and cluster.rotations[1] is e
 
     def test_peel_work_is_cubic(self, monkeypatch):
         """Search steps work on clusters, not on the whole space.
@@ -394,16 +411,9 @@ class TestTwistClusters:
         rng = np.random.default_rng(43)
         spec = n96_spec(rng)
         d, e = pair_rotations(generate_pair(spec, seed=43))
-        module = importlib.import_module("rotpair.decompose")
-        original = module.find_block
-        seen = []
-
-        def counted(d, e, tol=DEFAULT_TOL):
-            seen.append(d.dim)
-            return original(d, e, tol)
-
-        monkeypatch.setattr(module, "find_block", counted)
+        calls = record_calls(monkeypatch, DECOMPOSE, "find_block")
         label = classify(d, e)
+        seen = dims(calls)
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
         assert len(seen) == 2
         assert sum(m ** 3 for m in seen) <= 96 ** 3
@@ -419,23 +429,16 @@ class TestTwistClusters:
         rng = np.random.default_rng(46)
         spec = n96_spec(rng)
         d, e = pair_rotations(generate_pair(spec, seed=46))
-        module = importlib.import_module("rotpair.decompose")
-        original = module._planes_or_operator
-        seen = []
-
-        def counted(d, e, tol):
-            seen.append(d.dim)
-            return original(d, e, tol)
-
-        monkeypatch.setattr(module, "_planes_or_operator", counted)
+        calls = record_calls(monkeypatch, DECOMPOSE, "_planes_or_operator")
         label = classify(d, e)
+        seen = dims(calls)
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
         assert sorted(seen) == [4] * 12 + [24, 24]
 
-    def test_lone_four_block_is_its_cluster(self):
+    def test_lone_four_block_is_its_cluster(self, monkeypatch):
         d, e = pair_rotations(generate_pair([Dim4(0.5, 1.2, 0.8)], seed=47))
-        with find_block_dims() as seen:
-            dec = decompose(d, e)
+        seen = record_calls(monkeypatch, DECOMPOSE, "find_block")
+        dec = decompose(d, e)
         assert seen == []
         assert dec.dims == (4,)
         [cluster] = _twist_clusters(d, e, DEFAULT_TOL)
@@ -444,7 +447,7 @@ class TestTwistClusters:
         assert invariance_residual(basis, d, e) <= 1e-9
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_last_equal_twist_remainder_takes_no_step(self, k):
+    def test_last_equal_twist_remainder_takes_no_step(self, monkeypatch, k):
         """k equal twists are one cluster; each step takes one 4-block.
 
         The last 4-dimensional remainder is one 4-block, and one
@@ -452,21 +455,21 @@ class TestTwistClusters:
         """
         spec = [Dim4(0.7, 1.9, 1.1)] * k
         d, e = pair_rotations(generate_pair(spec, seed=49))
-        with find_block_dims() as seen:
-            dec = decompose(d, e)
-        assert seen == [4 * j for j in range(k, 1, -1)]
+        calls = record_calls(monkeypatch, DECOMPOSE, "find_block")
+        dec = decompose(d, e)
+        assert dims(calls) == [4 * j for j in range(k, 1, -1)]
         assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)] == [4 * k]
         assert dec.dims == (4,) * k
         _assert_restrictions_match_basis(d, e)
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
-    def test_reducible_four_dim_cluster_gives_two_planes(self):
+    def test_reducible_four_dim_cluster_gives_two_planes(self, monkeypatch):
         spec = [Dim2Proper(0.7, 1.9, 1)] * 2 + [Dim4(0.7, 1.9, 1.0)]
         d, e = pair_rotations(generate_pair(spec, seed=48))
         assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)] == [4, 4]
-        with find_block_dims() as seen:
-            dec = decompose(d, e)
-        assert seen == [4]
+        calls = record_calls(monkeypatch, DECOMPOSE, "find_block")
+        dec = decompose(d, e)
+        assert dims(calls) == [4]
         assert dec.dims == (2, 2, 4)
         for b in dec.blocks:
             assert invariance_residual(b.basis, d, e) <= 1e-9
@@ -478,8 +481,9 @@ class TestTwistClusters:
 
         With noise of 5e-10 on both sides the two 4-dimensional groups
         are resolved only to the noise over the gap, which fails
-        ``check_tol``; they merge into one cluster that passes, and the
-        work list still finds both twists inside it.
+        ``check_tol``; they merge into one group, the pair itself on the
+        identity basis, and the work list still finds both twists inside
+        it.
         """
         spec = [Dim4(1.0, 2.0, 1.0), Dim4(1.0, 2.0, 1.0 + 3e-6)]
         doc = generate_pair(spec, seed=seed)
@@ -491,6 +495,8 @@ class TestTwistClusters:
                                 8 * np.finfo(float).eps / DEFAULT_TOL.residual_tol)
         clusters = _twist_clusters(d, e, DEFAULT_TOL)
         assert len(clusters) < len(groups)
+        assert np.array_equal(clusters[0].basis, np.eye(8))
+        assert clusters[0].rotations[0] is d and clusters[0].rotations[1] is e
         for c in clusters:
             assert invariance_residual(c.basis, d, e) <= DEFAULT_TOL.check_tol
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
@@ -544,7 +550,8 @@ def test_compatible_spec_steps_and_labels(seed):
     rng = np.random.default_rng(seed)
     spec = random_compatible_spec(rng)
     d, e = pair_rotations(generate_pair(spec, seed=int(rng.integers(1 << 31))))
-    with find_block_dims() as seen:
+    with pytest.MonkeyPatch.context() as patch:
+        seen = record_calls(patch, DECOMPOSE, "find_block")
         dec = decompose(d, e)
     if isinstance(spec[0], (Dim1, Dim2LeftScalar, Dim2RightScalar)):
         steps = 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_normal_forms, rand_orthogonal
+from conftest import count_normal_forms, rand_orthogonal, record_calls
 from rotpair import (
     DEFAULT_TOL,
     BadAngle,
@@ -427,6 +427,21 @@ class TestEigensolveCount:
         assert len(nf.angles) == n // 2
         assert counts["symmetric_eigen"] == counts["real_eigh"] == 1
         assert counts["hermitian_eigh"] == 2
+
+
+@pytest.mark.parametrize("blocks", [
+    [np.eye(7), [[-1.0]]],
+    [rot2(0.4), rot2(0.4), rot2(2.0), rot2(2.0)],
+], ids=["reflection", "two-angles"])
+def test_split_spectrum_is_clustered_once(monkeypatch, blocks):
+    from rotpair import orthogonal
+
+    Q = rand_orthogonal(8, np.random.default_rng(8))
+    M = Q @ block_diag(*blocks) @ Q.T
+    calls = record_calls(monkeypatch, orthogonal, "single_linkage")
+    nf = orthogonal_normal_form(M)
+    assert len(calls) == 1
+    _assert_certified_basis(nf, M)
 
 
 def _assert_certified_basis(nf, M):
