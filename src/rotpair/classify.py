@@ -104,10 +104,18 @@ def _check_form(form):
     return form
 
 
+def _to_float(value, name: str) -> float:
+    """``float(value)``; an integer too large for a float raises ``BadParameter``."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise BadParameter(f"{name} is an integer too large for a float") from exc
+
+
 def _sort_key(form):
     key = [FAMILIES.index(type(_check_form(form)))]
     for name in SIGN_FIELDS + ANGLE_FIELDS:
-        key.append(float(getattr(form, name, 0.0)))
+        key.append(_to_float(getattr(form, name, 0.0), name))
     return tuple(key)
 
 
@@ -137,7 +145,7 @@ def _check_angle(value, name: str) -> float:
     # bool is an int subclass, but True is no angle
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise BadParameter(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    value = _to_float(value, name)
     if not (0.0 < value < math.pi):
         raise BadParameter(f"{name} must lie strictly inside (0, pi), got {value!r}")
     return value
@@ -261,19 +269,18 @@ def realize(form) -> tuple:
 def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLabel:
     """Canonical label of a rotation pair: forms of its irreducible blocks.
 
-    A pair with a +-I side is labelled from its kinds and certified
-    angles alone: n lines ``Dim1(r, s)`` when both sides are +-I, else
-    n/2 planes ``Dim2LeftScalar(r, beta)`` or ``Dim2RightScalar(alpha,
-    s)``.  It is certified exactly as :func:`decompose` certifies a pair,
-    with the same errors, but no basis is built and no normal form read;
-    :func:`decompose` still builds its blocks, for reports.  A pair of
-    two proper rotations is decomposed and each block labelled by
-    :func:`classify_block`.
+    Only the pair that :func:`_certify_pair` returns is labelled, so a
+    hand-built side's label reads its certified angle.  A pair with a
+    +-I side is labelled from its kinds and angles alone: n lines
+    ``Dim1(r, s)`` when both sides are +-I, else n/2 planes
+    ``Dim2LeftScalar(r, beta)`` or ``Dim2RightScalar(alpha, s)``, with
+    no basis built.  A pair of two proper rotations is decomposed and
+    each block labelled by :func:`classify_block`.
     """
+    d, e = _certify_pair(d, e, tol)
     if d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER:
         dec = decompose(d, e, tol)
         return ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
-    _certify_pair(d, e, tol)
     form = _scalar_form(d, e)
     return ClassLabel(forms=(form,) * (d.dim // form.dim))
 
@@ -344,23 +351,18 @@ def orthogonalize_intertwiner(phi, pair1, pair2,
     Residuals and stretch are judged relative to phi's size, so phi may
     have any scale.  A phi with a NaN or infinite entry raises
     ``NotIntertwiner``, and a phi that holds no real numbers
-    ``BadParameter``.  A side that carries its normal form is not
-    certified again.
+    ``BadParameter``.  Each pair is certified by :func:`_certify_pair`,
+    so sides of unequal dimension raise ``NotOrthogonalPair``.
     """
     phi = real_array(phi, "phi")
     if not np.all(np.isfinite(phi)):
         raise NotIntertwiner("phi has non-finite entries")
-    d, e = pair1
-    d2, e2 = pair2
+    (d, e), (d2, e2) = (_certify_pair(*p, tol) for p in (pair1, pair2))
     n = d.dim
     if phi.shape != (n, n) or d2.dim != n:
         raise NotIntertwiner(f"shape mismatch: phi {phi.shape} on R^{n}")
-    if n not in (1, 2, 4):
-        raise NotIrreducible("pair is reducible")
-    for p in (pair1, pair2):
-        d_r, e_r = (as_rotation(r.matrix, tol) if r.normal_form is None else r
-                    for r in p)
-        if not is_irreducible(_certified_block(np.eye(n), d_r, e_r), tol):
+    for p in ((d, e), (d2, e2)):
+        if not is_irreducible(_certified_block(np.eye(n), *p), tol):
             raise NotIrreducible("pair is reducible")
     require(max(max_abs(phi @ d.matrix - d2.matrix @ phi),
                 max_abs(phi @ e.matrix - e2.matrix @ phi)),

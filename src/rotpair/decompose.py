@@ -47,12 +47,7 @@ from .linalg import (
     subspace_meet,
     symmetric_eigen,
 )
-from .orthogonal import (
-    Rotation,
-    RotationKind,
-    as_rotation,
-    normal_form_of,
-)
+from .orthogonal import Rotation, RotationKind, as_rotation
 
 
 @dataclass(frozen=True)
@@ -184,6 +179,15 @@ def _check_blocks(stacked: np.ndarray, d: Rotation, e: Rotation,
     return restricted
 
 
+def _require_proper_pair(d: Rotation, e: Rotation) -> None:
+    """Refuse a side that is not proper, then sides of unequal dimension."""
+    for r in (d, e):
+        if r.kind is not RotationKind.PROPER:
+            raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
+    if d.dim != e.dim:
+        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+
+
 def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     """Whether the proper pair (d, e) leaves some 2-plane invariant.
 
@@ -194,11 +198,7 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     proper raises ``NotProper``, a pair of unequal dimensions
     ``NotOrthogonalPair``, and a NaN or infinite entry ``BadParameter``.
     """
-    for r in (d, e):
-        if r.kind is not RotationKind.PROPER:
-            raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
-    if d.dim != e.dim:
-        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+    _require_proper_pair(d, e)
     if not (np.isfinite(d.matrix).all() and np.isfinite(e.matrix).all()):
         raise BadParameter("rotation matrix has non-finite entries")
     kind, payload = _planes_or_operator(d, e, tol)
@@ -243,11 +243,10 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
     Returns a tuple of certified blocks of dimension 1, 2 or 4 with
     mutually orthogonal bases.  If either operator is the identity or its
-    negative, the blocks are the planes of the other operator's one
-    normal form (the one that certified it, when it carries one), or
-    every coordinate line when both are: one step, which
-    :func:`decompose` takes directly.  Otherwise the pair is proper:
-    the blocks are one plane per column of the first non-empty
+    negative, the blocks are the planes of the normal form that certified
+    the other operator, or every coordinate line when both are: one step,
+    which :func:`decompose` takes directly.  Otherwise the pair is
+    proper: the blocks are one plane per column of the first non-empty
     eigenplane meet, else a single 4-block.
 
     Each block is irreducible by construction: a line, a plane on which
@@ -257,8 +256,8 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     invariant, both at ``check_tol``; a failure raises
     ``NumericalFailure``.  Each block's ``rotations`` are the diagonal
     blocks of the two restrictions that check forms, at the angles of
-    ``d`` and ``e``.  The pair is one that :func:`decompose` has
-    certified, or a restriction of it.
+    ``d`` and ``e``.  The pair is one that :func:`_certify_pair` has
+    returned, or a restriction of it.
     """
     n = d.dim
     d_proper = d.kind is RotationKind.PROPER
@@ -267,8 +266,7 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
         if not d_proper and not e_proper:
             bases = np.hsplit(np.eye(n), n)
         else:
-            nf = normal_form_of(d if d_proper else e, tol)
-            bases = [nf.basis[:, i:i + 2] for i in range(0, n, 2)]
+            bases = np.hsplit((d if d_proper else e).normal_form.basis, n // 2)
     else:
         kind, payload = _planes_or_operator(d, e, tol)
         bases = payload if kind == "planes" else (_block_from_operator(payload),)
@@ -359,17 +357,20 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     return clusters[::-1]
 
 
-def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> None:
-    """Certify a pair once: equal dimensions, orthogonal sides, true angles.
+def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
+    """The pair as certified rotations; the one place a claimed angle is read.
 
     Each side's orthogonality residual must be within ``residual_tol``
-    (``NotOrthogonalPair``), and a side built without
-    :func:`as_rotation` is certified: a claimed angle more than
-    ``angle_tol`` off, or a claimed kind (``+-I`` or proper) that differs
-    from the certified one, raises ``NumericalFailure`` with the margin.
+    (``NotOrthogonalPair``), and a side built without :func:`as_rotation`
+    is certified: a claimed angle more than ``angle_tol`` off, or a
+    claimed kind (``+-I`` or proper) that differs from the certified
+    one, raises ``NumericalFailure`` with the margin; otherwise its
+    certificate comes back in its place.  A side that carries its normal
+    form comes back unchanged.
     """
     if d.dim != e.dim:
         raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+    pair = []
     for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
         require(orthonormality_residual(r.matrix), tol.residual_tol,
                 NotOrthogonalPair, f"{name} operator orthogonality residual")
@@ -384,6 +385,9 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> None:
                     f"{r.kind.value} claimed for the {name} operator, which certifies "
                     f"as {certified.kind.value} ({angle_name} gap {gap:.3e})"
                 )
+            r = certified
+        pair.append(r)
+    return tuple(pair)
 
 
 def decompose(d: Rotation, e: Rotation,
@@ -416,10 +420,11 @@ def decompose(d: Rotation, e: Rotation,
     cluster.  The canonical order is the order of their forms, applied
     by ``ClassLabel``.
 
-    The pair is certified here, once, by :func:`_certify_pair`.  Each
-    block carries its restrictions as rotations by the pair's angles.
+    Only the pair that :func:`_certify_pair` returns is worked, so a
+    hand-built side's claim is never used.  Each block carries its
+    restrictions as rotations by the pair's certified angles.
     """
-    _certify_pair(d, e, tol)
+    d, e = _certify_pair(d, e, tol)
     if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
         return InvariantDecomposition(blocks=find_block(d, e, tol))
     work = _twist_clusters(d, e, tol)[::-1]

@@ -97,7 +97,7 @@ class Rotation:
     ``normal_form`` as None, so a form is never carried over to a new
     matrix.  Either way ``matrix`` is stored as a square float array:
     entries that are not real numbers raise ``BadParameter``, and any
-    other shape ``BadDimension``.
+    other shape ``BadDimension``; an angle outside [0, pi] ``BadAngle``.
     """
 
     matrix: np.ndarray
@@ -109,6 +109,8 @@ class Rotation:
         # bool is an int subclass, but True is no angle
         if isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real):
             raise BadParameter(f"angle {self.angle!r} is not a real number")
+        if not 0.0 <= self.angle <= math.pi:
+            raise BadAngle(f"angle {self.angle!r} is not in [0, pi]")
         M = real_array(self.matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise BadDimension(f"expected a square matrix, got shape {M.shape}")
@@ -273,13 +275,6 @@ def _certified(M: np.ndarray, angle: float, nf: NormalForm) -> Rotation:
     r = Rotation(matrix=M, angle=angle)
     object.__setattr__(r, "normal_form", nf)
     return r
-
-
-def normal_form_of(r: Rotation, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
-    """The block form that certified ``r``, or a new one if it has none."""
-    if r.normal_form is not None:
-        return r.normal_form
-    return orthogonal_normal_form(r.matrix, tol)
 
 
 def rho(d: Rotation, tol: Tolerance = DEFAULT_TOL) -> Rotation:

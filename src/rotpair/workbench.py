@@ -24,28 +24,17 @@ from .classify import (
     SIGN_FIELDS,
     ClassLabel,
     _check_form,
+    _to_float,
     classify_block,
     realize,
 )
-from .decompose import decompose, invariance_residual
-from .errors import (
-    BadAngle,
-    BadDimension,
-    BadParameter,
-    NotARotation,
-    NotOrthogonal,
-    NotProper,
-)
+from .decompose import (_certify_pair, _require_proper_pair, decompose,
+                        invariance_residual)
+from .errors import (BadAngle, BadDimension, BadParameter, NotARotation,
+                     NotOrthogonal)
 from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag,
                      orthonormality_residual, require)
-from .orthogonal import (
-    NormalForm,
-    Rotation,
-    RotationKind,
-    as_rotation,
-    normal_form_of,
-    rot2,
-)
+from .orthogonal import NormalForm, Rotation, as_rotation, rot2
 
 
 def _sig12(x: float) -> float:
@@ -59,7 +48,8 @@ def form_to_dict(form) -> dict:
     # key order shows in unsorted JSON: signs before angles, as declared
     return {"family": form.family,
             **{f: int(getattr(form, f)) for f in SIGN_FIELDS if hasattr(form, f)},
-            **{f: _sig12(getattr(form, f)) for f in ANGLE_FIELDS if hasattr(form, f)}}
+            **{f: _sig12(_to_float(getattr(form, f), f))
+               for f in ANGLE_FIELDS if hasattr(form, f)}}
 
 
 def form_from_dict(obj: dict):
@@ -79,10 +69,7 @@ def form_from_dict(obj: dict):
             raise BadParameter(f"{f} must be the integer +1 or -1, got {value!r}")
         if f in ANGLE_FIELDS and type(value) not in (int, float):
             raise BadParameter(f"{f} must be a number, got {value!r}")
-        try:
-            kwargs[f] = value if f in SIGN_FIELDS else float(value)
-        except OverflowError as exc:
-            raise BadParameter(f"{f} is an integer too large for a float") from exc
+        kwargs[f] = value if f in SIGN_FIELDS else _to_float(value, f)
     extra = set(obj) - set(cls.__dataclass_fields__) - {"family"}
     if extra:
         raise BadParameter(f"unexpected fields {sorted(extra)} for {obj['family']!r}")
@@ -206,10 +193,11 @@ def build_report(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> dict
     """Decompose and classify a pair; the report as a JSON-ready dict.
 
     Residuals in the report are recomputed from the returned bases, not
-    read back from intermediate state.  The two normal forms are the
-    ones that certified ``d`` and ``e`` (``Rotation.normal_form``); a
-    rotation built without :func:`as_rotation` gets one computed here.
+    read back from intermediate state.  The report is the one of the
+    pair :func:`_certify_pair` returns, with the normal forms that
+    certified ``d`` and ``e``: a hand-built side's claim is never used.
     """
+    d, e = _certify_pair(d, e, tol)
     dec = decompose(d, e, tol)
     forms = [classify_block(b, tol) for b in dec.blocks]
     blocks = [{
@@ -227,8 +215,8 @@ def build_report(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> dict
             "angle_tol": tol.angle_tol,
             "rank_tol": RANK_TOL,
         },
-        "delta_normal_form": _normal_form_dict(normal_form_of(d, tol)),
-        "epsilon_normal_form": _normal_form_dict(normal_form_of(e, tol)),
+        "delta_normal_form": _normal_form_dict(d.normal_form),
+        "epsilon_normal_form": _normal_form_dict(e.normal_form),
         "blocks": blocks,
         "label": label_to_list(ClassLabel(forms=tuple(forms))),
     }
@@ -336,16 +324,15 @@ def oracle_two_plane_search(d: Rotation, e: Rotation, samples: int = 10000,
     most 2; the plane spanned by v and d v is then verified invariant
     under both rotations.  Structured probe vectors are tried first,
     then ``samples`` seeded random draws.  Returns the first verified
-    witness, or None.
+    witness, or None.  A rotation that is not proper raises
+    ``NotProper``, and a pair of unequal dimensions ``NotOrthogonalPair``.
 
     Absence of a witness is NOT a proof that no invariant 2-plane
     exists: for most reducible pairs the witnesses form a measure-zero
     set that random sampling misses.
     """
     samples, seed = _check_count(samples, "samples"), _check_count(seed, "seed")
-    for r in (d, e):
-        if r.kind is not RotationKind.PROPER:
-            raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
+    _require_proper_pair(d, e)
     n = d.dim
     dm, em = d.matrix, e.matrix
 

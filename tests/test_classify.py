@@ -28,11 +28,13 @@ from rotpair import (
     NotOrthogonalPair,
     NumericalFailure,
     Rotation,
+    RotationKind,
     as_rotation,
     build_report,
     classify,
     classify_block,
     decompose,
+    form_to_dict,
     generate_pair,
     isomorphic,
     labels_match,
@@ -758,6 +760,11 @@ class TestOrthogonalizeIntertwiner:
         with pytest.raises(NotIrreducible):
             orthogonalize_intertwiner(np.eye(2), (ident, ident), (ident, ident))
 
+    def test_rejects_pair_of_a_dimension_with_no_irreducible_block(self):
+        pair = (Rotation(np.eye(3), 0.0), Rotation(-np.eye(3), np.pi))
+        with pytest.raises(NotIrreducible):
+            orthogonalize_intertwiner(np.eye(3), pair, pair)
+
     def test_rejects_wrong_shape(self):
         d = proper(rot2(0.5))
         e = proper(rot2(1.2))
@@ -840,3 +847,63 @@ def test_list_matrix_classifies_like_its_array():
     listed = Rotation(d.matrix.tolist(), d.angle)
     assert listed.matrix.dtype == np.float64
     assert classify(listed, e) == classify(Rotation(d.matrix, d.angle), e)
+
+
+def claim_probe_specs(count):
+    """Specs cycling through two proper mixes, a +-I mix and one Dim4."""
+    rng = np.random.default_rng([21, 0])
+    specs = []
+    for i in range(count):
+        alpha, beta, theta = (float(x) for x in rng.uniform(0.2, 2.9, 3))
+        specs.append([
+            [Dim4(alpha, beta, theta), Dim2Proper(alpha, beta, 1)],
+            [Dim2Proper(alpha, beta, -1)] * 2,
+            [Dim2LeftScalar(1, beta)] * 2,
+            [Dim4(alpha, beta, theta)],
+        ][i % 4])
+    return specs
+
+
+# A claim within angle_tol is replaced by its certificate at the entry:
+# claims a few times check_tol off used to fail the eigenplane residual,
+# and the label used to carry the claimed angle.
+@pytest.mark.parametrize("offset", [0.0, 3e-9, 1e-8, 3e-8, 9e-8])
+def test_hand_built_side_is_labelled_by_its_certificate(offset):
+    for seed, spec in enumerate(claim_probe_specs(8)):
+        d, e = pair_rotations(generate_pair(spec, seed=seed))
+        left = d.kind is RotationKind.PROPER
+        if left:
+            d = Rotation(d.matrix, d.angle + offset)
+        else:
+            e = Rotation(e.matrix, e.angle + offset)
+        label = classify(d, e)
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        certified = as_rotation((d if left else e).matrix).angle
+        assert all((f.alpha if left else f.beta) == certified for f in label.forms)
+
+
+def test_intertwiner_pair_of_unequal_dimensions_is_refused():
+    d = proper(rot2(0.5))
+    e = proper(block_diag(rot2(1.2), rot2(1.2)))
+    with pytest.raises(NotOrthogonalPair, match="dimensions differ"):
+        orthogonalize_intertwiner(np.eye(2), (d, e), (d, e))
+    with pytest.raises(NotOrthogonalPair, match="dimensions differ"):
+        orthogonalize_intertwiner(np.eye(2), (d, proper(rot2(1.2))), (d, e))
+
+
+def test_oracle_pair_of_unequal_dimensions_is_refused():
+    with pytest.raises(NotOrthogonalPair, match="dimensions differ"):
+        oracle_two_plane_search(proper(rot2(0.5)),
+                                proper(block_diag(rot2(1.2), rot2(1.2))))
+
+
+# an angle beyond the float range is refused like any other bad parameter
+@pytest.mark.parametrize("call", [
+    lambda: realize(Dim4(10**400, 1.0, 1.0)),
+    lambda: generate_pair([Dim4(10**400, 1.0, 1.0)], seed=0),
+    lambda: ClassLabel(forms=(Dim4(1.0, 10**400, 1.0),)),
+    lambda: form_to_dict(Dim4(1.0, 1.0, 10**400)),
+], ids=["realize", "generate_pair", "ClassLabel", "form_to_dict"])
+def test_angle_too_large_for_a_float_is_bad_parameter(call):
+    with pytest.raises(BadParameter, match="too large for a float"):
+        call()

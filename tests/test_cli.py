@@ -323,6 +323,27 @@ def test_unusable_spec_file_is_validation_error(tmp_path, spec):
     assert not out_path.exists()
 
 
+BAD_TOL = "tolerances must be finite and strictly positive"
+
+
+# in process, where a coverage trace of the suite sees the branches
+@pytest.mark.parametrize("argv, message", [
+    (["check", "PAIR", "--tol", "0"], BAD_TOL),
+    (["check", "PAIR", "--tol", "nan"], BAD_TOL),
+    (["generate", "--spec", "SPEC", "-o", "OUT"],
+     "--spec must be a JSON array of canonical forms"),
+], ids=["tol-zero", "tol-nan", "spec-object"])
+def test_typed_refusal_in_process(capsys, tmp_path, pair_file, argv, message):
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "gen.json"
+    spec_path.write_text("{}")
+    paths = {"PAIR": pair_file, "SPEC": str(spec_path), "OUT": str(out_path)}
+    rc, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert rc == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "DIR"],
     ["classify", "BINARY"],

@@ -281,6 +281,49 @@ def test_uncertified_blocks_are_found():
     ]
 
 
+def normal_form_checks(tree: ast.Module, owner: str | None = None) -> list:
+    """Comparisons of a ``.normal_form`` attribute with None outside ``owner``.
+
+    Whether a rotation's claimed angle or its certificate is used is
+    decided in one function, ``decompose._certify_pair``; every step
+    after it sees certified rotations only, so no other code asks
+    whether a rotation carries its normal form.
+    """
+    inside = {id(node) for stmt in ast.walk(tree)
+              if isinstance(stmt, ast.FunctionDef) and stmt.name == owner
+              for node in ast.walk(stmt)}
+    checks = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Compare) and id(node) not in inside
+              and any(isinstance(x, ast.Attribute) and x.attr == "normal_form"
+                      for x in (node.left, *node.comparators))
+              and any(isinstance(x, ast.Constant) and x.value is None
+                      for x in (node.left, *node.comparators))]
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in sorted(checks, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_claim_or_certificate_is_decided_once(path):
+    owner = "_certify_pair" if path.name == "decompose.py" else None
+    assert normal_form_checks(ast.parse(path.read_text()), owner) == []
+
+
+def test_normal_form_checks_are_found():
+    tree = ast.parse(
+        "def _certify_pair(d, e):\n    return d.normal_form is None\n"
+        "def step(r):\n    if r.normal_form is None:\n        return r\n"
+        "x = [r for r in p if None != r.normal_form]\n"
+        "y = r.normal_form or r.angle is None\n"
+    )
+    assert normal_form_checks(tree, "_certify_pair") == [
+        "r.normal_form is None (line 4)",
+        "None != r.normal_form (line 6)",
+    ]
+    assert normal_form_checks(tree) == ["d.normal_form is None (line 2)",
+                                        "r.normal_form is None (line 4)",
+                                        "None != r.normal_form (line 6)"]
+
+
 def tolerance_keywords(tree: ast.Module) -> dict:
     """Keyword -> source of every argument of the ``Tolerance(...)`` calls."""
     return {kw.arg: ast.unparse(kw.value) for node in ast.walk(tree)

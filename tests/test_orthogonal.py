@@ -17,8 +17,10 @@ from rotpair import (
     NotOrthogonal,
     NotProper,
     NormalForm,
+    NumericalFailure,
     Rotation,
     RotationKind,
+    Tolerance,
     as_rotation,
     generate_pair,
     generate_rotation,
@@ -62,6 +64,15 @@ def test_rot2_entries():
 
 
 class TestNormalForm:
+    def test_rejects_non_square(self):
+        with pytest.raises(BadDimension, match="expected a square matrix"):
+            orthogonal_normal_form(np.ones((2, 3)))
+
+    def test_rejects_block_inside_the_sine_floor(self):
+        # a residual_tol below the angle keeps the snap to +1 from taking it
+        with pytest.raises(NumericalFailure, match="too close to 0 or pi"):
+            orthogonal_normal_form(rot2(1e-10), Tolerance(residual_tol=1e-12))
+
     def test_identity(self):
         nf = orthogonal_normal_form(np.eye(3))
         assert nf.angles == ()
@@ -174,6 +185,22 @@ def test_block_matrix_matches_the_loop_bit_for_bit(angles, fix_dim, neg_dim):
     got = nf.block_matrix()
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# the angle of a rotation lies in [0, pi]: a NaN, or a value outside,
+# is refused when the rotation is built, before any entry reads it
+@pytest.mark.parametrize("angle", [math.nan, 4.0, -0.1, math.inf, 10**400,
+                                   np.float64(-1e-300)],
+                         ids=["nan", "above-pi", "negative", "inf", "huge-int",
+                              "tiny-negative"])
+def test_rotation_angle_outside_zero_to_pi_is_refused(angle):
+    with pytest.raises(BadAngle, match=r"is not in \[0, pi\]"):
+        Rotation(rot2(1.0), angle)
+
+
+@pytest.mark.parametrize("angle", [0, 0.0, math.pi, np.float64(1.0)])
+def test_rotation_angle_in_zero_to_pi_is_kept(angle):
+    assert Rotation(np.eye(2), angle).angle == angle
 
 
 class TestAsRotation:

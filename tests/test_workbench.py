@@ -67,6 +67,10 @@ class TestFormSerialization:
         with pytest.raises(BadParameter):
             form_from_dict({"family": "dim3"})
 
+    def test_rejects_a_form_that_is_no_object(self):
+        with pytest.raises(BadParameter, match="must be an object with a family"):
+            form_from_dict([1])
+
     def test_rejects_missing_field(self):
         with pytest.raises(BadParameter):
             form_from_dict({"family": "dim1", "r": 1})
@@ -178,6 +182,16 @@ class TestPairDocument:
         with pytest.raises(BadParameter, match="not a numeric matrix"):
             pair_from_json_dict({"n": 1, "delta": entry, "epsilon": [[1.0]]})
 
+    def test_rejects_a_root_that_is_no_object(self):
+        with pytest.raises(BadParameter, match="root must be a JSON object"):
+            pair_from_json_dict([1])
+
+    def test_rejects_metadata_that_is_no_object(self):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(BadParameter, match="metadata must be an object"):
+            pair_from_json_dict({"n": 2, "delta": eye, "epsilon": eye,
+                                 "metadata": [1]})
+
     def test_strict_orthogonality(self):
         eye = [[1.0, 0.0], [0.0, 1.0]]
         skew = [[1.0, 1e-4], [0.0, 1.0]]
@@ -238,6 +252,27 @@ class TestBuildReport:
             assert report[key] != stale[key]
         with pytest.raises(TypeError):
             Rotation(d.matrix, d.angle, normal_form=d.normal_form)
+
+    # the certificate replaces a claim at the entry, so a claim a few
+    # times check_tol off changes nothing in the report
+    def test_report_of_a_claim_is_the_report_of_its_certificate(self):
+        spec = [Dim2Proper(alpha=0.5, beta=1.2, r=-1),
+                Dim4(alpha=0.5, beta=1.2, theta=0.8)]
+        d, e = pair_rotations(generate_pair(spec, seed=9))
+        claimed = build_report(Rotation(d.matrix, d.angle + 5e-8),
+                               Rotation(e.matrix, e.angle - 5e-8))
+        assert (json.dumps(claimed, sort_keys=True)
+                == json.dumps(build_report(d, e), sort_keys=True))
+
+    @pytest.mark.parametrize("spec", [
+        [Dim2Proper(alpha=0.5, beta=1.2, r=-1), Dim4(alpha=0.5, beta=1.2, theta=0.8)],
+        [Dim2LeftScalar(r=-1, beta=0.9)] * 3,
+    ], ids=["proper", "scalar"])
+    def test_hand_built_pair_takes_one_normal_form_per_side(self, monkeypatch, spec):
+        d, e = pair_rotations(generate_pair(spec, seed=9))
+        sizes = count_normal_forms(monkeypatch)
+        build_report(Rotation(d.matrix, d.angle), Rotation(e.matrix, e.angle))
+        assert sizes == [d.dim, d.dim]
 
     def test_report_label_matches_metadata(self):
         rng = np.random.default_rng(23)
