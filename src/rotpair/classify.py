@@ -169,7 +169,8 @@ def theta_invariant(s: Rotation, t: Rotation,
     returned as ``2 atan2(|s - t|_F, |s + t|_F)``, using
     ``|s -+ t|_F^2 = 8 -+ 8 cos(theta)``, which stays accurate next to
     0 and pi where the arccos of the trace loses every digit.  Each side
-    must be orthogonal within ``residual_tol`` (``NotOrthogonal``).
+    must be orthogonal within ``residual_tol`` (``NotOrthogonal``), and
+    skew within it as a quarter-turn is (``BadAngle``).
     """
     for r in (s, t):
         if r.dim != 4:
@@ -178,6 +179,8 @@ def theta_invariant(s: Rotation, t: Rotation,
                 "angle distance from pi/2")
         require(orthonormality_residual(r.matrix), tol.residual_tol,
                 NotOrthogonal, "orthogonality residual")
+        require(max_abs(r.matrix + r.matrix.T) / 2.0, tol.residual_tol, BadAngle,
+                "quarter-turn symmetric part")
     G = s.matrix.T @ t.matrix
     require(float(np.ptp(np.linalg.eigvalsh(G + G.T))) / 2.0, tol.check_tol,
             NotConstant, "inner product spread over the unit sphere")

@@ -319,8 +319,7 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     theta.  So ``sym(d^T e)`` is that value times the identity on each
     block, and its eigenspaces are jointly invariant.  One
     :func:`symmetric_eigen` gives them; the eigenvalues are grouped by
-    single linkage at the gap ``n eps / residual_tol``, the smallest gap
-    at which eigenvectors are resolved to ``residual_tol``.
+    single linkage at the gap ``tol.eigenvector_gap(n)``.
 
     With two or more groups each cluster is certified by its invariance
     residual, at ``check_tol``.  Input error divided by the gap can
@@ -336,7 +335,7 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     n = d.dim
     G = d.matrix.T @ e.matrix
     values, vectors = symmetric_eigen((G + G.T) / 2.0)
-    groups = single_linkage(values, n * np.finfo(float).eps / tol.residual_tol)
+    groups = single_linkage(values, tol.eigenvector_gap(n))
     clusters = []
     while len(groups) > 1 and len(clusters) < len(groups):
         i = len(clusters)

@@ -45,6 +45,11 @@ class Tolerance:
     def check_tol(self) -> float:
         return 10 * self.residual_tol
 
+    def eigenvector_gap(self, n: int) -> float:
+        """Smallest eigenvalue gap, ``n eps / residual_tol``, at which an n x n
+        symmetric eigensolve resolves its eigenvectors to ``residual_tol``."""
+        return n * np.finfo(float).eps / self.residual_tol
+
 
 DEFAULT_TOL = Tolerance()
 

@@ -135,16 +135,16 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     The symmetric part ``(M + M.T)/2`` commutes with ``M``, and on each
     of its eigenspaces ``M`` acts as a rotation with cosine equal to the
     eigenvalue.  The eigenvalues alone are computed first and clustered
-    in angle space at ``angle_tol``.  One cluster, as every single-angle
-    rotation and +-I has, is the whole space: its eigenbasis is the
-    identity, so no eigenvectors are computed, and ``E = I`` below.
-    Several clusters take a full symmetric eigensolve for its
-    eigenvectors alone: the spectrum is clustered once, and each
-    cluster's columns give its basis ``E``.  Clusters next to 0 or pi
-    are tried as fixed or negated space first, and the residual
-    ``|M E -+ E|`` alone decides, at ``check_tol``; a cluster that fails
-    falls back to rotation-block extraction, so near-boundary angles
-    still come out as blocks.
+    in angle space at ``angle_tol``.  One cluster, as every exact
+    single-angle rotation and +-I has, is the whole space: its eigenbasis
+    is the identity, so no eigenvectors are computed, and ``E = I``
+    below.  Several clusters, into which +-I with input error can spread,
+    take a full symmetric eigensolve for its eigenvectors alone: the
+    spectrum is clustered once, and each cluster's columns give its
+    basis ``E``.  Every cluster is tried as fixed or negated space
+    first, and the residual ``|M E -+ E|`` alone decides, at
+    ``check_tol``; a cluster that fails falls back to rotation-block
+    extraction, so near-boundary angles still come out as blocks.
 
     A rotation cluster with orthonormal basis ``E`` (n x 2m) is split by
     one Hermitian eigensolve.  ``S = E.T @ M @ E`` is orthogonal, and
@@ -183,25 +183,17 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         spaces = [(evecs[:, np.sort(n - 1 - c)], float(thetas[c].mean()))
                   for c in clusters]
 
-    # arccos amplifies eigenvalue noise of order n*eps into angle noise
-    # of order sqrt(n*eps) next to the endpoints, so the snap-to-scalar
-    # window must widen to that floor.  The window only says where the
-    # residual is tried; the residual alone decides.
-    snap = max(tol.angle_tol, math.sqrt(1024.0 * n * np.finfo(float).eps))
-
     rotations = [(np.empty(0), np.empty((n, 0)), np.empty((n, 0)))]  # (angles, U, W)
     fixed, negated = [], []
     for E, mean_angle in spaces:
         # with the identity basis, M E = M and E^T M E = M exactly, so
         # those products are skipped
         whole = E is None
-        if whole:
-            E = np.eye(n)
-        if mean_angle < snap and max_abs((M if whole else M @ E) - E) <= tol.check_tol:
+        E, ME = (np.eye(n), M) if whole else (E, M @ E)
+        if max_abs(ME - E) <= tol.check_tol:
             fixed.append(E)
             continue
-        if (mean_angle > math.pi - snap
-                and max_abs((M if whole else M @ E) + E) <= tol.check_tol):
+        if max_abs(ME + E) <= tol.check_tol:
             negated.append(E)
             continue
         if E.shape[1] % 2:

@@ -130,6 +130,20 @@ class TestThetaInvariant:
         with pytest.raises(NotOrthogonal, match=r"exceeds 1\.000e-09$"):
             theta_invariant(s, s)
 
+    # an orthogonal matrix is a quarter-turn exactly when it is skew; each
+    # of these is orthogonal and claims pi/2, and sym(side^T q) = 0 would
+    # give the twist pi/2 without the skew check
+    @pytest.mark.parametrize("side", [np.eye(4), -np.eye(4),
+                                      np.diag([1.0, 1.0, -1.0, -1.0])],
+                             ids=["identity", "negated", "reflection"])
+    @pytest.mark.parametrize("first", [True, False], ids=["left", "right"])
+    def test_rejects_sides_that_are_no_quarter_turn(self, side, first):
+        q = proper(block_diag(rot2(np.pi / 2), rot2(np.pi / 2)))
+        bad = Rotation(side, np.pi / 2)
+        with pytest.raises(BadAngle, match=r"^quarter-turn symmetric part "
+                           r"1\.000e\+00 exceeds 1\.000e-09$"):
+            theta_invariant(*((bad, q) if first else (q, bad)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
         s, t = self.quarter_turns(0.9)

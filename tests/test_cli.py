@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rotpair import Dim2Proper, Dim4, generate_pair, load_pair
+from rotpair import Dim2LeftScalar, Dim2Proper, Dim4, generate_pair, load_pair
 from rotpair.cli import (
     EXIT_NOT_ISOMORPHIC,
     EXIT_NUMERICAL,
@@ -154,6 +154,20 @@ class TestClassify:
         _, out2, _ = run(capsys, "classify", pair_file, "--format", "json")
         assert out1 == out2
 
+    def test_identity_with_input_error_is_scalar(self, capsys, tmp_path):
+        # delta is I off by 1e-12 in one entry: arccos spreads that into an
+        # angle of about 1.4e-6, and the +I residual alone must take it
+        delta = np.eye(4)
+        delta[0, 0] = 0.999999999999
+        epsilon = generate_pair([Dim2LeftScalar(1, 1.0)] * 2, seed=3).epsilon
+        path = tmp_path / "near_identity.json"
+        path.write_text(json.dumps({"n": 4, "delta": delta.tolist(),
+                                    "epsilon": epsilon.tolist()}))
+        rc, out, err = run(capsys, "classify", str(path))
+        assert (rc, err) == (EXIT_OK, "")
+        assert ([line.split() for line in out.splitlines()]
+                == [["dim2_left_scalar", "r=1", "beta=1"]] * 2)
+
     def test_numerical_exit_at_extreme_tolerance(self, capsys, tmp_path):
         q = [[0.0, -1.0], [1.0, 0.0]]
         path = tmp_path / "quarter.json"
@@ -222,8 +236,8 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_angle_next_to_zero(self, capsys, tmp_path):
-        # 5e-8 lies inside the snap window; the side must still come out
-        # proper, not as a failed identity
+        # 5e-8 lies next to 0, but the +I residual fails; the side must
+        # come out proper, not as a failed identity
         path = str(tmp_path / "p.json")
         spec = '[{"family": "dim2_right_scalar", "alpha": 5e-8, "s": 1}]'
         rc, _, err = run(capsys, "generate", "--spec", spec, "--seed", "3",

@@ -127,7 +127,8 @@ def scattered_thresholds(tree: ast.Module) -> list:
     """Threshold rules written out in place rather than named in ``linalg``.
 
     These are float literals in (0, 1e-3), products of a number with a
-    ``residual_tol`` attribute, and ``rank_tol`` attributes.
+    ``residual_tol`` attribute, ``rank_tol`` attributes, and ``finfo``,
+    from which thresholds in units of the machine epsilon are built.
     """
     found = []
     for node in ast.walk(tree):
@@ -142,6 +143,9 @@ def scattered_thresholds(tree: ast.Module) -> list:
                 found.append(f"{ast.unparse(node)} (line {node.lineno})")
         elif isinstance(node, ast.Attribute) and node.attr == "rank_tol":
             found.append(f"rank_tol (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute) and node.attr == "finfo"
+              or isinstance(node, ast.Name) and node.id == "finfo"):
+            found.append(f"finfo (line {node.lineno})")
     return found
 
 
@@ -158,6 +162,20 @@ def test_scattered_thresholds_are_found():
         "literal 1e-09 (line 1)",
         "10 * tol.residual_tol (line 2)",
         "rank_tol (line 3)",
+    ]
+
+
+def test_epsilon_thresholds_are_found():
+    # an angle window and the twist gap, each built in place from the
+    # machine epsilon
+    tree = ast.parse(
+        "snap = max(tol.angle_tol, math.sqrt(1024.0 * n * np.finfo(float).eps))\n"
+        "gap = n * np.finfo(float).eps / tol.residual_tol\n"
+        "eps = finfo(np.float32).eps\n"
+        "fine = np.float64(1.0).itemsize\n"
+    )
+    assert sorted(scattered_thresholds(tree)) == [
+        "finfo (line 1)", "finfo (line 2)", "finfo (line 3)",
     ]
 
 

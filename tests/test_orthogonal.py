@@ -11,6 +11,7 @@ from rotpair import (
     BadAngle,
     BadDimension,
     BadParameter,
+    Dim2LeftScalar,
     Dim2Proper,
     Dim4,
     NotARotation,
@@ -22,6 +23,7 @@ from rotpair import (
     RotationKind,
     Tolerance,
     as_rotation,
+    classify,
     generate_pair,
     generate_rotation,
     max_abs,
@@ -69,7 +71,7 @@ class TestNormalForm:
             orthogonal_normal_form(np.ones((2, 3)))
 
     def test_rejects_block_inside_the_sine_floor(self):
-        # a residual_tol below the angle keeps the snap to +1 from taking it
+        # a residual_tol below the angle keeps the +1 residual from taking it
         with pytest.raises(NumericalFailure, match="too close to 0 or pi"):
             orthogonal_normal_form(rot2(1e-10), Tolerance(residual_tol=1e-12))
 
@@ -127,8 +129,8 @@ class TestNormalForm:
             assert (nf.fix_dim, nf.neg_dim) == want
 
     def test_genuine_angle_just_inside_boundary(self):
-        # close enough to pi to land in the snap window, but the scalar
-        # certificate fails and block extraction must take over
+        # close to pi, but the -I residual fails and block extraction must
+        # take over
         a = np.pi - 1e-6
         nf = orthogonal_normal_form(rot2(a))
         assert (nf.fix_dim, nf.neg_dim) == (0, 0)
@@ -267,13 +269,44 @@ class TestAsRotation:
     @pytest.mark.parametrize("n", [2, 4, 8, 24, 96])
     @pytest.mark.parametrize("gap", [5e-8, 1e-7, 2e-7])
     def test_angle_next_to_boundary_is_proper(self, n, gap):
-        # Inside the snap window but not +-I: the residual alone decides,
-        # and block extraction reads the true angle.
+        # Next to 0 or pi but not +-I: the residual alone decides, and
+        # block extraction reads the true angle.
         for a in (gap, np.pi - gap):
             for seed in range(3):
                 r = generate_rotation(n, a, seed)
                 assert r.kind is RotationKind.PROPER
                 assert abs(r.angle - a) <= 1e-12
+
+    # The +-I envelope: a matrix within residual_tol/3 of +-I in the
+    # spectral norm certifies as +-I, with angle exactly 0 or pi.  That
+    # bound keeps the orthogonality residual below residual_tol and each
+    # eigenvalue cluster's residual |M E -+ E| below check_tol, however
+    # far arccos spreads the clusters' angles.
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), sign=st.sampled_from([1, -1]),
+           shape=st.sampled_from(["symmetric", "general", "diagonal"]),
+           size=st.floats(0.0, 1.0), beta=st.floats(0.1, math.pi - 0.1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scalar_with_input_error_is_certified(self, n, sign, shape, size,
+                                                   beta, seed):
+        rng = np.random.default_rng(seed)
+        E = rng.standard_normal((n, n))
+        if shape == "symmetric":
+            E = (E + E.T) / 2.0
+        elif shape == "diagonal":
+            E = np.diag(np.eye(n)[rng.integers(n)] * rng.choice([-1.0, 1.0]))
+        E *= size * DEFAULT_TOL.residual_tol / 3.0 / np.linalg.norm(E, 2)
+        r = as_rotation(sign * np.eye(n) + E)
+        if sign > 0:
+            assert (r.kind, r.angle) == (RotationKind.IDENTITY, 0.0)
+        else:
+            assert (r.kind, r.angle) == (RotationKind.NEG_IDENTITY, math.pi)
+        if n % 2 == 0:
+            forms = classify(r, generate_rotation(n, beta, seed)).forms
+            assert len(forms) == n // 2
+            for f in forms:
+                assert type(f) is Dim2LeftScalar and f.r == sign
+                assert abs(f.beta - beta) <= DEFAULT_TOL.angle_tol
 
     def test_inner_product_is_constant(self):
         rng = np.random.default_rng(2)
