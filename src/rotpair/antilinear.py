@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import BadParameter, NumericalFailure
 from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, max_abs, numerical_rank,
                      require)
 from .orthogonal import Rotation
@@ -119,8 +119,11 @@ def antilinear_invariant_line(T: AntilinearOp,
     ``-tan(theta/2)^2`` of a 4-block with twist theta near 0 is not a
     line.  Given N u = lambda u, either T u is already parallel to u,
     or ``T u + sqrt(lambda) u`` is fixed up to the factor sqrt(lambda).
-    Returns None when no such eigenvalue exists.
+    Returns None when no such eigenvalue exists.  An operator with a NaN
+    or infinite entry raises ``BadParameter``.
     """
+    if not np.isfinite(T.M).all():
+        raise BadParameter("operator has non-finite entries")
     N = t_squared(T)
     norm_n = float(np.linalg.norm(N, 2))
     if norm_n == 0.0:

@@ -33,7 +33,8 @@ from .antilinear import (
     eigenplanes,
     t_squared,
 )
-from .errors import BadParameter, NotOrthogonalPair, NotProper, NumericalFailure
+from .errors import (BadDimension, BadParameter, NotOrthogonalPair, NotProper,
+                     NumericalFailure)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -97,8 +98,24 @@ def _invariance(basis: np.ndarray, d: Rotation, e: Rotation):
     return out, restricted
 
 
+def _require_same_dim(d: Rotation, e: Rotation) -> None:
+    """Refuse rotations of unequal dimension with ``NotOrthogonalPair``."""
+    if d.dim != e.dim:
+        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+
+
 def invariance_residual(basis: np.ndarray, d: Rotation, e: Rotation) -> float:
-    """Worst residual of ``span(basis)`` being invariant under both."""
+    """Worst residual of ``span(basis)`` being invariant under both.
+
+    Rotations of unequal dimension raise ``NotOrthogonalPair``, and a
+    basis that is not a 2-d array with one row per dimension
+    ``BadDimension``.
+    """
+    _require_same_dim(d, e)
+    basis = np.asarray(basis)
+    if basis.ndim != 2 or basis.shape[0] != d.dim:
+        raise BadDimension(
+            f"expected a basis of {d.dim} rows, got shape {basis.shape}")
     return _invariance(basis, d, e)[0]
 
 
@@ -184,8 +201,7 @@ def _require_proper_pair(d: Rotation, e: Rotation) -> None:
     for r in (d, e):
         if r.kind is not RotationKind.PROPER:
             raise NotProper(f"angle {r.angle} is not strictly inside (0, pi)")
-    if d.dim != e.dim:
-        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+    _require_same_dim(d, e)
 
 
 def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
@@ -360,19 +376,22 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
     """The pair as certified rotations; the one place a claimed angle is read.
 
     Each side's orthogonality residual must be within ``residual_tol``
-    (``NotOrthogonalPair``), and a side built without :func:`as_rotation`
-    is certified: a claimed angle more than ``angle_tol`` off, or a
-    claimed kind (``+-I`` or proper) that differs from the certified
-    one, raises ``NumericalFailure`` with the margin; otherwise its
-    certificate comes back in its place.  A side that carries its normal
-    form comes back unchanged.
+    (``NotOrthogonalPair``).  A side that carries its normal form is
+    judged by the residual that form measured, so its ``M^T M`` is not
+    formed again, and comes back unchanged.  A side built without
+    :func:`as_rotation` is measured here, then certified: a claimed
+    angle more than ``angle_tol`` off, or a claimed kind (``+-I`` or
+    proper) that differs from the certified one, raises
+    ``NumericalFailure`` with the margin; otherwise its certificate
+    comes back in its place.
     """
-    if d.dim != e.dim:
-        raise NotOrthogonalPair(f"ambient dimensions differ: {d.dim} vs {e.dim}")
+    _require_same_dim(d, e)
     pair = []
     for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
-        require(orthonormality_residual(r.matrix), tol.residual_tol,
-                NotOrthogonalPair, f"{name} operator orthogonality residual")
+        resid = (orthonormality_residual(r.matrix) if r.normal_form is None
+                 else r.normal_form.orthogonality_residual)
+        require(resid, tol.residual_tol, NotOrthogonalPair,
+                f"{name} operator orthogonality residual")
         if r.normal_form is None:
             certified = as_rotation(r.matrix, tol)
             gap = abs(certified.angle - r.angle)

@@ -59,13 +59,19 @@ class NormalForm:
     +1 and -1 one-dimensional blocks.  ``basis`` has orthonormal columns
     ordered to match: rotation-block pairs first, then fixed vectors,
     then negated vectors, so that ``basis.T @ M @ basis`` equals
-    ``block_matrix()``.
+    ``block_matrix()``.  A matrix within ``check_tol`` of ``+-I``,
+    entrywise, has the identity basis.  ``orthogonality_residual`` is
+    the input's ``orthonormality_residual`` that
+    :func:`orthogonal_normal_form` measured, carried so that no caller
+    measures it again; a form built any other way has NaN there, which
+    fails every verdict of ``require``.
     """
 
     angles: tuple
     fix_dim: int
     neg_dim: int
     basis: np.ndarray
+    orthogonality_residual: float = field(default=math.nan, compare=False)
 
     @property
     def dim(self) -> int:
@@ -132,19 +138,25 @@ class Rotation:
 def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     """Block form of an orthogonal matrix.
 
-    The symmetric part ``(M + M.T)/2`` commutes with ``M``, and on each
-    of its eigenspaces ``M`` acts as a rotation with cosine equal to the
-    eigenvalue.  The eigenvalues alone are computed first and clustered
-    in angle space at ``angle_tol``.  One cluster, as every exact
-    single-angle rotation and +-I has, is the whole space: its eigenbasis
+    After the orthogonality verdict, ``+-I`` is decided first, by the
+    residual ``|M -+ I|`` alone at ``check_tol``: either passes, and the
+    form is ``+-I`` on the identity basis, with no eigensolve.  Since
+    ``I^T M I = M``, the final normal-form residual is the one just
+    tested and is not formed again.
+
+    Otherwise the symmetric part ``(M + M.T)/2`` commutes with ``M``, and
+    on each of its eigenspaces ``M`` acts as a rotation with cosine equal
+    to the eigenvalue.  The eigenvalues alone are computed first and
+    clustered in angle space at ``angle_tol``.  One cluster, as every
+    exact single-angle rotation has, is the whole space: its eigenbasis
     is the identity, so no eigenvectors are computed, and ``E = I``
-    below.  Several clusters, into which +-I with input error can spread,
-    take a full symmetric eigensolve for its eigenvectors alone: the
-    spectrum is clustered once, and each cluster's columns give its
-    basis ``E``.  Every cluster is tried as fixed or negated space
-    first, and the residual ``|M E -+ E|`` alone decides, at
-    ``check_tol``; a cluster that fails falls back to rotation-block
-    extraction, so near-boundary angles still come out as blocks.
+    below.  Several clusters, such as a reflection's, take a full
+    symmetric eigensolve for its eigenvectors alone: the spectrum is
+    clustered once, and each cluster's columns give its basis ``E``.
+    Each of several clusters is tried as fixed or negated space first,
+    and the residual ``|M E -+ E|`` alone decides, at ``check_tol``; a
+    cluster that fails falls back to rotation-block extraction, so
+    near-boundary angles still come out as blocks.
 
     A rotation cluster with orthonormal basis ``E`` (n x 2m) is split by
     one Hermitian eigensolve.  ``S = E.T @ M @ E`` is orthogonal, and
@@ -166,8 +178,13 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     n = M.shape[0]
     if n == 0:
         raise BadDimension("zero-dimensional space")
-    require(orthonormality_residual(M), tol.residual_tol, NotOrthogonal,
-            "orthogonality residual")
+    resid = orthonormality_residual(M)
+    require(resid, tol.residual_tol, NotOrthogonal, "orthogonality residual")
+    eye = np.eye(n)
+    if max_abs(M - eye) <= tol.check_tol:
+        return NormalForm((), n, 0, eye, resid)
+    if max_abs(M + eye) <= tol.check_tol:
+        return NormalForm((), 0, n, eye, resid)
 
     sym = (M + M.T) / 2.0
     thetas = np.arccos(np.clip(np.linalg.eigvalsh(sym), -1.0, 1.0))
@@ -186,22 +203,23 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     rotations = [(np.empty(0), np.empty((n, 0)), np.empty((n, 0)))]  # (angles, U, W)
     fixed, negated = [], []
     for E, mean_angle in spaces:
-        # with the identity basis, M E = M and E^T M E = M exactly, so
-        # those products are skipped
+        # the whole space (E None) has failed both +-I tests above; with
+        # its identity basis E^T M E = M exactly, so no product is formed
         whole = E is None
-        E, ME = (np.eye(n), M) if whole else (E, M @ E)
-        if max_abs(ME - E) <= tol.check_tol:
-            fixed.append(E)
-            continue
-        if max_abs(ME + E) <= tol.check_tol:
-            negated.append(E)
-            continue
-        if E.shape[1] % 2:
+        if not whole:
+            ME = M @ E
+            if max_abs(ME - E) <= tol.check_tol:
+                fixed.append(E)
+                continue
+            if max_abs(ME + E) <= tol.check_tol:
+                negated.append(E)
+                continue
+        dim = n if whole else E.shape[1]
+        if dim % 2:
             raise NumericalFailure(
-                f"odd-dimensional eigenspace ({E.shape[1]}) at angle "
-                f"{mean_angle:.6f}"
+                f"odd-dimensional eigenspace ({dim}) at angle {mean_angle:.6f}"
             )
-        m = E.shape[1] // 2
+        m = dim // 2
         S = M if whole else E.T @ M @ E
         sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
         if not (sines[m - 1] < -RANK_TOL and sines[m] > RANK_TOL):
@@ -231,6 +249,7 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         fix_dim=sum(f.shape[1] for f in fixed),
         neg_dim=sum(f.shape[1] for f in negated),
         basis=basis,
+        orthogonality_residual=resid,
     )
     require(max_abs(basis.T @ M @ basis - nf.block_matrix()), tol.check_tol,
             NumericalFailure, "normal-form residual")

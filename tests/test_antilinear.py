@@ -12,6 +12,7 @@ from conftest import polar, rand_orthogonal
 from rotpair import (
     DEFAULT_TOL,
     AntilinearOp,
+    BadParameter,
     Dim2Proper,
     Dim4,
     NotOrthogonalPair,
@@ -295,6 +296,12 @@ class TestInvariantLine:
             assert v is not None
             mu = np.vdot(v, T.apply(v))
             assert max_abs(T.apply(v) - mu * v) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        T = AntilinearOp(M=np.array([[bad]]), basis_a=np.eye(1))
+        with pytest.raises(BadParameter, match="non-finite"):
+            antilinear_invariant_line(T)
 
     def test_zero_operator_rejected(self):
         T = AntilinearOp(M=np.zeros((3, 3), dtype=complex),

@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     record_calls,
 )
 from rotpair import (
+    BadDimension,
     BadParameter,
     ClassLabel,
     Dim1,
@@ -26,6 +28,7 @@ from rotpair import (
     NotOrthogonalPair,
     NotProper,
     Rotation,
+    Tolerance,
     as_rotation,
     classify,
     decompose,
@@ -40,7 +43,12 @@ from rotpair import (
     unrho,
 )
 from rotpair.decompose import _twist_clusters, find_block, invariance_residual
-from rotpair.linalg import DEFAULT_TOL, block_diag, single_linkage
+from rotpair.linalg import (
+    DEFAULT_TOL,
+    block_diag,
+    orthonormality_residual,
+    single_linkage,
+)
 
 # the package namespace binds ``decompose`` to the function
 DECOMPOSE = importlib.import_module("rotpair.decompose")
@@ -325,6 +333,80 @@ class TestDecompose:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(NotOrthogonalPair):
             decompose(Rotation(np.eye(2), 0.0), Rotation(np.eye(4), 0.0))
+
+
+class TestInvarianceResidual:
+    def test_rejects_basis_with_wrong_row_count(self):
+        d = proper(block_diag(rot2(0.5), rot2(0.5)))
+        with pytest.raises(BadDimension, match="4 rows"):
+            invariance_residual(np.ones((6, 2)), d, d)
+
+    def test_rejects_one_dimensional_basis(self):
+        d = proper(block_diag(rot2(0.5), rot2(0.5)))
+        with pytest.raises(BadDimension):
+            invariance_residual(np.ones(4), d, d)
+
+    def test_rejects_rotations_of_unequal_dimension(self):
+        d = proper(block_diag(rot2(0.5), rot2(0.5)))
+        e = proper(block_diag(rot2(0.5), rot2(0.5), rot2(0.5)))
+        with pytest.raises(NotOrthogonalPair, match="dimensions differ"):
+            invariance_residual(np.eye(4)[:, :2], d, e)
+
+
+def _record_orthonormality(monkeypatch):
+    """Arguments of every ``orthonormality_residual`` call in the package.
+
+    Modules import the function by name, so every rotpair namespace that
+    holds it is patched.
+    """
+    original = orthonormality_residual
+    calls = []
+
+    def recorded(X):
+        calls.append(X)
+        return original(X)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("rotpair")
+                and getattr(module, "orthonormality_residual", None) is original):
+            monkeypatch.setattr(module, "orthonormality_residual", recorded)
+    return calls
+
+
+class TestCarriedOrthogonality:
+    """A certified side is judged by the residual its normal form measured."""
+
+    @pytest.mark.parametrize("spec", [
+        [Dim4(0.7, 1.9, 1.1), Dim2Proper(0.7, 1.9, 1), Dim2Proper(0.7, 1.9, -1)],
+        [Dim2LeftScalar(-1, 1.9)] * 4,
+    ], ids=["proper", "scalar"])
+    def test_classify_forms_no_full_size_product(self, monkeypatch, spec):
+        d, e = pair_rotations(generate_pair(spec, 3))
+        calls = _record_orthonormality(monkeypatch)
+        classify(d, e)
+        assert [X.shape for X in calls if X.shape[0] == d.dim] == []
+
+    def test_hand_built_side_is_measured(self, monkeypatch):
+        d, e = pair_rotations(generate_pair([Dim2Proper(0.7, 1.9, 1)] * 2, 4))
+        hand = Rotation(d.matrix.copy(), d.angle)
+        calls = record_calls(monkeypatch, DECOMPOSE, "orthonormality_residual")
+        classify(hand, e)
+        sides = [X for (X,) in calls if X is hand.matrix or X is e.matrix]
+        assert len(sides) == 1 and sides[0] is hand.matrix
+
+    def test_loose_certificate_is_judged_at_the_pair_tolerance(self):
+        # a side 2.5e-9 too long has orthogonality residual about 5e-9:
+        # certified at residual_tol 1e-8, refused at the default 1e-9
+        d, e = pair_rotations(generate_pair([Dim2Proper(0.7, 1.9, 1)] * 2, 5))
+        M = d.matrix * (1.0 + 2.5e-9)
+        loose = as_rotation(M, Tolerance(residual_tol=1e-8))
+        resid = orthonormality_residual(M)
+        assert 1e-9 < resid <= 1e-8
+        for first, second, name in ((loose, e, "first"), (e, loose, "second")):
+            with pytest.raises(NotOrthogonalPair) as info:
+                classify(first, second)
+            assert str(info.value) == (f"{name} operator orthogonality residual "
+                                       f"{resid:.3e} exceeds 1.000e-09")
 
 
 def dims(calls):

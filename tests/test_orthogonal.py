@@ -32,7 +32,7 @@ from rotpair import (
     rot2,
     unrho,
 )
-from rotpair.linalg import block_diag
+from rotpair.linalg import block_diag, orthonormality_residual, single_linkage
 
 
 # Block angles are drawn from the grid k*pi/ANGLE_GRID, so distinct angles
@@ -461,13 +461,34 @@ class TestEigensolveCount:
     @pytest.mark.parametrize("n", [2, 8, 96])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scalar(self, monkeypatch, n, sign):
+        # +-I is decided by its residual before any eigensolve
         Q = rand_orthogonal(n, np.random.default_rng(n))
         M = sign * (Q @ Q.T)
         counts = count_eigensolves(monkeypatch)
         nf = orthogonal_normal_form(M)
         assert (nf.fix_dim, nf.neg_dim) == ((n, 0) if sign > 0 else (0, n))
-        assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 0,
+        assert counts == {"eigvalsh": 0, "real_eigh": 0, "hermitian_eigh": 0,
                           "symmetric_eigen": 0}
+
+    @pytest.mark.parametrize("n", [4, 8, 24])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar_with_split_spectrum(self, monkeypatch, n, sign):
+        # symmetric input error of 1e-11 moves the eigenvalues of sym(M)
+        # off +-1, and arccos spreads them into several clusters; the
+        # residual alone still decides +-I, on the identity basis
+        G = np.random.default_rng(n).standard_normal((n, n))
+        M = sign * np.eye(n) + 1e-11 * (G + G.T) / 2.0
+        thetas = np.arccos(np.clip(np.linalg.eigvalsh((M + M.T) / 2.0), -1.0, 1.0))
+        assert len(single_linkage(thetas, DEFAULT_TOL.angle_tol)) > 1
+        counts = count_eigensolves(monkeypatch)
+        nf = orthogonal_normal_form(M)
+        assert counts == {"eigvalsh": 0, "real_eigh": 0, "hermitian_eigh": 0,
+                          "symmetric_eigen": 0}
+        assert (nf.angles, nf.fix_dim, nf.neg_dim) == (
+            (), *((n, 0) if sign > 0 else (0, n)))
+        assert np.array_equal(nf.basis, np.eye(n))
+        assert (max_abs(nf.basis.T @ M @ nf.basis - nf.block_matrix())
+                <= DEFAULT_TOL.check_tol)
 
     @pytest.mark.parametrize("n", [2, 8, 96])
     def test_reflection_takes_the_general_path(self, monkeypatch, n):
@@ -502,6 +523,34 @@ def test_split_spectrum_is_clustered_once(monkeypatch, blocks):
     nf = orthogonal_normal_form(M)
     assert len(calls) == 1
     _assert_certified_basis(nf, M)
+
+
+def _orthogonal_inputs():
+    """Orthogonal matrices of every kind, some with input error."""
+    rng = np.random.default_rng(5)
+    Q = rand_orthogonal(8, rng)
+    G = rng.standard_normal((8, 8))
+    return {
+        "identity": np.eye(8),
+        "negated-with-error": -np.eye(8) + 1e-11 * (G + G.T),
+        "single-angle": Q @ block_diag(*[rot2(1.1)] * 4) @ Q.T,
+        "reflection": Q @ np.diag([1.0] * 7 + [-1.0]) @ Q.T,
+        "two-angles-polar": _polar(Q @ block_diag(rot2(0.4), rot2(0.4), rot2(2.0),
+                                                  rot2(2.0)) @ Q.T + 1e-10 * G),
+    }
+
+
+@pytest.mark.parametrize("M", [pytest.param(M, id=name)
+                               for name, M in _orthogonal_inputs().items()])
+def test_normal_form_carries_its_orthogonality_residual(M):
+    nf = orthogonal_normal_form(M)
+    assert nf.orthogonality_residual == orthonormality_residual(M)
+
+
+def test_normal_form_built_directly_has_no_residual():
+    # NaN fails every verdict, so a form built by hand certifies nothing
+    nf = NormalForm(angles=(), fix_dim=2, neg_dim=0, basis=np.eye(2))
+    assert math.isnan(nf.orthogonality_residual)
 
 
 def _assert_certified_basis(nf, M):
