@@ -33,11 +33,12 @@ from .antilinear import (
     eigenplanes,
     t_squared,
 )
-from .errors import (BadDimension, BadParameter, NotOrthogonalPair, NotProper,
-                     NumericalFailure)
+from .errors import (BadDimension, BadParameter, NotOrthogonal, NotOrthogonalPair,
+                     NotProper, NumericalFailure)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    array_fields_equal,
     max_abs,
     numerical_rank,
     orthonormal_complement,
@@ -70,6 +71,8 @@ class InvariantBlock:
     e_restricted: np.ndarray
     rotations: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
+
+    __eq__ = array_fields_equal
 
     @property
     def dim(self) -> int:
@@ -376,24 +379,30 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
     """The pair as certified rotations; the one place a claimed angle is read.
 
     Each side's orthogonality residual must be within ``residual_tol``
-    (``NotOrthogonalPair``).  A side that carries its normal form is
-    judged by the residual that form measured, so its ``M^T M`` is not
-    formed again, and comes back unchanged.  A side built without
-    :func:`as_rotation` is measured here, then certified: a claimed
-    angle more than ``angle_tol`` off, or a claimed kind (``+-I`` or
-    proper) that differs from the certified one, raises
-    ``NumericalFailure`` with the margin; otherwise its certificate
-    comes back in its place.
+    (``NotOrthogonalPair``), judged by the residual its normal form
+    measured, so no ``M^T M`` is formed here.  A side that carries its
+    normal form comes back unchanged.  A side built without
+    :func:`as_rotation` is certified first, and only when that refuses
+    it as ``NotOrthogonal`` is its residual measured again, to name the
+    side.  A claimed angle more than ``angle_tol`` off, or a claimed kind
+    (``+-I`` or proper) that differs from the certified one, raises
+    ``NumericalFailure`` with the margin; otherwise the certificate comes
+    back in the side's place.
     """
     _require_same_dim(d, e)
     pair = []
     for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
-        resid = (orthonormality_residual(r.matrix) if r.normal_form is None
-                 else r.normal_form.orthogonality_residual)
-        require(resid, tol.residual_tol, NotOrthogonalPair,
-                f"{name} operator orthogonality residual")
+        certified = r
         if r.normal_form is None:
-            certified = as_rotation(r.matrix, tol)
+            try:
+                certified = as_rotation(r.matrix, tol)
+            except NotOrthogonal:
+                require(orthonormality_residual(r.matrix), tol.residual_tol,
+                        NotOrthogonalPair, f"{name} operator orthogonality residual")
+                raise
+        require(certified.normal_form.orthogonality_residual, tol.residual_tol,
+                NotOrthogonalPair, f"{name} operator orthogonality residual")
+        if certified is not r:
             gap = abs(certified.angle - r.angle)
             require(gap, tol.angle_tol, NumericalFailure,
                     f"{angle_name} {r.angle!r} claimed for the {name} operator "
@@ -403,8 +412,7 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
                     f"{r.kind.value} claimed for the {name} operator, which certifies "
                     f"as {certified.kind.value} ({angle_name} gap {gap:.3e})"
                 )
-            r = certified
-        pair.append(r)
+        pair.append(certified)
     return tuple(pair)
 
 

@@ -9,7 +9,7 @@ decisions against explicit tolerances.
 from __future__ import annotations
 
 import numbers
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -64,6 +64,20 @@ def require(measured: float, bound: float, error, what: str) -> None:
         raise error(f"{what} {measured:.3e} exceeds {bound:.3e}")
 
 
+def array_fields_equal(a, b):
+    """``==`` for a dataclass with numpy array fields.
+
+    The generated ``__eq__`` compares the fields as one tuple, which asks
+    an array for its truth value and raises.  This compares each field
+    with ``compare=True`` by ``np.array_equal``: same shape, equal
+    entries.  An instance of another class gives ``NotImplemented``.
+    """
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a) if f.compare)
+
+
 def max_abs(a) -> float:
     """Entrywise max-magnitude norm; 0.0 for empty arrays."""
     a = np.asarray(a)
@@ -106,17 +120,15 @@ def block_diag(*blocks) -> np.ndarray:
 def single_linkage(values, gap: float):
     """Single-linkage clustering of real values at threshold ``gap``.
 
-    Returns a list of index arrays into the (ascending) sort order.
+    Returns a list of index arrays into the (ascending) sort order, one
+    per cluster, and no cluster for no values.  A cluster ends where the
+    next sorted value is not within ``gap`` of the last; a NaN ends one.
     """
     values = np.asarray(values)
     order = np.argsort(values, kind="stable")
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return [np.array(c) for c in clusters]
+    s = values[order].tolist()
+    ends = [i for i in range(1, len(s)) if not s[i] - s[i - 1] <= gap]
+    return [order[a:b] for a, b in zip([0, *ends], [*ends, len(s)])] if s else []
 
 
 def real_array(a, name: str = "matrix") -> np.ndarray:

@@ -29,6 +29,7 @@ from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
     Tolerance,
+    array_fields_equal,
     max_abs,
     orthonormality_residual,
     real_array,
@@ -73,6 +74,8 @@ class NormalForm:
     basis: np.ndarray
     orthogonality_residual: float = field(default=math.nan, compare=False)
 
+    __eq__ = array_fields_equal
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -111,6 +114,8 @@ class Rotation:
     normal_form: NormalForm | None = field(default=None, init=False,
                                            repr=False, compare=False)
 
+    __eq__ = array_fields_equal
+
     def __post_init__(self):
         # bool is an int subclass, but True is no angle
         if isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real):
@@ -140,23 +145,23 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
 
     After the orthogonality verdict, ``+-I`` is decided first, by the
     residual ``|M -+ I|`` alone at ``check_tol``: either passes, and the
-    form is ``+-I`` on the identity basis, with no eigensolve.  Since
-    ``I^T M I = M``, the final normal-form residual is the one just
-    tested and is not formed again.
+    form is ``+-I`` on the identity basis, with no eigensolve and no
+    second residual (``I^T M I = M``).  A corner ``|M[0, 0] -+ 1|`` beyond
+    ``check_tol``, as a proper rotation's ``cos(a)`` is, fails it unformed.
 
     Otherwise the symmetric part ``(M + M.T)/2`` commutes with ``M``, and
     on each of its eigenspaces ``M`` acts as a rotation with cosine equal
     to the eigenvalue.  The eigenvalues alone are computed first and
-    clustered in angle space at ``angle_tol``.  One cluster, as every
+    clustered once in angle space at ``angle_tol``.  One cluster, as every
     exact single-angle rotation has, is the whole space: its eigenbasis
-    is the identity, so no eigenvectors are computed, and ``E = I``
-    below.  Several clusters, such as a reflection's, take a full
-    symmetric eigensolve for its eigenvectors alone: the spectrum is
-    clustered once, and each cluster's columns give its basis ``E``.
-    Each of several clusters is tried as fixed or negated space first,
-    and the residual ``|M E -+ E|`` alone decides, at ``check_tol``; a
-    cluster that fails falls back to rotation-block extraction, so
-    near-boundary angles still come out as blocks.
+    is the identity, so no eigenvectors are computed or assembled, and
+    ``E = I`` below.  Several clusters, such as a reflection's, take a
+    full symmetric eigensolve for its eigenvectors alone, and each
+    cluster's columns give its basis ``E``.  Each of several clusters is
+    tried as fixed or negated space first, and the residual
+    ``|M E -+ E|`` alone decides, at ``check_tol``; a cluster that fails
+    falls back to rotation-block extraction, so near-boundary angles
+    still come out as blocks.
 
     A rotation cluster with orthonormal basis ``E`` (n x 2m) is split by
     one Hermitian eigensolve.  ``S = E.T @ M @ E`` is orthogonal, and
@@ -180,64 +185,38 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         raise BadDimension("zero-dimensional space")
     resid = orthonormality_residual(M)
     require(resid, tol.residual_tol, NotOrthogonal, "orthogonality residual")
-    eye = np.eye(n)
-    if max_abs(M - eye) <= tol.check_tol:
-        return NormalForm((), n, 0, eye, resid)
-    if max_abs(M + eye) <= tol.check_tol:
-        return NormalForm((), 0, n, eye, resid)
+    for sign, fix_dim, neg_dim in ((1.0, n, 0), (-1.0, 0, n)):
+        if abs(M[0, 0] - sign) <= tol.check_tol:
+            eye = np.eye(n)
+            if max_abs(M - eye if sign > 0 else M + eye) <= tol.check_tol:
+                return NormalForm((), fix_dim, neg_dim, eye, resid)
 
     sym = (M + M.T) / 2.0
-    thetas = np.arccos(np.clip(np.linalg.eigvalsh(sym), -1.0, 1.0))
+    cosines = np.linalg.eigvalsh(sym)  # ascending: only the ends can leave [-1, 1]
+    if cosines[0] < -1.0 or cosines[-1] > 1.0:
+        cosines = np.clip(cosines, -1.0, 1.0)
+    thetas = np.arccos(cosines)
     clusters = single_linkage(thetas, tol.angle_tol)
+    fixed, negated = [], []
     if len(clusters) == 1:
-        # the one eigenspace is the whole space, and the identity is a
-        # basis of it: no eigenvectors are computed
-        spaces = [(None, float(thetas.mean()))]
+        angles, U, W = _rotation_blocks(M, None, thetas)
     else:
         # eigvalsh ascends and symmetric_eigen descends: index i of the
         # one is column n - 1 - i of the other
         evecs = symmetric_eigen(sym)[1]
-        spaces = [(evecs[:, np.sort(n - 1 - c)], float(thetas[c].mean()))
-                  for c in clusters]
-
-    rotations = [(np.empty(0), np.empty((n, 0)), np.empty((n, 0)))]  # (angles, U, W)
-    fixed, negated = [], []
-    for E, mean_angle in spaces:
-        # the whole space (E None) has failed both +-I tests above; with
-        # its identity basis E^T M E = M exactly, so no product is formed
-        whole = E is None
-        if not whole:
+        rotations = [(np.empty(0), np.empty((n, 0)), np.empty((n, 0)))]
+        for c in clusters:
+            E = evecs[:, np.sort(n - 1 - c)]
             ME = M @ E
             if max_abs(ME - E) <= tol.check_tol:
                 fixed.append(E)
-                continue
-            if max_abs(ME + E) <= tol.check_tol:
+            elif max_abs(ME + E) <= tol.check_tol:
                 negated.append(E)
-                continue
-        dim = n if whole else E.shape[1]
-        if dim % 2:
-            raise NumericalFailure(
-                f"odd-dimensional eigenspace ({dim}) at angle {mean_angle:.6f}"
-            )
-        m = dim // 2
-        S = M if whole else E.T @ M @ E
-        sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
-        if not (sines[m - 1] < -RANK_TOL and sines[m] > RANK_TOL):
-            raise NumericalFailure(
-                f"block angle too close to 0 or pi to extract: the skew part "
-                f"of the {2 * m}-dim eigenspace at angle {mean_angle:.6f} "
-                f"does not split {m}/{m} beyond the sine floor {RANK_TOL:g} "
-                f"(middle eigenvalues {sines[m - 1]:.3e}, {sines[m]:.3e})"
-            )
-        U = math.sqrt(2.0) * (Z[:, m:].real if whole else E @ Z[:, m:].real)
-        W = -math.sqrt(2.0) * (Z[:, m:].imag if whole else E @ Z[:, m:].imag)
-        MU = M @ U
-        cos = np.einsum("ij,ij->j", U, MU)
-        sin = np.linalg.norm(MU - cos * U, axis=0)
-        rotations.append((np.arctan2(sin, cos), U, W))
+            else:
+                rotations.append(_rotation_blocks(M, E, thetas[c]))
+        angles, U, W = (np.concatenate(part, axis=-1) for part in zip(*rotations))
 
     # blocks by ascending angle, each as the column pair (u, w)
-    angles, U, W = (np.concatenate(part, axis=-1) for part in zip(*rotations))
     order = np.argsort(angles, kind="stable")
     k = 2 * order.size
     basis = np.empty((n, n))
@@ -254,6 +233,35 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     require(max_abs(basis.T @ M @ basis - nf.block_matrix()), tol.check_tol,
             NumericalFailure, "normal-form residual")
     return nf
+
+
+def _rotation_blocks(M: np.ndarray, E: np.ndarray | None, thetas: np.ndarray) -> tuple:
+    """Angles and column pairs (U, W) of a rotation cluster's blocks.
+
+    ``E`` is the cluster's basis, None for the whole space (``E^T M E``
+    is then ``M``); only the errors read its eigen-angles ``thetas``.
+    """
+    dim = thetas.size
+    if dim % 2:
+        raise NumericalFailure(f"odd-dimensional eigenspace ({dim}) at angle "
+                               f"{thetas.mean():.6f}")
+    m = dim // 2
+    S = M if E is None else E.T @ M @ E
+    sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
+    if not (sines[m - 1] < -RANK_TOL and sines[m] > RANK_TOL):
+        raise NumericalFailure(
+            f"block angle too close to 0 or pi to extract: the skew part "
+            f"of the {dim}-dim eigenspace at angle {thetas.mean():.6f} "
+            f"does not split {m}/{m} beyond the sine floor {RANK_TOL:g} "
+            f"(middle eigenvalues {sines[m - 1]:.3e}, {sines[m]:.3e})"
+        )
+    Z = Z[:, m:]
+    U = math.sqrt(2.0) * (Z.real if E is None else E @ Z.real)
+    W = -math.sqrt(2.0) * (Z.imag if E is None else E @ Z.imag)
+    MU = M @ U
+    cos = np.einsum("ij,ij->j", U, MU)
+    sin = np.linalg.norm(MU - cos * U, axis=0)
+    return np.arctan2(sin, cos), U, W
 
 
 def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
@@ -279,7 +287,8 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
         )
     require(nf.angles[-1] - nf.angles[0], tol.angle_tol, NotARotation,
             "distinct block angles, spread")
-    return _certified(M, float(np.mean(nf.angles)), nf)
+    # the sum and division of np.mean, without its wrappers
+    return _certified(M, float(np.add.reduce(nf.angles)) / len(nf.angles), nf)
 
 
 def _certified(M: np.ndarray, angle: float, nf: NormalForm) -> Rotation:

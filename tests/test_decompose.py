@@ -24,6 +24,7 @@ from rotpair import (
     Dim2Proper,
     Dim2RightScalar,
     Dim4,
+    InvariantBlock,
     NotARotation,
     NotOrthogonalPair,
     NotProper,
@@ -387,12 +388,25 @@ class TestCarriedOrthogonality:
         assert [X.shape for X in calls if X.shape[0] == d.dim] == []
 
     def test_hand_built_side_is_measured(self, monkeypatch):
+        # once in the whole package: by the as_rotation that certifies it
         d, e = pair_rotations(generate_pair([Dim2Proper(0.7, 1.9, 1)] * 2, 4))
         hand = Rotation(d.matrix.copy(), d.angle)
-        calls = record_calls(monkeypatch, DECOMPOSE, "orthonormality_residual")
+        calls = _record_orthonormality(monkeypatch)
         classify(hand, e)
-        sides = [X for (X,) in calls if X is hand.matrix or X is e.matrix]
+        sides = [X for X in calls if X is hand.matrix or X is e.matrix]
         assert len(sides) == 1 and sides[0] is hand.matrix
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-8, 1.0 - 3e-9], ids=["long", "short"])
+    def test_non_orthogonal_hand_built_side_names_the_side(self, scale):
+        d, e = pair_rotations(generate_pair([Dim2Proper(0.7, 1.9, 1)] * 2, 6))
+        hand = Rotation(d.matrix * scale, d.angle)
+        resid = orthonormality_residual(hand.matrix)
+        assert resid > DEFAULT_TOL.residual_tol
+        for first, second, name in ((hand, e, "first"), (e, hand, "second")):
+            with pytest.raises(NotOrthogonalPair) as info:
+                classify(first, second)
+            assert str(info.value) == (f"{name} operator orthogonality residual "
+                                       f"{resid:.3e} exceeds 1.000e-09")
 
     def test_loose_certificate_is_judged_at_the_pair_tolerance(self):
         # a side 2.5e-9 too long has orthogonality residual about 5e-9:
@@ -407,6 +421,24 @@ class TestCarriedOrthogonality:
                 classify(first, second)
             assert str(info.value) == (f"{name} operator orthogonality residual "
                                        f"{resid:.3e} exceeds 1.000e-09")
+
+
+def test_invariant_blocks_compare_by_their_arrays():
+    d, e = pair_rotations(generate_pair([Dim4(0.7, 1.9, 1.1)], 7))
+    [block] = decompose(d, e).blocks
+    # the carried rotations take no part
+    copy = InvariantBlock(block.basis.copy(), block.d_restricted.copy(),
+                          block.e_restricted.copy())
+    assert block == copy and not block != copy
+    assert decompose(d, e) == decompose(d, e)
+    R = block.e_restricted.copy()
+    R[2, 3] = np.nextafter(R[2, 3], 2.0)
+    assert block != InvariantBlock(block.basis, block.d_restricted, R)
+    assert block != InvariantBlock(block.basis[:, :2], block.d_restricted,
+                                   block.e_restricted)
+    assert block != d and block != block.basis.tolist()
+    with pytest.raises(TypeError):
+        hash(block)
 
 
 def dims(calls):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from conftest import rand_orthogonal
@@ -12,6 +14,7 @@ from rotpair.linalg import (
     orthonormality_residual,
     orthonormalize,
     require,
+    single_linkage,
     subspace_meet,
     symmetric_eigen,
 )
@@ -266,3 +269,42 @@ def test_helpers_match_the_plain_formulas_bit_for_bit(X):
     assert _same_bits(max_abs(X), _old_max_abs(X))
     old = _old_max_abs(X.T @ X - np.eye(X.shape[1]))
     assert _same_bits(orthonormality_residual(X), old)
+
+
+def _single_linkage_by_loop(values, gap):
+    """The reference: walk the sorted values, open a cluster at each gap."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    clusters = []
+    for idx in order:
+        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return [np.array(c) for c in clusters]
+
+
+class TestSingleLinkage:
+    def test_no_values_no_clusters(self):
+        assert single_linkage([], 1.0) == []
+        assert single_linkage(np.empty(0), 1e-7) == []
+
+    def test_gap_at_the_threshold_links(self):
+        # 0.25 is exact in binary: 0.5 - 0.25 == 0.25 links, 1.0 - 0.5 does not
+        groups = single_linkage([1.0, 0.25, 0.5, 0.5], 0.25)
+        assert [g.tolist() for g in groups] == [[1, 2, 3], [0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=12),
+           start=st.sampled_from([-1.0, 0.0, 3.0]),
+           nans=st.integers(0, 2), perm_seed=st.integers(0, 2**32 - 1),
+           gap=st.sampled_from([0.0, 0.25, 0.5]))
+    def test_matches_the_loop(self, steps, start, nans, perm_seed, gap):
+        # multiples of 0.25 subtract exactly, so some gaps sit exactly at
+        # the threshold, and zero steps are ties; NaN sorts last, alone
+        values = np.concatenate([start + np.cumsum(steps), [np.nan] * nans])
+        values = values[np.random.default_rng(perm_seed).permutation(values.size)]
+        got = single_linkage(values, gap)
+        want = _single_linkage_by_loop(values, gap)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        assert all(g.dtype == np.intp for g in got)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from rotpair import (
     NotProper,
     NormalForm,
     NumericalFailure,
+    RotPairError,
     Rotation,
     RotationKind,
     Tolerance,
@@ -586,3 +588,116 @@ def test_one_cluster_path_agrees_with_the_general_path(k, other, m, mr, seed):
     assert (joint.fix_dim, joint.neg_dim) == (alone.fix_dim, alone.neg_dim)
     _assert_certified_basis(alone, M)
     _assert_certified_basis(joint, MR)
+
+
+def test_chained_spectrum_takes_the_one_cluster_path(monkeypatch):
+    # block angles 0.6 angle_tol apart spread over 1.2 angle_tol, more than
+    # angle_tol, yet single linkage chains them into one cluster
+    step = 0.6 * DEFAULT_TOL.angle_tol
+    Q = rand_orthogonal(6, np.random.default_rng(6))
+    M = Q @ block_diag(*[rot2(1.0 + k * step) for k in range(3)]) @ Q.T
+    thetas = np.arccos(np.linalg.eigvalsh((M + M.T) / 2.0))
+    assert np.ptp(thetas) > DEFAULT_TOL.angle_tol
+    assert len(single_linkage(thetas, DEFAULT_TOL.angle_tol)) == 1
+    counts = count_eigensolves(monkeypatch)
+    nf = orthogonal_normal_form(M)
+    assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 1,
+                      "symmetric_eigen": 0}
+    assert max_abs(np.subtract(nf.angles, [1.0, 1.0 + step, 1.0 + 2 * step])) <= 1e-12
+    _assert_certified_basis(nf, M)
+    with pytest.raises(NotARotation, match="spread"):
+        as_rotation(M)
+
+
+@pytest.mark.parametrize("end", [1.0, -1.0])
+def test_cosine_a_rounding_step_beyond_one_is_clipped(end):
+    # arccos of it would be NaN, with a RuntimeWarning that fails the test
+    M = block_diag(rot2(1.0), [[np.nextafter(end, 2.0 * end)]])
+    assert max_abs(np.linalg.eigvalsh((M + M.T) / 2.0)) > 1.0
+    nf = orthogonal_normal_form(M)
+    assert (nf.fix_dim, nf.neg_dim) == ((1, 0) if end > 0 else (0, 1))
+    assert abs(nf.angles[0] - 1.0) <= 1e-15
+    _assert_certified_basis(nf, M)
+
+
+def _perturbed_scalar(n, sign, where, size):
+    """sign I with one perturbation entry of magnitude ``size``.
+
+    On the diagonal it is one entry; off it, an antisymmetric pair, which
+    keeps M orthogonal to within size**2.
+    """
+    M = sign * np.eye(n)
+    if where == "corner":
+        M[0, 0] += size
+    elif where == "diagonal":
+        M[n - 1, n - 1] -= size
+    else:
+        M[n - 1, 0], M[0, n - 1] = size, -size
+    return M
+
+
+CHECK_TOL = DEFAULT_TOL.check_tol
+SCALAR_PROBES = [(n, where) for n in (1, 2, 7, 96)
+                 for where in ("corner", "diagonal", "off-diagonal")
+                 if n > 1 or where != "off-diagonal"]
+
+
+@pytest.mark.parametrize("size", [CHECK_TOL, np.nextafter(CHECK_TOL, 1.0)],
+                         ids=["at", "above"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n, where", SCALAR_PROBES)
+def test_scalar_verdict_at_the_check_tolerance(n, where, sign, size):
+    # the certified kind is +-I exactly when max_abs(M -+ I) <= check_tol,
+    # whatever order or shortcut decides it; a diagonal perturbation that
+    # large is never orthogonal within residual_tol, so it is refused first
+    M = _perturbed_scalar(n, sign, where, size)
+    verdict = max_abs(M - sign * np.eye(n)) <= CHECK_TOL
+    if where == "off-diagonal":
+        assert verdict == (size == CHECK_TOL)
+    try:
+        kind = as_rotation(M).kind
+    except RotPairError as exc:
+        kind = type(exc)
+    if orthonormality_residual(M) > DEFAULT_TOL.residual_tol:
+        assert kind is NotOrthogonal
+        return
+    scalar = RotationKind.IDENTITY if sign > 0 else RotationKind.NEG_IDENTITY
+    assert (kind is scalar) == verdict
+    if verdict:
+        nf = orthogonal_normal_form(M)
+        assert (nf.fix_dim, nf.neg_dim) == ((n, 0) if sign > 0 else (0, n))
+        assert np.array_equal(nf.basis, np.eye(n))
+
+
+class TestEquality:
+    """``==`` compares array fields entry by entry; ``hash`` still refuses."""
+
+    def test_normal_form(self):
+        nf = orthogonal_normal_form(generate_rotation(4, 1.1, seed=3).matrix)
+        # the carried residual takes no part: a copy built by hand has NaN
+        copy = NormalForm(nf.angles, nf.fix_dim, nf.neg_dim, nf.basis.copy())
+        assert nf == copy and not nf != copy
+        basis = nf.basis.copy()
+        basis[1, 2] = np.nextafter(basis[1, 2], 2.0)
+        assert nf != dataclasses.replace(nf, basis=basis)
+        angles = (nf.angles[0], np.nextafter(nf.angles[1], 0.0))
+        assert nf != dataclasses.replace(nf, angles=angles)
+        assert nf != NormalForm(nf.angles, nf.fix_dim, nf.neg_dim, nf.basis[:, :3])
+        assert nf != Rotation(nf.basis, nf.angles[0]) and nf != "normal form"
+        with pytest.raises(TypeError):
+            hash(nf)
+
+    def test_rotation(self):
+        d = as_rotation(generate_rotation(4, 1.1, seed=3).matrix)
+        # the carried normal form takes no part
+        copy = Rotation(d.matrix.copy(), d.angle)
+        assert d == copy and not d != copy
+        assert Rotation(np.eye(2), 0.0) == Rotation(np.eye(2), 0.0)
+        M = d.matrix.copy()
+        M[3, 0] = np.nextafter(M[3, 0], 2.0)
+        assert d != Rotation(M, d.angle)
+        assert d != Rotation(d.matrix, np.nextafter(d.angle, 0.0))
+        assert Rotation(np.eye(2), 0.0) != Rotation(np.eye(3), 0.0)
+        assert d != d.normal_form and d != 1.1
+        with pytest.raises(TypeError):
+            hash(d)

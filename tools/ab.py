@@ -1,0 +1,222 @@
+"""In-process A/B timing of this checkout's rotpair against a parent revision.
+
+    python3 tools/ab.py --parent HEAD~1 [--seed 1] [--rounds 7]
+
+The parent's ``src/rotpair`` is extracted with ``git archive`` into
+``.bench_build/ab/<commit>/`` and imported as a second package,
+``rotpair_parent`` (rotpair imports its own modules only relatively, so
+the copy needs no renaming).  Both packages then run the same seeded
+inputs in one process:
+
+- ``batch_small`` and ``classify_n96``: the ops of ``perfbench`` on the
+  inputs that ``perfbench/workloads.py`` draws;
+- ``as_rotation`` of proper rotations and of ``+-Q Q^T`` (``+-I`` up to
+  roundoff) at n = 2, 8 and 96.
+
+First every answer is compared, bit for bit: angles, normal forms,
+labels, isomorphism answers, and for an input that raises, the error
+class and message.  Then each input is timed on both sides in
+alternating order, ``--rounds`` times.  Each input's ratio is the
+median change time over the median parent time; the JSON on stdout
+gives the median ratio of each case with its quartiles.  The exit code
+is 1 when any answer differs.  This reports direction and size of a
+change; it is no gate, and ``perfbench/run.py`` stays the source of the
+end-to-end numbers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import gc
+import importlib.util
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import time
+from pathlib import Path
+
+# BLAS at one thread, as perfbench/run.py sets it for its children
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import rotpair  # noqa: E402
+import workloads  # noqa: E402
+
+PARENT_NAME = "rotpair_parent"
+SMALL_INPUTS = 200
+N96_INPUTS = 12
+ROTATION_INPUTS = 40
+ROTATION_DIMS = (2, 8, 96)
+
+
+def load_parent(rev: str):
+    """The package at ``rev``, extracted once and imported as ``rotpair_parent``."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            cwd=ROOT, check=True, capture_output=True,
+                            text=True).stdout.strip()
+    dest = ROOT / ".bench_build" / "ab" / commit
+    package = dest / "src" / "rotpair"
+    if not (package / "__init__.py").exists():
+        archive = subprocess.run(["git", "archive", commit, "src/rotpair"], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(dest, filter="data")
+    spec = importlib.util.spec_from_file_location(
+        PARENT_NAME, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[PARENT_NAME] = module
+    spec.loader.exec_module(module)
+    return commit, module
+
+
+def canonical(x):
+    """A value that compares equal exactly when two answers agree bit for bit.
+
+    Classes are compared by name, so answers of the two packages compare.
+    """
+    if isinstance(x, BaseException):
+        return ("raised", type(x).__name__, str(x))
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,
+                tuple(canonical(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, (tuple, list)):
+        return tuple(canonical(v) for v in x)
+    if isinstance(x, float):
+        return float(x).hex()
+    if isinstance(x, enum.Enum):
+        return x.value
+    return x
+
+
+def answer(op, inp):
+    try:
+        return op(inp)
+    except rotpair.RotPairError as exc:
+        return exc
+    except Exception as exc:  # the parent's errors are other classes
+        if type(exc).__module__.startswith(PARENT_NAME):
+            return exc
+        raise
+
+
+# ops, each for either package -------------------------------------------------
+
+def small_op(pkg):
+    def op(inp):
+        doc, partner, _ = inp
+        d, e = pkg.as_rotation(doc.delta), pkg.as_rotation(doc.epsilon)
+        label = pkg.classify(d, e)
+        d2, e2 = pkg.as_rotation(partner.delta), pkg.as_rotation(partner.epsilon)
+        return label, pkg.isomorphic((d, e), (d2, e2))
+    return op
+
+
+def n96_op(pkg):
+    def op(doc):
+        return pkg.classify(pkg.as_rotation(doc.delta), pkg.as_rotation(doc.epsilon))
+    return op
+
+
+def rotation_op(pkg):
+    return pkg.as_rotation
+
+
+def cases(seed: int):
+    """(name, op factory, inputs) of every timed case."""
+    small_rng = np.random.default_rng([seed, 2])
+    n96_rng = np.random.default_rng([seed, 1])
+    out = [("batch_small", small_op,
+            [workloads.small_input(small_rng) for _ in range(SMALL_INPUTS)]),
+           ("classify_n96", n96_op,
+            [workloads.n96_input(n96_rng) for _ in range(N96_INPUTS)])]
+    rng = np.random.default_rng([seed, 3])
+    for n in ROTATION_DIMS:
+        proper = [rotpair.generate_rotation(n, float(rng.uniform(0.1, np.pi - 0.1)),
+                                            int(rng.integers(2**31))).matrix
+                  for _ in range(ROTATION_INPUTS)]
+        scalar = []
+        for i in range(ROTATION_INPUTS):
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            scalar.append((1.0 if i % 2 else -1.0) * (Q @ Q.T))
+        out += [(f"as_rotation_proper_n{n}", rotation_op, proper),
+                (f"as_rotation_pm_identity_n{n}", rotation_op, scalar)]
+    return out
+
+
+def compare(parent_op, child_op, inputs) -> int:
+    """Count of inputs whose answers differ."""
+    return sum(canonical(answer(parent_op, x)) != canonical(answer(child_op, x))
+               for x in inputs)
+
+
+def timed(op, inp) -> float:
+    start = time.perf_counter()
+    answer(op, inp)
+    return time.perf_counter() - start
+
+
+def ratios(parent_op, child_op, inputs, rounds: int) -> dict:
+    """Per-input median time ratio (change / parent), alternating the order."""
+    times = [([], []) for _ in inputs]
+    for r in range(rounds):
+        for i, inp in enumerate(inputs):
+            parent_t, child_t = times[i]
+            if (r + i) % 2:
+                parent_t.append(timed(parent_op, inp))
+                child_t.append(timed(child_op, inp))
+            else:
+                child_t.append(timed(child_op, inp))
+                parent_t.append(timed(parent_op, inp))
+    per_input = [statistics.median(c) / statistics.median(p) for p, c in times]
+    q1, median, q3 = statistics.quantiles(per_input, n=4, method="inclusive")
+    return {
+        "inputs": len(inputs),
+        "rounds": rounds,
+        "parent_ms_median": statistics.median(t for p, _ in times for t in p) * 1e3,
+        "change_ms_median": statistics.median(t for _, c in times for t in c) * 1e3,
+        "ratio_median": median,
+        "ratio_q1": q1,
+        "ratio_q3": q3,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--seed", type=int, default=1, help="seed of every input")
+    p.add_argument("--rounds", type=int, default=7, help="timings per input and side")
+    args = p.parse_args(argv)
+    commit, parent = load_parent(args.parent)
+    report = {"parent": commit, "seed": args.seed, "numpy": np.__version__,
+              "differing_answers": {}, "cases": {}}
+    for name, make_op, inputs in cases(args.seed):
+        parent_op, child_op = make_op(parent), make_op(rotpair)
+        report["differing_answers"][name] = compare(parent_op, child_op, inputs)
+        for inp in inputs[:3]:      # warm both sides
+            answer(parent_op, inp)
+            answer(child_op, inp)
+        gc.collect()
+        gc.disable()
+        try:
+            report["cases"][name] = ratios(parent_op, child_op, inputs, args.rounds)
+        finally:
+            gc.enable()
+    print(json.dumps(report, indent=1))
+    return 1 if any(report["differing_answers"].values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
