@@ -22,20 +22,6 @@ from .orthogonal import Rotation
 
 
 @dataclass(frozen=True)
-class EigenplaneBases:
-    """Orthonormal column bases of the four eigenplanes in C^n.
-
-    A and B are the conjugate eigenplanes of the first rotation, C and D
-    those of the second; ``B = conj(A)`` and ``D = conj(C)`` entrywise.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-
-@dataclass(frozen=True)
 class AntilinearOp:
     """Conjugate-linear operator on an eigenplane, in coordinates.
 
@@ -50,8 +36,8 @@ class AntilinearOp:
         return self.M @ np.conj(x)
 
 
-def _plane_of(rotation: Rotation) -> np.ndarray:
-    """Eigenplane basis for eigenvalue exp(i*angle) of a proper rotation.
+def _plane_of(M: np.ndarray) -> np.ndarray:
+    """Eigenplane basis for eigenvalue exp(i*a) of a proper rotation M by a.
 
     A certified rotation is ``M = cos(a) I + sin(a) J`` with ``J`` a real
     skew complex structure, so the Hermitian matrix ``-i (M - M.T)/2``
@@ -61,34 +47,35 @@ def _plane_of(rotation: Rotation) -> np.ndarray:
     top half of its ascending spectrum.  :func:`eigenplanes` checks the
     eigenplane residual.
     """
-    M = rotation.matrix
     _, Z = np.linalg.eigh(-0.5j * (M - M.T))
     return Z[:, M.shape[0] // 2:]
 
 
 def eigenplanes(d: Rotation, e: Rotation,
-                tol: Tolerance = DEFAULT_TOL) -> EigenplaneBases:
-    """Eigenplane bases A, B (from ``d``) and C, D (from ``e``).
+                tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """Eigenplane bases ``(A, C)`` of ``d`` and ``e``.
 
     Both rotations are proper and act on the same even-dimensional
     space, as :func:`~rotpair.decompose.two_plane_exists` checks.  The
-    returned bases are orthonormal, with ``B = conj(A)`` and
-    ``D = conj(C)``.
+    bases are orthonormal, and ``B = conj(A)``, ``D = conj(C)``.  Each
+    plane P of a matrix M is judged at ``check_tol`` by ``max_abs(M P -
+    lam P)`` for the mean eigenvalue ``lam = tr(P^H M P) / m`` that M
+    shows on P's m columns: only the matrices are read, no angle.
     """
-    A = _plane_of(d)
-    C = _plane_of(e)
-    for plane, rot in ((A, d), (C, e)):
-        require(max_abs(rot.matrix @ plane - np.exp(1j * rot.angle) * plane),
-                tol.check_tol, NumericalFailure, "eigenplane residual")
-    return EigenplaneBases(A=A, B=np.conj(A), C=C, D=np.conj(C))
+    planes = _plane_of(d.matrix), _plane_of(e.matrix)
+    for P, M in zip(planes, (d.matrix, e.matrix)):
+        MP = M @ P
+        require(max_abs(MP - np.vdot(P, MP) / P.shape[1] * P), tol.check_tol,
+                NumericalFailure, "eigenplane residual")
+    return planes
 
 
-def build_T(planes: EigenplaneBases) -> AntilinearOp:
+def build_T(A: np.ndarray, C: np.ndarray) -> AntilinearOp:
     """Antilinear operator on A obtained by factoring C through A and B.
 
     In coordinates the operator is ``x -> M conj(x)`` with
     ``M = conj(G_BC @ inv(G_AC))`` where ``G_AC = A^H C`` and
-    ``G_BC = B^H C`` are the Gram matrices of the restricted
+    ``G_BC = B^H C = A^T C`` are the Gram matrices of the restricted
     projections; their singular values are the cosines and sines of
     the principal angles phi between A and C.  So ``G_BC`` is singular
     exactly when A meets C, and ``G_AC`` when A meets D.  The caller's
@@ -96,9 +83,8 @@ def build_T(planes: EigenplaneBases) -> AntilinearOp:
     ``tan(phi/2) <= RANK_TOL`` as a meet, which covers either Gram
     matrix falling below full relative rank, so M is invertible here.
     """
-    A, B, C = planes.A, planes.B, planes.C
     G_AC = A.conj().T @ C
-    G_BC = B.conj().T @ C
+    G_BC = A.T @ C
     return AntilinearOp(M=np.conj(G_BC @ np.linalg.inv(G_AC)), basis_a=A)
 
 

@@ -73,6 +73,7 @@ class InvariantBlock:
                                     compare=False)
 
     __eq__ = array_fields_equal
+    __array_ufunc__ = None   # so that == with an ndarray answers False
 
     @property
     def dim(self) -> int:
@@ -153,10 +154,10 @@ def _real_plane(v: np.ndarray) -> np.ndarray:
 def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     """Invariant 2-planes of a proper pair, or the antilinear operator.
 
-    Returns ``("planes", bases)`` with a tuple of plane bases, or
-    ``("operator", T)``.  Tries the eigenplane intersections first: a
-    rotation turns every vector by its one angle, so each column of the
-    first non-empty meet, A with C or else A with D, spans a jointly
+    Returns a tuple of plane bases, or the :class:`AntilinearOp` T.
+    Tries the eigenplane intersections first: a rotation turns every
+    vector by its one angle, so each column of the first non-empty
+    meet, A with C or else A with ``D = conj(C)``, spans a jointly
     invariant plane with its conjugate, and the planes of distinct
     columns are orthogonal.  Each column lies in A, so its plane is read
     off by :func:`_real_plane` with no factorization; callers check the
@@ -172,16 +173,16 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     The branch stays until ROADMAP item 1 frees ``build_T`` and
     ``antilinear_invariant_line`` from the tracer of ``perfbench``.
     """
-    planes = eigenplanes(d, e, tol)
-    for meet_with in (planes.C, planes.D):
-        meet = subspace_meet(planes.A, meet_with)
+    A, C = eigenplanes(d, e, tol)
+    for meet_with in (C, np.conj(C)):
+        meet = subspace_meet(A, meet_with)
         if meet.shape[1]:
-            return "planes", tuple(_real_plane(v) for v in meet.T)
-    T = build_T(planes)
+            return tuple(_real_plane(v) for v in meet.T)
+    T = build_T(A, C)
     line = antilinear_invariant_line(T, tol)
     if line is not None:
-        return "planes", (_real_plane(planes.A @ line),)
-    return "operator", T
+        return (_real_plane(A @ line),)
+    return T
 
 
 def _check_blocks(stacked: np.ndarray, d: Rotation, e: Rotation,
@@ -220,10 +221,10 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     _require_proper_pair(d, e)
     if not (np.isfinite(d.matrix).all() and np.isfinite(e.matrix).all()):
         raise BadParameter("rotation matrix has non-finite entries")
-    kind, payload = _planes_or_operator(d, e, tol)
-    if kind != "planes":
+    found = _planes_or_operator(d, e, tol)
+    if isinstance(found, AntilinearOp):
         return False, None
-    witness = payload[0]
+    witness = found[0]
     _check_blocks(witness, d, e, tol)
     return True, witness
 
@@ -232,11 +233,7 @@ def _block_from_operator(T: AntilinearOp) -> np.ndarray:
     """Basis of a 4-block from an eigenvector of the operator's square."""
     N = t_squared(T)
     evals, evecs = np.linalg.eig(N)
-    order = sorted(
-        range(len(evals)),
-        key=lambda i: (-abs(evals[i]), evals[i].real, evals[i].imag),
-    )
-    u = evecs[:, order[0]]
+    u = evecs[:, np.lexsort((evals.imag, evals.real, -abs(evals)))[0]]
     u = u / np.linalg.norm(u)
     v = T.apply(u)
     s = np.linalg.svd(np.column_stack([u, v]), compute_uv=False)
@@ -265,8 +262,9 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     negative, the blocks are the planes of the normal form that certified
     the other operator, or every coordinate line when both are: one step,
     which :func:`decompose` takes directly.  Otherwise the pair is
-    proper: the blocks are one plane per column of the first non-empty
-    eigenplane meet, else a single 4-block.
+    proper, and :func:`_planes_or_operator` returns either one plane per
+    column of the first non-empty eigenplane meet, which are the blocks,
+    or the :class:`AntilinearOp`, from which one 4-block is built.
 
     Each block is irreducible by construction: a line, a plane on which
     at least one operator is proper, or a 4-block reached only after
@@ -287,8 +285,9 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
         else:
             bases = np.hsplit((d if d_proper else e).normal_form.basis, n // 2)
     else:
-        kind, payload = _planes_or_operator(d, e, tol)
-        bases = payload if kind == "planes" else (_block_from_operator(payload),)
+        bases = _planes_or_operator(d, e, tol)
+        if isinstance(bases, AntilinearOp):
+            bases = (_block_from_operator(bases),)
     R_d, R_e = _check_blocks(np.hstack(bases), d, e, tol)
     return tuple(_certified_block(b, Rotation(R_d[s, s], d.angle),
                                   Rotation(R_e[s, s], e.angle))

@@ -75,6 +75,7 @@ class NormalForm:
     orthogonality_residual: float = field(default=math.nan, compare=False)
 
     __eq__ = array_fields_equal
+    __array_ufunc__ = None   # so that == with an ndarray answers False
 
     @property
     def dim(self) -> int:
@@ -115,6 +116,7 @@ class Rotation:
                                            repr=False, compare=False)
 
     __eq__ = array_fields_equal
+    __array_ufunc__ = None   # so that == with an ndarray answers False
 
     def __post_init__(self):
         # bool is an int subclass, but True is no angle

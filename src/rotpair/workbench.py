@@ -92,8 +92,8 @@ class PairDocument:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "delta": [[float(x) for x in row] for row in self.delta],
-            "epsilon": [[float(x) for x in row] for row in self.epsilon],
+            "delta": np.asarray(self.delta, dtype=float).tolist(),
+            "epsilon": np.asarray(self.epsilon, dtype=float).tolist(),
             "metadata": self.metadata,
         }
 
@@ -185,7 +185,7 @@ def _normal_form_dict(nf: NormalForm) -> dict:
         "angles": [_sig12(a) for a in nf.angles],
         "fix_dim": nf.fix_dim,
         "neg_dim": nf.neg_dim,
-        "basis": [[float(x) for x in row] for row in nf.basis],
+        "basis": np.asarray(nf.basis, dtype=float).tolist(),
     }
 
 
@@ -202,9 +202,9 @@ def build_report(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> dict
     forms = [classify_block(b, tol) for b in dec.blocks]
     blocks = [{
         "dim": b.dim,
-        "basis": [[float(x) for x in row] for row in b.basis],
-        "d_restricted": [[float(x) for x in row] for row in b.d_restricted],
-        "e_restricted": [[float(x) for x in row] for row in b.e_restricted],
+        "basis": np.asarray(b.basis, dtype=float).tolist(),
+        "d_restricted": np.asarray(b.d_restricted, dtype=float).tolist(),
+        "e_restricted": np.asarray(b.e_restricted, dtype=float).tolist(),
         "invariance_residual": float(invariance_residual(b.basis, d, e)),
         "form": form_to_dict(form),
     } for b, form in zip(dec.blocks, forms)]

@@ -68,9 +68,9 @@ class TestEigenplanes:
     @given(pair=rotation_pairs())
     def test_planes_are_orthonormal_conjugate_eigenplanes(self, pair):
         d, e = pair
-        pl = eigenplanes(d, e)
+        A, C = eigenplanes(d, e)
         bound = 10 * DEFAULT_TOL.residual_tol
-        for plane, rot in ((pl.A, d), (pl.C, e)):
+        for plane, rot in ((A, d), (C, e)):
             k = rot.dim // 2
             assert plane.shape == (rot.dim, k)
             assert max_abs(plane.conj().T @ plane - np.eye(k)) <= bound
@@ -81,23 +81,48 @@ class TestEigenplanes:
     def test_shapes_and_conjugacy(self):
         d = proper(block_diag(rot2(0.5), rot2(0.5)))
         e = proper(block_diag(rot2(1.1), rot2(1.1)))
-        pl = eigenplanes(d, e)
-        for basis in (pl.A, pl.B, pl.C, pl.D):
+        A, C = eigenplanes(d, e)
+        B, D = np.conj(A), np.conj(C)
+        for basis in (A, B, C, D):
             assert basis.shape == (4, 2)
             assert max_abs(basis.conj().T @ basis - np.eye(2)) <= 1e-10
-        assert np.array_equal(pl.B, np.conj(pl.A))
-        assert np.array_equal(pl.D, np.conj(pl.C))
+        assert np.array_equal(B, np.conj(A))
+        assert np.array_equal(D, np.conj(C))
 
     def test_eigen_equation(self):
         rng = np.random.default_rng(5)
         Q = rand_orthogonal(6, rng)
         d = proper(Q @ block_diag(*[rot2(0.7)] * 3) @ Q.T)
         e = proper(Q @ block_diag(*[rot2(2.1)] * 3) @ Q.T)
-        pl = eigenplanes(d, e)
-        assert max_abs(d.matrix @ pl.A - np.exp(0.7j) * pl.A) <= 1e-9
-        assert max_abs(d.matrix @ pl.B - np.exp(-0.7j) * pl.B) <= 1e-9
-        assert max_abs(e.matrix @ pl.C - np.exp(2.1j) * pl.C) <= 1e-9
-        assert max_abs(e.matrix @ pl.D - np.exp(-2.1j) * pl.D) <= 1e-9
+        A, C = eigenplanes(d, e)
+        B, D = np.conj(A), np.conj(C)
+        assert max_abs(d.matrix @ A - np.exp(0.7j) * A) <= 1e-9
+        assert max_abs(d.matrix @ B - np.exp(-0.7j) * B) <= 1e-9
+        assert max_abs(e.matrix @ C - np.exp(2.1j) * C) <= 1e-9
+        assert max_abs(e.matrix @ D - np.exp(-2.1j) * D) <= 1e-9
+
+    # Each plane is judged against the mean eigenvalue its matrix shows,
+    # so a claim within angle_tol of the certified angle is never read.
+    @pytest.mark.parametrize("make_d", [
+        lambda: dim4_pair(alpha=1.0)[0].matrix,
+        lambda: block_diag(rot2(1.0), rot2(1.0)),
+    ], ids=["dim4", "two_planes"])
+    def test_claimed_angle_is_not_read(self, make_d):
+        M = make_d()
+        e = dim4_pair(alpha=1.0, beta=2.0)[1]
+        certified = two_plane_exists(proper(M), e)
+        claimed = two_plane_exists(Rotation(M, 1.0 + 5e-8), e)
+        assert claimed[0] == certified[0]
+        assert (claimed[1] is None and certified[1] is None
+                or np.array_equal(claimed[1], certified[1]))
+
+    @pytest.mark.parametrize("second", [1.0 + 5e-8, 1.5])
+    def test_two_angle_matrix_fails_the_eigenplane_residual(self, second):
+        bad = Rotation(block_diag(rot2(1.0), rot2(second)), 1.0)
+        good = dim4_pair(alpha=2.0)[0]
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(NumericalFailure, match="^eigenplane residual"):
+                two_plane_exists(*pair)
 
     # The eigenplane search checks its pair at its public entry,
     # two_plane_exists; eigenplanes itself takes what that guarantees.
@@ -123,9 +148,9 @@ def assert_meet_case(d, e, which):
     the meets must catch them before it is built: ``find_block`` returns
     one plane per meet column and ``two_plane_exists`` a checked witness.
     """
-    planes = eigenplanes(d, e)
-    meets = {"AC": subspace_meet(planes.A, planes.C),
-             "AD": subspace_meet(planes.A, planes.D)}
+    A, C = eigenplanes(d, e)
+    meets = {"AC": subspace_meet(A, C),
+             "AD": subspace_meet(A, np.conj(C))}
     assert meets[which].shape[1] > 0
     assert which == "AC" or meets["AC"].shape[1] == 0
     blocks = find_block(d, e)
@@ -145,11 +170,12 @@ def gram_conditions():
     original = module.build_T
     seen = []
 
-    def checked(planes):
-        for G in (planes.A.conj().T @ planes.C, planes.B.conj().T @ planes.C):
+    def checked(A, C):
+        B = np.conj(A)
+        for G in (A.conj().T @ C, B.conj().T @ C):
             s = np.linalg.svd(G, compute_uv=False)
             seen.append(s[-1] / s[0])
-        T = original(planes)
+        T = original(A, C)
         assert np.all(np.isfinite(T.M))
         return T
 
@@ -210,18 +236,19 @@ class TestBuildT:
     def test_well_defined_on_c(self):
         rng = np.random.default_rng(6)
         d, e = dim4_pair(conjugate_by=rand_orthogonal(4, rng))
-        pl = eigenplanes(d, e)
-        T = build_T(pl)
+        A, C = eigenplanes(d, e)
+        B = np.conj(A)
+        T = build_T(A, C)
         for _ in range(20):
             y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            c = pl.C @ y
-            lhs = T.M @ np.conj(pl.A.conj().T @ c)
-            rhs = np.conj(pl.B.conj().T @ c)
+            c = C @ y
+            lhs = T.M @ np.conj(A.conj().T @ c)
+            rhs = np.conj(B.conj().T @ c)
             assert max_abs(lhs - rhs) <= 1e-9
 
     def test_operator_is_bijective(self):
         d, e = dim4_pair()
-        T = build_T(eigenplanes(d, e))
+        T = build_T(*eigenplanes(d, e))
         assert T.M.shape == (2, 2)
         s = np.linalg.svd(T.M, compute_uv=False)
         assert s[-1] > 1e-6
@@ -232,14 +259,14 @@ class TestTSquared:
         # The square collapses to -tan(theta/2)^2 times the identity; the
         # canonical triple (0.5, 1.2, 0.8) freezes tan(0.4)^2 below.
         d, e = dim4_pair(alpha=0.5, beta=1.2, theta=0.8)
-        N = t_squared(build_T(eigenplanes(d, e)))
+        N = t_squared(build_T(*eigenplanes(d, e)))
         assert max_abs(N + 0.17875410581097512 * np.eye(2)) <= 1e-10
 
     @pytest.mark.parametrize("theta", [0.3, 0.8, 1.2])
     def test_spectrum_tracks_twist_angle(self, theta):
         rng = np.random.default_rng(7)
         d, e = dim4_pair(theta=theta, conjugate_by=rand_orthogonal(4, rng))
-        N = t_squared(build_T(eigenplanes(d, e)))
+        N = t_squared(build_T(*eigenplanes(d, e)))
         evals = np.linalg.eigvals(N)
         target = -math.tan(theta / 2.0) ** 2
         assert max_abs(evals - target) <= 1e-9
@@ -283,7 +310,7 @@ class TestInvariantLine:
         rng = np.random.default_rng(9)
         for theta in (0.3, 0.8, 1.4):
             d, e = dim4_pair(theta=theta, conjugate_by=rand_orthogonal(4, rng))
-            T = build_T(eigenplanes(d, e))
+            T = build_T(*eigenplanes(d, e))
             assert antilinear_invariant_line(T) is None
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -353,8 +380,8 @@ def test_pair_without_invariant_plane_gives_no_operator_line(pair):
     branch of the eigenplane search serves no input.
     """
     d, e = pair
-    planes = eigenplanes(d, e)
-    assert subspace_meet(planes.A, planes.C).shape[1] == 0
-    assert subspace_meet(planes.A, planes.D).shape[1] == 0
-    assert antilinear_invariant_line(build_T(planes)) is None
+    A, C = eigenplanes(d, e)
+    assert subspace_meet(A, C).shape[1] == 0
+    assert subspace_meet(A, np.conj(C)).shape[1] == 0
+    assert antilinear_invariant_line(build_T(A, C)) is None
     assert two_plane_exists(d, e) == (False, None)

@@ -441,6 +441,14 @@ def test_invariant_blocks_compare_by_their_arrays():
         hash(block)
 
 
+def test_invariant_block_against_an_array_answers_one_bool():
+    d, e = pair_rotations(generate_pair([Dim4(0.7, 1.9, 1.1)], 7))
+    [block] = decompose(d, e).blocks
+    for arr in (block.basis, block.d_restricted):
+        assert (block == arr) is False and (arr == block) is False
+        assert (block != arr) is True and (arr != block) is True
+
+
 def dims(calls):
     """Dimension of the first rotation of each recorded call."""
     return [args[0].dim for args in calls]

@@ -395,3 +395,31 @@ def test_failing_property_test_is_reported(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def angle_reads(tree: ast.Module) -> list:
+    """``.angle`` attributes read inside a function.
+
+    The eigenplane search judges each plane against the eigenvalue its
+    matrix shows, so ``antilinear`` reads matrices only: a hand-built
+    rotation's claimed angle cannot reach it.
+    """
+    reads = {id(node): node for stmt in ast.walk(tree)
+             if isinstance(stmt, ast.FunctionDef) for node in ast.walk(stmt)
+             if isinstance(node, ast.Attribute) and node.attr == "angle"}
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in sorted(reads.values(), key=lambda node: node.lineno)]
+
+
+def test_eigenplane_search_reads_no_angle():
+    assert angle_reads(ast.parse((SRC / "antilinear.py").read_text())) == []
+
+
+def test_angle_reads_are_found():
+    tree = ast.parse(
+        "def plane(d):\n    return np.exp(1j * d.angle) * d.matrix\n"
+        "def outer(rs):\n    def inner(r):\n        return r.angle\n"
+        "    return [r.angles for r in rs], angle\n"
+        "x = d.angle\n"
+    )
+    assert angle_reads(tree) == ["d.angle (line 2)", "r.angle (line 5)"]

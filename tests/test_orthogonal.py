@@ -701,3 +701,11 @@ class TestEquality:
         assert d != d.normal_form and d != 1.1
         with pytest.raises(TypeError):
             hash(d)
+
+    # numpy defers to both classes, so either order answers one bool
+    def test_against_an_array(self):
+        d = as_rotation(generate_rotation(4, 1.1, seed=3).matrix)
+        for x, arr in ((d, d.matrix), (Rotation(np.eye(2), 0.0), np.eye(2)),
+                       (d.normal_form, d.normal_form.basis)):
+            assert (x == arr) is False and (arr == x) is False
+            assert (x != arr) is True and (arr != x) is True

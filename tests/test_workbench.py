@@ -27,6 +27,7 @@ from rotpair import (
     as_rotation,
     build_report,
     classify,
+    decompose,
     form_from_dict,
     form_to_dict,
     generate_pair,
@@ -273,6 +274,33 @@ class TestBuildReport:
         sizes = count_normal_forms(monkeypatch)
         build_report(Rotation(d.matrix, d.angle), Rotation(e.matrix, e.angle))
         assert sizes == [d.dim, d.dim]
+
+    # Matrices are written by tolist(), which must give the bytes of a
+    # float() per entry, -0.0 entries included.
+    @pytest.mark.parametrize("spec", [
+        [Dim2Proper(alpha=0.5, beta=1.2, r=-1), Dim4(alpha=0.5, beta=1.2, theta=0.8)],
+        [Dim2LeftScalar(r=-1, beta=0.9)] * 3,
+    ], ids=["proper", "scalar"])
+    def test_matrices_are_written_as_per_entry_floats(self, spec):
+        def rows(M):
+            return [[float(x) for x in row] for row in M]
+
+        doc = generate_pair(spec, seed=9)
+        d, e = pair_rotations(doc)
+        report = build_report(d, e)
+        old = dict(report, blocks=[
+            dict(entry, basis=rows(b.basis), d_restricted=rows(b.d_restricted),
+                 e_restricted=rows(b.e_restricted))
+            for entry, b in zip(report["blocks"], decompose(d, e).blocks)])
+        for key, r in (("delta_normal_form", d), ("epsilon_normal_form", e)):
+            old[key] = dict(report[key], basis=rows(r.normal_form.basis))
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert text == json.dumps(old, indent=2, sort_keys=True)
+        doc_dict = dict(doc.to_json_dict(), delta=rows(doc.delta),
+                        epsilon=rows(doc.epsilon))
+        assert (json.dumps(doc.to_json_dict(), indent=2, sort_keys=True)
+                == json.dumps(doc_dict, indent=2, sort_keys=True))
+        assert "-0.0" in text
 
     def test_report_label_matches_metadata(self):
         rng = np.random.default_rng(23)

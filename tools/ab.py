@@ -6,16 +6,28 @@ The parent's ``src/rotpair`` is extracted with ``git archive`` into
 ``.bench_build/ab/<commit>/`` and imported as a second package,
 ``rotpair_parent`` (rotpair imports its own modules only relatively, so
 the copy needs no renaming).  Both packages then run the same seeded
-inputs in one process:
+inputs in one process.  Compared only, untimed:
+
+- ``classify`` of 3000 ``noisy_input`` and 300 ``boundary_input`` pairs
+  of ``perfbench/workloads.py``;
+- the ``build_report`` JSON, as ``rotpair classify --format json``
+  prints it, of the documents of 10 ``cli_pool`` draws and of 200 small
+  documents with a +-I side.
+
+Compared, then timed:
 
 - ``batch_small`` and ``classify_n96``: the ops of ``perfbench`` on the
   inputs that ``perfbench/workloads.py`` draws;
 - ``as_rotation`` of proper rotations and of ``+-Q Q^T`` (``+-I`` up to
-  roundoff) at n = 2, 8 and 96.
+  roundoff) at n = 2, 8 and 96;
+- ``classify`` of a certified pair at n = 8, 96 and 384, with n/8
+  ``Dim4`` blocks and n/4 ``Dim2Proper`` planes, as ``classify_n96``
+  draws at n = 96; each package certifies the pair once, outside the
+  timed call.
 
-First every answer is compared, bit for bit: angles, normal forms,
-labels, isomorphism answers, and for an input that raises, the error
-class and message.  Then each input is timed on both sides in
+Every answer is compared bit for bit: angles, normal forms, labels,
+isomorphism answers, report bytes, and for an input that raises, the
+error class and message.  Then each timed input is run on both sides in
 alternating order, ``--rounds`` times.  Each input's ratio is the
 median change time over the median parent time; the JSON on stdout
 gives the median ratio of each case with its quartiles.  The exit code
@@ -38,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -58,6 +71,11 @@ SMALL_INPUTS = 200
 N96_INPUTS = 12
 ROTATION_INPUTS = 40
 ROTATION_DIMS = (2, 8, 96)
+CLASSIFY_INPUTS = {8: 40, 96: 12, 384: 4}   # dimension -> timed pairs
+NOISY_INPUTS = 3000
+BOUNDARY_INPUTS = 300
+CLI_POOLS = 10
+PM_IDENTITY_DOCS = 200
 
 
 def load_parent(rev: str):
@@ -124,14 +142,70 @@ def small_op(pkg):
     return op
 
 
-def n96_op(pkg):
+def doc_op(pkg):
     def op(doc):
         return pkg.classify(pkg.as_rotation(doc.delta), pkg.as_rotation(doc.epsilon))
     return op
 
 
+def report_op(pkg):
+    def op(doc):
+        d, e = pkg.as_rotation(doc.delta), pkg.as_rotation(doc.epsilon)
+        return json.dumps(pkg.build_report(d, e), indent=2, sort_keys=True)
+    return op
+
+
+def certified_op(pkg):
+    """``classify`` of each document's pair, certified on its first call only."""
+    pairs = {}
+
+    def op(doc):
+        if id(doc) not in pairs:
+            pairs[id(doc)] = pkg.as_rotation(doc.delta), pkg.as_rotation(doc.epsilon)
+        return pkg.classify(*pairs[id(doc)])
+    return op
+
+
 def rotation_op(pkg):
     return pkg.as_rotation
+
+
+def sized_input(n: int, rng):
+    """n/8 ``Dim4`` blocks and n/4 ``Dim2Proper`` planes, half of each sign."""
+    alpha, beta = rng.uniform(workloads.ANGLE_LO, workloads.ANGLE_HI, size=2)
+    spec = [rotpair.Dim4(float(alpha), float(beta),
+                         float(rng.uniform(workloads.THETA_MARGIN,
+                                           np.pi - workloads.THETA_MARGIN)))
+            for _ in range(n // 8)]
+    spec += [rotpair.Dim2Proper(float(alpha), float(beta), r)
+             for r in (1, -1) for _ in range(n // 8)]
+    return rotpair.generate_pair(spec, int(rng.integers(2**31)))
+
+
+def pm_identity_doc(rng):
+    """A ``small_spec`` document of a kind with a +-I side."""
+    spec = workloads.small_spec(rng)
+    while isinstance(spec[0], (rotpair.Dim2Proper, rotpair.Dim4)):
+        spec = workloads.small_spec(rng)
+    return rotpair.generate_pair(spec, int(rng.integers(2**31)))
+
+
+def checks(seed: int):
+    """(name, op factory, inputs) of every case that is compared, not timed."""
+    noisy_rng = np.random.default_rng([seed, 4])
+    boundary_rng = np.random.default_rng([seed, 5])
+    pool_rng = np.random.default_rng([seed, 6])
+    pm_rng = np.random.default_rng([seed, 7])
+    with tempfile.TemporaryDirectory() as workdir:
+        pool = [rotpair.load_pair(path) for _ in range(CLI_POOLS)
+                for path, _ in workloads.cli_pool(pool_rng, workdir)]
+    return [("noisy_input", doc_op,
+             [workloads.noisy_input(noisy_rng) for _ in range(NOISY_INPUTS)]),
+            ("boundary_input", doc_op,
+             [workloads.boundary_input(boundary_rng) for _ in range(BOUNDARY_INPUTS)]),
+            ("cli_pool_report", report_op, pool),
+            ("pm_identity_report", report_op,
+             [pm_identity_doc(pm_rng) for _ in range(PM_IDENTITY_DOCS)])]
 
 
 def cases(seed: int):
@@ -140,7 +214,7 @@ def cases(seed: int):
     n96_rng = np.random.default_rng([seed, 1])
     out = [("batch_small", small_op,
             [workloads.small_input(small_rng) for _ in range(SMALL_INPUTS)]),
-           ("classify_n96", n96_op,
+           ("classify_n96", doc_op,
             [workloads.n96_input(n96_rng) for _ in range(N96_INPUTS)])]
     rng = np.random.default_rng([seed, 3])
     for n in ROTATION_DIMS:
@@ -153,6 +227,10 @@ def cases(seed: int):
             scalar.append((1.0 if i % 2 else -1.0) * (Q @ Q.T))
         out += [(f"as_rotation_proper_n{n}", rotation_op, proper),
                 (f"as_rotation_pm_identity_n{n}", rotation_op, scalar)]
+    sized_rng = np.random.default_rng([seed, 8])
+    out += [(f"classify_certified_n{n}", certified_op,
+             [sized_input(n, sized_rng) for _ in range(count)])
+            for n, count in CLASSIFY_INPUTS.items()]
     return out
 
 
@@ -201,8 +279,13 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     commit, parent = load_parent(args.parent)
     report = {"parent": commit, "seed": args.seed, "numpy": np.__version__,
-              "differing_answers": {}, "cases": {}}
+              "compared_inputs": {}, "differing_answers": {}, "cases": {}}
+    for name, make_op, inputs in checks(args.seed):
+        report["compared_inputs"][name] = len(inputs)
+        report["differing_answers"][name] = compare(make_op(parent), make_op(rotpair),
+                                                    inputs)
     for name, make_op, inputs in cases(args.seed):
+        report["compared_inputs"][name] = len(inputs)
         parent_op, child_op = make_op(parent), make_op(rotpair)
         report["differing_answers"][name] = compare(parent_op, child_op, inputs)
         for inp in inputs[:3]:      # warm both sides
