@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,36 @@ class RotationKind(Enum):
     PROPER = "proper"
 
 
+class _Spectral(NamedTuple):
+    """What certified a one-cluster form, and what its blocks are built from."""
+
+    matrix: np.ndarray    # a copy of the certified matrix: the caller's may change
+    angles: np.ndarray    # atan2(sine, cosine) of each paired spectral value
+    tol: Tolerance
+
+
+class _BuiltOnRead:
+    """A field of a form certified from its spectra, built on first read.
+
+    A non-data descriptor, as ``functools.cached_property`` is: a value
+    stored in the instance is read without it, so every other form reads
+    its fields at plain attribute speed.  Read on the class it raises
+    ``AttributeError``, so the dataclass sees a field without a default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, nf, owner=None):
+        if nf is None or nf._spectral is None:
+            raise AttributeError(self.name)
+        M, angles, tol = nf._spectral
+        built = _assemble(M, *_rotation_blocks(M, None, angles), [], [],
+                          nf.orthogonality_residual, tol)
+        nf.__dict__.update(angles=built.angles, basis=built.basis)
+        return nf.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class NormalForm:
     """Block form of an orthogonal matrix.
@@ -66,20 +97,29 @@ class NormalForm:
     :func:`orthogonal_normal_form` measured, carried so that no caller
     measures it again; a form built any other way has NaN there, which
     fails every verdict of ``require``.
+
+    A form that :func:`orthogonal_normal_form` certified from the two
+    spectra alone (one cluster, all rotation blocks) builds ``angles``
+    and ``basis`` together on the first read of either, checks its
+    normal-form residual then (``NumericalFailure`` from that read), and
+    keeps them, with the values an eager build gives.  ``dim``,
+    ``fix_dim``, ``neg_dim`` and ``orthogonality_residual`` build nothing.
     """
 
-    angles: tuple
+    angles: tuple = _BuiltOnRead()
     fix_dim: int
     neg_dim: int
-    basis: np.ndarray
+    basis: np.ndarray = _BuiltOnRead()
     orthogonality_residual: float = field(default=math.nan, compare=False)
+
+    _spectral = None   # a form certified from its spectra holds its _Spectral
 
     __eq__ = array_fields_equal
     __array_ufunc__ = None   # so that == with an ndarray answers False
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return (self.basis if self._spectral is None else self._spectral.matrix).shape[0]
 
     def block_matrix(self) -> np.ndarray:
         n, k = self.dim, 2 * len(self.angles)
@@ -154,30 +194,29 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     Otherwise the symmetric part ``(M + M.T)/2`` commutes with ``M``, and
     on each of its eigenspaces ``M`` acts as a rotation with cosine equal
     to the eigenvalue.  The eigenvalues alone are computed first and
-    clustered once in angle space at ``angle_tol``.  One cluster, as every
-    exact single-angle rotation has, is the whole space: its eigenbasis
-    is the identity, so no eigenvectors are computed or assembled, and
-    ``E = I`` below.  Several clusters, such as a reflection's, take a
-    full symmetric eigensolve for its eigenvectors alone, and each
-    cluster's columns give its basis ``E``.  Each of several clusters is
-    tried as fixed or negated space first, and the residual
-    ``|M E -+ E|`` alone decides, at ``check_tol``; a cluster that fails
-    falls back to rotation-block extraction, so near-boundary angles
-    still come out as blocks.
+    clustered once in angle space at ``angle_tol``.
 
-    A rotation cluster with orthonormal basis ``E`` (n x 2m) is split by
-    one Hermitian eigensolve.  ``S = E.T @ M @ E`` is orthogonal, and
-    ``H = -i (S - S.T)/2`` has eigenvalues ``+-sin`` of the block angles,
-    m of each sign.  An eigenvector ``z`` for ``+sin`` is an ``exp(i a)``
-    eigenvector of ``S``, so ``u = sqrt(2) E Re z`` and
-    ``w = -sqrt(2) E Im z`` span one block with ``M u = cos(a) u +
-    sin(a) w``; distinct such ``z`` give orthogonal blocks.  Each block
-    angle is read off the block's own action, ``atan2(|M u - c u|, c)``
-    with ``c = u . M u``.  The split must leave m eigenvalues of H below
-    ``-RANK_TOL`` and m above ``RANK_TOL`` (the sine floor below which a
-    block is too close to 0 or pi to extract).  Within a repeated-angle
-    cluster the blocks are not unique; the ones returned are
-    deterministic for a given input.
+    One cluster, as every exact single-angle rotation has, is the whole
+    space, and it is certified from the two spectra alone, with no
+    eigenvectors.  Its dimension must be even.  The singular values of
+    the skew part ``K = (M - M.T)/2`` are the block sines, in pairs; the
+    smallest must exceed the sine floor ``RANK_TOL``, below which a block
+    is too close to 0 or pi to extract.  The cosines, descending, are
+    paired with the sines, ascending when the mean cosine is positive and
+    descending otherwise, and each pair gives the angle
+    ``atan2(sine, cosine)``; unlike ``arccos`` of a cosine, that keeps its
+    relative accuracy next to 0 and pi.  The form's ``angles`` and
+    ``basis`` are built, by :func:`_rotation_blocks` on the identity
+    basis ``E = I``, and checked on their first read.
+
+    Several clusters, such as a reflection's, take a full symmetric
+    eigensolve for its eigenvectors alone, and each cluster's columns
+    give its basis ``E``.  Each is tried as fixed or negated space first,
+    and the residual ``|M E -+ E|`` alone decides, at ``check_tol``; a
+    cluster that fails is split into rotation blocks by
+    :func:`_rotation_blocks`, so near-boundary angles still come out as
+    blocks.  Within a repeated-angle cluster the blocks are not unique;
+    the ones returned are deterministic for a given input.
     """
     M = real_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -199,26 +238,42 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         cosines = np.clip(cosines, -1.0, 1.0)
     thetas = np.arccos(cosines)
     clusters = single_linkage(thetas, tol.angle_tol)
-    fixed, negated = [], []
     if len(clusters) == 1:
-        angles, U, W = _rotation_blocks(M, None, thetas)
-    else:
-        # eigvalsh ascends and symmetric_eigen descends: index i of the
-        # one is column n - 1 - i of the other
-        evecs = symmetric_eigen(sym)[1]
-        rotations = [(np.empty(0), np.empty((n, 0)), np.empty((n, 0)))]
-        for c in clusters:
-            E = evecs[:, np.sort(n - 1 - c)]
-            ME = M @ E
-            if max_abs(ME - E) <= tol.check_tol:
-                fixed.append(E)
-            elif max_abs(ME + E) <= tol.check_tol:
-                negated.append(E)
-            else:
-                rotations.append(_rotation_blocks(M, E, thetas[c]))
-        angles, U, W = (np.concatenate(part, axis=-1) for part in zip(*rotations))
+        _require_even(thetas)
+        sines = np.linalg.svd((M - M.T) / 2.0, compute_uv=False)   # descending
+        _require_sine_floor(thetas, -sines[-1], sines[-1])
+        if cosines.sum() > 0.0:   # the mean cosine: below pi/2 the sines ascend
+            sines = sines[::-1]
+        angles = np.arctan2(sines, cosines[::-1])
+        nf = object.__new__(NormalForm)   # its angles and basis are built on first read
+        nf.__dict__.update(fix_dim=0, neg_dim=0, orthogonality_residual=resid,
+                           _spectral=_Spectral(M.copy(), angles, tol))
+        return nf
 
+    # eigvalsh ascends and symmetric_eigen descends: index i of the
+    # one is column n - 1 - i of the other
+    evecs = symmetric_eigen(sym)[1]
+    fixed, negated = [], []
+    rotations = [(np.empty(0), np.empty((n, 0)), np.empty((n, 0)))]
+    for c in clusters:
+        E = evecs[:, np.sort(n - 1 - c)]
+        ME = M @ E
+        if max_abs(ME - E) <= tol.check_tol:
+            fixed.append(E)
+        elif max_abs(ME + E) <= tol.check_tol:
+            negated.append(E)
+        else:
+            rotations.append(_rotation_blocks(M, E, thetas[c]))
+    return _assemble(M, *(np.concatenate(part, axis=-1) for part in zip(*rotations)),
+                     fixed, negated, resid, tol)
+
+
+def _assemble(M: np.ndarray, angles: np.ndarray, U: np.ndarray, W: np.ndarray,
+              fixed: list, negated: list, resid: float, tol: Tolerance) -> NormalForm:
+    """The form of the blocks (``angles``, ``U``, ``W``) and the +-1 bases,
+    its normal-form residual checked at ``check_tol``."""
     # blocks by ascending angle, each as the column pair (u, w)
+    n = M.shape[0]
     order = np.argsort(angles, kind="stable")
     k = 2 * order.size
     basis = np.empty((n, n))
@@ -237,26 +292,46 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     return nf
 
 
+def _require_even(thetas: np.ndarray) -> None:
+    """``NumericalFailure`` unless the eigenspace of ``thetas`` has even dimension."""
+    if thetas.size % 2:
+        raise NumericalFailure(f"odd-dimensional eigenspace ({thetas.size}) at angle "
+                               f"{thetas.mean():.6f}")
+
+
+def _require_sine_floor(thetas: np.ndarray, low: float, high: float) -> None:
+    """``NumericalFailure`` unless the middle eigenvalues ``low``, ``high`` of
+    the skew part ``-i (S - S.T)/2`` of the eigenspace of ``thetas`` lie
+    beyond the sine floor, below ``-RANK_TOL`` and above ``RANK_TOL``."""
+    if not (low < -RANK_TOL and high > RANK_TOL):
+        m = thetas.size // 2
+        raise NumericalFailure(
+            f"block angle too close to 0 or pi to extract: the skew part "
+            f"of the {thetas.size}-dim eigenspace at angle {thetas.mean():.6f} "
+            f"does not split {m}/{m} beyond the sine floor {RANK_TOL:g} "
+            f"(middle eigenvalues {low:.3e}, {high:.3e})"
+        )
+
+
 def _rotation_blocks(M: np.ndarray, E: np.ndarray | None, thetas: np.ndarray) -> tuple:
     """Angles and column pairs (U, W) of a rotation cluster's blocks.
 
     ``E`` is the cluster's basis, None for the whole space (``E^T M E``
     is then ``M``); only the errors read its eigen-angles ``thetas``.
+    ``S = E.T @ M @ E`` is orthogonal, and one Hermitian eigensolve of
+    ``H = -i (S - S.T)/2`` splits it: H has eigenvalues ``+-sin`` of the
+    block angles, m of each sign, which must lie beyond the sine floor.
+    An eigenvector ``z`` for ``+sin`` is an ``exp(i a)`` eigenvector of
+    ``S``, so ``u = sqrt(2) E Re z`` and ``w = -sqrt(2) E Im z`` span one
+    block with ``M u = cos(a) u + sin(a) w``; distinct such ``z`` give
+    orthogonal blocks.  Each block angle is read off the block's own
+    action, ``atan2(|M u - c u|, c)`` with ``c = u . M u``.
     """
-    dim = thetas.size
-    if dim % 2:
-        raise NumericalFailure(f"odd-dimensional eigenspace ({dim}) at angle "
-                               f"{thetas.mean():.6f}")
-    m = dim // 2
+    _require_even(thetas)
+    m = thetas.size // 2
     S = M if E is None else E.T @ M @ E
     sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
-    if not (sines[m - 1] < -RANK_TOL and sines[m] > RANK_TOL):
-        raise NumericalFailure(
-            f"block angle too close to 0 or pi to extract: the skew part "
-            f"of the {dim}-dim eigenspace at angle {thetas.mean():.6f} "
-            f"does not split {m}/{m} beyond the sine floor {RANK_TOL:g} "
-            f"(middle eigenvalues {sines[m - 1]:.3e}, {sines[m]:.3e})"
-        )
+    _require_sine_floor(thetas, sines[m - 1], sines[m])
     Z = Z[:, m:]
     U = math.sqrt(2.0) * (Z.real if E is None else E @ Z.real)
     W = -math.sqrt(2.0) * (Z.imag if E is None else E @ Z.imag)
@@ -271,26 +346,36 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
 
     Succeeds when the block form is all rotation blocks at one common
     angle, or purely the identity, or purely its negative.  The returned
-    angle is 0 for the identity, pi for the negative, and otherwise the
-    mean of the per-block angles (which agree within ``angle_tol``).
+    angle is 0 for the identity and pi for the negative.  A form of one
+    cluster is judged by its spectral angles ``atan2(sine, cosine)``,
+    one per paired eigenvalue of the symmetric part and singular value
+    of the skew part: their spread must be within ``angle_tol``, the
+    angle is their mean, and the form's basis is not built.  Any other
+    form with rotation blocks has a fixed or negated space, or blocks of
+    distinct angles, and is refused.
     """
     M = real_array(M)
     nf = orthogonal_normal_form(M, tol)
-    if not nf.angles:
-        if nf.fix_dim and nf.neg_dim:
+    if nf._spectral is not None:
+        angles = nf._spectral.angles
+        spread = float(angles.max() - angles.min())
+    else:
+        if not nf.angles:
+            if nf.fix_dim and nf.neg_dim:
+                raise NotARotation(
+                    f"mixed +1 and -1 blocks (fix={nf.fix_dim}, neg={nf.neg_dim})"
+                )
+            return _certified(M, 0.0 if nf.fix_dim else math.pi, nf)
+        if nf.fix_dim or nf.neg_dim:
             raise NotARotation(
-                f"mixed +1 and -1 blocks (fix={nf.fix_dim}, neg={nf.neg_dim})"
+                "rotation blocks mixed with +-1 blocks "
+                f"(fix={nf.fix_dim}, neg={nf.neg_dim})"
             )
-        return _certified(M, 0.0 if nf.fix_dim else math.pi, nf)
-    if nf.fix_dim or nf.neg_dim:
-        raise NotARotation(
-            "rotation blocks mixed with +-1 blocks "
-            f"(fix={nf.fix_dim}, neg={nf.neg_dim})"
-        )
-    require(nf.angles[-1] - nf.angles[0], tol.angle_tol, NotARotation,
-            "distinct block angles, spread")
+        angles = nf.angles
+        spread = angles[-1] - angles[0]
+    require(spread, tol.angle_tol, NotARotation, "distinct block angles, spread")
     # the sum and division of np.mean, without its wrappers
-    return _certified(M, float(np.add.reduce(nf.angles)) / len(nf.angles), nf)
+    return _certified(M, float(np.add.reduce(angles)) / len(angles), nf)
 
 
 def _certified(M: np.ndarray, angle: float, nf: NormalForm) -> Rotation:

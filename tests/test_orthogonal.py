@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_normal_forms, rand_orthogonal, record_calls
@@ -310,6 +310,35 @@ class TestAsRotation:
                 assert type(f) is Dim2LeftScalar and f.r == sign
                 assert abs(f.beta - beta) <= DEFAULT_TOL.angle_tol
 
+    # Near an end the angle is read as atan2(sine, cosine) from the two
+    # spectra, which keeps relative accuracy: within 1e-8 of the distance
+    # to the nearer end, under symmetric input error up to 1e-10, on every
+    # side that certifies.  Such error can still split the spectrum of a
+    # side next to an end, which then raises, as it did before.
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.sampled_from([2, 6, 24]),
+           place=st.sampled_from(["near 0", "near pi", "interior"]),
+           exponent=st.floats(-6.0, -3.0), noise=st.floats(0.0, 1e-10),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, place="near pi", exponent=-5.0, noise=1e-12, seed=0)
+    @example(n=2, place="near 0", exponent=-3.0, noise=1e-11, seed=2)
+    @example(n=2, place="near pi", exponent=-4.0, noise=1e-12, seed=4)
+    def test_angle_next_to_an_end_keeps_its_relative_accuracy(self, n, place,
+                                                              exponent, noise, seed):
+        rng = np.random.default_rng(seed)
+        gap = 10.0 ** exponent
+        a = {"near 0": gap, "near pi": math.pi - gap,
+             "interior": float(rng.uniform(0.1, math.pi - 0.1))}[place]
+        G = rng.standard_normal((n, n))
+        M = generate_rotation(n, a, seed).matrix + noise * (G + G.T) / 2.0
+        try:
+            r = as_rotation(M)
+        except RotPairError:
+            assert place != "interior"
+            return
+        assert r.kind is RotationKind.PROPER
+        assert abs(r.angle - a) <= 1e-8 * min(a, math.pi - a)
+
     def test_inner_product_is_constant(self):
         rng = np.random.default_rng(2)
         Q = rand_orthogonal(6, rng)
@@ -453,12 +482,66 @@ class TestEigensolveCount:
 
     @pytest.mark.parametrize("n", [2, 8, 96])
     def test_single_angle_rotation(self, monkeypatch, n):
+        # certified from the two spectra: no eigenvectors until a read
         M = generate_rotation(n, 1.3, seed=n).matrix
         counts = count_eigensolves(monkeypatch)
         nf = orthogonal_normal_form(M)
+        assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 0,
+                          "symmetric_eigen": 0}
         assert len(nf.angles) == n // 2
         assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 1,
                           "symmetric_eigen": 0}
+
+    @pytest.mark.parametrize("first", ["basis", "angles"])
+    def test_blocks_are_built_once_on_first_read(self, monkeypatch, first):
+        M = generate_rotation(8, 1.3, seed=8).matrix
+        counts = count_eigensolves(monkeypatch)
+        nf = orthogonal_normal_form(M)
+        built = getattr(nf, first)
+        assert counts["hermitian_eigh"] == 1
+        basis, angles = nf.basis, nf.angles
+        assert getattr(nf, first) is built
+        assert nf.basis is basis and nf.angles is angles
+        assert counts["hermitian_eigh"] == 1
+        _assert_certified_basis(nf, M)
+
+    def test_blocks_are_built_from_the_certified_matrix(self):
+        M = generate_rotation(8, 1.3, seed=8).matrix.copy()
+        nf = orthogonal_normal_form(M)
+        want = orthogonal_normal_form(M.copy())
+        M[:] = np.eye(8)
+        assert nf == want
+
+    def test_dim_and_counts_build_nothing(self, monkeypatch):
+        M = generate_rotation(8, 1.3, seed=8).matrix
+        counts = count_eigensolves(monkeypatch)
+        nf = orthogonal_normal_form(M)
+        assert (nf.dim, nf.fix_dim, nf.neg_dim) == (8, 0, 0)
+        assert nf.orthogonality_residual == orthonormality_residual(M)
+        assert counts["hermitian_eigh"] == 0
+        assert "basis" not in vars(nf) and "angles" not in vars(nf)
+
+    def test_certifying_and_classifying_a_proper_pair_builds_no_basis(self, monkeypatch):
+        # n/8 Dim4 blocks and n/4 planes of each orientation, as classify_n96
+        # draws them: the labels read the matrices, never a normal-form basis
+        n = 96
+        spec = [Dim4(0.7, 1.9, 0.3 + 0.2 * i) for i in range(n // 8)]
+        spec += [Dim2Proper(0.7, 1.9, r) for r in (1, -1) for _ in range(n // 8)]
+        doc = generate_pair(spec, seed=96)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            if np.iscomplexobj(a):
+                sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        d, e = as_rotation(doc.delta), as_rotation(doc.epsilon)
+        label = classify(d, e)
+        assert len(label.forms) == n // 8 + n // 4
+        assert n not in sizes
+        assert all("basis" not in vars(r.normal_form) for r in (d, e))
 
     @pytest.mark.parametrize("n", [2, 8, 96])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -601,9 +684,11 @@ def test_chained_spectrum_takes_the_one_cluster_path(monkeypatch):
     assert len(single_linkage(thetas, DEFAULT_TOL.angle_tol)) == 1
     counts = count_eigensolves(monkeypatch)
     nf = orthogonal_normal_form(M)
-    assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 1,
+    assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 0,
                       "symmetric_eigen": 0}
     assert max_abs(np.subtract(nf.angles, [1.0, 1.0 + step, 1.0 + 2 * step])) <= 1e-12
+    assert counts == {"eigvalsh": 1, "real_eigh": 0, "hermitian_eigh": 1,
+                      "symmetric_eigen": 0}
     _assert_certified_basis(nf, M)
     with pytest.raises(NotARotation, match="spread"):
         as_rotation(M)

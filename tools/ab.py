@@ -18,8 +18,9 @@ Compared, then timed:
 
 - ``batch_small`` and ``classify_n96``: the ops of ``perfbench`` on the
   inputs that ``perfbench/workloads.py`` draws;
-- ``as_rotation`` of proper rotations and of ``+-Q Q^T`` (``+-I`` up to
-  roundoff) at n = 2, 8 and 96;
+- ``as_rotation`` of proper rotations, of ``+-Q Q^T`` (``+-I`` up to
+  roundoff) and of split spectra (a conjugated reflection, or two
+  angles), which it refuses, at n = 2, 8 and 96;
 - ``classify`` of a certified pair at n = 8, 96 and 384, with n/8
   ``Dim4`` blocks and n/4 ``Dim2Proper`` planes, as ``classify_n96``
   draws at n = 96; each package certifies the pair once, outside the
@@ -27,13 +28,19 @@ Compared, then timed:
 
 Every answer is compared bit for bit: angles, normal forms, labels,
 isomorphism answers, report bytes, and for an input that raises, the
-error class and message.  Then each timed input is run on both sides in
-alternating order, ``--rounds`` times.  Each input's ratio is the
-median change time over the median parent time; the JSON on stdout
-gives the median ratio of each case with its quartiles.  The exit code
-is 1 when any answer differs.  This reports direction and size of a
-change; it is no gate, and ``perfbench/run.py`` stays the source of the
-end-to-end numbers.
+error class and message.  Each answer is also compared by its verdict:
+``differing_verdicts`` counts the inputs whose error class or message,
+rotation kind, label (families, signs, multiplicities, or an angle more
+than ``ANGLE_SLACK`` apart), isomorphism answer or report bytes differ,
+and ``max_angle_difference`` is the largest gap between the angles of
+rotations and labels of the inputs whose verdicts otherwise agree.
+Then each timed input is run on both sides in alternating order,
+``--rounds`` times.  Each input's ratio is the median change time over
+the median parent time; the JSON on stdout gives the median ratio of
+each case with its quartiles.  The exit code is 1 when any answer
+differs bit for bit.  This reports direction and size of a change; it
+is no gate, and ``perfbench/run.py`` stays the source of the end-to-end
+numbers.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import rotpair  # noqa: E402
+from rotpair.classify import ANGLE_FIELDS  # noqa: E402
+from rotpair.linalg import block_diag  # noqa: E402
 import workloads  # noqa: E402
 
 PARENT_NAME = "rotpair_parent"
@@ -76,6 +85,7 @@ NOISY_INPUTS = 3000
 BOUNDARY_INPUTS = 300
 CLI_POOLS = 10
 PM_IDENTITY_DOCS = 200
+ANGLE_SLACK = 1e-12   # the largest angle difference of one verdict
 
 
 def load_parent(rev: str):
@@ -128,6 +138,30 @@ def answer(op, inp):
         if type(exc).__module__.startswith(PARENT_NAME):
             return exc
         raise
+
+
+def verdict(x, angles: list):
+    """The part of an answer that two verdicts share exactly.
+
+    The angles of rotations and label forms are left out and appended to
+    ``angles`` in order; a rotation is its kind, a form its family and
+    signs, and any other answer (a bool, report bytes) is kept whole.
+    """
+    if isinstance(x, BaseException):
+        return ("raised", type(x).__name__, str(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(verdict(v, angles) for v in x)
+    name = type(x).__name__
+    if name == "Rotation":
+        angles.append(x.angle)
+        return (name, x.kind.value)
+    if name == "ClassLabel":
+        return (name, verdict(x.forms, angles))
+    if dataclasses.is_dataclass(x):   # a canonical form
+        fields = [f.name for f in dataclasses.fields(x)]
+        angles.extend(getattr(x, f) for f in fields if f in ANGLE_FIELDS)
+        return (name, tuple((f, getattr(x, f)) for f in fields if f not in ANGLE_FIELDS))
+    return x
 
 
 # ops, each for either package -------------------------------------------------
@@ -221,12 +255,19 @@ def cases(seed: int):
         proper = [rotpair.generate_rotation(n, float(rng.uniform(0.1, np.pi - 0.1)),
                                             int(rng.integers(2**31))).matrix
                   for _ in range(ROTATION_INPUTS)]
-        scalar = []
+        scalar, split = [], []
         for i in range(ROTATION_INPUTS):
             Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
             scalar.append((1.0 if i % 2 else -1.0) * (Q @ Q.T))
+            if i % 2 or n == 2:
+                D = np.diag([1.0] * (n - 1) + [-1.0])
+            else:
+                D = block_diag(*[rotpair.rot2(0.4)] * (n // 4),
+                               *[rotpair.rot2(2.0)] * (n // 4))
+            split.append(Q @ D @ Q.T)
         out += [(f"as_rotation_proper_n{n}", rotation_op, proper),
-                (f"as_rotation_pm_identity_n{n}", rotation_op, scalar)]
+                (f"as_rotation_pm_identity_n{n}", rotation_op, scalar),
+                (f"as_rotation_split_n{n}", rotation_op, split)]
     sized_rng = np.random.default_rng([seed, 8])
     out += [(f"classify_certified_n{n}", certified_op,
              [sized_input(n, sized_rng) for _ in range(count)])
@@ -234,10 +275,23 @@ def cases(seed: int):
     return out
 
 
-def compare(parent_op, child_op, inputs) -> int:
-    """Count of inputs whose answers differ."""
-    return sum(canonical(answer(parent_op, x)) != canonical(answer(child_op, x))
-               for x in inputs)
+def compare(parent_op, child_op, inputs) -> tuple:
+    """Counts of inputs whose answers differ bit for bit and by verdict, and
+    the largest angle difference of the inputs whose verdicts agree."""
+    bits = verdicts = 0
+    largest = 0.0
+    for x in inputs:
+        old, new = answer(parent_op, x), answer(child_op, x)
+        bits += canonical(old) != canonical(new)
+        old_angles, new_angles = [], []
+        if (verdict(old, old_angles) != verdict(new, new_angles)
+                or len(old_angles) != len(new_angles)):
+            verdicts += 1
+            continue
+        gap = max((abs(a - b) for a, b in zip(old_angles, new_angles)), default=0.0)
+        verdicts += not gap <= ANGLE_SLACK
+        largest = max(largest, gap)
+    return bits, verdicts, largest
 
 
 def timed(op, inp) -> float:
@@ -279,15 +333,19 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     commit, parent = load_parent(args.parent)
     report = {"parent": commit, "seed": args.seed, "numpy": np.__version__,
-              "compared_inputs": {}, "differing_answers": {}, "cases": {}}
+              "compared_inputs": {}, "differing_answers": {},
+              "differing_verdicts": {}, "max_angle_difference": {}, "cases": {}}
+
+    def compared(name, parent_op, child_op, inputs):
+        report["compared_inputs"][name] = len(inputs)
+        (report["differing_answers"][name], report["differing_verdicts"][name],
+         report["max_angle_difference"][name]) = compare(parent_op, child_op, inputs)
+
     for name, make_op, inputs in checks(args.seed):
-        report["compared_inputs"][name] = len(inputs)
-        report["differing_answers"][name] = compare(make_op(parent), make_op(rotpair),
-                                                    inputs)
+        compared(name, make_op(parent), make_op(rotpair), inputs)
     for name, make_op, inputs in cases(args.seed):
-        report["compared_inputs"][name] = len(inputs)
         parent_op, child_op = make_op(parent), make_op(rotpair)
-        report["differing_answers"][name] = compare(parent_op, child_op, inputs)
+        compared(name, parent_op, child_op, inputs)
         for inp in inputs[:3]:      # warm both sides
             answer(parent_op, inp)
             answer(child_op, inp)
