@@ -111,7 +111,7 @@ def antilinear_invariant_line(T: AntilinearOp,
     if not np.isfinite(T.M).all():
         raise BadParameter("operator has non-finite entries")
     N = t_squared(T)
-    norm_n = float(np.linalg.norm(N, 2))
+    norm_n = float(np.linalg.svd(N, compute_uv=False)[0])   # the spectral norm
     if norm_n == 0.0:
         raise NumericalFailure("operator square vanishes for a bijective operator")
     evals, evecs = np.linalg.eig(N)

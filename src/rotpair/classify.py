@@ -279,13 +279,26 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
     ``Dim2LeftScalar(r, beta)`` or ``Dim2RightScalar(alpha, s)``, with
     no basis built.  A pair of two proper rotations is decomposed and
     each block labelled by :func:`classify_block`.
+
+    The label is an invariant of the certified pair, whose rotations are
+    read-only, so the certified first side remembers its last one: a
+    second call with the same certified ``e`` (by identity) and an equal
+    ``tol`` returns that label and decomposes nothing.  A call that
+    raises stores nothing, and a hand-built side is certified into a
+    fresh rotation on every call, so it never finds a label.
     """
     d, e = _certify_pair(d, e, tol)
+    memo = d._label
+    if memo is not None and memo[0] is e and memo[1] == tol:
+        return memo[2]
     if d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER:
         dec = decompose(d, e, tol)
-        return ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
-    form = _scalar_form(d, e)
-    return ClassLabel(forms=(form,) * (d.dim // form.dim))
+        label = ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
+    else:
+        form = _scalar_form(d, e)
+        label = ClassLabel(forms=(form,) * (d.dim // form.dim))
+    object.__setattr__(d, "_label", (e, tol, label))
+    return label
 
 
 def _forms_equal(f1, f2, angle_tol: float) -> bool:
@@ -336,7 +349,10 @@ def isomorphic(pair1, pair2, tol: Tolerance = DEFAULT_TOL) -> bool:
     Each argument is a (Rotation, Rotation) tuple.  The spaces need not
     have equal dimension; unequal dimensions simply compare unequal.
     Both labels come from :func:`classify`, so a pair with a +-I side is
-    labelled from its kinds and angles, with no decomposition.
+    labelled from its kinds and angles, with no decomposition, and a
+    certified pair that ``classify`` has just labelled is not labelled
+    again: ``isomorphic`` right after ``classify(d, e)`` costs one
+    classification, of the other pair.
     """
     label1 = classify(pair1[0], pair1[1], tol)
     label2 = classify(pair2[0], pair2[1], tol)

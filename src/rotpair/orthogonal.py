@@ -55,7 +55,7 @@ class RotationKind(Enum):
 class _Spectral(NamedTuple):
     """What certified a one-cluster form, and what its blocks are built from."""
 
-    matrix: np.ndarray    # a copy of the certified matrix: the caller's may change
+    matrix: np.ndarray    # a copy of the certified matrix, the rotation's own
     angles: np.ndarray    # atan2(sine, cosine) of each paired spectral value
     tol: Tolerance
 
@@ -141,13 +141,21 @@ class Rotation:
 
     ``angle`` is in [0, pi]; 0 and pi mean the identity and its
     negative.  Instances are normally produced by :func:`as_rotation`,
-    which verifies the defining property and keeps the block form that
-    certified it in ``normal_form``.  Building one directly, or with
-    ``dataclasses.replace``, skips that verification and leaves
-    ``normal_form`` as None, so a form is never carried over to a new
-    matrix.  Either way ``matrix`` is stored as a square float array:
+    which verifies the defining property, keeps the block form that
+    certified it in ``normal_form``, and owns a read-only copy of the
+    certified matrix, so a certified rotation never changes (nor does a
+    copy of it made by ``copy.deepcopy`` or ``pickle``).  Building
+    one directly, or with ``dataclasses.replace``, skips that
+    verification and leaves ``normal_form`` as None, so a form is never
+    carried over to a new matrix; the array passed is stored, not
+    copied.  Either way ``matrix`` is stored as a square float array:
     entries that are not real numbers raise ``BadParameter``, and any
     other shape ``BadDimension``; an angle outside [0, pi] ``BadAngle``.
+
+    A certified rotation also remembers the label that ``classify`` last
+    gave it as the first side of a certified pair, with that partner and
+    tolerance; the memo is no field, so ``==``, ``repr`` and
+    ``dataclasses.replace`` do not see it.
     """
 
     matrix: np.ndarray
@@ -155,8 +163,20 @@ class Rotation:
     normal_form: NormalForm | None = field(default=None, init=False,
                                            repr=False, compare=False)
 
+    _label = None   # classify's memo of its last certified pair: (partner, tol, label)
+
     __eq__ = array_fields_equal
     __array_ufunc__ = None   # so that == with an ndarray answers False
+
+    # A copy (copy.deepcopy, pickle) keeps the matrix as writeable as the
+    # original's: a certified rotation's copy is read-only, like the
+    # rotation whose remembered label it carries.
+    def __getstate__(self):
+        return self.__dict__, self.matrix.flags.writeable
+
+    def __setstate__(self, state):
+        self.__dict__.update(state[0])
+        self.matrix.setflags(write=state[1])
 
     def __post_init__(self):
         # bool is an int subclass, but True is no angle
@@ -353,6 +373,10 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     angle is their mean, and the form's basis is not built.  Any other
     form with rotation blocks has a fixed or negated space, or blocks of
     distinct angles, and is refused.
+
+    The returned rotation's ``matrix`` is a read-only copy of ``M`` (the
+    normal form's own, on a proper rotation), so writing into ``M``
+    afterwards changes neither the rotation nor any label of it.
     """
     M = real_array(M)
     nf = orthogonal_normal_form(M, tol)
@@ -379,8 +403,12 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
 
 
 def _certified(M: np.ndarray, angle: float, nf: NormalForm) -> Rotation:
-    r = Rotation(matrix=M, angle=angle)
-    object.__setattr__(r, "normal_form", nf)
+    M = M.copy() if nf._spectral is None else nf._spectral.matrix
+    M.setflags(write=False)
+    # the normal form has checked M, and the angle is in [0, pi], so the
+    # checks of __post_init__ are not repeated
+    r = object.__new__(Rotation)
+    r.__dict__.update(matrix=M, angle=angle, normal_form=nf)
     return r
 
 

@@ -27,6 +27,7 @@ from rotpair import (
     NotOrthogonal,
     NotOrthogonalPair,
     NumericalFailure,
+    RotPairError,
     Rotation,
     RotationKind,
     as_rotation,
@@ -50,7 +51,7 @@ from rotpair import (
     unrho,
 )
 from rotpair.decompose import InvariantBlock
-from rotpair.linalg import DEFAULT_TOL, block_diag
+from rotpair.linalg import DEFAULT_TOL, Tolerance, block_diag
 
 
 class SubDim4(Dim4):
@@ -456,6 +457,24 @@ def noisy_rotations(doc, noise, seed):
     return as_rotation(polar(doc.delta)), as_rotation(polar(doc.epsilon))
 
 
+@contextlib.contextmanager
+def decompose_calls():
+    """List of the pairs ``classify`` hands ``decompose``."""
+    module = importlib.import_module("rotpair.classify")
+    original = module.decompose
+    seen = []
+
+    def counted(d, e, tol=DEFAULT_TOL):
+        seen.append((d, e))
+        return original(d, e, tol)
+
+    module.decompose = counted
+    try:
+        yield seen
+    finally:
+        module.decompose = original
+
+
 class TestScalarSideLabels:
     """A pair with a +-I side is labelled from its kinds and angles."""
 
@@ -485,23 +504,6 @@ class TestScalarSideLabels:
         assert isomorphic((d, e), same)
         assert not isomorphic((d, e), flipped)
 
-    @contextlib.contextmanager
-    def decompose_calls(self):
-        """List of the pairs ``classify`` hands ``decompose``."""
-        module = importlib.import_module("rotpair.classify")
-        original = module.decompose
-        seen = []
-
-        def counted(d, e, tol=DEFAULT_TOL):
-            seen.append((d, e))
-            return original(d, e, tol)
-
-        module.decompose = counted
-        try:
-            yield seen
-        finally:
-            module.decompose = original
-
     @pytest.mark.parametrize("spec,calls", [
         ([Dim1(r=-1, s=1)] * 3, 0),
         ([Dim2LeftScalar(r=1, beta=0.8)] * 3, 0),
@@ -511,7 +513,7 @@ class TestScalarSideLabels:
     ], ids=["dim1", "left", "right", "proper"])
     def test_decomposes_only_a_proper_pair(self, spec, calls):
         d, e = pair_rotations(generate_pair(spec, seed=21))
-        with self.decompose_calls() as seen:
+        with decompose_calls() as seen:
             label = classify(d, e)
         assert len(seen) == calls
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
@@ -532,6 +534,112 @@ class TestScalarSideLabels:
             with pytest.raises(error) as by_decompose:
                 decompose(first, second)
             assert str(by_classify.value) == str(by_decompose.value)
+
+
+# Pairs of R^4, one of each kind of route through classify.
+MEMO_SPECS = (
+    [Dim4(alpha=0.7, beta=1.9, theta=1.1)],
+    [Dim2Proper(alpha=0.7, beta=1.9, r=1), Dim2Proper(alpha=0.7, beta=1.9, r=-1)],
+    [Dim2LeftScalar(r=-1, beta=1.9)] * 2,
+    [Dim1(r=1, s=-1)] * 4,
+)
+
+
+def memo_pool():
+    """The certified sides of the ``MEMO_SPECS`` pairs, first sides first."""
+    docs = [generate_pair(spec, seed=40 + i) for i, spec in enumerate(MEMO_SPECS)]
+    return ([as_rotation(doc.delta) for doc in docs]
+            + [as_rotation(doc.epsilon) for doc in docs])
+
+
+def answer(call):
+    """``call()``, or the class and message of the error it raises."""
+    try:
+        return call()
+    except RotPairError as exc:
+        return type(exc), str(exc)
+
+
+class TestLabelMemo:
+    """The certified first side remembers the label of its last pair."""
+
+    def test_second_call_decomposes_nothing(self):
+        spec = MEMO_SPECS[0] + MEMO_SPECS[1]
+        d, e = pair_rotations(generate_pair(spec, seed=41))
+        shown = repr(d)
+        label = classify(d, e)
+        with decompose_calls() as seen:
+            again = classify(d, e)
+            same = classify(d, e, Tolerance())   # equal, not the same object
+        assert seen == []
+        assert again is label and same is label
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        # the memo is no field
+        assert repr(d) == shown
+        assert dataclasses.replace(d) == d
+        assert dataclasses.replace(d)._label is None
+
+    def test_isomorphic_after_classify_labels_the_other_pair_only(self):
+        spec = MEMO_SPECS[0] + MEMO_SPECS[1]
+        d, e = pair_rotations(generate_pair(spec, seed=42))
+        d2, e2 = pair_rotations(generate_pair(spec, seed=43))
+        classify(d, e)
+        with decompose_calls() as seen:
+            assert isomorphic((d, e), (d2, e2))
+        assert len(seen) == 1 and seen[0][0] is d2 and seen[0][1] is e2
+
+    @pytest.mark.parametrize("change", [
+        "other partner", "equal partner", "other tolerance",
+        "hand-built first", "hand-built second",
+    ])
+    def test_misses(self, change):
+        d, e = pair_rotations(generate_pair(MEMO_SPECS[0], seed=44))
+        label = classify(d, e)
+        first, second, tol = d, e, DEFAULT_TOL
+        if change == "other partner":
+            second = as_rotation(generate_pair(MEMO_SPECS[0], seed=45).epsilon)
+        elif change == "equal partner":
+            second = as_rotation(e.matrix)
+        elif change == "other tolerance":
+            tol = Tolerance(angle_tol=2e-7)
+        elif change == "hand-built first":
+            first = Rotation(d.matrix, d.angle)
+        else:
+            second = Rotation(e.matrix, e.angle)
+        for _ in range(2 if change.startswith("hand-built") else 1):
+            with decompose_calls() as seen:
+                other = classify(first, second, tol)
+            assert len(seen) == 1
+        if change != "other partner":
+            assert other == label
+
+    def test_a_raise_stores_nothing(self):
+        d, e = pair_rotations(generate_pair(MEMO_SPECS[0], seed=46))
+        label = classify(d, e)
+        with pytest.raises(NumericalFailure):
+            classify(d, Rotation(e.matrix, e.angle + 2e-7))
+        with decompose_calls() as seen:
+            assert classify(d, e) is label
+        assert seen == []
+
+    # Every answer, memo or not, equals the one of freshly certified copies.
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(
+        st.tuples(st.booleans(), st.lists(st.integers(0, 7), min_size=4, max_size=4),
+                  st.sampled_from([DEFAULT_TOL, Tolerance(), Tolerance(angle_tol=2e-7)])),
+        min_size=1, max_size=8))
+    def test_answers_equal_a_fresh_recomputation(self, calls):
+        pool = memo_pool()
+        fresh = [lambda r=r: as_rotation(r.matrix) for r in pool]
+        for iso, (i, j, k, m), tol in calls:
+            if iso:
+                got = answer(lambda: isomorphic((pool[i], pool[j]), (pool[k], pool[m]), tol))
+                want = answer(lambda: isomorphic((fresh[i](), fresh[j]()),
+                                                 (fresh[k](), fresh[m]()), tol))
+            else:
+                got = answer(lambda: classify(pool[i], pool[j], tol))
+                want = answer(lambda: classify(fresh[i](), fresh[j](), tol))
+            assert got == want
 
 
 def dim4_thetas(forms):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -338,6 +340,40 @@ class TestAsRotation:
             return
         assert r.kind is RotationKind.PROPER
         assert abs(r.angle - a) <= 1e-8 * min(a, math.pi - a)
+
+    # A certified rotation owns its matrix: writing into the input, or
+    # into the rotation's matrix, cannot change what was certified.
+    @pytest.mark.parametrize("M", [
+        generate_rotation(4, 1.0, 3).matrix,
+        np.eye(4),
+        -np.eye(4),
+        [[0.0, -1.0], [1.0, 0.0]],
+    ], ids=["proper", "identity", "negated", "list"])
+    def test_certified_matrix_is_a_read_only_copy(self, M):
+        M = np.array(M)
+        r = as_rotation(M)
+        assert r.matrix is not M and not np.shares_memory(r.matrix, M)
+        assert np.array_equal(r.matrix, M)
+        with pytest.raises(ValueError):
+            r.matrix[0, 0] = 0.5
+        kept, angle = r.matrix.copy(), r.angle
+        M[:] = -M
+        assert np.array_equal(r.matrix, kept) and r.angle == angle
+        for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert twin == r and twin.normal_form is not None
+            with pytest.raises(ValueError):
+                twin.matrix[0, 0] = 0.5
+        assert copy.deepcopy(Rotation(np.eye(2), 0.0)).matrix.flags.writeable
+
+    def test_writing_into_the_input_changes_no_label(self):
+        doc = generate_pair([Dim4(1.0, 2.0, 0.8)], seed=5)
+        M = doc.delta.copy()
+        d, e = as_rotation(M), as_rotation(doc.epsilon)
+        kept, angle, label = d.matrix.copy(), d.angle, classify(d, e)
+        M[:] = np.eye(4)
+        assert np.array_equal(d.matrix, kept) and d.angle == angle
+        assert classify(d, e) == label
+        assert classify(d, as_rotation(doc.epsilon)) == label   # recomputed
 
     def test_inner_product_is_constant(self):
         rng = np.random.default_rng(2)

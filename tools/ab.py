@@ -23,8 +23,9 @@ Compared, then timed:
   angles), which it refuses, at n = 2, 8 and 96;
 - ``classify`` of a certified pair at n = 8, 96 and 384, with n/8
   ``Dim4`` blocks and n/4 ``Dim2Proper`` planes, as ``classify_n96``
-  draws at n = 96; each package certifies the pair once, outside the
-  timed call.
+  draws at n = 96; each package certifies a fresh pair before every
+  call, outside the timed call, so no call finds the label that a
+  certified pair remembers from the last one.
 
 Every answer is compared bit for bit: angles, normal forms, labels,
 isomorphism answers, report bytes, and for an input that raises, the
@@ -37,10 +38,23 @@ rotations and labels of the inputs whose verdicts otherwise agree.
 Then each timed input is run on both sides in alternating order,
 ``--rounds`` times.  Each input's ratio is the median change time over
 the median parent time; the JSON on stdout gives the median ratio of
-each case with its quartiles.  The exit code is 1 when any answer
-differs bit for bit.  This reports direction and size of a change; it
-is no gate, and ``perfbench/run.py`` stays the source of the end-to-end
-numbers.
+each case with its quartiles.  Beside it stand the two ratios that the
+end-to-end metrics read, over all timings of a case, by the rules of
+``perfbench/worker.py``: ``total_ratio`` of the summed op times, which
+``ops_per_s`` reads, and ``tail_ratio`` of the tail op (p90 from 100
+timings on), which is ``op_tail_ms``.  A median ratio near 1 can hide a
+total ratio well below it when a case's slow inputs gain most.
+
+Each case also counts, in one untimed run of each side, the calls of
+the ``numpy.linalg`` functions in ``LINALG`` per op and their work per
+op, given as ``[calls, work]`` under ``linalg_per_op``: the work is the
+sum over calls of ``m k min(m, k) / n^3``, where m x k is the shape of
+the call's matrix (times the number of stacked matrices) and n the
+dimension of the op's input.
+
+The exit code is 1 when any answer differs bit for bit.  This reports
+direction and size of a change; it is no gate, and ``perfbench/run.py``
+stays the source of the end-to-end numbers.
 """
 
 from __future__ import annotations
@@ -73,6 +87,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import rotpair  # noqa: E402
 from rotpair.classify import ANGLE_FIELDS  # noqa: E402
 from rotpair.linalg import block_diag  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 PARENT_NAME = "rotpair_parent"
@@ -86,6 +101,7 @@ BOUNDARY_INPUTS = 300
 CLI_POOLS = 10
 PM_IDENTITY_DOCS = 200
 ANGLE_SLACK = 1e-12   # the largest angle difference of one verdict
+LINALG = ("svd", "eigh", "eigvalsh", "eig", "inv", "solve", "qr", "norm")
 
 
 def load_parent(rev: str):
@@ -190,14 +206,27 @@ def report_op(pkg):
 
 
 def certified_op(pkg):
-    """``classify`` of each document's pair, certified on its first call only."""
-    pairs = {}
-
-    def op(doc):
-        if id(doc) not in pairs:
-            pairs[id(doc)] = pkg.as_rotation(doc.delta), pkg.as_rotation(doc.epsilon)
-        return pkg.classify(*pairs[id(doc)])
+    """``classify`` of a document's pair, certified afresh by ``op.prepare``."""
+    def op(pair):
+        return pkg.classify(*pair)
+    op.prepare = lambda doc: (pkg.as_rotation(doc.delta), pkg.as_rotation(doc.epsilon))
     return op
+
+
+def prepared(op, inp):
+    """What ``op`` takes for ``inp``: ``op.prepare(inp)`` where the op has
+    one, work that is neither timed nor counted, else ``inp`` itself."""
+    prepare = getattr(op, "prepare", None)
+    return inp if prepare is None else prepare(inp)
+
+
+def dimension(inp) -> int:
+    """The dimension of an input: a matrix's, a document's, or its first part's."""
+    if isinstance(inp, tuple):
+        return dimension(inp[0])
+    if isinstance(inp, np.ndarray):
+        return inp.shape[0]
+    return inp.n
 
 
 def rotation_op(pkg):
@@ -281,7 +310,8 @@ def compare(parent_op, child_op, inputs) -> tuple:
     bits = verdicts = 0
     largest = 0.0
     for x in inputs:
-        old, new = answer(parent_op, x), answer(child_op, x)
+        old = answer(parent_op, prepared(parent_op, x))
+        new = answer(child_op, prepared(child_op, x))
         bits += canonical(old) != canonical(new)
         old_angles, new_angles = [], []
         if (verdict(old, old_angles) != verdict(new, new_angles)
@@ -295,8 +325,9 @@ def compare(parent_op, child_op, inputs) -> tuple:
 
 
 def timed(op, inp) -> float:
+    x = prepared(op, inp)
     start = time.perf_counter()
-    answer(op, inp)
+    answer(op, x)
     return time.perf_counter() - start
 
 
@@ -314,15 +345,51 @@ def ratios(parent_op, child_op, inputs, rounds: int) -> dict:
                 parent_t.append(timed(parent_op, inp))
     per_input = [statistics.median(c) / statistics.median(p) for p, c in times]
     q1, median, q3 = statistics.quantiles(per_input, n=4, method="inclusive")
+    parent = worker.latency_metrics([t for p, _ in times for t in p])
+    change = worker.latency_metrics([t for _, c in times for t in c])
     return {
         "inputs": len(inputs),
         "rounds": rounds,
-        "parent_ms_median": statistics.median(t for p, _ in times for t in p) * 1e3,
-        "change_ms_median": statistics.median(t for _, c in times for t in c) * 1e3,
+        "parent_ms_median": parent["op_p50_ms"],
+        "change_ms_median": change["op_p50_ms"],
         "ratio_median": median,
         "ratio_q1": q1,
         "ratio_q3": q3,
+        "total_ratio": parent["ops_per_s"] / change["ops_per_s"],
+        "tail_ratio": change["op_tail_ms"] / parent["op_tail_ms"],
+        "tail_pct": parent["op_tail_pct"],
     }
+
+
+def linalg_work(op, inputs) -> dict:
+    """Calls and work per op of each ``LINALG`` function that ``op`` calls,
+    over one run on ``inputs`` (see the module docstring)."""
+    calls = dict.fromkeys(LINALG, 0)
+    work = dict.fromkeys(LINALG, 0.0)
+    per_n3 = 0.0
+    originals = {name: getattr(np.linalg, name) for name in LINALG}
+
+    def counted(name):
+        def call(a, *args, **kwargs):
+            shape = np.shape(a)
+            m, k = shape[-2:] if len(shape) >= 2 else (shape[0] if shape else 1, 1)
+            calls[name] += 1
+            work[name] += int(np.prod(shape[:-2])) * m * k * min(m, k) * per_n3
+            return originals[name](a, *args, **kwargs)
+        return call
+
+    args = [prepared(op, inp) for inp in inputs]
+    for name in LINALG:
+        setattr(np.linalg, name, counted(name))
+    try:
+        for inp, x in zip(inputs, args):
+            per_n3 = 1.0 / dimension(inp) ** 3
+            answer(op, x)
+    finally:
+        for name, original in originals.items():
+            setattr(np.linalg, name, original)
+    return {name: [calls[name] / len(inputs), work[name] / len(inputs)]
+            for name in LINALG if calls[name]}
 
 
 def main(argv=None) -> int:
@@ -334,7 +401,8 @@ def main(argv=None) -> int:
     commit, parent = load_parent(args.parent)
     report = {"parent": commit, "seed": args.seed, "numpy": np.__version__,
               "compared_inputs": {}, "differing_answers": {},
-              "differing_verdicts": {}, "max_angle_difference": {}, "cases": {}}
+              "differing_verdicts": {}, "max_angle_difference": {}, "cases": {},
+              "linalg_per_op": {}}
 
     def compared(name, parent_op, child_op, inputs):
         report["compared_inputs"][name] = len(inputs)
@@ -346,9 +414,13 @@ def main(argv=None) -> int:
     for name, make_op, inputs in cases(args.seed):
         parent_op, child_op = make_op(parent), make_op(rotpair)
         compared(name, parent_op, child_op, inputs)
+        report["linalg_per_op"][name] = {
+            "parent": linalg_work(parent_op, inputs),
+            "change": linalg_work(child_op, inputs),
+        }
         for inp in inputs[:3]:      # warm both sides
-            answer(parent_op, inp)
-            answer(child_op, inp)
+            answer(parent_op, prepared(parent_op, inp))
+            answer(child_op, prepared(child_op, inp))
         gc.collect()
         gc.disable()
         try:
