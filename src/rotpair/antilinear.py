@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BadParameter, NumericalFailure
 from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, max_abs, numerical_rank,
                      require)
-from .orthogonal import Rotation
+from .orthogonal import Rotation, _eigenplane
 
 
 @dataclass(frozen=True)
@@ -36,33 +36,20 @@ class AntilinearOp:
         return self.M @ np.conj(x)
 
 
-def _plane_of(M: np.ndarray) -> np.ndarray:
-    """Eigenplane basis for eigenvalue exp(i*a) of a proper rotation M by a.
-
-    A certified rotation is ``M = cos(a) I + sin(a) J`` with ``J`` a real
-    skew complex structure, so the Hermitian matrix ``-i (M - M.T)/2``
-    has eigenvalues ``+-sin(a)``, n/2 of each sign, and its ``+sin(a)``
-    eigenvectors are exactly the ``exp(i a)`` eigenvectors of ``M``.
-    One Hermitian eigensolve returns them as orthonormal columns, the
-    top half of its ascending spectrum.  :func:`eigenplanes` checks the
-    eigenplane residual.
-    """
-    _, Z = np.linalg.eigh(-0.5j * (M - M.T))
-    return Z[:, M.shape[0] // 2:]
-
-
 def eigenplanes(d: Rotation, e: Rotation,
                 tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Eigenplane bases ``(A, C)`` of ``d`` and ``e``.
 
     Both rotations are proper and act on the same even-dimensional
     space, as :func:`~rotpair.decompose.two_plane_exists` checks.  The
-    bases are orthonormal, and ``B = conj(A)``, ``D = conj(C)``.  Each
+    bases are orthonormal, and ``B = conj(A)``, ``D = conj(C)``.  The plane
+    of a rotation M by a is its ``exp(i a)`` eigenspace, the ``+sin(a)``
+    half of one Hermitian eigensolve of ``-i (M - M.T)/2``.  Each
     plane P of a matrix M is judged at ``check_tol`` by ``max_abs(M P -
     lam P)`` for the mean eigenvalue ``lam = tr(P^H M P) / m`` that M
     shows on P's m columns: only the matrices are read, no angle.
     """
-    planes = _plane_of(d.matrix), _plane_of(e.matrix)
+    planes = _eigenplane(d.matrix)[1], _eigenplane(e.matrix)[1]
     for P, M in zip(planes, (d.matrix, e.matrix)):
         MP = M @ P
         require(max_abs(MP - np.vdot(P, MP) / P.shape[1] * P), tol.check_tol,

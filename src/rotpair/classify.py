@@ -17,7 +17,6 @@ forms agree, so classification doubles as the isomorphism test.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,8 @@ from .errors import (
     NumericalFailure,
     ScaleNotConstant,
 )
-from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, max_abs,
-                     orthonormality_residual, real_array, require)
+from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, is_number,
+                     max_abs, orthonormality_residual, real_array, require)
 from .orthogonal import Rotation, RotationKind, as_rotation, rho, rot2
 
 
@@ -52,8 +51,45 @@ SIGN_FIELDS = ("r", "s")
 ANGLE_FIELDS = ("alpha", "beta", "theta")
 
 
+def _check_sign(value, name: str) -> int:
+    if type(value) is int and (value == 1 or value == -1):
+        return value
+    if not is_number(value, integral=True) or value not in (-1, 1):
+        raise BadParameter(f"{name} must be +1 or -1, got {value!r}")
+    return int(value)
+
+
+def _check_angle(value, name: str) -> float:
+    if type(value) is float and 0.0 < value < math.pi:
+        return value
+    if not is_number(value):
+        raise BadParameter(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError as exc:
+        raise BadParameter(f"{name} is an integer too large for a float") from exc
+    if not (0.0 < value < math.pi):
+        raise BadParameter(f"{name} must lie strictly inside (0, pi), got {value!r}")
+    return value
+
+
+class _Form:
+    """The one check of a form's fields, when it is built: each sign an
+    integer +1 or -1, stored as ``int``, and each angle a real number
+    strictly inside (0, pi), stored as ``float``; a bool is neither.
+    Anything else raises ``BadParameter``, so no reader of a form checks
+    or casts a field again."""
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            checked = (_check_sign if name in SIGN_FIELDS else _check_angle)(value, name)
+            if checked is not value:   # a numpy number, or an integer angle
+                object.__setattr__(self, name, checked)
+
+
 @dataclass(frozen=True)
-class Dim1:
+class Dim1(_Form):
     r: int
     s: int
     dim = 1
@@ -61,7 +97,7 @@ class Dim1:
 
 
 @dataclass(frozen=True)
-class Dim2LeftScalar:
+class Dim2LeftScalar(_Form):
     r: int
     beta: float
     dim = 2
@@ -69,7 +105,7 @@ class Dim2LeftScalar:
 
 
 @dataclass(frozen=True)
-class Dim2RightScalar:
+class Dim2RightScalar(_Form):
     alpha: float
     s: int
     dim = 2
@@ -77,7 +113,7 @@ class Dim2RightScalar:
 
 
 @dataclass(frozen=True)
-class Dim2Proper:
+class Dim2Proper(_Form):
     alpha: float
     beta: float
     r: int
@@ -86,7 +122,7 @@ class Dim2Proper:
 
 
 @dataclass(frozen=True)
-class Dim4:
+class Dim4(_Form):
     alpha: float
     beta: float
     theta: float
@@ -104,18 +140,10 @@ def _check_form(form):
     return form
 
 
-def _to_float(value, name: str) -> float:
-    """``float(value)``; an integer too large for a float raises ``BadParameter``."""
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise BadParameter(f"{name} is an integer too large for a float") from exc
-
-
 def _sort_key(form):
     key = [FAMILIES.index(type(_check_form(form)))]
     for name in SIGN_FIELDS + ANGLE_FIELDS:
-        key.append(_to_float(getattr(form, name, 0.0), name))
+        key.append(getattr(form, name, 0.0))
     return tuple(key)
 
 
@@ -131,24 +159,6 @@ class ClassLabel:
 
     def __post_init__(self):
         object.__setattr__(self, "forms", tuple(sorted(self.forms, key=_sort_key)))
-
-
-def _check_sign(value, name: str) -> int:
-    # bool is an int subclass, but True is no sign; 1.0 is no integer
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value not in (-1, 1)):
-        raise BadParameter(f"{name} must be +1 or -1, got {value!r}")
-    return int(value)
-
-
-def _check_angle(value, name: str) -> float:
-    # bool is an int subclass, but True is no angle
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise BadParameter(f"{name} must be a real number, got {value!r}")
-    value = _to_float(value, name)
-    if not (0.0 < value < math.pi):
-        raise BadParameter(f"{name} must lie strictly inside (0, pi), got {value!r}")
-    return value
 
 
 def t_theta(theta: float) -> np.ndarray:
@@ -252,21 +262,17 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
 def realize(form) -> tuple:
     """Matrix pair realizing a canonical form, in its standard basis."""
     _check_form(form)
-    p = {}
-    for name in form.__dataclass_fields__:
-        check = _check_sign if name in SIGN_FIELDS else _check_angle
-        p[name] = check(getattr(form, name), name)
     if isinstance(form, Dim1):
-        return np.array([[float(p["r"])]]), np.array([[float(p["s"])]])
+        return np.array([[float(form.r)]]), np.array([[float(form.s)]])
     if isinstance(form, Dim2LeftScalar):
-        return p["r"] * np.eye(2), rot2(p["beta"])
+        return form.r * np.eye(2), rot2(form.beta)
     if isinstance(form, Dim2RightScalar):
-        return rot2(p["alpha"]), p["s"] * np.eye(2)
+        return rot2(form.alpha), form.s * np.eye(2)
     if isinstance(form, Dim2Proper):
-        return rot2(p["alpha"]), rot2(p["r"] * p["beta"])
-    left = block_diag(rot2(p["alpha"]), rot2(p["alpha"]))
-    twist = t_theta(p["theta"])
-    return left, twist @ block_diag(rot2(p["beta"]), rot2(p["beta"])) @ twist.T
+        return rot2(form.alpha), rot2(form.r * form.beta)
+    left = block_diag(rot2(form.alpha), rot2(form.alpha))
+    twist = t_theta(form.theta)
+    return left, twist @ block_diag(rot2(form.beta), rot2(form.beta)) @ twist.T
 
 
 def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLabel:

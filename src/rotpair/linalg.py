@@ -21,6 +21,15 @@ from .errors import BadParameter
 RANK_TOL = 1e-9
 
 
+def is_number(x, integral: bool = False) -> bool:
+    """Whether ``x`` is a real number (an integer, if ``integral``) and no bool.
+
+    bool is an int subclass, but True is no tolerance, count, sign or angle.
+    """
+    return (isinstance(x, numbers.Integral if integral else numbers.Real)
+            and not isinstance(x, bool))
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds used throughout the package.
@@ -35,10 +44,8 @@ class Tolerance:
     angle_tol: float = 1e-7
 
     def __post_init__(self):
-        # bool is an int subclass, but True is no tolerance; a NaN bound
-        # would fail every verdict of ``require``, an infinite one pass it
-        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                   and 0 < t < np.inf for t in astuple(self)):
+        # a NaN bound would fail every verdict of ``require``, an infinite one pass it
+        if not all(is_number(t) and 0 < t < np.inf for t in astuple(self)):
             raise ValueError("tolerances must be finite and strictly positive")
 
     @property

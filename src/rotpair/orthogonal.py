@@ -10,7 +10,6 @@ quarter-turn part.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -31,6 +30,7 @@ from .linalg import (
     RANK_TOL,
     Tolerance,
     array_fields_equal,
+    is_number,
     max_abs,
     orthonormality_residual,
     real_array,
@@ -179,8 +179,7 @@ class Rotation:
         self.matrix.setflags(write=state[1])
 
     def __post_init__(self):
-        # bool is an int subclass, but True is no angle
-        if isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real):
+        if not is_number(self.angle):
             raise BadParameter(f"angle {self.angle!r} is not a real number")
         if not 0.0 <= self.angle <= math.pi:
             raise BadAngle(f"angle {self.angle!r} is not in [0, pi]")
@@ -250,6 +249,7 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         if abs(M[0, 0] - sign) <= tol.check_tol:
             eye = np.eye(n)
             if max_abs(M - eye if sign > 0 else M + eye) <= tol.check_tol:
+                eye.setflags(write=False)
                 return NormalForm((), fix_dim, neg_dim, eye, resid)
 
     sym = (M + M.T) / 2.0
@@ -300,6 +300,7 @@ def _assemble(M: np.ndarray, angles: np.ndarray, U: np.ndarray, W: np.ndarray,
     basis[:, 0:k:2], basis[:, 1:k:2] = U[:, order], W[:, order]
     if fixed or negated:
         basis[:, k:] = np.concatenate(fixed + negated, axis=1)
+    basis.setflags(write=False)
     nf = NormalForm(
         angles=tuple(angles[order].tolist()),
         fix_dim=sum(f.shape[1] for f in fixed),
@@ -333,6 +334,18 @@ def _require_sine_floor(thetas: np.ndarray, low: float, high: float) -> None:
         )
 
 
+def _eigenplane(S: np.ndarray) -> tuple:
+    """Ascending eigenvalues of the Hermitian ``H = -i (S - S.T)/2``, and
+    orthonormal eigenvectors of the top half of them, from one eigensolve.
+
+    For an orthogonal S, H has eigenvalues ``+-sin`` of its block angles,
+    and an eigenvector for ``+sin(a)`` is an ``exp(i a)`` eigenvector of
+    S; for a rotation by a, the top half spans its ``exp(i a)`` eigenplane.
+    """
+    sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
+    return sines, Z[:, S.shape[0] // 2:]
+
+
 def _rotation_blocks(M: np.ndarray, E: np.ndarray | None, thetas: np.ndarray) -> tuple:
     """Angles and column pairs (U, W) of a rotation cluster's blocks.
 
@@ -350,9 +363,8 @@ def _rotation_blocks(M: np.ndarray, E: np.ndarray | None, thetas: np.ndarray) ->
     _require_even(thetas)
     m = thetas.size // 2
     S = M if E is None else E.T @ M @ E
-    sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
+    sines, Z = _eigenplane(S)
     _require_sine_floor(thetas, sines[m - 1], sines[m])
-    Z = Z[:, m:]
     U = math.sqrt(2.0) * (Z.real if E is None else E @ Z.real)
     W = -math.sqrt(2.0) * (Z.imag if E is None else E @ Z.imag)
     MU = M @ U
@@ -445,8 +457,7 @@ def unrho(s: Rotation, alpha: float, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     """
     require(abs(s.angle - math.pi / 2), tol.angle_tol, BadAngle,
             f"input angle {s.angle!r}: distance from pi/2")
-    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
-            or not 0.0 < alpha < math.pi):
+    if not is_number(alpha) or not 0.0 < alpha < math.pi:
         raise BadAngle(f"alpha {alpha!r} is not a real number in (0, pi)")
     M = math.cos(alpha) * np.eye(s.dim) + math.sin(alpha) * s.matrix
     return as_rotation(M, tol)

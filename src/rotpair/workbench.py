@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,6 @@ from .classify import (
     SIGN_FIELDS,
     ClassLabel,
     _check_form,
-    _to_float,
     classify_block,
     realize,
 )
@@ -32,7 +30,7 @@ from .decompose import (_certify_pair, _require_proper_pair, decompose,
                         invariance_residual)
 from .errors import (BadAngle, BadDimension, BadParameter, NotARotation,
                      NotOrthogonal)
-from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag,
+from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, is_number,
                      orthonormality_residual, require)
 from .orthogonal import NormalForm, Rotation, as_rotation, rot2
 
@@ -47,33 +45,24 @@ def form_to_dict(form) -> dict:
     _check_form(form)
     # key order shows in unsorted JSON: signs before angles, as declared
     return {"family": form.family,
-            **{f: int(getattr(form, f)) for f in SIGN_FIELDS if hasattr(form, f)},
-            **{f: _sig12(_to_float(getattr(form, f), f))
-               for f in ANGLE_FIELDS if hasattr(form, f)}}
+            **{f: getattr(form, f) for f in SIGN_FIELDS if hasattr(form, f)},
+            **{f: _sig12(getattr(form, f)) for f in ANGLE_FIELDS if hasattr(form, f)}}
 
 
 def form_from_dict(obj: dict):
-    """Inverse of :func:`form_to_dict`."""
+    """Inverse of :func:`form_to_dict`; the form checks its own fields."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise BadParameter(f"canonical form must be an object with a family: {obj!r}")
     cls = next((c for c in FAMILIES if c.family == obj["family"]), None)
     if cls is None:
         raise BadParameter(f"unknown family {obj['family']!r}")
-    kwargs = {}
     for f in cls.__dataclass_fields__:
         if f not in obj:
             raise BadParameter(f"family {obj['family']!r} needs field {f!r}")
-        value = obj[f]
-        # exact types: JSON true loads as a bool, which Python counts as an int
-        if f in SIGN_FIELDS and (type(value) is not int or value not in (-1, 1)):
-            raise BadParameter(f"{f} must be the integer +1 or -1, got {value!r}")
-        if f in ANGLE_FIELDS and type(value) not in (int, float):
-            raise BadParameter(f"{f} must be a number, got {value!r}")
-        kwargs[f] = value if f in SIGN_FIELDS else _to_float(value, f)
     extra = set(obj) - set(cls.__dataclass_fields__) - {"family"}
     if extra:
         raise BadParameter(f"unexpected fields {sorted(extra)} for {obj['family']!r}")
-    return cls(**kwargs)
+    return cls(**{f: obj[f] for f in cls.__dataclass_fields__})
 
 
 def label_to_list(label: ClassLabel) -> list:
@@ -223,8 +212,7 @@ def build_report(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> dict
 
 
 def _check_count(value, name: str) -> int:
-    # bool is an int subclass, but True is no seed or count
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    if not is_number(value, integral=True) or value < 0:
         raise BadParameter(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
 
@@ -245,11 +233,9 @@ def generate_rotation(n: int, alpha: float, seed: int,
     equal 2x2 blocks by a random orthogonal matrix.
     """
     seed = _check_count(seed, "seed")
-    # bool is an int subclass, but True is no dimension and no angle
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    if not is_number(n, integral=True) or n < 1:
         raise BadDimension(f"n must be a positive integer, got {n!r}")
-    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
-            or not 0.0 <= alpha <= math.pi):
+    if not is_number(alpha) or not 0.0 <= alpha <= math.pi:
         raise BadAngle(f"alpha {alpha!r} is not a real number in [0, pi]")
     if alpha == 0.0:
         return Rotation(matrix=np.eye(n), angle=0.0)

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import importlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from rotpair import (
     classify,
     classify_block,
     decompose,
+    form_from_dict,
     form_to_dict,
     generate_pair,
     isomorphic,
@@ -50,8 +52,10 @@ from rotpair import (
     two_plane_exists,
     unrho,
 )
+from rotpair.classify import FAMILIES, SIGN_FIELDS
 from rotpair.decompose import InvariantBlock
 from rotpair.linalg import DEFAULT_TOL, Tolerance, block_diag
+from rotpair.workbench import label_to_list
 
 
 class SubDim4(Dim4):
@@ -189,27 +193,100 @@ class TestRealize:
         assert max_abs(dm.T @ dm - np.eye(4)) <= 1e-12
         assert max_abs(em.T @ em - np.eye(4)) <= 1e-12
 
+    # each case is a class and its fields: a form checks its fields when
+    # built, so a bad one never reaches realize
     @pytest.mark.parametrize("form", [
-        Dim1(r=0, s=1),
-        Dim2LeftScalar(r=2, beta=0.5),
-        Dim2Proper(alpha=0.0, beta=0.5, r=1),
-        Dim2Proper(alpha=0.5, beta=np.pi, r=1),
-        Dim4(alpha=0.5, beta=1.2, theta=-0.1),
-        Dim2Proper(alpha="x", beta=1.0, r=1),
-        Dim2Proper(alpha=None, beta=1.0, r=1),
-        Dim4(alpha=0.5, beta=1.2, theta=[1]),
-        Dim2RightScalar(alpha=True, s=1),
-        Dim1(r=True, s=1),
-        Dim2LeftScalar(r=1.0, beta=0.5),
-        Dim2Proper(alpha=0.5, beta=1.0, r=-1.0),
+        (Dim1, dict(r=0, s=1)),
+        (Dim2LeftScalar, dict(r=2, beta=0.5)),
+        (Dim2Proper, dict(alpha=0.0, beta=0.5, r=1)),
+        (Dim2Proper, dict(alpha=0.5, beta=np.pi, r=1)),
+        (Dim4, dict(alpha=0.5, beta=1.2, theta=-0.1)),
+        (Dim2Proper, dict(alpha="x", beta=1.0, r=1)),
+        (Dim2Proper, dict(alpha=None, beta=1.0, r=1)),
+        (Dim4, dict(alpha=0.5, beta=1.2, theta=[1])),
+        (Dim2RightScalar, dict(alpha=True, s=1)),
+        (Dim1, dict(r=True, s=1)),
+        (Dim2LeftScalar, dict(r=1.0, beta=0.5)),
+        (Dim2Proper, dict(alpha=0.5, beta=1.0, r=-1.0)),
     ])
     def test_rejects_bad_parameters(self, form):
+        cls, fields = form
         with pytest.raises(BadParameter):
-            realize(form)
+            realize(cls(**fields))
 
     def test_rejects_subclass_of_a_family(self):
         with pytest.raises(BadParameter):
             realize(SubDim4(alpha=0.5, beta=1.2, theta=0.3))
+
+
+SIGN_VALUES = st.sampled_from([1, -1, np.int64(1), np.int64(-1), np.int8(-1)])
+ANGLE_VALUES = st.one_of(
+    st.integers(1, 3), st.integers(1, 3).map(np.int64),
+    # k/1024 has at most 11 significant digits, so JSON keeps it exactly
+    st.integers(1, 3216).map(lambda k: k / 1024),
+    st.integers(1, 3216).map(lambda k: np.float64(k / 1024)),
+)
+# each out-of-schema value with the message that follows the field name
+BAD_SIGNS = [(0, "must be +1 or -1, got 0"), (2, "must be +1 or -1, got 2"),
+             (True, "must be +1 or -1, got True"), (1.0, "must be +1 or -1, got 1.0"),
+             (None, "must be +1 or -1, got None"), ("1", "must be +1 or -1, got '1'")]
+OUTSIDE = "must lie strictly inside (0, pi), got"
+NOT_REAL = "must be a real number, got"
+BAD_ANGLES = [(0, f"{OUTSIDE} 0.0"), (math.pi, f"{OUTSIDE} 3.141592653589793"),
+              (-0.1, f"{OUTSIDE} -0.1"), (4.0, f"{OUTSIDE} 4.0"),
+              (math.nan, f"{OUTSIDE} nan"), (math.inf, f"{OUTSIDE} inf"),
+              (True, f"{NOT_REAL} True"), (None, f"{NOT_REAL} None"),
+              ("x", f"{NOT_REAL} 'x'"), ([1.0], f"{NOT_REAL} [1.0]"),
+              (1j, f"{NOT_REAL} 1j"), (10**400, "is an integer too large for a float")]
+BAD_FIELDS = [pytest.param(cls, sign, bad, message,
+                           id=f"{cls.__name__}-{'sign' if sign else 'angle'}{i}")
+              for cls in FAMILIES for sign, bads in ((True, BAD_SIGNS), (False, BAD_ANGLES))
+              if any((name in SIGN_FIELDS) is sign for name in cls.__dataclass_fields__)
+              for i, (bad, message) in enumerate(bads)]
+
+
+def field_values(cls):
+    return st.fixed_dictionaries({name: SIGN_VALUES if name in SIGN_FIELDS else ANGLE_VALUES
+                                  for name in cls.__dataclass_fields__})
+
+
+class TestFormFields:
+    """A form checks its fields once, when built; no reader checks them again."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cls=st.sampled_from(FAMILIES))
+    def test_valid_fields_are_stored_as_int_and_float(self, data, cls):
+        fields = data.draw(field_values(cls))
+        form = cls(**fields)
+        for name, value in fields.items():
+            assert type(getattr(form, name)) is (int if name in SIGN_FIELDS else float)
+            assert getattr(form, name) == value
+        assert form_from_dict(form_to_dict(form)) == form
+        assert form_from_dict(json.loads(json.dumps(form_to_dict(form)))) == form
+        label = ClassLabel(forms=(form, form))
+        assert [form_from_dict(f) for f in label_to_list(label)] == [form, form]
+
+    @pytest.mark.parametrize("cls, sign, bad, message", BAD_FIELDS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_out_of_schema_field_raises_when_built(self, data, cls, sign, bad, message):
+        fields = data.draw(field_values(cls))
+        name = data.draw(st.sampled_from([f for f in fields if (f in SIGN_FIELDS) is sign]))
+        fields[name] = bad
+        with pytest.raises(BadParameter) as info:
+            cls(**fields)
+        assert str(info.value) == f"{name} {message}"
+        with pytest.raises(BadParameter) as info:
+            form_from_dict({"family": cls.family, **fields})
+        assert str(info.value) == f"{name} {message}"
+
+    def test_no_reader_sees_a_bad_field(self):
+        with pytest.raises(BadParameter, match="r must be"):
+            Dim1(r=5, s=1)
+        with pytest.raises(BadParameter, match="alpha must lie"):
+            form_from_dict({"family": "dim4", "alpha": 5, "beta": 1, "theta": 1})
+        with pytest.raises(BadParameter, match="theta must lie"):
+            dataclasses.replace(Dim4(alpha=0.5, beta=1.2, theta=0.8), theta=7.0)
 
 
 class TestClassifyBlock:

@@ -423,3 +423,47 @@ def test_angle_reads_are_found():
         "x = d.angle\n"
     )
     assert angle_reads(tree) == ["d.angle (line 2)", "r.angle (line 5)"]
+
+
+FIELD_CHECKERS = {"_check_sign", "_check_angle"}
+
+
+def field_checks(tree: ast.Module) -> list:
+    """Uses of the form-field checkers outside ``_Form.__post_init__``.
+
+    A canonical form checks its signs and angles once, when it is built,
+    so no code that reads a form imports, names or calls a checker.
+    """
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "_Form"
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+              for node in ast.walk(fn)}
+    uses = []
+    for node in ast.walk(tree):
+        # a node that names something: a plain name, an attribute or an import
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if field and getattr(node, field) in FIELD_CHECKERS and id(node) not in inside:
+            uses.append((node.lineno, getattr(node, field)))
+    return [f"{name} (line {line})" for line, name in sorted(uses)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_form_fields_are_checked_only_when_built(path):
+    assert field_checks(ast.parse(path.read_text())) == []
+
+
+def test_field_checks_are_found():
+    tree = ast.parse(
+        "from .classify import _check_sign\n"
+        "class _Form:\n    def __post_init__(self):\n"
+        "        check = _check_sign if s else _check_angle\n"
+        "def realize(form):\n    return _check_angle(form.alpha, 'alpha')\n"
+        "key = classify._check_sign(form.r, 'r')\n"
+        "def _check_sign(value, name):\n    return value\n"
+    )
+    assert field_checks(tree) == [
+        "_check_sign (line 1)",
+        "_check_angle (line 6)",
+        "_check_sign (line 7)",
+    ]

@@ -9,6 +9,7 @@ from rotpair import NotOrthogonal, NumericalFailure, Tolerance, max_abs
 from rotpair.linalg import (
     RANK_TOL,
     block_diag,
+    is_number,
     numerical_rank,
     orthonormal_complement,
     orthonormality_residual,
@@ -34,6 +35,17 @@ class TestRequire:
         with pytest.raises(NotOrthogonal) as info:
             require(np.float64(2.5e-9), 1e-9, NotOrthogonal, "orthogonality residual")
         assert str(info.value) == "orthogonality residual 2.500e-09 exceeds 1.000e-09"
+
+
+@pytest.mark.parametrize("x, real, integral", [
+    (1, True, True), (np.int64(-3), True, True), (0.5, True, False),
+    (np.float32(0.5), True, False), (10**400, True, True),
+    (True, False, False), (np.bool_(True), False, False), (1j, False, False),
+    (None, False, False), ("1", False, False), ([1.0], False, False),
+])
+def test_is_number_refuses_bools(x, real, integral):
+    assert is_number(x) is real
+    assert is_number(x, integral=True) is integral
 
 
 class TestTolerance:

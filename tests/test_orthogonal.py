@@ -28,6 +28,7 @@ from rotpair import (
     Tolerance,
     as_rotation,
     classify,
+    decompose,
     generate_pair,
     generate_rotation,
     max_abs,
@@ -374,6 +375,32 @@ class TestAsRotation:
         assert np.array_equal(d.matrix, kept) and d.angle == angle
         assert classify(d, e) == label
         assert classify(d, as_rotation(doc.epsilon)) == label   # recomputed
+
+    # Its normal form is read-only too: decompose and the reports read the
+    # basis again, so a write into it cannot change what they see.
+    @pytest.mark.parametrize("M", [
+        generate_rotation(4, 1.0, 3).matrix,
+        np.eye(4),
+        -np.eye(4),
+    ], ids=["proper", "identity", "negated"])
+    def test_certified_normal_form_basis_is_read_only(self, M):
+        basis = as_rotation(M).normal_form.basis   # a proper one's first read builds it
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.5
+
+    def test_split_spectrum_basis_is_read_only(self):
+        nf = orthogonal_normal_form(block_diag(rot2(0.4), rot2(2.0), np.eye(1)))
+        assert np.allclose(nf.angles, (0.4, 2.0)) and nf.fix_dim == 1
+        with pytest.raises(ValueError):
+            nf.basis[0, 0] = 0.5
+
+    def test_writing_into_the_basis_changes_no_decomposition(self):
+        doc = generate_pair([Dim2LeftScalar(r=1, beta=0.9)] * 2, seed=5)
+        d, e = as_rotation(doc.delta), as_rotation(doc.epsilon)
+        basis = e.normal_form.basis
+        with pytest.raises(ValueError):
+            basis[:, [0, 1]] = basis[:, [0, 2]]
+        assert decompose(d, e).dims == (2, 2)
 
     def test_inner_product_is_constant(self):
         rng = np.random.default_rng(2)
