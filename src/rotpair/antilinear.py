@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NumericalFailure
-from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, max_abs, numerical_rank,
+from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, max_abs_each, numerical_rank,
                      require)
 from .orthogonal import Rotation, _eigenplane
 
@@ -26,7 +26,9 @@ class AntilinearOp:
     """Conjugate-linear operator on an eigenplane, in coordinates.
 
     Acts on A-coordinate vectors by ``x -> M @ conj(x)``.  ``basis_a``
-    maps coordinates back to the ambient space.
+    maps coordinates back to the ambient space.  Both may hold a stack,
+    one operator per piece, as :func:`build_T` builds it for stacked
+    planes; ``apply`` is for one operator.
     """
 
     M: np.ndarray
@@ -48,13 +50,19 @@ def eigenplanes(d: Rotation, e: Rotation,
     plane P of a matrix M is judged at ``check_tol`` by ``max_abs(M P -
     lam P)`` for the mean eigenvalue ``lam = tr(P^H M P) / m`` that M
     shows on P's m columns: only the matrices are read, no angle.
+
+    For rotations holding stacks of k matrices (README, "Stacks"), A
+    and C are stacks of k bases.  Both sides' planes come from one
+    ``eigh`` of the two matrices (or stacks) stacked together.
     """
-    planes = _eigenplane(d.matrix)[1], _eigenplane(e.matrix)[1]
-    for P, M in zip(planes, (d.matrix, e.matrix)):
-        MP = M @ P
-        require(max_abs(MP - np.vdot(P, MP) / P.shape[1] * P), tol.check_tol,
-                NumericalFailure, "eigenplane residual")
-    return planes
+    S = np.array((d.matrix, e.matrix))
+    planes = _eigenplane(S)[1]
+    SP = S @ planes
+    lam = (planes.conj() * SP).sum(axis=(-2, -1)) / planes.shape[-1]
+    resid = max_abs_each(SP - lam[..., None, None] * planes)
+    # one residual per piece, d's before e's
+    require(resid.T, tol.check_tol, NumericalFailure, "eigenplane residual")
+    return planes[0], planes[1]
 
 
 def build_T(A: np.ndarray, C: np.ndarray) -> AntilinearOp:
@@ -69,9 +77,12 @@ def build_T(A: np.ndarray, C: np.ndarray) -> AntilinearOp:
     eigenplane meets are the one overlap rule: they take every phi with
     ``tan(phi/2) <= RANK_TOL`` as a meet, which covers either Gram
     matrix falling below full relative rank, so M is invertible here.
+
+    Stacked bases A and C give the operator of each piece, from one
+    ``inv`` of the stacked ``G_AC``.
     """
-    G_AC = A.conj().T @ C
-    G_BC = A.T @ C
+    G_AC = A.conj().swapaxes(-1, -2) @ C
+    G_BC = A.swapaxes(-1, -2) @ C
     return AntilinearOp(M=np.conj(G_BC @ np.linalg.inv(G_AC)), basis_a=A)
 
 
@@ -94,35 +105,50 @@ def antilinear_invariant_line(T: AntilinearOp,
     or ``T u + sqrt(lambda) u`` is fixed up to the factor sqrt(lambda).
     Returns None when no such eigenvalue exists.  An operator with a NaN
     or infinite entry raises ``BadParameter``.
+
+    An operator holding a stack (README, "Stacks") gives a list with one
+    answer per piece, from one values-only ``svd`` and one ``eig`` of
+    the stacked squares.
     """
     if not np.isfinite(T.M).all():
         raise BadParameter("operator has non-finite entries")
     N = t_squared(T)
-    norm_n = float(np.linalg.svd(N, compute_uv=False)[0])   # the spectral norm
-    if norm_n == 0.0:
+    norm_n = np.linalg.svd(N, compute_uv=False)[..., 0]   # the spectral norm
+    if not norm_n.all():
         raise NumericalFailure("operator square vanishes for a bijective operator")
     evals, evecs = np.linalg.eig(N)
-    best = None
-    for i, lam in enumerate(evals):
-        if abs(lam.imag) > RANK_TOL * abs(lam):
-            continue
-        if lam.real <= RANK_TOL * norm_n:
-            continue
-        if best is None or lam.real > evals[best].real:
-            best = i
-    if best is None:
-        return None
-    lam = float(evals[best].real)
-    u = evecs[:, best]
+    m = N.shape[-1]
+    lines = []
+    for k, (lams, norm) in enumerate(zip(evals.reshape(-1, m).tolist(),
+                                         norm_n.reshape(-1).tolist())):
+        best = None
+        for i, lam in enumerate(lams):
+            if abs(lam.imag) > RANK_TOL * abs(lam):
+                continue
+            if lam.real <= RANK_TOL * norm:
+                continue
+            if best is None or lam.real > lams[best].real:
+                best = i
+        lines.append(None if best is None
+                     else _fixed_line(T.M.reshape(-1, m, m)[k],
+                                      evecs.reshape(-1, m, m)[k][:, best],
+                                      lams[best].real, tol))
+    return lines if T.M.ndim > 2 else lines[0]
+
+
+def _fixed_line(M: np.ndarray, u: np.ndarray, lam: float, tol: Tolerance):
+    """Unit vector of an invariant line of ``x -> M conj(x)``, from an
+    eigenvector u of its square with eigenvalue lam > 0."""
     u = u / np.linalg.norm(u)
-    Tu = T.apply(u)
+    Tu = M @ np.conj(u)
     s = np.linalg.svd(np.column_stack([u, Tu]), compute_uv=False)
     if numerical_rank(s) < 2:
         v = u
     else:
         v = Tu + math.sqrt(lam) * u
         v = v / np.linalg.norm(v)
-    mu = complex(np.vdot(v, T.apply(v)))
-    require(float(np.linalg.norm(T.apply(v) - mu * v)), tol.check_tol,
+    Tv = M @ np.conj(v)
+    mu = complex(np.vdot(v, Tv))
+    require(float(np.linalg.norm(Tv - mu * v)), tol.check_tol,
             NumericalFailure, "invariant-line residual")
     return v

@@ -25,6 +25,7 @@ from .decompose import (
     InvariantBlock,
     _certified_block,
     _certify_pair,
+    _each,
     decompose,
     is_irreducible,
 )
@@ -40,8 +41,8 @@ from .errors import (
     NumericalFailure,
     ScaleNotConstant,
 )
-from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, is_number,
-                     max_abs, orthonormality_residual, real_array, require)
+from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, frobenius, is_number,
+                     max_abs, max_abs_each, orthonormality_residual, real_array, require)
 from .orthogonal import Rotation, RotationKind, as_rotation, rho, rot2
 
 
@@ -181,6 +182,9 @@ def theta_invariant(s: Rotation, t: Rotation,
     0 and pi where the arccos of the trace loses every digit.  Each side
     must be orthogonal within ``residual_tol`` (``NotOrthogonal``), and
     skew within it as a quarter-turn is (``BadAngle``).
+
+    Quarter-turns holding stacks of k matrices (README, "Stacks") give an array of k angles, from one
+    ``eigvalsh`` of the stacked ``sym(s^T t)``.
     """
     for r in (s, t):
         if r.dim != 4:
@@ -189,13 +193,16 @@ def theta_invariant(s: Rotation, t: Rotation,
                 "angle distance from pi/2")
         require(orthonormality_residual(r.matrix), tol.residual_tol,
                 NotOrthogonal, "orthogonality residual")
-        require(max_abs(r.matrix + r.matrix.T) / 2.0, tol.residual_tol, BadAngle,
-                "quarter-turn symmetric part")
-    G = s.matrix.T @ t.matrix
-    require(float(np.ptp(np.linalg.eigvalsh(G + G.T))) / 2.0, tol.check_tol,
-            NotConstant, "inner product spread over the unit sphere")
-    return 2.0 * math.atan2(float(np.linalg.norm(s.matrix - t.matrix)),
-                            float(np.linalg.norm(s.matrix + t.matrix)))
+        require(max_abs_each(r.matrix + r.matrix.swapaxes(-1, -2)) / 2.0, tol.residual_tol,
+                BadAngle, "quarter-turn symmetric part")
+    G = s.matrix.swapaxes(-1, -2) @ t.matrix
+    w = np.linalg.eigvalsh(G + G.swapaxes(-1, -2))   # ascending
+    require((w[..., -1] - w[..., 0]) / 2.0, tol.check_tol, NotConstant,
+            "inner product spread over the unit sphere")
+    diff, total = frobenius(s.matrix - t.matrix), frobenius(s.matrix + t.matrix)
+    if s.matrix.ndim == 2:
+        return 2.0 * math.atan2(diff, total)
+    return np.array([2.0 * math.atan2(a, b) for a, b in zip(diff.tolist(), total.tolist())])
 
 
 def _sign_of(r: Rotation) -> int:
@@ -233,6 +240,10 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     side, is labelled from the kinds and angles of its restrictions.  A
     4-block's twist is read off accurately from the two quarter-turns of
     :func:`rho`, which take no normal form.
+
+    A block of :func:`decompose` holding a stack of k 4-blocks (README,
+    "Stacks") gives a tuple of k forms, whose twists take one
+    :func:`rho` per side and one :func:`theta_invariant`.
     """
     if block.dim not in (1, 2, 4):
         raise NotIrreducible(f"blocks of dimension {block.dim} do not occur")
@@ -249,7 +260,10 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
         d_r, e_r = block.rotations
         if block.dim == 4:
             theta = theta_invariant(rho(d_r, tol), rho(e_r, tol), tol)
-            return Dim4(alpha=d_r.angle, beta=e_r.angle, theta=theta)
+            if block.d_restricted.ndim == 2:
+                return Dim4(alpha=d_r.angle, beta=e_r.angle, theta=theta)
+            return tuple(Dim4(alpha=d_r.angle, beta=e_r.angle, theta=t)
+                         for t in theta.tolist())
         if not (d_r.kind is RotationKind.PROPER and e_r.kind is RotationKind.PROPER):
             return _scalar_form(d_r, e_r)
         # both sides are proper; r = +1 when their sine entries share a sign
@@ -284,7 +298,8 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
     ``Dim1(r, s)`` when both sides are +-I, else n/2 planes
     ``Dim2LeftScalar(r, beta)`` or ``Dim2RightScalar(alpha, s)``, with
     no basis built.  A pair of two proper rotations is decomposed and
-    each block labelled by :func:`classify_block`.
+    its blocks labelled by :func:`classify_block`: each line and plane
+    alone, then all 4-blocks in one call on their stack.
 
     The label is an invariant of the certified pair, whose rotations are
     read-only, so the certified first side remembers its last one: a
@@ -298,8 +313,10 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
     if memo is not None and memo[0] is e and memo[1] == tol:
         return memo[2]
     if d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER:
-        dec = decompose(d, e, tol)
-        label = ClassLabel(forms=tuple(classify_block(b, tol) for b in dec.blocks))
+        blocks = decompose(d, e, tol).blocks
+        fours = [b for b in blocks if b.dim == 4]   # the last blocks
+        forms = [classify_block(b, tol) for b in blocks[:len(blocks) - len(fours)]]
+        label = ClassLabel(forms=tuple(forms + _each(classify_block, fours, tol)))
     else:
         form = _scalar_form(d, e)
         label = ClassLabel(forms=(form,) * (d.dim // form.dim))

@@ -10,7 +10,8 @@ clusters: on every irreducible block the inner product of ``d v`` and
 ``e v`` is the same for all unit v, so the eigenspaces of ``sym(d^T e)``
 are jointly invariant.  :func:`decompose` then works off one list of
 pieces.  A 4-dimensional piece is one 4-block or two planes, and one
-irreducibility verdict decides which.  Any other piece takes one search
+irreducibility verdict decides which, for all 4-dimensional clusters of
+a pair in one stacked call.  Any other piece takes one search
 step through the complexified eigenplanes: an overlap between the planes
 of the two rotations yields one invariant 2-plane per dimension of the
 overlap, and otherwise the antilinear operator on the first plane hands
@@ -34,7 +35,7 @@ from .antilinear import (
     t_squared,
 )
 from .errors import (BadDimension, BadParameter, NotOrthogonal, NotOrthogonalPair,
-                     NotProper, NumericalFailure)
+                     NotProper, NumericalFailure, RotPairError)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -49,7 +50,7 @@ from .linalg import (
     subspace_meet,
     symmetric_eigen,
 )
-from .orthogonal import Rotation, RotationKind, as_rotation
+from .orthogonal import Rotation, RotationKind, _trusted, as_rotation
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,10 @@ class InvariantBlock:
     pair's certified angles in ``rotations``, which :func:`is_irreducible`
     and ``classify_block`` read instead of certifying the block again.
     A block built directly, or with ``dataclasses.replace``, has
-    ``rotations`` None.
+    ``rotations`` None.  Inside the package a block may hold a stack of
+    k blocks of one pair, each array with a leading axis of k and the
+    ``rotations`` holding stacks (see :func:`_stacked`); ``dim`` is a
+    piece's.
     """
 
     basis: np.ndarray
@@ -77,7 +81,7 @@ class InvariantBlock:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -133,11 +137,42 @@ def _certified_block(basis: np.ndarray, d_r: Rotation,
     """The block on ``span(basis)`` whose restrictions are ``d_r`` and ``e_r``.
 
     Both must be certified rotations of the block's own coordinates;
-    they become the block's ``rotations``.
+    they become the block's ``rotations``.  The fields are set as
+    ``InvariantBlock(basis, d_r.matrix, e_r.matrix)`` sets them, without
+    its frozen-field writes.
     """
-    block = InvariantBlock(basis, d_r.matrix, e_r.matrix)
-    object.__setattr__(block, "rotations", (d_r, e_r))
+    block = object.__new__(InvariantBlock)
+    block.__dict__.update(basis=basis, d_restricted=d_r.matrix, e_restricted=e_r.matrix,
+                          rotations=(d_r, e_r))
     return block
+
+
+def _stacked(blocks) -> InvariantBlock:
+    """One block holding the certified ``blocks`` of one pair as a stack.
+
+    Their bases and restrictions go on a leading axis, one piece per
+    block, and the restrictions keep the pair's angles, which the blocks
+    share.
+    """
+    d_r, e_r = blocks[0].rotations
+    return _certified_block(np.array([b.basis for b in blocks]),
+                            _trusted(np.array([b.d_restricted for b in blocks]), d_r.angle),
+                            _trusted(np.array([b.e_restricted for b in blocks]), e_r.angle))
+
+
+def _each(fn, blocks: list, tol: Tolerance) -> list:
+    """``[fn(b, tol) for b in blocks]`` for certified blocks of one pair,
+    from one call of ``fn`` on their stack.
+
+    When the stack raises, the blocks are run one at a time, so the
+    error is exactly the one that the first failing block raises alone.
+    """
+    if len(blocks) < 2:
+        return [fn(b, tol) for b in blocks]
+    try:
+        return list(fn(_stacked(blocks), tol))
+    except (RotPairError, np.linalg.LinAlgError):
+        return [fn(b, tol) for b in blocks]
 
 
 def _real_plane(v: np.ndarray) -> np.ndarray:
@@ -148,13 +183,18 @@ def _real_plane(v: np.ndarray) -> np.ndarray:
     and of equal length, and ``sqrt(2) [Re v, Im v]`` is already an
     orthonormal basis.
     """
-    return math.sqrt(2.0) * np.column_stack([v.real, v.imag])
+    plane = np.empty((v.shape[0], 2))
+    plane[:, 0], plane[:, 1] = v.real, v.imag
+    return math.sqrt(2.0) * plane
 
 
-def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
+def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
     """Invariant 2-planes of a proper pair, or the antilinear operator.
 
-    Returns a tuple of plane bases, or the :class:`AntilinearOp` T.
+    Returns ``(found, T)``: ``found`` holds, for each piece (one for a
+    single pair), a tuple of plane bases, or None for a piece whose
+    eigenplanes do not meet; T is the :class:`AntilinearOp` of those
+    pieces, stacked in order, or None.
     Tries the eigenplane intersections first: a rotation turns every
     vector by its one angle, so each column of the first non-empty
     meet, A with C or else A with ``D = conj(C)``, spans a jointly
@@ -172,17 +212,37 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance):
     2 mu |u|^2 != 0``, although C is orthogonal to ``D = conj(C)``.
     The branch stays until ROADMAP item 1 frees ``build_T`` and
     ``antilinear_invariant_line`` from the tracer of ``perfbench``.
+
+    The meets of all pieces are found together: one
+    :func:`subspace_meet` of the stacked A and C, then one of A and D for
+    the pieces whose first meet is empty.  The pieces with no meet share
+    one :func:`build_T` and one :func:`antilinear_invariant_line`.
     """
     A, C = eigenplanes(d, e, tol)
-    for meet_with in (C, np.conj(C)):
-        meet = subspace_meet(A, meet_with)
-        if meet.shape[1]:
-            return tuple(_real_plane(v) for v in meet.T)
-    T = build_T(A, C)
-    line = antilinear_invariant_line(T, tol)
-    if line is not None:
-        return (_real_plane(A @ line),)
-    return T
+    A, C = A.reshape((-1,) + A.shape[-2:]), C.reshape((-1,) + C.shape[-2:])
+    meets = subspace_meet(A, C)
+    rest = [i for i, meet in enumerate(meets) if not meet.shape[1]]
+    if rest:
+        for i, meet in zip(rest, subspace_meet(*_pieces_of(rest, A, np.conj(C)))):
+            meets[i] = meet
+        rest = [i for i in rest if not meets[i].shape[1]]
+    found = [tuple(_real_plane(v) for v in meet.T) if meet.shape[1] else None
+             for meet in meets]
+    T = None
+    if rest:
+        T = build_T(*_pieces_of(rest, A, C))
+        for i, line in zip(rest, antilinear_invariant_line(T, tol)):
+            if line is not None:
+                found[i] = (_real_plane(A[i] @ line),)
+    return found, T
+
+
+def _pieces_of(index: list, *stacks) -> list:
+    """The pieces ``index`` of each stack; the stacks themselves when
+    ``index`` takes every piece, as it does on a stack of 4-blocks."""
+    if len(index) == len(stacks[0]):
+        return list(stacks)
+    return [X[index] for X in stacks]
 
 
 def _check_blocks(stacked: np.ndarray, d: Rotation, e: Rotation,
@@ -217,16 +277,25 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     at ``check_tol``, before being returned.  A rotation that is not
     proper raises ``NotProper``, a pair of unequal dimensions
     ``NotOrthogonalPair``, and a NaN or infinite entry ``BadParameter``.
+
+    Rotations holding stacks of k matrices (README, "Stacks") give
+    ``(flags, witnesses)``, a bool array of k flags and a tuple of k
+    witness bases or None, each what that piece gives alone.
     """
     _require_proper_pair(d, e)
     if not (np.isfinite(d.matrix).all() and np.isfinite(e.matrix).all()):
         raise BadParameter("rotation matrix has non-finite entries")
-    found = _planes_or_operator(d, e, tol)
-    if isinstance(found, AntilinearOp):
-        return False, None
-    witness = found[0]
-    _check_blocks(witness, d, e, tol)
-    return True, witness
+    stacked = d.matrix.ndim > 2
+    witnesses = []
+    for i, planes in enumerate(_planes_or_operator(d, e, tol)[0]):
+        if planes is not None:
+            pair = ((_trusted(d.matrix[i], d.angle), _trusted(e.matrix[i], e.angle))
+                    if stacked else (d, e))
+            _check_blocks(planes[0], *pair, tol)
+        witnesses.append(planes and planes[0])
+    if stacked:
+        return np.array([w is not None for w in witnesses]), tuple(witnesses)
+    return witnesses[0] is not None, witnesses[0]
 
 
 def _block_from_operator(T: AntilinearOp) -> np.ndarray:
@@ -262,7 +331,7 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     negative, the blocks are the planes of the normal form that certified
     the other operator, or every coordinate line when both are: one step,
     which :func:`decompose` takes directly.  Otherwise the pair is
-    proper, and :func:`_planes_or_operator` returns either one plane per
+    proper, and :func:`_planes_or_operator` gives either one plane per
     column of the first non-empty eigenplane meet, which are the blocks,
     or the :class:`AntilinearOp`, from which one 4-block is built.
 
@@ -285,16 +354,15 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
         else:
             bases = np.hsplit((d if d_proper else e).normal_form.basis, n // 2)
     else:
-        bases = _planes_or_operator(d, e, tol)
-        if isinstance(bases, AntilinearOp):
-            bases = (_block_from_operator(bases),)
-    R_d, R_e = _check_blocks(np.hstack(bases), d, e, tol)
-    return tuple(_certified_block(b, Rotation(R_d[s, s], d.angle),
-                                  Rotation(R_e[s, s], e.angle))
+        (bases,), T = _planes_or_operator(d, e, tol)
+        bases = bases or (_block_from_operator(AntilinearOp(T.M[0], T.basis_a[0])),)
+    R_d, R_e = _check_blocks(np.concatenate(bases, axis=1), d, e, tol)
+    return tuple(_certified_block(b, _trusted(R_d[s, s], d.angle),
+                                  _trusted(R_e[s, s], e.angle))
                  for b, s in zip(bases, _spans([b.shape[1] for b in bases])))
 
 
-def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     """Whether the block has no proper nonzero jointly invariant subspace.
 
     Dimension 1 blocks always are, and blocks of any dimension other
@@ -304,15 +372,20 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
     4-block when both are proper and no invariant 2-plane exists; near a
     twist of 0 or pi that is decided by the eigenplane meets of
     :func:`two_plane_exists`, at ``RANK_TOL``.  This is the one
-    irreducibility verdict: :func:`decompose` asks it once for each
-    4-dimensional piece on its work list, a twist cluster or what a
-    search step left, :func:`find_block` returns irreducible blocks by
-    construction, and ``classify_block`` asks it for a block handed in
-    from outside a decomposition.
+    irreducibility verdict: :func:`decompose` asks it once for all the
+    4-dimensional twist clusters of a pair, as one stack when there are
+    several, and once for each 4-dimensional piece that a search step
+    leaves;
+    :func:`find_block` returns irreducible blocks by construction, and
+    ``classify_block`` asks it for a block handed in from outside a
+    decomposition.
 
     The restrictions are read from ``block.rotations`` when the block
     carries them; otherwise both are certified here, and a restriction
     that is no rotation, such as a reflection, raises ``NotARotation``.
+
+    A block holding a stack of k 4-blocks of a proper pair (README,
+    "Stacks") gives a bool array of k verdicts.
     """
     if block.dim == 1:
         return True
@@ -324,7 +397,32 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL) -> bool:
     e_proper = e_r.kind is RotationKind.PROPER
     if block.dim == 2:
         return d_proper or e_proper
-    return d_proper and e_proper and not two_plane_exists(d_r, e_r, tol)[0]
+    if not (d_proper and e_proper):
+        return False
+    plane = two_plane_exists(d_r, e_r, tol)[0]
+    return ~plane if block.d_restricted.ndim > 2 else not plane
+
+
+def _four_verdicts(clusters: list, tol: Tolerance) -> list:
+    """The :func:`is_irreducible` verdict of each 4-dimensional cluster,
+    from one call on their stack when there are several; None for every
+    other cluster.
+
+    A lone 4-dimensional cluster is decided as the work list reaches it.
+    When the stack raises, every verdict is None, so each cluster is
+    decided on its own as the work list reaches it, and the error is the
+    one that a piece-by-piece run raises first.
+    """
+    verdicts = [None] * len(clusters)
+    fours = [i for i, c in enumerate(clusters) if c.dim == 4]
+    if len(fours) > 1:
+        try:
+            found = is_irreducible(_stacked([clusters[i] for i in fours]), tol)
+        except (RotPairError, np.linalg.LinAlgError):
+            return verdicts
+        for i, verdict in zip(fours, found.tolist()):
+            verdicts[i] = verdict
+    return verdicts
 
 
 def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
@@ -360,8 +458,8 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
         basis = vectors[:, groups[i]]
         resid, (R_d, R_e) = _invariance(basis, d, e)
         if resid <= tol.check_tol:
-            clusters.append(_certified_block(basis, Rotation(R_d, d.angle),
-                                             Rotation(R_e, e.angle)))
+            clusters.append(_certified_block(basis, _trusted(R_d, d.angle),
+                                             _trusted(R_e, e.angle)))
             continue
         below = values[groups[i][0]] - values[groups[i - 1][-1]] if i else np.inf
         above = (values[groups[i + 1][0]] - values[groups[i][-1]]
@@ -427,7 +525,9 @@ def decompose(d: Rotation, e: Rotation,
     is worked once.  Every irreducible block has dimension 1, 2 or 4, so
     a 4-dimensional piece is either one 4-block or two planes, and the one
     :func:`is_irreducible` verdict on it decides which: an irreducible
-    piece is kept as the block.  Any other piece takes one
+    piece is kept as the block.  When there are several 4-dimensional
+    twist clusters, their verdicts come from one call on their stack,
+    before the list is worked (:func:`_four_verdicts`).  Any other piece takes one
     :func:`find_block` step on its restrictions.  The step's blocks are
     irreducible by construction; one product with the piece's basis
     takes them to ambient coordinates, and they are kept with no second
@@ -452,22 +552,24 @@ def decompose(d: Rotation, e: Rotation,
     d, e = _certify_pair(d, e, tol)
     if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
         return InvariantDecomposition(blocks=find_block(d, e, tol))
-    work = _twist_clusters(d, e, tol)[::-1]
+    clusters = _twist_clusters(d, e, tol)
+    work = list(zip(clusters, _four_verdicts(clusters, tol)))[::-1]
     blocks = []
     while work:
-        piece = work.pop()
-        if piece.dim == 4 and is_irreducible(piece, tol):
-            blocks.append(piece)
+        part, irreducible = work.pop()
+        if part.dim == 4 and (is_irreducible(part, tol) if irreducible is None
+                              else irreducible):
+            blocks.append(part)
             continue
-        found = find_block(*piece.rotations, tol)
-        local = np.hstack([b.basis for b in found])
-        ambient = piece.basis @ local
+        found = find_block(*part.rotations, tol)
+        local = np.concatenate([b.basis for b in found], axis=1)
+        ambient = part.basis @ local
         blocks.extend(_certified_block(ambient[:, s], *b.rotations)
                       for b, s in zip(found, _spans([b.dim for b in found])))
         comp = orthonormal_complement(local)
         if comp.shape[1]:
-            rest = [Rotation(comp.T @ (r.matrix @ comp), r.angle)
-                    for r in piece.rotations]
-            work.append(_certified_block(piece.basis @ comp, *rest))
+            rest = [_trusted(comp.T @ (r.matrix @ comp), r.angle)
+                    for r in part.rotations]
+            work.append((_certified_block(part.basis @ comp, *rest), None))
     blocks.sort(key=lambda b: b.dim)
     return InvariantDecomposition(blocks=tuple(blocks))

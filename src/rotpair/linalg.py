@@ -4,6 +4,11 @@ Everything operates on plain numpy arrays.  Ambient dimensions run from
 a handful to a few hundred, so each routine rests on a dense O(n^3)
 factorization (an SVD or a symmetric eigensolve) and makes its rank
 decisions against explicit tolerances.
+
+A stack is a 3-d array of matrices on a leading axis, one per piece, as
+``numpy.linalg`` takes it; :func:`require`,
+:func:`orthonormality_residual`, :func:`max_abs_each` and
+:func:`frobenius` judge or measure each piece of one.
 """
 
 from __future__ import annotations
@@ -61,12 +66,19 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def require(measured: float, bound: float, error, what: str) -> None:
+def require(measured, bound: float, error, what: str) -> None:
     """The one verdict rule: raise ``error`` unless ``measured <= bound``.
 
     NaN fails.  ``what`` names the measured quantity; the message is
-    ``"{what} {measured:.3e} exceeds {bound:.3e}"``.
+    ``"{what} {measured:.3e} exceeds {bound:.3e}"``.  An array holds one
+    measure per piece of a stack, in order, and the first that fails
+    raises.
     """
+    if type(measured) is np.ndarray:
+        passed = measured <= bound
+        if passed.all():
+            return
+        measured = float(measured.reshape(-1)[passed.reshape(-1).argmin()])
     if not measured <= bound:
         raise error(f"{what} {measured:.3e} exceeds {bound:.3e}")
 
@@ -90,14 +102,34 @@ def max_abs(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.abs(a).max())
+    return float(np.maximum.reduce(np.abs(a), axis=None))
 
 
-def orthonormality_residual(X) -> float:
-    """``max_abs(X^T X - I)`` for a real matrix X of columns."""
-    G = X.T @ X
+def max_abs_each(a):
+    """:func:`max_abs` of each matrix of a stack, over its last two axes."""
+    return np.maximum.reduce(np.abs(a), axis=(-2, -1))
+
+
+def frobenius(X):
+    """Frobenius norm of a matrix, or of each matrix of a stack, bit for
+    bit as ``np.linalg.norm`` gives it for one matrix: the square root of
+    one dot product of the flattened entries with themselves, which
+    ``matmul`` takes on a stack as a row times a column."""
+    flat = X.reshape(X.shape[:-2] + (-1,))
+    if flat.ndim == 1:
+        return np.sqrt(flat.dot(flat))
+    return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
+
+
+def orthonormality_residual(X):
+    """``max_abs(X^T X - I)`` for a real matrix X of columns, or one such
+    residual per matrix of a stack."""
+    G = X.swapaxes(-1, -2) @ X
     if G.dtype != np.float64:   # the subtraction below is done in place
         G = G.astype(np.result_type(G.dtype, np.float64))
+    if G.ndim > 2:
+        G -= np.eye(G.shape[-1])
+        return max_abs_each(G)
     G.reshape(-1)[::G.shape[0] + 1] -= 1.0
     return max_abs(G)
 
@@ -175,7 +207,7 @@ def symmetric_eigen(S: np.ndarray):
     return w[::-1].copy(), np.ascontiguousarray(V[:, ::-1])
 
 
-def subspace_meet(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+def subspace_meet(U: np.ndarray, W: np.ndarray):
     """Orthonormal basis of the intersection of two subspaces.
 
     Both arguments are orthonormal column bases over the same ambient
@@ -183,8 +215,19 @@ def subspace_meet(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     nullspace of the stacked matrix ``[U | -W]``: a nullspace vector
     ``(x, y)`` has ``U x = W y``, which lies in both spans.  Returns a
     matrix with zero columns when the intersection is trivial.
+
+    Stacks of bases (a leading axis on both) give a list with the meet
+    of each pair of pieces, from one ``svd`` of the stacked ``[U | -W]``;
+    only a non-empty meet is orthonormalized.
     """
-    _, s, vh = np.linalg.svd(np.hstack([U, -W]), full_matrices=True)
+    _, s, vh = np.linalg.svd(np.concatenate((U, -W), axis=-1), full_matrices=True)
+    if U.ndim == 2:
+        return _meet(U, s, vh)
+    return [_meet(*piece) for piece in zip(U, s, vh)]
+
+
+def _meet(U: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """The meet of ``span(U)`` and ``span(W)`` from the SVD ``(s, vh)`` of ``[U | -W]``."""
     xs = vh[numerical_rank(s):, :U.shape[1]].conj().T
     return orthonormalize(U @ xs) if xs.shape[1] else U[:, :0]
 

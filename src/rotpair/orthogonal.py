@@ -30,6 +30,7 @@ from .linalg import (
     RANK_TOL,
     Tolerance,
     array_fields_equal,
+    frobenius,
     is_number,
     max_abs,
     orthonormality_residual,
@@ -156,6 +157,12 @@ class Rotation:
     gave it as the first side of a certified pair, with that partner and
     tolerance; the memo is no field, so ``==``, ``repr`` and
     ``dataclasses.replace`` do not see it.
+
+    Inside the package a rotation may also hold a stack of matrices
+    (``matrix`` of shape ``(k, m, m)``) that share one angle, such as
+    the restrictions of one pair to k blocks; the stack-aware functions
+    take it, and ``dim`` is m.  Only ``_trusted`` builds one: the
+    constructor refuses anything but a square 2-d matrix.
     """
 
     matrix: np.ndarray
@@ -190,7 +197,7 @@ class Rotation:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def kind(self) -> RotationKind:
@@ -336,14 +343,15 @@ def _require_sine_floor(thetas: np.ndarray, low: float, high: float) -> None:
 
 def _eigenplane(S: np.ndarray) -> tuple:
     """Ascending eigenvalues of the Hermitian ``H = -i (S - S.T)/2``, and
-    orthonormal eigenvectors of the top half of them, from one eigensolve.
+    orthonormal eigenvectors of the top half of them, from one eigensolve
+    (of each matrix of a stack).
 
     For an orthogonal S, H has eigenvalues ``+-sin`` of its block angles,
     and an eigenvector for ``+sin(a)`` is an ``exp(i a)`` eigenvector of
     S; for a rotation by a, the top half spans its ``exp(i a)`` eigenplane.
     """
-    sines, Z = np.linalg.eigh(-0.5j * (S - S.T))
-    return sines, Z[:, S.shape[0] // 2:]
+    sines, Z = np.linalg.eigh(-0.5j * (S - S.swapaxes(-1, -2)))
+    return sines, Z[..., S.shape[-1] // 2:]
 
 
 def _rotation_blocks(M: np.ndarray, E: np.ndarray | None, thetas: np.ndarray) -> tuple:
@@ -424,6 +432,16 @@ def _certified(M: np.ndarray, angle: float, nf: NormalForm) -> Rotation:
     return r
 
 
+def _trusted(matrix: np.ndarray, angle: float) -> Rotation:
+    """A rotation of ``matrix``, one square matrix or a stack of them, by
+    ``angle`` in [0, pi], with no normal form, built without the
+    constructor's checks: the package computed both from a certified
+    rotation."""
+    r = object.__new__(Rotation)
+    r.__dict__.update(matrix=matrix, angle=angle, normal_form=None)
+    return r
+
+
 def rho(d: Rotation, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     """Quarter-turn part of a proper rotation.
 
@@ -435,17 +453,21 @@ def rho(d: Rotation, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     exactly pi/2, so S is certified by the orthogonality check alone
     (``NotOrthogonal``, as :func:`as_rotation` raises first) and no
     normal form is computed; the result's ``normal_form`` is None.
+
+    A rotation holding a stack of matrices (README, "Stacks") gives the
+    rotation holding the stack of their quarter-turn parts, each matrix
+    as it alone gives it.
     """
-    K = d.matrix - d.matrix.T
-    norm = float(np.linalg.norm(K))
-    if d.kind is not RotationKind.PROPER or norm == 0.0:
-        raise NotProper(
-            f"angle {d.angle} with skew part of norm {norm:.3e} is no proper rotation"
-        )
-    S = K * (math.sqrt(d.dim) / norm)
+    K = d.matrix - d.matrix.swapaxes(-1, -2)
+    norm = frobenius(K)
+    if d.kind is not RotationKind.PROPER or not np.logical_and.reduce(norm, axis=None):
+        bad = (norm == 0.0) | (d.kind is not RotationKind.PROPER)
+        raise NotProper(f"angle {d.angle} with skew part of norm "
+                        f"{norm.reshape(-1)[bad.argmax()]:.3e} is no proper rotation")
+    S = K * (math.sqrt(d.dim) / norm)[..., None, None]
     require(orthonormality_residual(S), tol.residual_tol, NotOrthogonal,
             "orthogonality residual")
-    return Rotation(matrix=S, angle=math.pi / 2)
+    return _trusted(S, math.pi / 2)
 
 
 def unrho(s: Rotation, alpha: float, tol: Tolerance = DEFAULT_TOL) -> Rotation:

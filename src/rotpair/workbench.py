@@ -35,18 +35,29 @@ from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, is_number,
 from .orthogonal import NormalForm, Rotation, as_rotation, rot2
 
 
+# The largest number of 12 significant digits below pi; pi itself rounds up.
+_BELOW_PI_12 = 3.14159265358
+
+
 def _sig12(x: float) -> float:
     """Round to 12 significant digits; stable across JSON round trips."""
     return float(f"{float(x):.12g}")
 
 
 def form_to_dict(form) -> dict:
-    """JSON-ready dict for a canonical form; angles at 12 significant digits."""
+    """JSON-ready dict for a canonical form; angles at 12 significant digits.
+
+    An angle within about 5e-12 of pi would round up to pi or past it,
+    outside the (0, pi) that :func:`form_from_dict` accepts, so it is
+    written as the largest 12-digit number below pi; every other angle
+    is written as it rounds.
+    """
     _check_form(form)
     # key order shows in unsorted JSON: signs before angles, as declared
     return {"family": form.family,
             **{f: getattr(form, f) for f in SIGN_FIELDS if hasattr(form, f)},
-            **{f: _sig12(getattr(form, f)) for f in ANGLE_FIELDS if hasattr(form, f)}}
+            **{f: min(_sig12(getattr(form, f)), _BELOW_PI_12)
+               for f in ANGLE_FIELDS if hasattr(form, f)}}
 
 
 def form_from_dict(obj: dict):

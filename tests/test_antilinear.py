@@ -162,7 +162,8 @@ def assert_meet_case(d, e, which):
 
 @contextlib.contextmanager
 def gram_conditions():
-    """``sigma_min / sigma_max`` of both Gram matrices at every ``build_T`` call.
+    """``sigma_min / sigma_max`` of both Gram matrices at every ``build_T`` call,
+    for every piece of a stacked call.
 
     Each call's operator is also checked to be finite.
     """
@@ -172,9 +173,9 @@ def gram_conditions():
 
     def checked(A, C):
         B = np.conj(A)
-        for G in (A.conj().T @ C, B.conj().T @ C):
+        for G in (A.conj().swapaxes(-1, -2) @ C, B.conj().swapaxes(-1, -2) @ C):
             s = np.linalg.svd(G, compute_uv=False)
-            seen.append(s[-1] / s[0])
+            seen.extend((s[..., -1] / s[..., 0]).reshape(-1).tolist())
         T = original(A, C)
         assert np.all(np.isfinite(T.M))
         return T

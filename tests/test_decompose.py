@@ -544,18 +544,19 @@ class TestTwistClusters:
     def test_one_verdict_per_four_block(self, monkeypatch):
         """Each 4-dimensional cluster is searched once, labels included.
 
-        One search of the n = 96 pair's two plane clusters, and one per
-        Dim4 cluster for its irreducibility verdict; labelling the blocks
-        searches nothing again.
+        One search of each of the n = 96 pair's two plane clusters, and
+        one stacked search of its 12 Dim4 clusters, one piece each, for
+        their irreducibility verdicts; labelling the blocks searches
+        nothing again.
         """
         rng = np.random.default_rng(46)
         spec = n96_spec(rng)
         d, e = pair_rotations(generate_pair(spec, seed=46))
         calls = record_calls(monkeypatch, DECOMPOSE, "_planes_or_operator")
         label = classify(d, e)
-        seen = dims(calls)
+        shapes = sorted(args[0].matrix.shape for args in calls)
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
-        assert sorted(seen) == [4] * 12 + [24, 24]
+        assert shapes == [(12, 4, 4), (24, 24), (24, 24)]
 
     def test_lone_four_block_is_its_cluster(self, monkeypatch):
         d, e = pair_rotations(generate_pair([Dim4(0.5, 1.2, 0.8)], seed=47))

@@ -64,6 +64,30 @@ class TestFormSerialization:
         assert d["beta"] == 0.123456789012
         assert _sig12(math.pi) == 3.14159265359
 
+    @pytest.mark.parametrize("gap", [1e-12, 4e-12, 5e-13, 1e-15])
+    def test_angle_next_to_pi_reads_back(self, gap):
+        """An angle that 12 digits would round up to pi or past it is
+        written as the largest 12-digit number below pi, directly and in
+        a generated pair's metadata label."""
+        form = Dim2LeftScalar(r=1, beta=math.pi - gap)
+        written = form_to_dict(form)
+        assert written["beta"] == 3.14159265358 < math.pi
+        assert form_from_dict(written) == Dim2LeftScalar(r=1, beta=3.14159265358)
+        doc = generate_pair([form], seed=1)
+        [label] = doc.metadata["label"]
+        assert label == written
+        assert form_from_dict(json.loads(json.dumps(label))) == form_from_dict(written)
+
+    @pytest.mark.parametrize("angle", [1e-300, 0.1, 1.0, math.pi / 2, 3.14159265358,
+                                       math.pi - 6e-12, 3.1415926535])
+    def test_angles_inside_print_as_they_round(self, angle):
+        """Angles that 12 digits keep below pi print byte for byte as before."""
+        written = form_to_dict(Dim4(alpha=angle, beta=angle, theta=angle))
+        assert json.dumps(written) == json.dumps(
+            {"family": "dim4", "alpha": _sig12(angle), "beta": _sig12(angle),
+             "theta": _sig12(angle)})
+        assert form_from_dict(written) == Dim4(*(_sig12(angle),) * 3)
+
     def test_rejects_unknown_family(self):
         with pytest.raises(BadParameter):
             form_from_dict({"family": "dim3"})

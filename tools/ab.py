@@ -25,7 +25,11 @@ Compared, then timed:
   ``Dim4`` blocks and n/4 ``Dim2Proper`` planes, as ``classify_n96``
   draws at n = 96; each package certifies a fresh pair before every
   call, outside the timed call, so no call finds the label that a
-  certified pair remembers from the last one.
+  certified pair remembers from the last one;
+- the same at n = 8 and 24 for pairs whose 4-dimensional twist
+  clusters include reducible ones, two ``Dim2Proper`` planes of one
+  sign, beside ``Dim4`` blocks: at n = 8 one such cluster and one
+  ``Dim4``, at n = 24 one of each sign and four ``Dim4``s.
 
 Every answer is compared bit for bit: angles, normal forms, labels,
 isomorphism answers, report bytes, and for an input that raises, the
@@ -96,6 +100,7 @@ N96_INPUTS = 12
 ROTATION_INPUTS = 40
 ROTATION_DIMS = (2, 8, 96)
 CLASSIFY_INPUTS = {8: 40, 96: 12, 384: 4}   # dimension -> timed pairs
+REDUCIBLE_INPUTS = {8: 40, 24: 20}
 NOISY_INPUTS = 3000
 BOUNDARY_INPUTS = 300
 CLI_POOLS = 10
@@ -245,6 +250,20 @@ def sized_input(n: int, rng):
     return rotpair.generate_pair(spec, int(rng.integers(2**31)))
 
 
+def reducible_input(n: int, rng):
+    """Two ``Dim2Proper`` planes of one sign per reducible 4-dimensional
+    twist cluster, one sign drawn at n = 8 and both signs above, and
+    ``Dim4`` blocks in the rest."""
+    alpha, beta = rng.uniform(workloads.ANGLE_LO, workloads.ANGLE_HI, size=2)
+    signs = [int(rng.choice((-1, 1)))] if n == 8 else [1, -1]
+    spec = [rotpair.Dim2Proper(float(alpha), float(beta), r) for r in signs for _ in range(2)]
+    spec += [rotpair.Dim4(float(alpha), float(beta),
+                          float(rng.uniform(workloads.THETA_MARGIN,
+                                            np.pi - workloads.THETA_MARGIN)))
+             for _ in range((n - 4 * len(signs)) // 4)]
+    return rotpair.generate_pair(spec, int(rng.integers(2**31)))
+
+
 def pm_identity_doc(rng):
     """A ``small_spec`` document of a kind with a +-I side."""
     spec = workloads.small_spec(rng)
@@ -301,6 +320,10 @@ def cases(seed: int):
     out += [(f"classify_certified_n{n}", certified_op,
              [sized_input(n, sized_rng) for _ in range(count)])
             for n, count in CLASSIFY_INPUTS.items()]
+    reducible_rng = np.random.default_rng([seed, 9])
+    out += [(f"classify_reducible_n{n}", certified_op,
+             [reducible_input(n, reducible_rng) for _ in range(count)])
+            for n, count in REDUCIBLE_INPUTS.items()]
     return out
 
 
