@@ -8,15 +8,17 @@ the pair's own angles.  A pair with a +-I side takes one search step for
 all its lines or planes.  A proper pair is first split into twist
 clusters: on every irreducible block the inner product of ``d v`` and
 ``e v`` is the same for all unit v, so the eigenspaces of ``sym(d^T e)``
-are jointly invariant.  :func:`decompose` then works off one list of
-pieces.  A 4-dimensional piece is one 4-block or two planes, and one
+are jointly invariant; the clusters of one dimension are certified as
+one stack.  :func:`decompose` then works off one list of pieces.  A
+4-dimensional piece is one 4-block or two planes, and one
 irreducibility verdict decides which, for all 4-dimensional clusters of
-a pair in one stacked call.  Any other piece takes one search
-step through the complexified eigenplanes: an overlap between the planes
-of the two rotations yields one invariant 2-plane per dimension of the
-overlap, and otherwise the antilinear operator on the first plane hands
-us a 4-dimensional block; its invariant-line branch serves no input.
-What the step leaves goes back on the list.
+a pair in one call on the stack that certified them.  Any other piece
+takes one search step through the complexified eigenplanes: an overlap
+between the planes of the two rotations yields one invariant 2-plane
+per dimension of the overlap, the overlap that the piece's twist value
+names tried first, and otherwise the antilinear operator on the first
+plane hands us a 4-dimensional block; its invariant-line branch serves
+no input.  What the step leaves goes back on the list.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     array_fields_equal,
-    max_abs,
+    max_abs_each,
     numerical_rank,
     orthonormal_complement,
     orthonormality_residual,
     orthonormalize,
+    real_array,
     require,
     single_linkage,
     subspace_meet,
@@ -66,8 +69,8 @@ class InvariantBlock:
     A block built directly, or with ``dataclasses.replace``, has
     ``rotations`` None.  Inside the package a block may hold a stack of
     k blocks of one pair, each array with a leading axis of k and the
-    ``rotations`` holding stacks (see :func:`_stacked`); ``dim`` is a
-    piece's.
+    ``rotations`` holding stacks (see :func:`_stacked` and
+    :func:`_twist_clusters`); ``dim`` is a piece's.
     """
 
     basis: np.ndarray
@@ -95,15 +98,23 @@ class InvariantDecomposition:
 
 def _invariance(basis: np.ndarray, d: Rotation, e: Rotation):
     """``(residual, [R_d, R_e])``: the worst invariance residual of
-    ``span(basis)`` under both, and ``R = basis^T M basis`` for each,
-    which is the restriction when the span is invariant."""
-    out, restricted = 0.0, []
+    ``span(basis)`` under both, and ``R = basis^H M basis`` for each,
+    which is the restriction when the span is invariant.
+
+    A stack of bases gives a residual array and stacked restrictions,
+    one per piece, each piece's bit for bit as it gives alone.  A NaN
+    residual passes through, so it fails ``require``.
+    """
+    H = basis.swapaxes(-1, -2)
+    if H.dtype.kind == "c":
+        H = H.conj()
+    resid, restricted = [], []
     for M in (d.matrix, e.matrix):
         image = M @ basis
-        R = basis.T @ image
-        out = max(out, max_abs(image - basis @ R))
+        R = H @ image
+        resid.append(max_abs_each(image - basis @ R))
         restricted.append(R)
-    return out, restricted
+    return np.maximum(*resid), restricted
 
 
 def _require_same_dim(d: Rotation, e: Rotation) -> None:
@@ -113,18 +124,25 @@ def _require_same_dim(d: Rotation, e: Rotation) -> None:
 
 
 def invariance_residual(basis: np.ndarray, d: Rotation, e: Rotation) -> float:
-    """Worst residual of ``span(basis)`` being invariant under both.
+    """Worst residual of ``span(basis)`` being invariant under both:
+    ``max_abs(M B - B B^H M B)`` over the two matrices M.
 
-    Rotations of unequal dimension raise ``NotOrthogonalPair``, and a
-    basis that is not a 2-d array with one row per dimension
-    ``BadDimension``.
+    The basis is an array of real numbers, read by ``real_array``, or a
+    complex array, such as an eigenplane, which is judged with ``B^H``.
+    Other input (a string or ragged array, a complex list) and a NaN or
+    infinite entry raise ``BadParameter``, rotations of unequal
+    dimension ``NotOrthogonalPair``, and a basis that is not a 2-d
+    array with one row per dimension ``BadDimension``.
     """
     _require_same_dim(d, e)
-    basis = np.asarray(basis)
+    if not (isinstance(basis, np.ndarray) and basis.dtype.kind == "c"):
+        basis = real_array(basis, "basis")
     if basis.ndim != 2 or basis.shape[0] != d.dim:
         raise BadDimension(
             f"expected a basis of {d.dim} rows, got shape {basis.shape}")
-    return _invariance(basis, d, e)[0]
+    if not np.isfinite(basis).all():
+        raise BadParameter("basis has non-finite entries")
+    return float(_invariance(basis, d, e)[0])
 
 
 def _spans(widths) -> list:
@@ -197,33 +215,45 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
     pieces, stacked in order, or None.
     Tries the eigenplane intersections first: a rotation turns every
     vector by its one angle, so each column of the first non-empty
-    meet, A with C or else A with ``D = conj(C)``, spans a jointly
-    invariant plane with its conjugate, and the planes of distinct
-    columns are orthogonal.  Each column lies in A, so its plane is read
-    off by :func:`_real_plane` with no factorization; callers check the
-    stacked bases for orthonormality.  The two meets are the one overlap
-    rule: they count A as meeting C (or D) when a principal angle phi
-    between them has ``tan(phi/2) <= RANK_TOL``, and :func:`build_T` is
-    reached only when both are trivial.  The invariant-line branch
-    serves no input.  Two proper rotations act on an invariant plane as
-    plane rotations, sharing its complex eigenvectors, so any invariant
-    plane makes a meet non-empty.  With both meets empty, ``T u = mu u``
-    would put ``c = u + conj(mu) conj(u)`` in C with ``c^H conj(c) =
-    2 mu |u|^2 != 0``, although C is orthogonal to ``D = conj(C)``.
-    The branch stays until ROADMAP item 1 frees ``build_T`` and
-    ``antilinear_invariant_line`` from the tracer of ``perfbench``.
+    meet, A with C or A with ``D = conj(C)``, spans a jointly invariant
+    plane with its conjugate, and the planes of distinct columns are
+    orthogonal.  On a plane of orientation r, ``<d v, e v> = cos a cos b
+    + r sin a sin b`` for every unit v, and A meets C when r = +1, D
+    when r = -1.  So each piece first tries the meet that its
+    ``tr(d^T e) / m`` names, D when that mean lies below ``cos a cos b``
+    and C otherwise, and only a piece whose first meet is empty tries
+    the other; on a piece with planes of both orientations the first
+    planes found are those of the trace's sign.  Each column lies in A,
+    so its plane is read off by :func:`_real_plane` with no
+    factorization; callers check the stacked bases for orthonormality.
+    The two meets are the one overlap rule: they count A as meeting C
+    (or D) when a principal angle phi between them has ``tan(phi/2) <=
+    RANK_TOL``, and :func:`build_T` is reached only when both are
+    trivial.  The invariant-line branch serves no input.  Two proper
+    rotations act on an invariant plane as plane rotations, sharing its
+    complex eigenvectors, so any invariant plane makes a meet non-empty.
+    With both meets empty, ``T u = mu u`` would put ``c = u + conj(mu)
+    conj(u)`` in C with ``c^H conj(c) = 2 mu |u|^2 != 0``, although C is
+    orthogonal to ``D = conj(C)``.  The branch stays until ROADMAP item 1
+    frees ``build_T`` and ``antilinear_invariant_line`` from the tracer
+    of ``perfbench``.
 
     The meets of all pieces are found together: one
-    :func:`subspace_meet` of the stacked A and C, then one of A and D for
-    the pieces whose first meet is empty.  The pieces with no meet share
-    one :func:`build_T` and one :func:`antilinear_invariant_line`.
+    :func:`subspace_meet` of the stacked A with each piece's first
+    plane, then one with the other plane for the pieces whose first meet
+    is empty.  The pieces with no meet share one :func:`build_T` and one
+    :func:`antilinear_invariant_line`.
     """
     A, C = eigenplanes(d, e, tol)
     A, C = A.reshape((-1,) + A.shape[-2:]), C.reshape((-1,) + C.shape[-2:])
-    meets = subspace_meet(A, C)
+    trace = (d.matrix * e.matrix).sum(axis=(-2, -1)) / d.dim
+    minus = (trace < math.cos(d.angle) * math.cos(e.angle)).reshape(-1, 1, 1)
+    D = np.conj(C)
+    meets = subspace_meet(A, np.where(minus, D, C))
     rest = [i for i, meet in enumerate(meets) if not meet.shape[1]]
     if rest:
-        for i, meet in zip(rest, subspace_meet(*_pieces_of(rest, A, np.conj(C)))):
+        other = np.where(minus, C, D)
+        for i, meet in zip(rest, subspace_meet(*_pieces_of(rest, A, other))):
             meets[i] = meet
         rest = [i for i in rest if not meets[i].shape[1]]
     found = [tuple(_real_plane(v) for v in meet.T) if meet.shape[1] else None
@@ -272,7 +302,10 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     """Whether the proper pair (d, e) leaves some 2-plane invariant.
 
     Returns ``(True, basis)`` with an orthonormal witness basis, the
-    first plane the search step finds, or ``(False, None)``.  The
+    first plane the search step finds, or ``(False, None)``.  On a pair
+    with planes of both orientations, which only a direct call gives,
+    that plane follows the sign of the trace (see
+    :func:`_planes_or_operator`).  The
     witness is checked orthonormal and invariant under both rotations,
     at ``check_tol``, before being returned.  A rotation that is not
     proper raises ``NotProper``, a pair of unequal dimensions
@@ -333,7 +366,11 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     which :func:`decompose` takes directly.  Otherwise the pair is
     proper, and :func:`_planes_or_operator` gives either one plane per
     column of the first non-empty eigenplane meet, which are the blocks,
-    or the :class:`AntilinearOp`, from which one 4-block is built.
+    or the :class:`AntilinearOp`, from which one 4-block is built.  On a
+    piece with planes of both orientations, which only a merged twist
+    cluster or a direct call gives, the planes of the orientation that
+    the sign of the trace names come first; the rest are found by the
+    next step, and the labels do not change.
 
     Each block is irreducible by construction: a line, a plane on which
     at least one operator is proper, or a 4-block reached only after
@@ -403,29 +440,29 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     return ~plane if block.d_restricted.ndim > 2 else not plane
 
 
-def _four_verdicts(clusters: list, tol: Tolerance) -> list:
+def _four_verdicts(clusters: list, fours, tol: Tolerance) -> list:
     """The :func:`is_irreducible` verdict of each 4-dimensional cluster,
-    from one call on their stack when there are several; None for every
-    other cluster.
+    from one call on ``fours``, their stack as :func:`_twist_clusters`
+    certified it; None for every other cluster.
 
-    A lone 4-dimensional cluster is decided as the work list reaches it.
-    When the stack raises, every verdict is None, so each cluster is
-    decided on its own as the work list reaches it, and the error is the
-    one that a piece-by-piece run raises first.
+    Without a stack every verdict is None, and each 4-dimensional
+    cluster is decided as the work list reaches it.  So is every cluster
+    when the stack raises, and the error is the one that a
+    piece-by-piece run raises first.
     """
     verdicts = [None] * len(clusters)
-    fours = [i for i, c in enumerate(clusters) if c.dim == 4]
-    if len(fours) > 1:
+    if fours is not None:
         try:
-            found = is_irreducible(_stacked([clusters[i] for i in fours]), tol)
+            found = is_irreducible(fours, tol)
         except (RotPairError, np.linalg.LinAlgError):
             return verdicts
-        for i, verdict in zip(fours, found.tolist()):
+        index = [i for i, c in enumerate(clusters) if c.dim == 4]
+        for i, verdict in zip(index, found.tolist()):
             verdicts[i] = verdict
     return verdicts
 
 
-def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
+def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
     """Certified jointly invariant blocks, one per twist cluster, that fill the space.
 
     Both rotations are proper.  On every irreducible block the inner
@@ -437,21 +474,29 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     :func:`symmetric_eigen` gives them; the eigenvalues are grouped by
     single linkage at the gap ``tol.eigenvector_gap(n)``.
 
-    With two or more groups each cluster is certified by its invariance
-    residual, at ``check_tol``.  Input error divided by the gap can
-    exceed that, so a cluster that fails is merged with its neighbour
-    across the smaller gap and certified again.  One group, from the
-    start or after merging, is the whole space, which is invariant: the
-    one cluster is the pair itself on the identity basis, which keeps
-    the normal forms that certified it, and no product is formed for it.
-    A cluster that holds several twists costs only time.  Each cluster's
-    restrictions are the two products ``V^T M V`` that its invariance
-    check forms.  Clusters are returned by descending value.
+    Returns ``(clusters, fours)``: the clusters by descending value, and
+    the stack of the 4-dimensional ones, in that order, when several
+    were certified together (else None).  With two or more groups each
+    is certified by its invariance residual, at ``check_tol``, and all
+    groups of one size at once (:func:`_certified_by_size`).  Each
+    cluster's restrictions are the two products ``V^T M V`` that its
+    check forms.  Input error divided by the gap can exceed
+    ``check_tol``; when any group fails, the groups are certified one at
+    a time, by ascending value, and a group that fails is merged with
+    its neighbour across the smaller gap and certified again.  One
+    group, from the start or after merging, is the whole space, which is
+    invariant: the one cluster is the pair itself on the identity basis,
+    which keeps the normal forms that certified it, and no product is
+    formed for it.  A cluster that holds several twists costs only time.
     """
     n = d.dim
     G = d.matrix.T @ e.matrix
     values, vectors = symmetric_eigen((G + G.T) / 2.0)
     groups = single_linkage(values, tol.eigenvector_gap(n))
+    if len(groups) > 1:
+        certified = _certified_by_size(groups[::-1], vectors, d, e, tol)
+        if certified is not None:
+            return certified
     clusters = []
     while len(groups) > 1 and len(clusters) < len(groups):
         i = len(clusters)
@@ -468,8 +513,41 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> list:
         del clusters[i:]
         groups[i:i + 2] = [np.concatenate(groups[i:i + 2])]
     if len(groups) == 1:
-        return [_certified_block(np.eye(n), d, e)]
-    return clusters[::-1]
+        return [_certified_block(np.eye(n), d, e)], None
+    return clusters[::-1], None
+
+
+def _certified_by_size(groups: list, vectors: np.ndarray, d: Rotation, e: Rotation,
+                       tol: Tolerance):
+    """``(clusters, fours)`` of :func:`_twist_clusters` for ``groups``, in
+    their order, or None when a group fails ``check_tol``.
+
+    The groups of one size are certified by one :func:`_invariance` of
+    their stacked bases ``vectors[:, g]``, which gives each group's
+    residual and restrictions bit for bit as it gives them alone; a size
+    with one group takes the plain call.  The stack of 4-dimensional
+    groups is ``fours``, the block that :func:`_four_verdicts` decides.
+    """
+    sizes = {}
+    for i, g in enumerate(groups):
+        sizes.setdefault(len(g), []).append(i)
+    clusters, fours = [None] * len(groups), None
+    for m, index in sizes.items():
+        basis = (vectors[:, groups[index[0]]] if len(index) == 1
+                 else np.stack([vectors[:, groups[i]] for i in index]))
+        resid, (R_d, R_e) = _invariance(basis, d, e)
+        if not (resid <= tol.check_tol).all():
+            return None
+        piece = _certified_block(basis, _trusted(R_d, d.angle), _trusted(R_e, e.angle))
+        if len(index) == 1:
+            clusters[index[0]] = piece
+            continue
+        for j, i in enumerate(index):
+            clusters[i] = _certified_block(basis[j], _trusted(R_d[j], d.angle),
+                                           _trusted(R_e[j], e.angle))
+        if m == 4:
+            fours = piece
+    return clusters, fours
 
 
 def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
@@ -525,16 +603,20 @@ def decompose(d: Rotation, e: Rotation,
     is worked once.  Every irreducible block has dimension 1, 2 or 4, so
     a 4-dimensional piece is either one 4-block or two planes, and the one
     :func:`is_irreducible` verdict on it decides which: an irreducible
-    piece is kept as the block.  When there are several 4-dimensional
-    twist clusters, their verdicts come from one call on their stack,
-    before the list is worked (:func:`_four_verdicts`).  Any other piece takes one
-    :func:`find_block` step on its restrictions.  The step's blocks are
-    irreducible by construction; one product with the piece's basis
-    takes them to ambient coordinates, and they are kept with no second
-    verdict.  The orthogonal complement of the step's blocks goes back
-    on the list, with the restrictions ``comp^T R comp`` of the piece's
-    own: the restriction of a single-angle rotation to an invariant
-    subspace keeps its angle, so no re-certification is needed.  A step
+    piece is kept as the block.  When several 4-dimensional twist
+    clusters were certified as one stack, their verdicts come from one
+    call on that stack, before the list is worked (:func:`_four_verdicts`).
+    Any other piece takes one :func:`find_block` step on its
+    restrictions.  The step's blocks are irreducible by construction; one
+    product with the piece's basis takes them to ambient coordinates, and
+    they are kept with no second verdict.  The orthogonal complement of
+    the step's blocks goes back on the list, with the restrictions
+    ``comp^T R comp`` of the piece's own: the restriction of a
+    single-angle rotation to an invariant subspace keeps its angle, so no
+    re-certification is needed.  A step that takes the whole piece, as
+    one on a cluster of planes of one orientation does, leaves an empty
+    complement, which :func:`orthonormal_complement` returns without a
+    factorization.  A step
     costs O(m^3) for the piece dimension m, and one step takes every
     plane of an eigenplane meet, so a pair whose twists are distinct
     costs O(n^3) in all.
@@ -552,8 +634,8 @@ def decompose(d: Rotation, e: Rotation,
     d, e = _certify_pair(d, e, tol)
     if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
         return InvariantDecomposition(blocks=find_block(d, e, tol))
-    clusters = _twist_clusters(d, e, tol)
-    work = list(zip(clusters, _four_verdicts(clusters, tol)))[::-1]
+    clusters, fours = _twist_clusters(d, e, tol)
+    work = list(zip(clusters, _four_verdicts(clusters, fours, tol)))[::-1]
     blocks = []
     while work:
         part, irreducible = work.pop()

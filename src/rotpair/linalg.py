@@ -106,8 +106,9 @@ def max_abs(a) -> float:
 
 
 def max_abs_each(a):
-    """:func:`max_abs` of each matrix of a stack, over its last two axes."""
-    return np.maximum.reduce(np.abs(a), axis=(-2, -1))
+    """:func:`max_abs` of each matrix of a stack, over its last two axes;
+    one 2-d array gives a numpy scalar.  NaN passes through."""
+    return np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=0.0)
 
 
 def frobenius(X):
@@ -236,6 +237,15 @@ def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``span(basis)``.
 
     ``basis`` is a 2-d array of columns; zero columns give the identity.
+    A real square basis of m columns whose :func:`orthonormality_residual`
+    is at most 1/(2m) spans the whole space and gets ``basis[:, :0]``
+    with no SVD.  That is the SVD's answer: by Gershgorin every
+    eigenvalue of its Gram matrix lies within m times the residual of 1,
+    so every singular value lies in [sqrt(1/2), sqrt(3/2)] and
+    :func:`numerical_rank` counts all m.
     """
+    m, k = basis.shape
+    if m == k and basis.dtype.kind == "f" and 2 * m * orthonormality_residual(basis) <= 1:
+        return basis[:, :0]
     u, s, _ = np.linalg.svd(basis, full_matrices=True)
     return u[:, numerical_rank(s):]

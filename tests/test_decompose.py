@@ -26,6 +26,7 @@ from rotpair import (
     Dim4,
     InvariantBlock,
     NotARotation,
+    NumericalFailure,
     NotOrthogonalPair,
     NotProper,
     Rotation,
@@ -43,12 +44,23 @@ from rotpair import (
     two_plane_exists,
     unrho,
 )
-from rotpair.decompose import _twist_clusters, find_block, invariance_residual
+from rotpair.antilinear import eigenplanes
+from rotpair.decompose import (
+    _invariance,
+    _planes_or_operator,
+    _real_plane,
+    _twist_clusters,
+    find_block,
+    invariance_residual,
+)
 from rotpair.linalg import (
     DEFAULT_TOL,
     block_diag,
     orthonormality_residual,
+    require,
     single_linkage,
+    subspace_meet,
+    symmetric_eigen,
 )
 
 # the package namespace binds ``decompose`` to the function
@@ -353,6 +365,33 @@ class TestInvarianceResidual:
         with pytest.raises(NotOrthogonalPair, match="dimensions differ"):
             invariance_residual(np.eye(4)[:, :2], d, e)
 
+    def test_rejects_a_string_basis(self):
+        d = proper(block_diag(rot2(0.5), rot2(0.5)))
+        with pytest.raises(BadParameter, match="basis must hold real numbers"):
+            invariance_residual(np.full((4, 2), "1.0"), d, d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_basis(self, bad):
+        d = proper(block_diag(rot2(0.5), rot2(0.5)))
+        with pytest.raises(BadParameter, match="non-finite"):
+            invariance_residual(np.full((4, 2), bad), d, d)
+
+    def test_complex_eigenplane_is_invariant(self):
+        """An eigenplane A is judged with A^H; A^T read 0.707 here."""
+        d, e = pair_rotations(generate_pair([Dim2Proper(0.7, 1.9, 1)] * 2, seed=53))
+        A, C = eigenplanes(d, e, DEFAULT_TOL)
+        assert invariance_residual(A, d, e) <= 1e-12
+        assert invariance_residual(C, d, e) <= 1e-12
+
+    def test_nan_residual_passes_through_and_fails(self):
+        d = proper(block_diag(rot2(0.5), rot2(0.5)))
+        one = _invariance(np.full((4, 2), np.nan), d, d)[0]
+        stack = _invariance(np.full((3, 4, 2), np.nan), d, d)[0]
+        assert np.isnan(one) and np.isnan(stack).all()
+        for resid in (one, stack):
+            with pytest.raises(NumericalFailure, match="nan"):
+                require(resid, DEFAULT_TOL.check_tol, NumericalFailure, "residual")
+
 
 def _record_orthonormality(monkeypatch):
     """Arguments of every ``orthonormality_residual`` call in the package.
@@ -467,7 +506,7 @@ class TestTwistClusters:
         rng = np.random.default_rng(41)
         spec = n96_spec(rng)
         d, e = pair_rotations(generate_pair(spec, seed=41))
-        clusters = _twist_clusters(d, e, DEFAULT_TOL)
+        clusters = _twist_clusters(d, e, DEFAULT_TOL)[0]
         # descending <d v, e v>: r = +1 planes, twists ascending, r = -1 planes
         assert [c.dim for c in clusters] == [24] + [4] * 12 + [24]
         full = np.column_stack([c.basis for c in clusters])
@@ -478,7 +517,7 @@ class TestTwistClusters:
     def test_scalar_side_is_one_cluster(self):
         d, e = pair_rotations(generate_pair([Dim2LeftScalar(r=-1, beta=0.8)] * 3,
                                             seed=42))
-        clusters = _twist_clusters(d, e, DEFAULT_TOL)
+        clusters = _twist_clusters(d, e, DEFAULT_TOL)[0]
         assert len(clusters) == 1 and np.array_equal(clusters[0].basis, np.eye(6))
         # the pair itself, with the normal forms that certified it
         assert clusters[0].rotations[0] is d and clusters[0].rotations[1] is e
@@ -516,7 +555,7 @@ class TestTwistClusters:
         """One eigenvalue group is the whole space: no product is formed."""
         d, e = pair_rotations(generate_pair(spec, seed=51))
         products = record_calls(monkeypatch, DECOMPOSE, "_invariance")
-        [cluster] = _twist_clusters(d, e, DEFAULT_TOL)
+        [cluster] = _twist_clusters(d, e, DEFAULT_TOL)[0]
         assert products == []
         assert np.array_equal(cluster.basis, np.eye(d.dim))
         assert cluster.rotations[0] is d and cluster.rotations[1] is e
@@ -564,7 +603,7 @@ class TestTwistClusters:
         dec = decompose(d, e)
         assert seen == []
         assert dec.dims == (4,)
-        [cluster] = _twist_clusters(d, e, DEFAULT_TOL)
+        [cluster] = _twist_clusters(d, e, DEFAULT_TOL)[0]
         basis = dec.blocks[0].basis
         assert max_abs(basis @ basis.T - cluster.basis @ cluster.basis.T) <= 1e-12
         assert invariance_residual(basis, d, e) <= 1e-9
@@ -581,7 +620,7 @@ class TestTwistClusters:
         calls = record_calls(monkeypatch, DECOMPOSE, "find_block")
         dec = decompose(d, e)
         assert dims(calls) == [4 * j for j in range(k, 1, -1)]
-        assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)] == [4 * k]
+        assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)[0]] == [4 * k]
         assert dec.dims == (4,) * k
         _assert_restrictions_match_basis(d, e)
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
@@ -589,7 +628,7 @@ class TestTwistClusters:
     def test_reducible_four_dim_cluster_gives_two_planes(self, monkeypatch):
         spec = [Dim2Proper(0.7, 1.9, 1)] * 2 + [Dim4(0.7, 1.9, 1.0)]
         d, e = pair_rotations(generate_pair(spec, seed=48))
-        assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)] == [4, 4]
+        assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)[0]] == [4, 4]
         calls = record_calls(monkeypatch, DECOMPOSE, "find_block")
         dec = decompose(d, e)
         assert dims(calls) == [4]
@@ -597,6 +636,38 @@ class TestTwistClusters:
         for b in dec.blocks:
             assert invariance_residual(b.basis, d, e) <= 1e-9
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+    def test_failed_stack_merges_one_group_at_a_time(self):
+        """The stacked check of three 4-dimensional groups fails, and the
+        merge loop gives the pinned clusters.
+
+        Two twists 6e-6 apart group apart at n = 12, and noise of 5e-10
+        leaves both groups above ``check_tol``.  The groups are then
+        certified one at a time by ascending value: the lowest passes, the
+        next fails and merges with its nearer neighbour, and the 8-dimensional
+        merge passes.  No 4-dimensional stack is left to decide.
+        """
+        spec = [Dim4(1.0, 2.0, 1.0), Dim4(1.0, 2.0, 1.0 + 6e-6), Dim4(1.0, 2.0, 2.5)]
+        doc = generate_pair(spec, seed=0)
+        rng = np.random.default_rng(100)
+        d, e = (as_rotation(polar(M + 5e-10 * rng.standard_normal(M.shape)))
+                for M in (doc.delta, doc.epsilon))
+        G = d.matrix.T @ e.matrix
+        values, vectors = symmetric_eigen((G + G.T) / 2.0)
+        groups = single_linkage(values, DEFAULT_TOL.eigenvector_gap(12))
+        assert [len(g) for g in groups] == [4, 4, 4]
+        stacked = _invariance(np.stack([vectors[:, g] for g in groups]), d, e)[0]
+        assert (stacked > DEFAULT_TOL.check_tol).tolist() == [False, True, True]
+        clusters, fours = _twist_clusters(d, e, DEFAULT_TOL)
+        assert fours is None
+        assert [c.dim for c in clusters] == [8, 4]
+        for c, g in zip(clusters, [np.concatenate(groups[1:]), groups[0]]):
+            resid, (R_d, R_e) = _invariance(vectors[:, g], d, e)
+            assert resid <= DEFAULT_TOL.check_tol
+            assert np.array_equal(c.basis, vectors[:, g])
+            assert np.array_equal(c.d_restricted, R_d)
+            assert np.array_equal(c.e_restricted, R_e)
+        assert decompose(d, e).dims == (4, 4, 4)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_noisy_close_twists_merge(self, seed):
@@ -616,7 +687,7 @@ class TestTwistClusters:
         G = d.matrix.T @ e.matrix
         groups = single_linkage(np.linalg.eigvalsh((G + G.T) / 2.0),
                                 8 * np.finfo(float).eps / DEFAULT_TOL.residual_tol)
-        clusters = _twist_clusters(d, e, DEFAULT_TOL)
+        clusters = _twist_clusters(d, e, DEFAULT_TOL)[0]
         assert len(clusters) < len(groups)
         assert np.array_equal(clusters[0].basis, np.eye(8))
         assert clusters[0].rotations[0] is d and clusters[0].rotations[1] is e
@@ -648,11 +719,96 @@ def proper_specs(draw):
     return spec
 
 
+@st.composite
+def equal_size_specs(draw):
+    """Proper specs with several twist clusters of one dimension.
+
+    Up to four ``Dim4`` blocks at distinct twists (4-dimensional
+    clusters), up to two twists each shared by two ``Dim4`` blocks
+    (8-dimensional clusters), and up to three planes of each orientation
+    (two clusters of one size), at least two clusters in all.  Twists
+    lie on a grid of step pi/16, so no two clusters merge.
+    """
+    alpha, beta = draw(st.floats(0.1, np.pi - 0.1)), draw(st.floats(0.1, np.pi - 0.1))
+    singles, doubles = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    steps = draw(st.lists(st.integers(1, 15), min_size=singles + doubles,
+                          max_size=singles + doubles, unique=True))
+    thetas = [k * np.pi / 16 for k in steps]
+    spec = [Dim4(alpha, beta, t) for t in thetas[:singles]]
+    spec += [Dim4(alpha, beta, t) for t in thetas[singles:] for _ in range(2)]
+    spec += [Dim2Proper(alpha, beta, r) for r in (1, -1)
+             for _ in range(draw(st.integers(0, 3)))]
+    if len({(type(f), getattr(f, "theta", getattr(f, "r", None))) for f in spec}) < 2:
+        spec += [Dim4(alpha, beta, np.pi / 32), Dim2Proper(alpha, beta, 1)]
+    return spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=equal_size_specs(), seed=st.integers(0, 2**31 - 1))
+def test_stacked_certification_matches_each_group(spec, seed):
+    """All twist groups of one size are certified as one stack, and each
+    cluster is bit for bit what ``_invariance`` gives its group alone."""
+    d, e = pair_rotations(generate_pair(spec, seed=seed))
+    G = d.matrix.T @ e.matrix
+    values, vectors = symmetric_eigen((G + G.T) / 2.0)
+    groups = single_linkage(values, DEFAULT_TOL.eigenvector_gap(d.dim))[::-1]
+    clusters, fours = _twist_clusters(d, e, DEFAULT_TOL)
+    assert len(clusters) == len(groups) > 1
+    for c, g in zip(clusters, groups):
+        resid, (R_d, R_e) = _invariance(vectors[:, g], d, e)
+        assert resid <= DEFAULT_TOL.check_tol
+        assert np.array_equal(c.basis, vectors[:, g])
+        assert np.array_equal(c.d_restricted, R_d)
+        assert np.array_equal(c.e_restricted, R_e)
+    four = [c for c in clusters if c.dim == 4]
+    if len(four) < 2:
+        assert fours is None
+    else:
+        for name in ("basis", "d_restricted", "e_restricted"):
+            assert np.array_equal(getattr(fours, name),
+                                  np.stack([getattr(c, name) for c in four]))
+    assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize("r", [1, -1])
+    def test_plane_piece_makes_one_meet(self, monkeypatch, r):
+        """A piece of planes of one orientation r tries the meet that its
+        trace names first, A with C for r = +1 and with D for r = -1,
+        and finds its planes there."""
+        d, e = pair_rotations(generate_pair([Dim2Proper(0.7, 1.9, r)] * 3, seed=52))
+        A, C = eigenplanes(d, e, DEFAULT_TOL)
+        [meet] = subspace_meet(A[None], (C if r == 1 else np.conj(C))[None])
+        calls = record_calls(monkeypatch, DECOMPOSE, "subspace_meet")
+        [planes], T = _planes_or_operator(d, e, DEFAULT_TOL)
+        assert len(calls) == 1 and T is None
+        assert len(planes) == 3
+        for plane, v in zip(planes, meet.T):
+            assert np.array_equal(plane, _real_plane(v))
+
+    def test_reducible_stack_of_both_signs_keeps_labels(self, monkeypatch):
+        """Reducible 4-dimensional clusters of both signs, stacked with
+        ``Dim4`` clusters on both sides of twist pi/2, are decided in one
+        call on the stack that certified them."""
+        spec = [Dim2Proper(0.7, 1.9, r) for r in (1, -1) for _ in range(2)]
+        spec += [Dim4(0.7, 1.9, t) for t in (0.6, 1.4, 2.3)]
+        d, e = pair_rotations(generate_pair(spec, seed=54))
+        stacks = record_calls(monkeypatch, DECOMPOSE, "_four_verdicts")
+        verdicts = record_calls(monkeypatch, DECOMPOSE, "is_irreducible")
+        rebuilt = record_calls(monkeypatch, DECOMPOSE, "_stacked")
+        dec = decompose(d, e)
+        assert dec.dims == (2, 2, 2, 2, 4, 4, 4)
+        assert rebuilt == []
+        assert len(verdicts) == 1 and verdicts[0][0] is stacks[0][1]
+        assert verdicts[0][0].basis.shape == (5, 20, 4)
+        assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=proper_specs(), seed=st.integers(0, 2**31 - 1))
 def test_proper_spec_clusters_and_labels(spec, seed):
     d, e = pair_rotations(generate_pair(spec, seed=seed))
-    clusters = _twist_clusters(d, e, DEFAULT_TOL)
+    clusters = _twist_clusters(d, e, DEFAULT_TOL)[0]
     assert sum(c.dim for c in clusters) == d.dim
     for c in clusters:
         assert invariance_residual(c.basis, d, e) <= 10 * DEFAULT_TOL.residual_tol
@@ -688,7 +844,7 @@ def test_compatible_spec_steps_and_labels(seed):
 
 def _assert_restrictions_match_basis(d, e, bound=1e-13):
     """Blocks and twist clusters carry their restrictions at the pair's angles."""
-    clusters = _twist_clusters(d, e, DEFAULT_TOL)
+    clusters = _twist_clusters(d, e, DEFAULT_TOL)[0]
     for b in decompose(d, e).blocks + tuple(clusters):
         assert [r.angle for r in b.rotations] == [d.angle, e.angle]
         assert b.rotations[0].matrix is b.d_restricted

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from conftest import rand_orthogonal
+from conftest import rand_orthogonal, record_calls
 from rotpair import NotOrthogonal, NumericalFailure, Tolerance, max_abs
 from rotpair.linalg import (
     RANK_TOL,
@@ -229,6 +229,28 @@ class TestOrthonormalComplement:
     def test_empty_input_gives_identity(self):
         out = orthonormal_complement(np.zeros((3, 0)))
         assert out.shape == (3, 3)
+
+    def test_square_orthonormal_basis_takes_no_svd(self, monkeypatch):
+        Q = rand_orthogonal(5, np.random.default_rng(8))
+        calls = record_calls(monkeypatch, np.linalg, "svd")
+        out = orthonormal_complement(Q)
+        assert calls == []
+        assert out.shape == (5, 0) and out.dtype == np.float64
+
+    def test_square_basis_with_equal_columns_keeps_its_complement(self):
+        Q = rand_orthogonal(4, np.random.default_rng(9))
+        Q[:, 3] = Q[:, 2]
+        out = orthonormal_complement(Q)
+        assert out.shape == (4, 1)
+        assert max_abs(Q.T @ out) <= 1e-12
+
+    def test_square_basis_beyond_the_gram_bound_takes_the_svd(self, monkeypatch):
+        # Gram residual 1.1^2 - 1 = 0.21 exceeds 1/(2m) = 0.125
+        Q = 1.1 * rand_orthogonal(4, np.random.default_rng(10))
+        assert orthonormality_residual(Q) > 1 / 8
+        calls = record_calls(monkeypatch, np.linalg, "svd")
+        assert orthonormal_complement(Q).shape == (4, 0)
+        assert len(calls) == 1
 
 
 class TestNumericalRank:

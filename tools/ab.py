@@ -29,7 +29,12 @@ Compared, then timed:
 - the same at n = 8 and 24 for pairs whose 4-dimensional twist
   clusters include reducible ones, two ``Dim2Proper`` planes of one
   sign, beside ``Dim4`` blocks: at n = 8 one such cluster and one
-  ``Dim4``, at n = 24 one of each sign and four ``Dim4``s.
+  ``Dim4``, at n = 24 one of each sign and four ``Dim4``s, and at
+  n = 16 one of sign -1 and three ``Dim4``s;
+- the same at n = 32 for pairs with several twist clusters of one
+  dimension other than 4: two twists each shared by two ``Dim4``
+  blocks and four ``Dim2Proper`` planes of each sign, four
+  8-dimensional clusters.
 
 Every answer is compared bit for bit: angles, normal forms, labels,
 isomorphism answers, report bytes, and for an input that raises, the
@@ -101,6 +106,8 @@ ROTATION_INPUTS = 40
 ROTATION_DIMS = (2, 8, 96)
 CLASSIFY_INPUTS = {8: 40, 96: 12, 384: 4}   # dimension -> timed pairs
 REDUCIBLE_INPUTS = {8: 40, 24: 20}
+MINUS_REDUCIBLE_INPUTS = {16: 20}
+EQUAL_SIZE_INPUTS = {32: 20}
 NOISY_INPUTS = 3000
 BOUNDARY_INPUTS = 300
 CLI_POOLS = 10
@@ -264,6 +271,32 @@ def reducible_input(n: int, rng):
     return rotpair.generate_pair(spec, int(rng.integers(2**31)))
 
 
+def minus_reducible_input(n: int, rng):
+    """Two ``Dim2Proper`` planes of sign -1, one reducible 4-dimensional
+    twist cluster, and ``Dim4`` blocks in the rest."""
+    alpha, beta = rng.uniform(workloads.ANGLE_LO, workloads.ANGLE_HI, size=2)
+    spec = [rotpair.Dim2Proper(float(alpha), float(beta), -1)] * 2
+    spec += [rotpair.Dim4(float(alpha), float(beta),
+                          float(rng.uniform(workloads.THETA_MARGIN,
+                                            np.pi - workloads.THETA_MARGIN)))
+             for _ in range((n - 4) // 4)]
+    return rotpair.generate_pair(spec, int(rng.integers(2**31)))
+
+
+def equal_size_input(n: int, rng):
+    """n/16 twists each shared by two ``Dim4`` blocks and n/8
+    ``Dim2Proper`` planes of each sign: two n/4-dimensional plane
+    clusters and n/16 8-dimensional ``Dim4`` clusters, four clusters of
+    one size at n = 32."""
+    alpha, beta = rng.uniform(workloads.ANGLE_LO, workloads.ANGLE_HI, size=2)
+    thetas = rng.uniform(workloads.THETA_MARGIN, np.pi - workloads.THETA_MARGIN,
+                         size=n // 16)
+    spec = [rotpair.Dim4(float(alpha), float(beta), float(t)) for t in thetas for _ in range(2)]
+    spec += [rotpair.Dim2Proper(float(alpha), float(beta), r)
+             for r in (1, -1) for _ in range(n // 8)]
+    return rotpair.generate_pair(spec, int(rng.integers(2**31)))
+
+
 def pm_identity_doc(rng):
     """A ``small_spec`` document of a kind with a +-I side."""
     spec = workloads.small_spec(rng)
@@ -324,6 +357,14 @@ def cases(seed: int):
     out += [(f"classify_reducible_n{n}", certified_op,
              [reducible_input(n, reducible_rng) for _ in range(count)])
             for n, count in REDUCIBLE_INPUTS.items()]
+    minus_rng = np.random.default_rng([seed, 10])
+    out += [(f"classify_reducible_minus_n{n}", certified_op,
+             [minus_reducible_input(n, minus_rng) for _ in range(count)])
+            for n, count in MINUS_REDUCIBLE_INPUTS.items()]
+    equal_rng = np.random.default_rng([seed, 11])
+    out += [(f"classify_equal_sizes_n{n}", certified_op,
+             [equal_size_input(n, equal_rng) for _ in range(count)])
+            for n, count in EQUAL_SIZE_INPUTS.items()]
     return out
 
 
