@@ -241,8 +241,9 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     4-block's twist is read off accurately from the two quarter-turns of
     :func:`rho`, which take no normal form.
 
-    A block of :func:`decompose` holding a stack of k 4-blocks (README,
-    "Stacks") gives a tuple of k forms, whose twists take one
+    A block of :func:`decompose` holding a stack of k planes or 4-blocks
+    of a proper pair (README, "Stacks") gives a tuple of k forms: the
+    signs r of k planes come from one comparison, and k twists take one
     :func:`rho` per side and one :func:`theta_invariant`.
     """
     if block.dim not in (1, 2, 4):
@@ -267,8 +268,13 @@ def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
         if not (d_r.kind is RotationKind.PROPER and e_r.kind is RotationKind.PROPER):
             return _scalar_form(d_r, e_r)
         # both sides are proper; r = +1 when their sine entries share a sign
-        same = (block.d_restricted[1, 0] > 0) == (block.e_restricted[1, 0] > 0)
-        return Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=1 if same else -1)
+        same = ((block.d_restricted[..., 1, 0] > 0)
+                == (block.e_restricted[..., 1, 0] > 0)).tolist()
+        if block.d_restricted.ndim == 2:
+            return Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=1 if same else -1)
+        forms = {r: Dim2Proper(alpha=d_r.angle, beta=e_r.angle, r=1 if r else -1)
+                 for r in set(same)}
+        return tuple(forms[r] for r in same)
     except (NotARotation, NotProper, NotConstant) as exc:
         raise NotIrreducible(str(exc)) from exc
 
@@ -298,8 +304,8 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
     ``Dim1(r, s)`` when both sides are +-I, else n/2 planes
     ``Dim2LeftScalar(r, beta)`` or ``Dim2RightScalar(alpha, s)``, with
     no basis built.  A pair of two proper rotations is decomposed and
-    its blocks labelled by :func:`classify_block`: each line and plane
-    alone, then all 4-blocks in one call on their stack.
+    its blocks labelled by :func:`classify_block`: all its planes in one
+    call on their stack, then all its 4-blocks in another.
 
     The label is an invariant of the certified pair, whose rotations are
     read-only, so the certified first side remembers its last one: a
@@ -314,9 +320,9 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
         return memo[2]
     if d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER:
         blocks = decompose(d, e, tol).blocks
-        fours = [b for b in blocks if b.dim == 4]   # the last blocks
-        forms = [classify_block(b, tol) for b in blocks[:len(blocks) - len(fours)]]
-        label = ClassLabel(forms=tuple(forms + _each(classify_block, fours, tol)))
+        planes = [b for b in blocks if b.dim == 2]   # the first blocks
+        label = ClassLabel(forms=tuple(_each(classify_block, planes, tol)
+                                       + _each(classify_block, blocks[len(planes):], tol)))
     else:
         form = _scalar_form(d, e)
         label = ClassLabel(forms=(form,) * (d.dim // form.dim))

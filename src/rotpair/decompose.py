@@ -13,12 +13,14 @@ one stack.  :func:`decompose` then works off one list of pieces.  A
 4-dimensional piece is one 4-block or two planes, and one
 irreducibility verdict decides which, for all 4-dimensional clusters of
 a pair in one call on the stack that certified them.  Any other piece
-takes one search step through the complexified eigenplanes: an overlap
-between the planes of the two rotations yields one invariant 2-plane
-per dimension of the overlap, the overlap that the piece's twist value
-names tried first, and otherwise the antilinear operator on the first
-plane hands us a 4-dimensional block; its invariant-line branch serves
-no input.  What the step leaves goes back on the list.
+takes one search step through the complexified eigenplanes, and the
+clusters of one other size take it together, in one call on their
+stack: an overlap between the planes of the two rotations yields one
+invariant 2-plane per dimension of the overlap, the overlap that the
+piece's twist value names tried first, and otherwise the antilinear
+operator on the first plane hands us a 4-dimensional block; its
+invariant-line branch serves no input.  What the step leaves goes back
+on the list.
 """
 
 from __future__ import annotations
@@ -194,25 +196,25 @@ def _each(fn, blocks: list, tol: Tolerance) -> list:
 
 
 def _real_plane(v: np.ndarray) -> np.ndarray:
-    """Real 2-plane of a unit vector v of an eigenplane A.
+    """Real 2-plane of a unit vector v of an eigenplane A, or the stack
+    of the planes of the rows of v, from one array op.
 
     ``conj(v)`` lies in the conjugate plane B, which is orthogonal to A,
     so ``v^T v = 0``: the real and imaginary parts of v are orthogonal
     and of equal length, and ``sqrt(2) [Re v, Im v]`` is already an
     orthonormal basis.
     """
-    plane = np.empty((v.shape[0], 2))
-    plane[:, 0], plane[:, 1] = v.real, v.imag
+    plane = np.empty(v.shape + (2,))
+    plane[..., 0], plane[..., 1] = v.real, v.imag
     return math.sqrt(2.0) * plane
 
 
-def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
+def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     """Invariant 2-planes of a proper pair, or the antilinear operator.
 
-    Returns ``(found, T)``: ``found`` holds, for each piece (one for a
-    single pair), a tuple of plane bases, or None for a piece whose
-    eigenplanes do not meet; T is the :class:`AntilinearOp` of those
-    pieces, stacked in order, or None.
+    Returns, for each piece (one for a single pair), a tuple of plane
+    bases, or the piece's :class:`AntilinearOp` when its eigenplanes do
+    not meet.
     Tries the eigenplane intersections first: a rotation turns every
     vector by its one angle, so each column of the first non-empty
     meet, A with C or A with ``D = conj(C)``, spans a jointly invariant
@@ -224,8 +226,8 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
     and C otherwise, and only a piece whose first meet is empty tries
     the other; on a piece with planes of both orientations the first
     planes found are those of the trace's sign.  Each column lies in A,
-    so its plane is read off by :func:`_real_plane` with no
-    factorization; callers check the stacked bases for orthonormality.
+    so the planes of a meet are read off by one :func:`_real_plane` with
+    no factorization; callers check the bases for orthonormality.
     The two meets are the one overlap rule: they count A as meeting C
     (or D) when a principal angle phi between them has ``tan(phi/2) <=
     RANK_TOL``, and :func:`build_T` is reached only when both are
@@ -256,15 +258,13 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
         for i, meet in zip(rest, subspace_meet(*_pieces_of(rest, A, other))):
             meets[i] = meet
         rest = [i for i in rest if not meets[i].shape[1]]
-    found = [tuple(_real_plane(v) for v in meet.T) if meet.shape[1] else None
-             for meet in meets]
-    T = None
+    found = [tuple(_real_plane(meet.T)) if meet.shape[1] else None for meet in meets]
     if rest:
         T = build_T(*_pieces_of(rest, A, C))
-        for i, line in zip(rest, antilinear_invariant_line(T, tol)):
-            if line is not None:
-                found[i] = (_real_plane(A[i] @ line),)
-    return found, T
+        for j, (i, line) in enumerate(zip(rest, antilinear_invariant_line(T, tol))):
+            found[i] = (AntilinearOp(T.M[j], T.basis_a[j]) if line is None
+                        else (_real_plane(A[i] @ line),))
+    return found
 
 
 def _pieces_of(index: list, *stacks) -> list:
@@ -275,13 +275,19 @@ def _pieces_of(index: list, *stacks) -> list:
     return [X[index] for X in stacks]
 
 
+def _piece(i: int, d: Rotation, e: Rotation) -> tuple:
+    """Piece i of rotations that hold stacks, as a pair of rotations."""
+    return _trusted(d.matrix[i], d.angle), _trusted(e.matrix[i], e.angle)
+
+
 def _check_blocks(stacked: np.ndarray, d: Rotation, e: Rotation,
                   tol: Tolerance) -> list:
     """Check that the columns are orthonormal and jointly invariant.
 
     Both residuals are compared at ``check_tol``; a failure raises
     ``NumericalFailure`` with the residual.  Returns
-    ``[stacked^T d stacked, stacked^T e stacked]``.
+    ``[stacked^T d stacked, stacked^T e stacked]``.  Bases and rotations
+    that hold stacks are checked together, one residual per piece.
     """
     require(orthonormality_residual(stacked), tol.check_tol, NumericalFailure,
             "block basis orthonormality residual")
@@ -320,12 +326,10 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
         raise BadParameter("rotation matrix has non-finite entries")
     stacked = d.matrix.ndim > 2
     witnesses = []
-    for i, planes in enumerate(_planes_or_operator(d, e, tol)[0]):
-        if planes is not None:
-            pair = ((_trusted(d.matrix[i], d.angle), _trusted(e.matrix[i], e.angle))
-                    if stacked else (d, e))
-            _check_blocks(planes[0], *pair, tol)
-        witnesses.append(planes and planes[0])
+    for i, planes in enumerate(_planes_or_operator(d, e, tol)):
+        witnesses.append(planes[0] if type(planes) is tuple else None)
+        if witnesses[-1] is not None:
+            _check_blocks(witnesses[-1], *(_piece(i, d, e) if stacked else (d, e)), tol)
     if stacked:
         return np.array([w is not None for w in witnesses]), tuple(witnesses)
     return witnesses[0] is not None, witnesses[0]
@@ -381,22 +385,34 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     blocks of the two restrictions that check forms, at the angles of
     ``d`` and ``e``.  The pair is one that :func:`_certify_pair` has
     returned, or a restriction of it.
+
+    Proper rotations holding stacks of k matrices (README, "Stacks")
+    give a tuple of k block tuples from one step; the pieces' bases are
+    checked as one stack when they span as many columns, else one by one.
     """
     n = d.dim
     d_proper = d.kind is RotationKind.PROPER
     e_proper = e.kind is RotationKind.PROPER
     if not (d_proper and e_proper):
         if not d_proper and not e_proper:
-            bases = np.hsplit(np.eye(n), n)
+            pieces = [np.hsplit(np.eye(n), n)]
         else:
-            bases = np.hsplit((d if d_proper else e).normal_form.basis, n // 2)
+            pieces = [np.hsplit((d if d_proper else e).normal_form.basis, n // 2)]
     else:
-        (bases,), T = _planes_or_operator(d, e, tol)
-        bases = bases or (_block_from_operator(AntilinearOp(T.M[0], T.basis_a[0])),)
-    R_d, R_e = _check_blocks(np.concatenate(bases, axis=1), d, e, tol)
-    return tuple(_certified_block(b, _trusted(R_d[s, s], d.angle),
-                                  _trusted(R_e[s, s], e.angle))
-                 for b, s in zip(bases, _spans([b.shape[1] for b in bases])))
+        pieces = [p if type(p) is tuple else (_block_from_operator(p),)
+                  for p in _planes_or_operator(d, e, tol)]
+    bases = [np.concatenate(p, axis=1) for p in pieces]
+    if d.matrix.ndim == 2:
+        checked = [_check_blocks(bases[0], d, e, tol)]
+    elif len({b.shape[1] for b in bases}) == 1:
+        checked = zip(*_check_blocks(np.array(bases), d, e, tol))
+    else:
+        checked = [_check_blocks(b, *_piece(i, d, e), tol) for i, b in enumerate(bases)]
+    found = tuple(tuple(_certified_block(b, _trusted(R_d[s, s], d.angle),
+                                         _trusted(R_e[s, s], e.angle))
+                        for b, s in zip(p, _spans([b.shape[1] for b in p])))
+                  for p, (R_d, R_e) in zip(pieces, checked))
+    return found if d.matrix.ndim > 2 else found[0]
 
 
 def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
@@ -411,8 +427,8 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     :func:`two_plane_exists`, at ``RANK_TOL``.  This is the one
     irreducibility verdict: :func:`decompose` asks it once for all the
     4-dimensional twist clusters of a pair, as one stack when there are
-    several, and once for each 4-dimensional piece that a search step
-    leaves;
+    several, and once for each 4-dimensional piece that a step which
+    found planes leaves;
     :func:`find_block` returns irreducible blocks by construction, and
     ``classify_block`` asks it for a block handed in from outside a
     decomposition.
@@ -440,26 +456,26 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     return ~plane if block.d_restricted.ndim > 2 else not plane
 
 
-def _four_verdicts(clusters: list, fours, tol: Tolerance) -> list:
-    """The :func:`is_irreducible` verdict of each 4-dimensional cluster,
-    from one call on ``fours``, their stack as :func:`_twist_clusters`
-    certified it; None for every other cluster.
+def _stack_answers(clusters: list, stacks: dict, tol: Tolerance) -> list:
+    """What one call on each stack of :func:`_twist_clusters` gives each
+    cluster in it: the :func:`is_irreducible` verdict of a 4-dimensional
+    cluster, the :func:`find_block` step of any other; None for every
+    cluster in no stack.
 
-    Without a stack every verdict is None, and each 4-dimensional
-    cluster is decided as the work list reaches it.  So is every cluster
-    when the stack raises, and the error is the one that a
-    piece-by-piece run raises first.
+    So is every cluster of a stack that raises: the work list takes it
+    alone, and the error is the one that a piece-by-piece run raises first.
     """
-    verdicts = [None] * len(clusters)
-    if fours is not None:
+    answers = [None] * len(clusters)
+    for m, stack in stacks.items():
         try:
-            found = is_irreducible(fours, tol)
+            found = (is_irreducible(stack, tol).tolist() if m == 4
+                     else find_block(*stack.rotations, tol))
         except (RotPairError, np.linalg.LinAlgError):
-            return verdicts
-        index = [i for i, c in enumerate(clusters) if c.dim == 4]
-        for i, verdict in zip(index, found.tolist()):
-            verdicts[i] = verdict
-    return verdicts
+            continue
+        index = [i for i, c in enumerate(clusters) if c.dim == m]
+        for i, answer in zip(index, found):
+            answers[i] = answer
+    return answers
 
 
 def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
@@ -474,37 +490,35 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
     :func:`symmetric_eigen` gives them; the eigenvalues are grouped by
     single linkage at the gap ``tol.eigenvector_gap(n)``.
 
-    Returns ``(clusters, fours)``: the clusters by descending value, and
-    the stack of the 4-dimensional ones, in that order, when several
-    were certified together (else None).  With two or more groups each
-    is certified by its invariance residual, at ``check_tol``, and all
-    groups of one size at once (:func:`_certified_by_size`).  Each
-    cluster's restrictions are the two products ``V^T M V`` that its
-    check forms.  Input error divided by the gap can exceed
-    ``check_tol``; when any group fails, the groups are certified one at
-    a time, by ascending value, and a group that fails is merged with
-    its neighbour across the smaller gap and certified again.  One
-    group, from the start or after merging, is the whole space, which is
-    invariant: the one cluster is the pair itself on the identity basis,
-    which keeps the normal forms that certified it, and no product is
-    formed for it.  A cluster that holds several twists costs only time.
+    Returns ``(clusters, stacks)``: the clusters by descending value, and
+    for each cluster size that two or more clusters share, the stack of
+    those clusters in that order.  With two or more groups each is
+    certified by its invariance residual, at ``check_tol``, all groups
+    of one size at once (:func:`_certified_by_size`).  Each cluster's
+    restrictions are the two products ``V^T M V`` that its check forms.
+    Input error divided by the gap can exceed ``check_tol``; the groups
+    are then taken one at a time, by ascending value, and a group that
+    fails is merged with its neighbour across the smaller gap and
+    certified again.  Only a merged group forms new products, and the
+    clusters left are stacked by size anew.  One group, from the start
+    or after merging, is the whole space, which is invariant: the one
+    cluster is the pair itself on the identity basis, which keeps the
+    normal forms that certified it, and no product is formed for it.  A
+    cluster that holds several twists costs only time.
     """
     n = d.dim
     G = d.matrix.T @ e.matrix
     values, vectors = symmetric_eigen((G + G.T) / 2.0)
     groups = single_linkage(values, tol.eigenvector_gap(n))
-    if len(groups) > 1:
-        certified = _certified_by_size(groups[::-1], vectors, d, e, tol)
-        if certified is not None:
-            return certified
+    formed, stacks = (_certified_by_size(groups[::-1], vectors, d, e)
+                      if len(groups) > 1 else ([], {}))
+    formed.reverse()
     clusters = []
     while len(groups) > 1 and len(clusters) < len(groups):
         i = len(clusters)
-        basis = vectors[:, groups[i]]
-        resid, (R_d, R_e) = _invariance(basis, d, e)
+        resid, cluster = formed[i] or _formed(vectors[:, groups[i]], d, e)
         if resid <= tol.check_tol:
-            clusters.append(_certified_block(basis, _trusted(R_d, d.angle),
-                                             _trusted(R_e, e.angle)))
+            clusters.append(cluster)
             continue
         below = values[groups[i][0]] - values[groups[i - 1][-1]] if i else np.inf
         above = (values[groups[i + 1][0]] - values[groups[i][-1]]
@@ -512,42 +526,49 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
         i = i - 1 if below < above else i
         del clusters[i:]
         groups[i:i + 2] = [np.concatenate(groups[i:i + 2])]
+        formed[i:i + 2] = [None]
+        stacks = None
     if len(groups) == 1:
-        return [_certified_block(np.eye(n), d, e)], None
-    return clusters[::-1], None
+        return [_certified_block(np.eye(n), d, e)], {}
+    clusters.reverse()
+    if stacks is None:
+        sizes = [c.dim for c in clusters]
+        stacks = {m: _stacked([c for c in clusters if c.dim == m])
+                  for m in dict.fromkeys(sizes) if sizes.count(m) > 1}
+    return clusters, stacks
 
 
-def _certified_by_size(groups: list, vectors: np.ndarray, d: Rotation, e: Rotation,
-                       tol: Tolerance):
-    """``(clusters, fours)`` of :func:`_twist_clusters` for ``groups``, in
-    their order, or None when a group fails ``check_tol``.
+def _formed(basis: np.ndarray, d: Rotation, e: Rotation) -> tuple:
+    """``(residual, block)``: the :func:`_invariance` residual of ``basis``
+    (a stack of bases gives one per piece) and the block on it whose
+    restrictions are the products that residual's check formed."""
+    resid, (R_d, R_e) = _invariance(basis, d, e)
+    return resid, _certified_block(basis, _trusted(R_d, d.angle), _trusted(R_e, e.angle))
 
-    The groups of one size are certified by one :func:`_invariance` of
-    their stacked bases ``vectors[:, g]``, which gives each group's
-    residual and restrictions bit for bit as it gives them alone; a size
-    with one group takes the plain call.  The stack of 4-dimensional
-    groups is ``fours``, the block that :func:`_four_verdicts` decides.
+
+def _certified_by_size(groups: list, vectors: np.ndarray, d: Rotation,
+                       e: Rotation) -> tuple:
+    """``(formed, stacks)`` for ``groups``, in their order: the
+    :func:`_formed` pair of each group on its basis ``vectors[:, g]``,
+    and for each size with two or more groups the block of their stack.
+
+    The groups of one size take one :func:`_invariance` of their stacked
+    bases, which gives each group's residual and restrictions bit for bit
+    as it gives them alone; a size with one group takes the plain call.
     """
     sizes = {}
     for i, g in enumerate(groups):
         sizes.setdefault(len(g), []).append(i)
-    clusters, fours = [None] * len(groups), None
+    formed, stacks = [None] * len(groups), {}
     for m, index in sizes.items():
-        basis = (vectors[:, groups[index[0]]] if len(index) == 1
-                 else np.stack([vectors[:, groups[i]] for i in index]))
-        resid, (R_d, R_e) = _invariance(basis, d, e)
-        if not (resid <= tol.check_tol).all():
-            return None
-        piece = _certified_block(basis, _trusted(R_d, d.angle), _trusted(R_e, e.angle))
         if len(index) == 1:
-            clusters[index[0]] = piece
+            formed[index[0]] = _formed(vectors[:, groups[index[0]]], d, e)
             continue
+        resid, stacks[m] = _formed(np.stack([vectors[:, groups[i]] for i in index]), d, e)
         for j, i in enumerate(index):
-            clusters[i] = _certified_block(basis[j], _trusted(R_d[j], d.angle),
-                                           _trusted(R_e[j], e.angle))
-        if m == 4:
-            fours = piece
-    return clusters, fours
+            formed[i] = resid[j], _certified_block(stacks[m].basis[j],
+                                                   *_piece(j, *stacks[m].rotations))
+    return formed, stacks
 
 
 def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
@@ -603,17 +624,21 @@ def decompose(d: Rotation, e: Rotation,
     is worked once.  Every irreducible block has dimension 1, 2 or 4, so
     a 4-dimensional piece is either one 4-block or two planes, and the one
     :func:`is_irreducible` verdict on it decides which: an irreducible
-    piece is kept as the block.  When several 4-dimensional twist
-    clusters were certified as one stack, their verdicts come from one
-    call on that stack, before the list is worked (:func:`_four_verdicts`).
-    Any other piece takes one :func:`find_block` step on its
-    restrictions.  The step's blocks are irreducible by construction; one
+    piece is kept as the block.  Any other piece takes one
+    :func:`find_block` step on its restrictions.  Twist clusters of one
+    size that were certified as one stack take one call on that stack,
+    before the list is worked (:func:`_stack_answers`): one verdict for
+    all 4-dimensional clusters, one step for all clusters of any other
+    size.  The step's blocks are irreducible by construction; one
     product with the piece's basis takes them to ambient coordinates, and
     they are kept with no second verdict.  The orthogonal complement of
     the step's blocks goes back on the list, with the restrictions
     ``comp^T R comp`` of the piece's own: the restriction of a
     single-angle rotation to an invariant subspace keeps its angle, so no
-    re-certification is needed.  A step that takes the whole piece, as
+    re-certification is needed.  A step that built a 4-block from the
+    operator found no invariant plane in its piece, so its remainder has
+    none either, and a 4-dimensional remainder is kept with no verdict.
+    A step that takes the whole piece, as
     one on a cluster of planes of one orientation does, leaves an empty
     complement, which :func:`orthonormal_complement` returns without a
     factorization.  A step
@@ -624,8 +649,8 @@ def decompose(d: Rotation, e: Rotation,
     Blocks come in extraction order, which is deterministic: lines and
     planes before 4-blocks, each in cluster order and then in the order
     found inside a cluster, since a remainder is worked before the next
-    cluster.  The canonical order is the order of their forms, applied
-    by ``ClassLabel``.
+    cluster, a stacked step's included.  The canonical order is the
+    order of their forms, applied by ``ClassLabel``.
 
     Only the pair that :func:`_certify_pair` returns is worked, so a
     hand-built side's claim is never used.  Each block carries its
@@ -634,16 +659,18 @@ def decompose(d: Rotation, e: Rotation,
     d, e = _certify_pair(d, e, tol)
     if not (d.kind is RotationKind.PROPER and e.kind is RotationKind.PROPER):
         return InvariantDecomposition(blocks=find_block(d, e, tol))
-    clusters, fours = _twist_clusters(d, e, tol)
-    work = list(zip(clusters, _four_verdicts(clusters, fours, tol)))[::-1]
+    clusters, stacks = _twist_clusters(d, e, tol)
+    work = list(zip(clusters, _stack_answers(clusters, stacks, tol)))[::-1]
     blocks = []
     while work:
-        part, irreducible = work.pop()
-        if part.dim == 4 and (is_irreducible(part, tol) if irreducible is None
-                              else irreducible):
-            blocks.append(part)
-            continue
-        found = find_block(*part.rotations, tol)
+        part, known = work.pop()
+        if part.dim == 4:
+            if known is None:
+                known = is_irreducible(part, tol)
+            if known:
+                blocks.append(part)
+                continue
+        found = known or find_block(*part.rotations, tol)
         local = np.concatenate([b.basis for b in found], axis=1)
         ambient = part.basis @ local
         blocks.extend(_certified_block(ambient[:, s], *b.rotations)
@@ -652,6 +679,7 @@ def decompose(d: Rotation, e: Rotation,
         if comp.shape[1]:
             rest = [_trusted(comp.T @ (r.matrix @ comp), r.angle)
                     for r in part.rotations]
-            work.append((_certified_block(part.basis @ comp, *rest), None))
+            work.append((_certified_block(part.basis @ comp, *rest),
+                         True if comp.shape[1] == 4 and found[0].dim == 4 else None))
     blocks.sort(key=lambda b: b.dim)
     return InvariantDecomposition(blocks=tuple(blocks))

@@ -219,12 +219,16 @@ def subspace_meet(U: np.ndarray, W: np.ndarray):
 
     Stacks of bases (a leading axis on both) give a list with the meet
     of each pair of pieces, from one ``svd`` of the stacked ``[U | -W]``;
-    only a non-empty meet is orthonormalized.
+    the pieces of full rank, by :func:`numerical_rank`'s rule, are found
+    empty in one array op, and only a non-empty meet is orthonormalized.
     """
     _, s, vh = np.linalg.svd(np.concatenate((U, -W), axis=-1), full_matrices=True)
     if U.ndim == 2:
         return _meet(U, s, vh)
-    return [_meet(*piece) for piece in zip(U, s, vh)]
+    top = s[:, 0]   # s descends: a meet is empty when every value counts, the last too
+    empty = (top > RANK_TOL) & (s[:, -1] > RANK_TOL * top) & (s.shape[1] == vh.shape[1])
+    return [U[i, :, :0] if none else _meet(U[i], s[i], vh[i])
+            for i, none in enumerate(empty.tolist())]
 
 
 def _meet(U: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:

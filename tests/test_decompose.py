@@ -567,23 +567,24 @@ class TestTwistClusters:
         dimensions m that find_block sees to about 12 n^3; inside twist
         clusters the sum stays below n^3.  Each 4-dimensional cluster is
         one 4-block by a single irreducibility verdict, so only the two
-        plane clusters, one per orientation r, take a search step.
+        plane clusters, one per orientation r, are searched, in one
+        step on their stack.
         """
         rng = np.random.default_rng(43)
         spec = n96_spec(rng)
         d, e = pair_rotations(generate_pair(spec, seed=43))
         calls = record_calls(monkeypatch, DECOMPOSE, "find_block")
         label = classify(d, e)
-        seen = dims(calls)
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
-        assert len(seen) == 2
-        assert sum(m ** 3 for m in seen) <= 96 ** 3
+        assert [args[0].matrix.shape for args in calls] == [(2, 24, 24)]
+        # m^3 for each piece of m dimensions
+        assert sum(args[0].matrix.size * args[0].dim for args in calls) <= 96 ** 3
 
 
     def test_one_verdict_per_four_block(self, monkeypatch):
         """Each 4-dimensional cluster is searched once, labels included.
 
-        One search of each of the n = 96 pair's two plane clusters, and
+        One stacked search of the n = 96 pair's two plane clusters, and
         one stacked search of its 12 Dim4 clusters, one piece each, for
         their irreducibility verdicts; labelling the blocks searches
         nothing again.
@@ -595,7 +596,7 @@ class TestTwistClusters:
         label = classify(d, e)
         shapes = sorted(args[0].matrix.shape for args in calls)
         assert labels_match(label, ClassLabel(forms=tuple(spec)))
-        assert shapes == [(12, 4, 4), (24, 24), (24, 24)]
+        assert shapes == [(2, 24, 24), (12, 4, 4)]
 
     def test_lone_four_block_is_its_cluster(self, monkeypatch):
         d, e = pair_rotations(generate_pair([Dim4(0.5, 1.2, 0.8)], seed=47))
@@ -645,7 +646,7 @@ class TestTwistClusters:
         leaves both groups above ``check_tol``.  The groups are then
         certified one at a time by ascending value: the lowest passes, the
         next fails and merges with its nearer neighbour, and the 8-dimensional
-        merge passes.  No 4-dimensional stack is left to decide.
+        merge passes.  No two clusters of one size are left to stack.
         """
         spec = [Dim4(1.0, 2.0, 1.0), Dim4(1.0, 2.0, 1.0 + 6e-6), Dim4(1.0, 2.0, 2.5)]
         doc = generate_pair(spec, seed=0)
@@ -658,8 +659,8 @@ class TestTwistClusters:
         assert [len(g) for g in groups] == [4, 4, 4]
         stacked = _invariance(np.stack([vectors[:, g] for g in groups]), d, e)[0]
         assert (stacked > DEFAULT_TOL.check_tol).tolist() == [False, True, True]
-        clusters, fours = _twist_clusters(d, e, DEFAULT_TOL)
-        assert fours is None
+        clusters, stacks = _twist_clusters(d, e, DEFAULT_TOL)
+        assert stacks == {}
         assert [c.dim for c in clusters] == [8, 4]
         for c, g in zip(clusters, [np.concatenate(groups[1:]), groups[0]]):
             resid, (R_d, R_e) = _invariance(vectors[:, g], d, e)
@@ -747,12 +748,13 @@ def equal_size_specs(draw):
 @given(spec=equal_size_specs(), seed=st.integers(0, 2**31 - 1))
 def test_stacked_certification_matches_each_group(spec, seed):
     """All twist groups of one size are certified as one stack, and each
-    cluster is bit for bit what ``_invariance`` gives its group alone."""
+    cluster is bit for bit what ``_invariance`` gives its group alone.
+    Each size with two or more clusters keeps their stack."""
     d, e = pair_rotations(generate_pair(spec, seed=seed))
     G = d.matrix.T @ e.matrix
     values, vectors = symmetric_eigen((G + G.T) / 2.0)
     groups = single_linkage(values, DEFAULT_TOL.eigenvector_gap(d.dim))[::-1]
-    clusters, fours = _twist_clusters(d, e, DEFAULT_TOL)
+    clusters, stacks = _twist_clusters(d, e, DEFAULT_TOL)
     assert len(clusters) == len(groups) > 1
     for c, g in zip(clusters, groups):
         resid, (R_d, R_e) = _invariance(vectors[:, g], d, e)
@@ -760,13 +762,13 @@ def test_stacked_certification_matches_each_group(spec, seed):
         assert np.array_equal(c.basis, vectors[:, g])
         assert np.array_equal(c.d_restricted, R_d)
         assert np.array_equal(c.e_restricted, R_e)
-    four = [c for c in clusters if c.dim == 4]
-    if len(four) < 2:
-        assert fours is None
-    else:
+    sizes = [c.dim for c in clusters]
+    assert sorted(stacks) == sorted(m for m in set(sizes) if sizes.count(m) > 1)
+    for m, stack in stacks.items():
         for name in ("basis", "d_restricted", "e_restricted"):
-            assert np.array_equal(getattr(fours, name),
-                                  np.stack([getattr(c, name) for c in four]))
+            assert np.array_equal(getattr(stack, name),
+                                  np.stack([getattr(c, name) for c in clusters
+                                            if c.dim == m]))
     assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
 
@@ -780,8 +782,8 @@ class TestSearchOrder:
         A, C = eigenplanes(d, e, DEFAULT_TOL)
         [meet] = subspace_meet(A[None], (C if r == 1 else np.conj(C))[None])
         calls = record_calls(monkeypatch, DECOMPOSE, "subspace_meet")
-        [planes], T = _planes_or_operator(d, e, DEFAULT_TOL)
-        assert len(calls) == 1 and T is None
+        [planes] = _planes_or_operator(d, e, DEFAULT_TOL)
+        assert len(calls) == 1 and type(planes) is tuple
         assert len(planes) == 3
         for plane, v in zip(planes, meet.T):
             assert np.array_equal(plane, _real_plane(v))
@@ -793,13 +795,13 @@ class TestSearchOrder:
         spec = [Dim2Proper(0.7, 1.9, r) for r in (1, -1) for _ in range(2)]
         spec += [Dim4(0.7, 1.9, t) for t in (0.6, 1.4, 2.3)]
         d, e = pair_rotations(generate_pair(spec, seed=54))
-        stacks = record_calls(monkeypatch, DECOMPOSE, "_four_verdicts")
+        stacks = record_calls(monkeypatch, DECOMPOSE, "_stack_answers")
         verdicts = record_calls(monkeypatch, DECOMPOSE, "is_irreducible")
         rebuilt = record_calls(monkeypatch, DECOMPOSE, "_stacked")
         dec = decompose(d, e)
         assert dec.dims == (2, 2, 2, 2, 4, 4, 4)
         assert rebuilt == []
-        assert len(verdicts) == 1 and verdicts[0][0] is stacks[0][1]
+        assert len(verdicts) == 1 and verdicts[0][0] is stacks[0][1][4]
         assert verdicts[0][0].basis.shape == (5, 20, 4)
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
@@ -818,11 +820,13 @@ def test_proper_spec_clusters_and_labels(spec, seed):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_compatible_spec_steps_and_labels(seed):
-    """One search step per +-I pair and per plane orientation.
+    """One search step per +-I pair and per size of plane cluster.
 
     A pair with a +-I side takes all its lines or planes in one step.
     In a proper pair all planes of one orientation r lie in one twist
-    cluster and one eigenplane meet, so they come in one step.  A
+    cluster and one eigenplane meet, so they come in one step, and the
+    two clusters of one size other than 4 in one step on their stack;
+    a 4-dimensional plane cluster is reducible and takes its own.  A
     4-block alone in its twist cluster, as every one is at distinct
     twists, takes no step: the cluster is the block.
     """
@@ -835,7 +839,9 @@ def test_compatible_spec_steps_and_labels(seed):
     if isinstance(spec[0], (Dim1, Dim2LeftScalar, Dim2RightScalar)):
         steps = 1
     else:
-        steps = len({f.r for f in spec if isinstance(f, Dim2Proper)})
+        sizes = [2 * sum(isinstance(f, Dim2Proper) and f.r == r for f in spec)
+                 for r in (1, -1)]
+        steps = len({m for m in sizes if m not in (0, 4)}) + sizes.count(4)
     assert len(seen) == steps
     full = np.column_stack([b.basis for b in dec.blocks])
     assert max_abs(full.T @ full - np.eye(d.dim)) <= 1e-12

@@ -11,8 +11,11 @@ inputs in one process.  Compared only, untimed:
 - ``classify`` of 3000 ``noisy_input`` and 300 ``boundary_input`` pairs
   of ``perfbench/workloads.py``;
 - the ``build_report`` JSON, as ``rotpair classify --format json``
-  prints it, of the documents of 10 ``cli_pool`` draws and of 200 small
-  documents with a +-I side.
+  prints it, of the documents of 10 ``cli_pool`` draws, of 200 small
+  documents with a +-I side, and of proper documents whose twist
+  clusters of one size are searched as one stack: 4 ``n96_input``
+  documents, 4 ``equal_size_input`` documents at n = 32 and 100 small
+  documents with planes of both signs.
 
 Compared, then timed:
 
@@ -59,7 +62,9 @@ the ``numpy.linalg`` functions in ``LINALG`` per op and their work per
 op, given as ``[calls, work]`` under ``linalg_per_op``: the work is the
 sum over calls of ``m k min(m, k) / n^3``, where m x k is the shape of
 the call's matrix (times the number of stacked matrices) and n the
-dimension of the op's input.
+dimension of the op's input.  Beside it, ``steps_per_op`` gives the
+search steps (``_planes_or_operator`` calls) and ``find_block`` calls
+per op of the same run.
 
 The exit code is 1 when any answer differs bit for bit.  This reports
 direction and size of a change; it is no gate, and ``perfbench/run.py``
@@ -112,8 +117,10 @@ NOISY_INPUTS = 3000
 BOUNDARY_INPUTS = 300
 CLI_POOLS = 10
 PM_IDENTITY_DOCS = 200
+STACKED_REPORT_DOCS = {"n96": 4, "equal_sizes_n32": 4, "both_signs": 100}
 ANGLE_SLACK = 1e-12   # the largest angle difference of one verdict
 LINALG = ("svd", "eigh", "eigvalsh", "eig", "inv", "solve", "qr", "norm")
+STEPS = ("_planes_or_operator", "find_block")   # counted in each package's decompose
 
 
 def load_parent(rev: str):
@@ -305,6 +312,24 @@ def pm_identity_doc(rng):
     return rotpair.generate_pair(spec, int(rng.integers(2**31)))
 
 
+def both_signs_doc(rng):
+    """A ``small_spec`` document of Dim2Proper planes of both signs,
+    beside ``Dim4`` blocks or not."""
+    spec = workloads.small_spec(rng)
+    while len({f.r for f in spec if isinstance(f, rotpair.Dim2Proper)}) < 2:
+        spec = workloads.small_spec(rng)
+    return rotpair.generate_pair(spec, int(rng.integers(2**31)))
+
+
+def stacked_report_docs(seed: int) -> list:
+    """Proper documents whose plane clusters of one size are searched as one stack."""
+    rng = np.random.default_rng([seed, 12])
+    counts = STACKED_REPORT_DOCS
+    return ([workloads.n96_input(rng) for _ in range(counts["n96"])]
+            + [equal_size_input(32, rng) for _ in range(counts["equal_sizes_n32"])]
+            + [both_signs_doc(rng) for _ in range(counts["both_signs"])])
+
+
 def checks(seed: int):
     """(name, op factory, inputs) of every case that is compared, not timed."""
     noisy_rng = np.random.default_rng([seed, 4])
@@ -320,7 +345,8 @@ def checks(seed: int):
              [workloads.boundary_input(boundary_rng) for _ in range(BOUNDARY_INPUTS)]),
             ("cli_pool_report", report_op, pool),
             ("pm_identity_report", report_op,
-             [pm_identity_doc(pm_rng) for _ in range(PM_IDENTITY_DOCS)])]
+             [pm_identity_doc(pm_rng) for _ in range(PM_IDENTITY_DOCS)]),
+            ("stacked_report", report_op, stacked_report_docs(seed))]
 
 
 def cases(seed: int):
@@ -456,6 +482,31 @@ def linalg_work(op, inputs) -> dict:
             for name in LINALG if calls[name]}
 
 
+def step_counts(pkg, op, inputs) -> dict:
+    """Calls per op of each function in ``STEPS``, over one run on ``inputs``;
+    the package's own calls look these names up in its ``decompose`` module."""
+    module = sys.modules[f"{pkg.__name__}.decompose"]
+    calls = dict.fromkeys(STEPS, 0)
+    originals = {name: getattr(module, name) for name in STEPS}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    args = [prepared(op, inp) for inp in inputs]
+    for name in STEPS:
+        setattr(module, name, counted(name))
+    try:
+        for x in args:
+            answer(op, x)
+    finally:
+        for name, original in originals.items():
+            setattr(module, name, original)
+    return {name: calls[name] / len(inputs) for name in STEPS}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
@@ -466,7 +517,7 @@ def main(argv=None) -> int:
     report = {"parent": commit, "seed": args.seed, "numpy": np.__version__,
               "compared_inputs": {}, "differing_answers": {},
               "differing_verdicts": {}, "max_angle_difference": {}, "cases": {},
-              "linalg_per_op": {}}
+              "linalg_per_op": {}, "steps_per_op": {}}
 
     def compared(name, parent_op, child_op, inputs):
         report["compared_inputs"][name] = len(inputs)
@@ -481,6 +532,10 @@ def main(argv=None) -> int:
         report["linalg_per_op"][name] = {
             "parent": linalg_work(parent_op, inputs),
             "change": linalg_work(child_op, inputs),
+        }
+        report["steps_per_op"][name] = {
+            "parent": step_counts(parent, parent_op, inputs),
+            "change": step_counts(rotpair, child_op, inputs),
         }
         for inp in inputs[:3]:      # warm both sides
             answer(parent_op, prepared(parent_op, inp))
