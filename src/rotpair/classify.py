@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -134,18 +135,24 @@ class Dim4(_Form):
 FAMILIES = (Dim1, Dim2LeftScalar, Dim2RightScalar, Dim2Proper, Dim4)
 
 
+# each family's rank, sign and angle fields, and a getter of both, signs first
+_LAYOUT = {cls: (rank, signs, angles, attrgetter(*signs, *angles))
+           for rank, cls in enumerate(FAMILIES)
+           for signs, angles in [[tuple(n for n in names if n in cls.__dataclass_fields__)
+                                  for names in (SIGN_FIELDS, ANGLE_FIELDS)]]}
+
+
 def _check_form(form):
     """``form`` itself, if its type is exactly one of the five families."""
-    if type(form) not in FAMILIES:
+    if type(form) not in _LAYOUT:
         raise BadParameter(f"unknown canonical form {form!r}")
     return form
 
 
-def _sort_key(form):
-    key = [FAMILIES.index(type(_check_form(form)))]
-    for name in SIGN_FIELDS + ANGLE_FIELDS:
-        key.append(getattr(form, name, 0.0))
-    return tuple(key)
+def _sort_key(form) -> tuple:
+    """The family's rank, then the form's signs, then its angles."""
+    rank, _, _, fields = _LAYOUT[type(_check_form(form))]
+    return rank, fields(form)
 
 
 @dataclass(frozen=True)
@@ -205,22 +212,19 @@ def theta_invariant(s: Rotation, t: Rotation,
     return np.array([2.0 * math.atan2(a, b) for a, b in zip(diff.tolist(), total.tolist())])
 
 
-def _sign_of(r: Rotation) -> int:
-    """+1 for the identity, -1 for its negative."""
-    return 1 if r.kind is RotationKind.IDENTITY else -1
-
-
 def _scalar_form(d: Rotation, e: Rotation):
     """Form of every block of a pair with a +-I side, from kinds and angles.
 
     Both sides +-I give the line ``Dim1(r, s)``; otherwise the block is a
-    plane with the scalar side's sign and the proper side's angle.
+    plane with the scalar side's sign: +1 at angle 0, -1 at pi.
     """
-    if d.kind is not RotationKind.PROPER and e.kind is not RotationKind.PROPER:
-        return Dim1(r=_sign_of(d), s=_sign_of(e))
-    if d.kind is not RotationKind.PROPER:
-        return Dim2LeftScalar(r=_sign_of(d), beta=e.angle)
-    return Dim2RightScalar(alpha=d.angle, s=_sign_of(e))
+    d_scalar = d.kind is not RotationKind.PROPER
+    e_scalar = e.kind is not RotationKind.PROPER
+    if d_scalar and e_scalar:
+        return Dim1(r=1 if d.angle == 0.0 else -1, s=1 if e.angle == 0.0 else -1)
+    if d_scalar:
+        return Dim2LeftScalar(r=1 if d.angle == 0.0 else -1, beta=e.angle)
+    return Dim2RightScalar(alpha=d.angle, s=1 if e.angle == 0.0 else -1)
 
 
 def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
@@ -325,7 +329,8 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
                                        + _each(classify_block, blocks[len(planes):], tol)))
     else:
         form = _scalar_form(d, e)
-        label = ClassLabel(forms=(form,) * (d.dim // form.dim))
+        label = object.__new__(ClassLabel)   # copies of one form are in canonical order
+        object.__setattr__(label, "forms", (form,) * (d.dim // form.dim))
     object.__setattr__(d, "_label", (e, tol, label))
     return label
 
@@ -333,11 +338,12 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
 def _forms_equal(f1, f2, angle_tol: float) -> bool:
     if type(f1) is not type(f2):
         return False
-    for name in SIGN_FIELDS:
-        if hasattr(f1, name) and getattr(f1, name) != getattr(f2, name):
+    _, signs, angles, _ = _LAYOUT[type(f1)]
+    for name in signs:
+        if getattr(f1, name) != getattr(f2, name):
             return False
-    for name in ANGLE_FIELDS:
-        if hasattr(f1, name) and abs(getattr(f1, name) - getattr(f2, name)) > angle_tol:
+    for name in angles:
+        if abs(getattr(f1, name) - getattr(f2, name)) > angle_tol:
             return False
     return True
 

@@ -587,17 +587,19 @@ def _certify_pair(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
     """
     _require_same_dim(d, e)
     pair = []
-    for name, angle_name, r in (("first", "alpha", d), ("second", "beta", e)):
+    sides = ((d, "first", "alpha", "first operator orthogonality residual"),
+             (e, "second", "beta", "second operator orthogonality residual"))
+    for r, name, angle_name, what in sides:
         certified = r
         if r.normal_form is None:
             try:
                 certified = as_rotation(r.matrix, tol)
             except NotOrthogonal:
                 require(orthonormality_residual(r.matrix), tol.residual_tol,
-                        NotOrthogonalPair, f"{name} operator orthogonality residual")
+                        NotOrthogonalPair, what)
                 raise
         require(certified.normal_form.orthogonality_residual, tol.residual_tol,
-                NotOrthogonalPair, f"{name} operator orthogonality residual")
+                NotOrthogonalPair, what)
         if certified is not r:
             gap = abs(certified.angle - r.angle)
             require(gap, tol.angle_tol, NumericalFailure,
@@ -629,8 +631,8 @@ def decompose(d: Rotation, e: Rotation,
     size that were certified as one stack take one call on that stack,
     before the list is worked (:func:`_stack_answers`): one verdict for
     all 4-dimensional clusters, one step for all clusters of any other
-    size.  The step's blocks are irreducible by construction; one
-    product with the piece's basis takes them to ambient coordinates, and
+    size.  The step's blocks are irreducible by construction; one product
+    with the piece's basis moves them to ambient coordinates, in place, and
     they are kept with no second verdict.  The orthogonal complement of
     the step's blocks goes back on the list, with the restrictions
     ``comp^T R comp`` of the piece's own: the restriction of a
@@ -673,8 +675,9 @@ def decompose(d: Rotation, e: Rotation,
         found = known or find_block(*part.rotations, tol)
         local = np.concatenate([b.basis for b in found], axis=1)
         ambient = part.basis @ local
-        blocks.extend(_certified_block(ambient[:, s], *b.rotations)
-                      for b, s in zip(found, _spans([b.dim for b in found])))
+        for b, s in zip(found, _spans([b.dim for b in found])):
+            object.__setattr__(b, "basis", ambient[:, s])   # moved, not built again
+        blocks.extend(found)
         comp = orthonormal_complement(local)
         if comp.shape[1]:
             rest = [_trusted(comp.T @ (r.matrix @ comp), r.angle)

@@ -13,6 +13,7 @@ A stack is a 3-d array of matrices on a leading axis, one per piece, as
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import astuple, dataclass, fields
 
@@ -123,16 +124,20 @@ def frobenius(X):
 
 
 def orthonormality_residual(X):
-    """``max_abs(X^T X - I)`` for a real matrix X of columns, or one such
-    residual per matrix of a stack."""
+    """``max_abs(X^T X - I)`` for a real matrix X of columns (NaN, unwarned,
+    for a NaN or infinite entry), or one such residual per matrix of a stack."""
+    if X.ndim == 2 and X.dtype == np.float64:
+        flat = X.ravel()   # its squares sum to a finite value unless one is NaN, inf or huge
+        if not (math.isfinite(flat.dot(flat)) or np.isfinite(X).all()):
+            return math.nan
+        G = X.T @ X
+        G.ravel()[::G.shape[0] + 1] -= 1.0
+        return max_abs(G)
     G = X.swapaxes(-1, -2) @ X
     if G.dtype != np.float64:   # the subtraction below is done in place
         G = G.astype(np.result_type(G.dtype, np.float64))
-    if G.ndim > 2:
-        G -= np.eye(G.shape[-1])
-        return max_abs_each(G)
-    G.reshape(-1)[::G.shape[0] + 1] -= 1.0
-    return max_abs(G)
+    G -= np.eye(G.shape[-1])
+    return max_abs_each(G) if G.ndim > 2 else max_abs(G)
 
 
 def numerical_rank(s) -> int:

@@ -215,12 +215,14 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     residual ``|M -+ I|`` alone at ``check_tol``: either passes, and the
     form is ``+-I`` on the identity basis, with no eigensolve and no
     second residual (``I^T M I = M``).  A corner ``|M[0, 0] -+ 1|`` beyond
-    ``check_tol``, as a proper rotation's ``cos(a)`` is, fails it unformed.
+    ``check_tol``, as a proper rotation's ``cos(a)`` is, fails it unformed;
+    else ``M -+ I`` is formed in a copy of M, the identity basis if it passes.
 
     Otherwise the symmetric part ``(M + M.T)/2`` commutes with ``M``, and
     on each of its eigenspaces ``M`` acts as a rotation with cosine equal
-    to the eigenvalue.  The eigenvalues alone are computed first and
-    clustered once in angle space at ``angle_tol``.
+    to the eigenvalue.  The eigenvalues alone are computed first; their
+    angles are one cluster when the two ends lie within ``angle_tol``, and
+    any wider spread is clustered once in angle space at ``angle_tol``.
 
     One cluster, as every exact single-angle rotation has, is the whole
     space, and it is certified from the two spectra alone, with no
@@ -253,19 +255,26 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     resid = orthonormality_residual(M)
     require(resid, tol.residual_tol, NotOrthogonal, "orthogonality residual")
     for sign, fix_dim, neg_dim in ((1.0, n, 0), (-1.0, 0, n)):
-        if abs(M[0, 0] - sign) <= tol.check_tol:
-            eye = np.eye(n)
-            if max_abs(M - eye if sign > 0 else M + eye) <= tol.check_tol:
-                eye.setflags(write=False)
-                return NormalForm((), fix_dim, neg_dim, eye, resid)
+        if abs(M.item(0) - sign) <= tol.check_tol:
+            D = M.copy()   # M -+ I, then the identity basis in its place
+            diagonal = D.ravel()[::n + 1]
+            diagonal -= sign
+            if max_abs(D) <= tol.check_tol:
+                D.fill(0.0)
+                diagonal.fill(1.0)
+                D.setflags(write=False)
+                nf = object.__new__(NormalForm)
+                nf.__dict__.update(angles=(), fix_dim=fix_dim, neg_dim=neg_dim, basis=D,
+                                   orthogonality_residual=resid)
+                return nf
 
     sym = (M + M.T) / 2.0
     cosines = np.linalg.eigvalsh(sym)  # ascending: only the ends can leave [-1, 1]
-    if cosines[0] < -1.0 or cosines[-1] > 1.0:
+    if cosines.item(0) < -1.0 or cosines.item(-1) > 1.0:
         cosines = np.clip(cosines, -1.0, 1.0)
-    thetas = np.arccos(cosines)
-    clusters = single_linkage(thetas, tol.angle_tol)
-    if len(clusters) == 1:
+    thetas = np.arccos(cosines)   # descending: ends within angle_tol, every gap too
+    if (thetas.item(0) - thetas.item(-1) <= tol.angle_tol
+            or len(clusters := single_linkage(thetas, tol.angle_tol)) == 1):
         _require_even(thetas)
         sines = np.linalg.svd((M - M.T) / 2.0, compute_uv=False)   # descending
         _require_sine_floor(thetas, -sines[-1], sines[-1])
@@ -398,23 +407,19 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     normal form's own, on a proper rotation), so writing into ``M``
     afterwards changes neither the rotation nor any label of it.
     """
-    M = real_array(M)
     nf = orthogonal_normal_form(M, tol)
     if nf._spectral is not None:
         angles = nf._spectral.angles
-        spread = float(angles.max() - angles.min())
+        spread = max(listed := angles.tolist()) - min(listed)
     else:
         if not nf.angles:
             if nf.fix_dim and nf.neg_dim:
                 raise NotARotation(
-                    f"mixed +1 and -1 blocks (fix={nf.fix_dim}, neg={nf.neg_dim})"
-                )
+                    f"mixed +1 and -1 blocks (fix={nf.fix_dim}, neg={nf.neg_dim})")
             return _certified(M, 0.0 if nf.fix_dim else math.pi, nf)
         if nf.fix_dim or nf.neg_dim:
-            raise NotARotation(
-                "rotation blocks mixed with +-1 blocks "
-                f"(fix={nf.fix_dim}, neg={nf.neg_dim})"
-            )
+            raise NotARotation("rotation blocks mixed with +-1 blocks "
+                               f"(fix={nf.fix_dim}, neg={nf.neg_dim})")
         angles = nf.angles
         spread = angles[-1] - angles[0]
     require(spread, tol.angle_tol, NotARotation, "distinct block angles, spread")
@@ -423,10 +428,10 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
 
 
 def _certified(M: np.ndarray, angle: float, nf: NormalForm) -> Rotation:
-    M = M.copy() if nf._spectral is None else nf._spectral.matrix
+    M = np.array(M, dtype=float) if nf._spectral is None else nf._spectral.matrix
     M.setflags(write=False)
-    # the normal form has checked M, and the angle is in [0, pi], so the
-    # checks of __post_init__ are not repeated
+    # a copy of M as real_array casts it; the normal form has checked it,
+    # and the angle is in [0, pi], so __post_init__'s checks are not repeated
     r = object.__new__(Rotation)
     r.__dict__.update(matrix=M, angle=angle, normal_form=nf)
     return r

@@ -447,6 +447,20 @@ class TestCarriedOrthogonality:
             assert str(info.value) == (f"{name} operator orthogonality residual "
                                        f"{resid:.3e} exceeds 1.000e-09")
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_hand_built_side_names_the_side(self, value):
+        # its residual is NaN, measured with no RuntimeWarning, which the
+        # suite's filterwarnings would turn into the error raised instead
+        d, e = pair_rotations(generate_pair([Dim2Proper(0.7, 1.9, 1)] * 2, 6))
+        M = d.matrix.copy()
+        M[0, 0] = value
+        hand = Rotation(M, d.angle)
+        for first, second, name in ((hand, e, "first"), (e, hand, "second")):
+            with pytest.raises(NotOrthogonalPair) as info:
+                classify(first, second)
+            assert str(info.value) == (f"{name} operator orthogonality residual "
+                                       "nan exceeds 1.000e-09")
+
     def test_loose_certificate_is_judged_at_the_pair_tolerance(self):
         # a side 2.5e-9 too long has orthogonality residual about 5e-9:
         # certified at residual_tol 1e-8, refused at the default 1e-9
@@ -460,6 +474,32 @@ class TestCarriedOrthogonality:
                 classify(first, second)
             assert str(info.value) == (f"{name} operator orthogonality residual "
                                        f"{resid:.3e} exceeds 1.000e-09")
+
+
+@pytest.mark.parametrize("spec", [
+    [Dim2Proper(0.7, 1.9, 1)] * 3 + [Dim2Proper(0.7, 1.9, -1)] * 2 + [Dim4(0.7, 1.9, 1.1)],
+    [Dim2Proper(0.7, 1.9, r) for r in (1, -1) for _ in range(4)] + [Dim4(0.7, 1.9, 0.9)] * 2,
+], ids=["one-step-each", "stacked-steps"])
+def test_a_step_s_blocks_are_moved_not_built_again(monkeypatch, spec):
+    # each block a search step finds is the one decompose returns, its basis
+    # taken to ambient coordinates; its restrictions are the step's own
+    original, built = DECOMPOSE.find_block, []
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        built.extend(b for piece in (out if isinstance(out[0], tuple) else [out])
+                     for b in piece)
+        return out
+
+    monkeypatch.setattr(DECOMPOSE, "find_block", recorded)
+    d, e = pair_rotations(generate_pair(spec, seed=12))
+    planes = [b for b in decompose(d, e).blocks if b.dim == 2]
+    assert len(planes) == sum(f.dim == 2 for f in spec) and built
+    for b in planes:
+        assert any(b is found for found in built)
+        assert b.basis.shape[0] == d.dim
+        for M, R in ((d.matrix, b.d_restricted), (e.matrix, b.e_restricted)):
+            assert max_abs(M @ b.basis - b.basis @ R) <= DEFAULT_TOL.check_tol
 
 
 def test_invariant_blocks_compare_by_their_arrays():

@@ -305,6 +305,22 @@ def test_helpers_match_the_plain_formulas_bit_for_bit(X):
     assert _same_bits(orthonormality_residual(X), old)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_entry_measures_nan_without_a_warning(value):
+    # X^T X would multiply the infinity by the zeros beside it; the suite
+    # turns that RuntimeWarning into an error
+    X = np.eye(4)[:, :3]
+    X[1, 1] = value
+    assert np.isnan(orthonormality_residual(X))
+
+
+def test_a_huge_finite_entry_still_measures_its_overflow():
+    X = np.eye(2)
+    X[0, 0] = 1e200
+    with np.errstate(over="ignore"):
+        assert orthonormality_residual(X) == np.inf
+
+
 def _single_linkage_by_loop(values, gap):
     """The reference: walk the sorted values, open a cluster at each gap."""
     values = np.asarray(values)
@@ -342,3 +358,22 @@ class TestSingleLinkage:
         want = _single_linkage_by_loop(values, gap)
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
         assert all(g.dtype == np.intp for g in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=12),
+           start=st.sampled_from([-1.0, 0.0, 3.0]), nans=st.integers(0, 2),
+           gap=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_ends_within_the_gap_are_one_cluster(self, steps, start, nans, gap):
+        # orthogonal_normal_form's one-cluster test on its descending arccos
+        # values: first minus last within the gap, else single_linkage.
+        # Multiples of 0.25 subtract exactly, so gaps and spreads sit at the
+        # threshold, zero steps are ties, and a NaN, here first, fails the test
+        values = np.concatenate([[np.nan] * nans, start + np.cumsum(steps)[::-1]])
+        if not values.size:
+            return
+        one = len(single_linkage(values, gap)) == 1
+        ends = bool(values[0] - values[-1] <= gap)
+        assert one >= ends
+        assert (ends or one) is one
+        if one and not ends:   # a chain: every gap within it, the spread beyond
+            assert np.all(values[:-1] - values[1:] <= gap)

@@ -14,8 +14,11 @@ from rotpair import (
     BadAngle,
     BadDimension,
     BadParameter,
+    ClassLabel,
+    Dim1,
     Dim2LeftScalar,
     Dim2Proper,
+    Dim2RightScalar,
     Dim4,
     NotARotation,
     NotOrthogonal,
@@ -31,6 +34,7 @@ from rotpair import (
     decompose,
     generate_pair,
     generate_rotation,
+    labels_match,
     max_abs,
     orthogonal_normal_form,
     rho,
@@ -238,6 +242,19 @@ class TestAsRotation:
     def test_rejects_nan(self):
         with pytest.raises(NotOrthogonal):
             as_rotation(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("M", [
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[-np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 1.0], [0.0, 1.0]]),
+        np.full((3, 3), -np.inf),
+    ], ids=["inf", "minus-inf", "inf-beside-one", "all-minus-inf"])
+    def test_rejects_infinite_entry_as_nan(self, M):
+        # M^T M would multiply the infinity by a zero and warn, which the
+        # suite's filterwarnings turns into an error
+        with pytest.raises(NotOrthogonal, match=r"^orthogonality residual nan exceeds "
+                           r"1\.000e-09$"):
+            as_rotation(M)
 
     @pytest.mark.parametrize("M", [
         np.eye(2) + 0.5j,
@@ -538,6 +555,64 @@ def count_eigensolves(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(orthogonal, "symmetric_eigen", counted_symmetric_eigen)
     return counts
+
+
+def count_linalg(monkeypatch):
+    """Calls of each public ``numpy.linalg`` function, by name, each
+    function wrapped in ``numpy.linalg`` as ``tools/ab.py`` wraps them; a
+    values-only ``svd`` counts as ``svd_values``."""
+    counts = {}
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if name.startswith("_") or not callable(fn) or isinstance(fn, type):
+            continue
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            key = ("svd_values" if _name == "svd" and kwargs.get("compute_uv") is False
+                   else _name)
+            counts[key] = counts.get(key, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestFactorizationBudget:
+    """What certifying a side and labelling a pair with a +-I side factorize."""
+
+    @pytest.mark.parametrize("n", [2, 8, 96])
+    def test_proper_side_takes_one_eigvalsh_and_one_values_svd(self, monkeypatch, n):
+        from rotpair import orthogonal
+
+        M = generate_rotation(n, 1.3, seed=n).matrix
+        counts = count_linalg(monkeypatch)
+        clustered = record_calls(monkeypatch, orthogonal, "single_linkage")
+        r = as_rotation(M)
+        assert r.kind is RotationKind.PROPER
+        assert counts == {"eigvalsh": 1, "svd_values": 1}
+        assert clustered == []   # one cluster by its two ends alone
+
+    @pytest.mark.parametrize("n", [2, 8, 96])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar_side_takes_none(self, monkeypatch, n, sign):
+        Q = rand_orthogonal(n, np.random.default_rng(n))
+        M = sign * (Q @ Q.T)
+        counts = count_linalg(monkeypatch)
+        assert as_rotation(M).kind is not RotationKind.PROPER
+        assert counts == {}
+
+    @pytest.mark.parametrize("spec", [
+        [Dim2LeftScalar(-1, 1.9)] * 4,
+        [Dim2RightScalar(0.7, 1)] * 3,
+        [Dim1(1, -1)] * 5,
+    ], ids=["left-scalar", "right-scalar", "lines"])
+    def test_labelling_a_pair_with_a_scalar_side_takes_none(self, monkeypatch, spec):
+        doc = generate_pair(spec, seed=3)
+        d, e = as_rotation(doc.delta), as_rotation(doc.epsilon)
+        counts = count_linalg(monkeypatch)
+        label = classify(d, e)
+        assert labels_match(label, ClassLabel(forms=tuple(spec)))
+        assert counts == {}
 
 
 class TestEigensolveCount:

@@ -128,6 +128,16 @@ def outcome(fn, *args):
         return Raised((type(exc).__name__, str(exc)))
 
 
+def operator_outcome(A, C):
+    """``build_T(A, C)``, or the class and message of numpy's ``LinAlgError``,
+    which it raises on a piece whose eigenplanes meet; the package builds
+    the operator only on pieces whose meets are empty."""
+    try:
+        return build_T(A, C)
+    except np.linalg.LinAlgError as exc:
+        return Raised((type(exc).__name__, str(exc)))
+
+
 def bits(x):
     """A value equal for two answers exactly when they agree bit for bit."""
     if isinstance(x, np.ndarray):
@@ -206,14 +216,15 @@ def test_a_stack_answers_as_its_pieces(pairs, plane_pairs):
         assert_stack_answers_as_pieces(
             subspace_meet(A, C), [subspace_meet(*p) for p in alone],
             lambda out, i: out[i])
-        T = build_T(A, C)
-        ops = [build_T(*p) for p in alone]
+        T = operator_outcome(A, C)
+        ops = [operator_outcome(*p) for p in alone]
         assert_stack_answers_as_pieces(T, ops, lambda out, i: AntilinearOp(out.M[i],
                                                                           out.basis_a[i]))
-        assert_stack_answers_as_pieces(
-            outcome(antilinear_invariant_line, T, tol),
-            [outcome(antilinear_invariant_line, op, tol) for op in ops],
-            lambda out, i: out[i])
+        if not isinstance(T, Raised):
+            assert_stack_answers_as_pieces(
+                outcome(antilinear_invariant_line, T, tol),
+                [outcome(antilinear_invariant_line, op, tol) for op in ops],
+                lambda out, i: out[i])
 
     turns = [outcome(rho, r, tol) for r in (d, e)]
     alone = [[outcome(rho, p[side], tol) for p in pairs] for side in (0, 1)]

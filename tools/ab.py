@@ -57,6 +57,15 @@ end-to-end metrics read, over all timings of a case, by the rules of
 timings on), which is ``op_tail_ms``.  A median ratio near 1 can hide a
 total ratio well below it when a case's slow inputs gain most.
 
+The ``batch_small`` case is also split into its three populations by
+the family of the pair's label: ``dim1`` (both sides ``+-I``),
+``scalar_side`` (one side ``+-I``) and ``proper``.  ``populations``
+gives each one's share of the ops, its median ratio, and the
+end-to-end metric of ``perfbench`` that it sets: the ``dim1`` ops are
+the fastest quarter and set none, the median op is a scalar-side one
+(``op_p50_ms``), and the slowest quarter, which also takes most of the
+time, is proper (``op_tail_ms`` and ``ops_per_s``).
+
 Each case also counts, in one untimed run of each side, the calls of
 the ``numpy.linalg`` functions in ``LINALG`` per op and their work per
 op, given as ``[calls, work]`` under ``linalg_per_op``: the work is the
@@ -121,6 +130,11 @@ STACKED_REPORT_DOCS = {"n96": 4, "equal_sizes_n32": 4, "both_signs": 100}
 ANGLE_SLACK = 1e-12   # the largest angle difference of one verdict
 LINALG = ("svd", "eigh", "eigvalsh", "eig", "inv", "solve", "qr", "norm")
 STEPS = ("_planes_or_operator", "find_block")   # counted in each package's decompose
+# batch_small's populations, by the family of the label, and the metrics each sets
+POPULATIONS = {"dim1": (), "scalar_side": ("op_p50_ms",),
+               "proper": ("op_tail_ms", "ops_per_s")}
+SCALAR_FAMILIES = {"dim1": "dim1", "dim2_left_scalar": "scalar_side",
+                   "dim2_right_scalar": "scalar_side"}
 
 
 def load_parent(rev: str):
@@ -421,8 +435,25 @@ def timed(op, inp) -> float:
     return time.perf_counter() - start
 
 
-def ratios(parent_op, child_op, inputs, rounds: int) -> dict:
-    """Per-input median time ratio (change / parent), alternating the order."""
+def population(inp) -> str:
+    """The population of a ``small_input`` draw: that of its label's family."""
+    return SCALAR_FAMILIES.get(inp[0].metadata["label"][0]["family"], "proper")
+
+
+def by_population(inputs, per_input: list) -> dict:
+    """Share of the ops, median ratio and the metrics set, per population."""
+    groups = {name: [] for name in POPULATIONS}
+    for inp, ratio in zip(inputs, per_input):
+        groups[population(inp)].append(ratio)
+    return {name: {"share": len(r) / len(inputs),
+                   "ratio_median": statistics.median(r) if r else None,
+                   "sets": list(POPULATIONS[name])}
+            for name, r in groups.items()}
+
+
+def ratios(parent_op, child_op, inputs, rounds: int) -> tuple:
+    """Per-input median time ratio (change / parent), alternating the order:
+    the summary of the case, and the ratio of each input."""
     times = [([], []) for _ in inputs]
     for r in range(rounds):
         for i, inp in enumerate(inputs):
@@ -448,7 +479,7 @@ def ratios(parent_op, child_op, inputs, rounds: int) -> dict:
         "total_ratio": parent["ops_per_s"] / change["ops_per_s"],
         "tail_ratio": change["op_tail_ms"] / parent["op_tail_ms"],
         "tail_pct": parent["op_tail_pct"],
-    }
+    }, per_input
 
 
 def linalg_work(op, inputs) -> dict:
@@ -517,7 +548,7 @@ def main(argv=None) -> int:
     report = {"parent": commit, "seed": args.seed, "numpy": np.__version__,
               "compared_inputs": {}, "differing_answers": {},
               "differing_verdicts": {}, "max_angle_difference": {}, "cases": {},
-              "linalg_per_op": {}, "steps_per_op": {}}
+              "linalg_per_op": {}, "steps_per_op": {}, "populations": {}}
 
     def compared(name, parent_op, child_op, inputs):
         report["compared_inputs"][name] = len(inputs)
@@ -543,9 +574,12 @@ def main(argv=None) -> int:
         gc.collect()
         gc.disable()
         try:
-            report["cases"][name] = ratios(parent_op, child_op, inputs, args.rounds)
+            report["cases"][name], per_input = ratios(parent_op, child_op, inputs,
+                                                      args.rounds)
         finally:
             gc.enable()
+        if name == "batch_small":
+            report["populations"][name] = by_population(inputs, per_input)
     print(json.dumps(report, indent=1))
     return 1 if any(report["differing_answers"].values()) else 0
 
