@@ -135,11 +135,14 @@ class Dim4(_Form):
 FAMILIES = (Dim1, Dim2LeftScalar, Dim2RightScalar, Dim2Proper, Dim4)
 
 
-# each family's rank, sign and angle fields, and a getter of both, signs first
-_LAYOUT = {cls: (rank, signs, angles, attrgetter(*signs, *angles))
-           for rank, cls in enumerate(FAMILIES)
-           for signs, angles in [[tuple(n for n in names if n in cls.__dataclass_fields__)
-                                  for names in (SIGN_FIELDS, ANGLE_FIELDS)]]}
+def _layout(rank: int, cls) -> tuple:
+    """A family's rank, its sign and angle fields, and a getter of both, signs first."""
+    signs = tuple(n for n in SIGN_FIELDS if n in cls.__dataclass_fields__)
+    angles = tuple(n for n in ANGLE_FIELDS if n in cls.__dataclass_fields__)
+    return rank, signs, angles, attrgetter(*signs, *angles)
+
+
+_LAYOUT = {cls: _layout(rank, cls) for rank, cls in enumerate(FAMILIES)}
 
 
 def _check_form(form):
@@ -216,15 +219,15 @@ def _scalar_form(d: Rotation, e: Rotation):
     """Form of every block of a pair with a +-I side, from kinds and angles.
 
     Both sides +-I give the line ``Dim1(r, s)``; otherwise the block is a
-    plane with the scalar side's sign: +1 at angle 0, -1 at pi.
+    plane with the scalar side's sign (+1 for the identity, -1 for its
+    negative) and the proper side's angle.
     """
-    d_scalar = d.kind is not RotationKind.PROPER
-    e_scalar = e.kind is not RotationKind.PROPER
-    if d_scalar and e_scalar:
-        return Dim1(r=1 if d.angle == 0.0 else -1, s=1 if e.angle == 0.0 else -1)
-    if d_scalar:
-        return Dim2LeftScalar(r=1 if d.angle == 0.0 else -1, beta=e.angle)
-    return Dim2RightScalar(alpha=d.angle, s=1 if e.angle == 0.0 else -1)
+    r, s = [1 if side.kind is RotationKind.IDENTITY else -1 for side in (d, e)]
+    if d.kind is not RotationKind.PROPER and e.kind is not RotationKind.PROPER:
+        return Dim1(r=r, s=s)
+    if d.kind is not RotationKind.PROPER:
+        return Dim2LeftScalar(r=r, beta=e.angle)
+    return Dim2RightScalar(alpha=d.angle, s=s)
 
 
 def classify_block(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
@@ -329,8 +332,7 @@ def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLab
                                        + _each(classify_block, blocks[len(planes):], tol)))
     else:
         form = _scalar_form(d, e)
-        label = object.__new__(ClassLabel)   # copies of one form are in canonical order
-        object.__setattr__(label, "forms", (form,) * (d.dim // form.dim))
+        label = ClassLabel(forms=(form,) * (d.dim // form.dim))
     object.__setattr__(d, "_label", (e, tol, label))
     return label
 

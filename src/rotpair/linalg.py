@@ -124,20 +124,19 @@ def frobenius(X):
 
 
 def orthonormality_residual(X):
-    """``max_abs(X^T X - I)`` for a real matrix X of columns (NaN, unwarned,
-    for a NaN or infinite entry), or one such residual per matrix of a stack."""
-    if X.ndim == 2 and X.dtype == np.float64:
-        flat = X.ravel()   # its squares sum to a finite value unless one is NaN, inf or huge
-        if not (math.isfinite(flat.dot(flat)) or np.isfinite(X).all()):
-            return math.nan
-        G = X.T @ X
-        G.ravel()[::G.shape[0] + 1] -= 1.0
-        return max_abs(G)
+    """``max_abs(X^T X - I)`` for a real matrix X of columns (NaN, with no
+    warning, for a non-finite entry), or one such residual per matrix of a stack."""
+    # the squares sum to a finite value unless an entry is NaN, infinite or huge
+    if X.ndim == 2 and not (math.isfinite(np.vdot(X, X)) or np.isfinite(X).all()):
+        return math.nan
     G = X.swapaxes(-1, -2) @ X
     if G.dtype != np.float64:   # the subtraction below is done in place
         G = G.astype(np.result_type(G.dtype, np.float64))
-    G -= np.eye(G.shape[-1])
-    return max_abs_each(G) if G.ndim > 2 else max_abs(G)
+    if G.ndim > 2:
+        G -= np.eye(G.shape[-1])
+        return max_abs_each(G)
+    G.reshape(-1)[::G.shape[0] + 1] -= 1.0
+    return max_abs(G)
 
 
 def numerical_rank(s) -> int:

@@ -263,7 +263,7 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
                 D.fill(0.0)
                 diagonal.fill(1.0)
                 D.setflags(write=False)
-                nf = object.__new__(NormalForm)
+                nf = object.__new__(NormalForm)   # as the one-cluster form below is built
                 nf.__dict__.update(angles=(), fix_dim=fix_dim, neg_dim=neg_dim, basis=D,
                                    orthogonality_residual=resid)
                 return nf

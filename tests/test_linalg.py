@@ -305,11 +305,12 @@ def test_helpers_match_the_plain_formulas_bit_for_bit(X):
     assert _same_bits(orthonormality_residual(X), old)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-def test_a_non_finite_entry_measures_nan_without_a_warning(value):
+def test_a_non_finite_entry_measures_nan_without_a_warning(value, dtype):
     # X^T X would multiply the infinity by the zeros beside it; the suite
     # turns that RuntimeWarning into an error
-    X = np.eye(4)[:, :3]
+    X = np.eye(4, dtype=dtype)[:, :3]
     X[1, 1] = value
     assert np.isnan(orthonormality_residual(X))
 
