@@ -221,11 +221,16 @@ def main(argv=None) -> int:
     except RotPairError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.format == "json" and payload is not None:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif not args.quiet:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json" and payload is not None:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif not args.quiet:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:   # the reader left, as `| head` does; exit flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
     return code
 
 

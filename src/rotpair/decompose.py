@@ -101,7 +101,7 @@ class InvariantDecomposition:
 def _invariance(basis: np.ndarray, d: Rotation, e: Rotation):
     """``(residual, [R_d, R_e])``: the worst invariance residual of
     ``span(basis)`` under both, and ``R = basis^H M basis`` for each,
-    which is the restriction when the span is invariant.
+    which is the restriction when the span is invariant, read-only.
 
     A stack of bases gives a residual array and stacked restrictions,
     one per piece, each piece's bit for bit as it gives alone.  A NaN
@@ -114,6 +114,7 @@ def _invariance(basis: np.ndarray, d: Rotation, e: Rotation):
     for M in (d.matrix, e.matrix):
         image = M @ basis
         R = H @ image
+        R.setflags(write=False)
         resid.append(max_abs_each(image - basis @ R))
         restricted.append(R)
     return np.maximum(*resid), restricted
@@ -202,11 +203,13 @@ def _real_plane(v: np.ndarray) -> np.ndarray:
     ``conj(v)`` lies in the conjugate plane B, which is orthogonal to A,
     so ``v^T v = 0``: the real and imaginary parts of v are orthogonal
     and of equal length, and ``sqrt(2) [Re v, Im v]`` is already an
-    orthonormal basis.
+    orthonormal basis.  It is read-only, as a remembered search keeps it.
     """
     plane = np.empty(v.shape + (2,))
     plane[..., 0], plane[..., 1] = v.real, v.imag
-    return math.sqrt(2.0) * plane
+    plane *= math.sqrt(2.0)
+    plane.setflags(write=False)
+    return plane
 
 
 def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> list:
@@ -214,9 +217,8 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> list:
 
     Returns, for each piece (one for a single pair), a tuple of plane
     bases, or the piece's :class:`AntilinearOp` when its eigenplanes do
-    not meet.
-    Tries the eigenplane intersections first: a rotation turns every
-    vector by its one angle, so each column of the first non-empty
+    not meet.  Tries the eigenplane intersections first: a rotation turns
+    every vector by its one angle, so each column of the first non-empty
     meet, A with C or A with ``D = conj(C)``, spans a jointly invariant
     plane with its conjugate, and the planes of distinct columns are
     orthogonal.  On a plane of orientation r, ``<d v, e v> = cos a cos b
@@ -231,26 +233,35 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     The two meets are the one overlap rule: they count A as meeting C
     (or D) when a principal angle phi between them has ``tan(phi/2) <=
     RANK_TOL``, and :func:`build_T` is reached only when both are
-    trivial.  The invariant-line branch serves no input.  Two proper
-    rotations act on an invariant plane as plane rotations, sharing its
-    complex eigenvectors, so any invariant plane makes a meet non-empty.
-    With both meets empty, ``T u = mu u`` would put ``c = u + conj(mu)
-    conj(u)`` in C with ``c^H conj(c) = 2 mu |u|^2 != 0``, although C is
-    orthogonal to ``D = conj(C)``.  The branch stays until ROADMAP item 1
-    frees ``build_T`` and ``antilinear_invariant_line`` from the tracer
-    of ``perfbench``.
+    trivial.  The invariant-line branch serves no input (README, "How
+    ``decompose`` works", shows why); it stays until ROADMAP item 1 frees
+    ``build_T`` and ``antilinear_invariant_line`` from the tracer of
+    ``perfbench``.
 
     The meets of all pieces are found together: one
     :func:`subspace_meet` of the stacked A with each piece's first
     plane, then one with the other plane for the pieces whose first meet
     is empty.  The pieces with no meet share one :func:`build_T` and one
-    :func:`antilinear_invariant_line`.
+    :func:`antilinear_invariant_line`.  A lone piece takes the
+    single-piece form of each.  A call with the ``d``, ``e`` and ``tol``
+    of a search that found a plane in :func:`two_plane_exists` returns it.
     """
+    memo = d._search
+    if memo is not None and memo[0] is e and memo[1] == tol:
+        return memo[2]
     A, C = eigenplanes(d, e, tol)
-    A, C = A.reshape((-1,) + A.shape[-2:]), C.reshape((-1,) + C.shape[-2:])
     trace = (d.matrix * e.matrix).sum(axis=(-2, -1)) / d.dim
-    minus = (trace < math.cos(d.angle) * math.cos(e.angle)).reshape(-1, 1, 1)
+    minus = trace < math.cos(d.angle) * math.cos(e.angle)
     D = np.conj(C)
+    if A.ndim == 2:
+        for W in ((D, C) if minus else (C, D)):
+            meet = subspace_meet(A, W)
+            if meet.shape[1]:
+                return [tuple(_real_plane(meet.T))]
+        T = build_T(A, C)
+        line = antilinear_invariant_line(T, tol)
+        return [T if line is None else (_real_plane(A @ line),)]
+    minus = minus[:, None, None]
     meets = subspace_meet(A, np.where(minus, D, C))
     rest = [i for i, meet in enumerate(meets) if not meet.shape[1]]
     if rest:
@@ -265,6 +276,12 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> list:
             found[i] = (AntilinearOp(T.M[j], T.basis_a[j]) if line is None
                         else (_real_plane(A[i] @ line),))
     return found
+
+
+def _remember(d: Rotation, e: Rotation, tol: Tolerance, found: list) -> None:
+    """Keep ``found`` on d as its search with e at tol if neither matrix can change."""
+    if not (d.matrix.flags.writeable or e.matrix.flags.writeable):
+        d.__dict__["_search"] = (e, tol, found)
 
 
 def _pieces_of(index: list, *stacks) -> list:
@@ -311,9 +328,9 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     first plane the search step finds, or ``(False, None)``.  On a pair
     with planes of both orientations, which only a direct call gives,
     that plane follows the sign of the trace (see
-    :func:`_planes_or_operator`).  The
-    witness is checked orthonormal and invariant under both rotations,
-    at ``check_tol``, before being returned.  A rotation that is not
+    :func:`_planes_or_operator`).  The read-only witness is checked
+    orthonormal and invariant under both rotations, at ``check_tol``, and
+    its search is remembered (:func:`_remember`).  A rotation that is not
     proper raises ``NotProper``, a pair of unequal dimensions
     ``NotOrthogonalPair``, and a NaN or infinite entry ``BadParameter``.
 
@@ -325,11 +342,12 @@ def two_plane_exists(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL):
     if not (np.isfinite(d.matrix).all() and np.isfinite(e.matrix).all()):
         raise BadParameter("rotation matrix has non-finite entries")
     stacked = d.matrix.ndim > 2
-    witnesses = []
-    for i, planes in enumerate(_planes_or_operator(d, e, tol)):
+    witnesses, found = [], _planes_or_operator(d, e, tol)
+    for i, planes in enumerate(found):
         witnesses.append(planes[0] if type(planes) is tuple else None)
         if witnesses[-1] is not None:
             _check_blocks(witnesses[-1], *(_piece(i, d, e) if stacked else (d, e)), tol)
+            _remember(d, e, tol, found)   # for the step that splits this piece
     if stacked:
         return np.array([w is not None for w in witnesses]), tuple(witnesses)
     return witnesses[0] is not None, witnesses[0]
@@ -384,7 +402,8 @@ def find_block(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> tuple:
     ``NumericalFailure``.  Each block's ``rotations`` are the diagonal
     blocks of the two restrictions that check forms, at the angles of
     ``d`` and ``e``.  The pair is one that :func:`_certify_pair` has
-    returned, or a restriction of it.
+    returned, or a restriction of it; a pair that a verdict searched is
+    not searched again (:func:`_planes_or_operator`).
 
     Proper rotations holding stacks of k matrices (README, "Stacks")
     give a tuple of k block tuples from one step; the pieces' bases are
@@ -428,10 +447,10 @@ def is_irreducible(block: InvariantBlock, tol: Tolerance = DEFAULT_TOL):
     irreducibility verdict: :func:`decompose` asks it once for all the
     4-dimensional twist clusters of a pair, as one stack when there are
     several, and once for each 4-dimensional piece that a step which
-    found planes leaves;
-    :func:`find_block` returns irreducible blocks by construction, and
-    ``classify_block`` asks it for a block handed in from outside a
-    decomposition.
+    found planes leaves, and the step that splits a reducible piece takes
+    the verdict's search; :func:`find_block` returns irreducible blocks by
+    construction, and ``classify_block`` asks it for a block handed in
+    from outside a decomposition.
 
     The restrictions are read from ``block.rotations`` when the block
     carries them; otherwise both are certified here, and a restriction
@@ -460,7 +479,7 @@ def _stack_answers(clusters: list, stacks: dict, tol: Tolerance) -> list:
     """What one call on each stack of :func:`_twist_clusters` gives each
     cluster in it: the :func:`is_irreducible` verdict of a 4-dimensional
     cluster, the :func:`find_block` step of any other; None for every
-    cluster in no stack.
+    cluster in no stack.  A reducible cluster gets its verdict's search.
 
     So is every cluster of a stack that raises: the work list takes it
     alone, and the error is the one that a piece-by-piece run raises first.
@@ -473,8 +492,11 @@ def _stack_answers(clusters: list, stacks: dict, tol: Tolerance) -> list:
         except (RotPairError, np.linalg.LinAlgError):
             continue
         index = [i for i, c in enumerate(clusters) if c.dim == m]
-        for i, answer in zip(index, found):
+        searched = stack.rotations[0]._search if m == 4 else None
+        for j, (i, answer) in enumerate(zip(index, found)):
             answers[i] = answer
+            if searched is not None and not answer:
+                _remember(*clusters[i].rotations, tol, searched[2][j:j + 1])
     return answers
 
 
@@ -627,26 +649,25 @@ def decompose(d: Rotation, e: Rotation,
     a 4-dimensional piece is either one 4-block or two planes, and the one
     :func:`is_irreducible` verdict on it decides which: an irreducible
     piece is kept as the block.  Any other piece takes one
-    :func:`find_block` step on its restrictions.  Twist clusters of one
-    size that were certified as one stack take one call on that stack,
-    before the list is worked (:func:`_stack_answers`): one verdict for
-    all 4-dimensional clusters, one step for all clusters of any other
-    size.  The step's blocks are irreducible by construction; one product
-    with the piece's basis moves them to ambient coordinates, in place, and
-    they are kept with no second verdict.  The orthogonal complement of
-    the step's blocks goes back on the list, with the restrictions
-    ``comp^T R comp`` of the piece's own: the restriction of a
-    single-angle rotation to an invariant subspace keeps its angle, so no
-    re-certification is needed.  A step that built a 4-block from the
-    operator found no invariant plane in its piece, so its remainder has
-    none either, and a 4-dimensional remainder is kept with no verdict.
-    A step that takes the whole piece, as
-    one on a cluster of planes of one orientation does, leaves an empty
-    complement, which :func:`orthonormal_complement` returns without a
-    factorization.  A step
-    costs O(m^3) for the piece dimension m, and one step takes every
-    plane of an eigenplane meet, so a pair whose twists are distinct
-    costs O(n^3) in all.
+    :func:`find_block` step on its restrictions, a reducible one from the
+    search of its verdict.  Twist clusters of one size that were certified
+    as one stack take one call on that stack, before the list is worked
+    (:func:`_stack_answers`): one verdict for all 4-dimensional clusters,
+    one step for all clusters of any other size.  The step's blocks are
+    irreducible by construction; one product with the piece's basis moves
+    them to ambient coordinates, in place, and they are kept with no
+    second verdict.  The orthogonal complement of the step's blocks goes
+    back on the list, with the restrictions ``comp^T R comp`` of the
+    piece's own: the restriction of a single-angle rotation to an
+    invariant subspace keeps its angle, so no re-certification is needed.
+    A step that built a 4-block from the operator found no invariant
+    plane in its piece, so its remainder has none either, and a
+    4-dimensional remainder is kept with no verdict.  A step that takes
+    the whole piece, as one on a cluster of planes of one orientation
+    does, leaves an empty complement, which :func:`orthonormal_complement`
+    returns without a factorization.  A step costs O(m^3) for the piece
+    dimension m, and one step takes every plane of an eigenplane meet, so
+    a pair whose twists are distinct costs O(n^3) in all.
 
     Blocks come in extraction order, which is deterministic: lines and
     planes before 4-blocks, each in cluster order and then in the order

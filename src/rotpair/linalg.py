@@ -124,11 +124,11 @@ def frobenius(X):
 
 
 def orthonormality_residual(X):
-    """``max_abs(X^T X - I)`` for a real matrix X of columns (NaN, with no
-    warning, for a non-finite entry), or one such residual per matrix of a stack."""
-    # the squares sum to a finite value unless an entry is NaN, infinite or huge
-    if X.ndim == 2 and not (math.isfinite(np.vdot(X, X)) or np.isfinite(X).all()):
-        return math.nan
+    """``max_abs(X^T X - I)`` for a real matrix X of columns (with no warning,
+    NaN for a non-finite entry and inf for one whose square overflows),
+    or one such residual per matrix of a stack."""
+    if X.ndim == 2 and not math.isfinite(np.vdot(X, X)):
+        return math.inf if np.isfinite(X).all() else math.nan
     G = X.swapaxes(-1, -2) @ X
     if G.dtype != np.float64:   # the subtraction below is done in place
         G = G.astype(np.result_type(G.dtype, np.float64))

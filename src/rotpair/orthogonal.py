@@ -155,8 +155,9 @@ class Rotation:
 
     A certified rotation also remembers the label that ``classify`` last
     gave it as the first side of a certified pair, with that partner and
-    tolerance; the memo is no field, so ``==``, ``repr`` and
-    ``dataclasses.replace`` do not see it.
+    tolerance, and a read-only one its last plane-finding eigenplane
+    search with a read-only partner.  The memos are no fields, so ``==``,
+    ``repr`` and ``dataclasses.replace`` do not see them.
 
     Inside the package a rotation may also hold a stack of matrices
     (``matrix`` of shape ``(k, m, m)``) that share one angle, such as
@@ -171,6 +172,7 @@ class Rotation:
                                            repr=False, compare=False)
 
     _label = None   # classify's memo of its last certified pair: (partner, tol, label)
+    _search = None  # two_plane_exists's memo of its last search: (partner, tol, found)
 
     __eq__ = array_fields_equal
     __array_ufunc__ = None   # so that == with an ndarray answers False
@@ -441,7 +443,9 @@ def _trusted(matrix: np.ndarray, angle: float) -> Rotation:
     """A rotation of ``matrix``, one square matrix or a stack of them, by
     ``angle`` in [0, pi], with no normal form, built without the
     constructor's checks: the package computed both from a certified
-    rotation."""
+    rotation.  The matrix is made read-only, as a certified one is."""
+    if matrix.flags.writeable:
+        matrix.setflags(write=False)
     r = object.__new__(Rotation)
     r.__dict__.update(matrix=matrix, angle=angle, normal_form=None)
     return r

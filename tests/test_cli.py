@@ -113,6 +113,22 @@ class TestCheck:
         assert "Traceback" not in proc.stderr
 
 
+    def test_huge_finite_entry_is_one_error_line(self, tmp_path):
+        # an overflow warning before the refusal would reach stderr too
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"n": 2, "delta": [[1e200, 0.0], [0.0, 1.0]],
+             "epsilon": [[1.0, 0.0], [0.0, 1.0]]}
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotpair.cli", "check", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr == ("error: delta: orthogonality residual inf "
+                               "exceeds 1.000e-09\n")
+
+
 class TestNormalForm:
     def test_json_angles(self, capsys, pair_file):
         rc, out, _ = run(capsys, "normal-form", pair_file, "--format", "json")
@@ -416,6 +432,26 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "delta" in proc.stdout
+
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path):
+    # the reader stops after 10 bytes, as `| head -c 10` does, while the
+    # n = 96 normal form still fills more than a pipe buffer
+    spec = [Dim4(0.7, 1.9, t) for t in np.linspace(0.3, 2.8, 12)]
+    spec += [Dim2Proper(0.7, 1.9, r) for r in (1, -1) for _ in range(12)]
+    path = tmp_path / "n96.json"
+    generate_pair(spec, seed=3).save(path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rotpair.cli", "normal-form", str(path),
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "delta'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_VALIDATION
+    assert err == b""
 
 
 def test_import_loads_no_scipy():

@@ -846,6 +846,51 @@ class TestSearchOrder:
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
 
+class TestSearchBudget:
+    @pytest.mark.parametrize("spec, clusters, searches", [
+        ([Dim2Proper(0.7, 1.9, 1)] * 2, [4], 1),
+        ([Dim2Proper(0.7, 1.9, 1)] * 2 + [Dim4(0.7, 1.9, 1.0)], [4, 4], 1),
+        ([Dim2Proper(0.7, 1.9, r) for r in (1, 1, -1, -1)], [4, 4], 1),
+        ([Dim2Proper(1e-3, 5e-4, r) for r in (1, 1, -1, -1)], [8], 2),
+    ], ids=["lone-cluster", "stacked-verdict", "both-signs", "merged-remainder"])
+    def test_a_reducible_four_dim_piece_is_searched_once(self, monkeypatch, spec,
+                                                         clusters, searches):
+        """The step that splits a 4-dimensional piece found reducible takes
+        the search of its verdict, decided alone or on a stack.
+
+        The twist values ``cos a cos b +- sin a sin b`` of the last pair lie
+        within one gap, so its planes of both signs are one cluster; the
+        first step takes the planes of one sign, and the reducible
+        remainder is split from the search of its own verdict.
+        """
+        d, e = pair_rotations(generate_pair(spec, seed=55))
+        assert [c.dim for c in _twist_clusters(d, e, DEFAULT_TOL)[0]] == clusters
+        verdicts = record_calls(monkeypatch, DECOMPOSE, "is_irreducible")
+        steps = record_calls(monkeypatch, DECOMPOSE, "find_block")
+        calls = record_calls(monkeypatch, DECOMPOSE, "eigenplanes")
+        dec = decompose(d, e)
+        assert len(calls) == searches
+        assert len(verdicts) == 1 and len(steps) == sum(f.dim == 2 for f in spec) // 2
+        assert dec.dims == tuple(sorted(f.dim for f in spec))
+        assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+    @pytest.mark.parametrize("changed", [0, 1])
+    def test_a_matrix_changed_in_place_is_searched_again(self, changed):
+        """A hand-built side stores the caller's writeable array, so no
+        search is remembered with it, on either side of the pair."""
+        doc = generate_pair([Dim4(0.7, 1.9, 1.0)], seed=56)
+        pair = list(pair_rotations(doc))
+        irreducible = pair[changed].matrix.copy()
+        # a rotation by the changed side's angle on the other side's planes
+        W, angle = pair[1 - changed].normal_form.basis, pair[changed].angle
+        pair[changed] = Rotation(W @ block_diag(rot2(angle), rot2(angle)) @ W.T, angle)
+        found, witness = two_plane_exists(*pair)
+        assert found and invariance_residual(witness, *pair) <= DEFAULT_TOL.check_tol
+        assert not witness.flags.writeable   # a remembered search hands it out again
+        pair[changed].matrix[...] = irreducible
+        assert two_plane_exists(*pair) == (False, None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=proper_specs(), seed=st.integers(0, 2**31 - 1))
 def test_proper_spec_clusters_and_labels(spec, seed):

@@ -256,6 +256,14 @@ class TestAsRotation:
                            r"1\.000e-09$"):
             as_rotation(M)
 
+    @pytest.mark.parametrize("huge", [1e200, -1e155])
+    def test_rejects_huge_finite_entry_as_inf(self, huge):
+        # the squares overflow although every entry is finite; M^T M is not
+        # formed, so no overflow warning comes before the refusal
+        with pytest.raises(NotOrthogonal, match=r"^orthogonality residual inf exceeds "
+                           r"1\.000e-09$"):
+            as_rotation(np.array([[huge, 0.0], [0.0, 1.0]]))
+
     @pytest.mark.parametrize("M", [
         np.eye(2) + 0.5j,
         [["1", "0"], ["0", "1"]],

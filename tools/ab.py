@@ -72,8 +72,11 @@ op, given as ``[calls, work]`` under ``linalg_per_op``: the work is the
 sum over calls of ``m k min(m, k) / n^3``, where m x k is the shape of
 the call's matrix (times the number of stacked matrices) and n the
 dimension of the op's input.  Beside it, ``steps_per_op`` gives the
-search steps (``_planes_or_operator`` calls) and ``find_block`` calls
-per op of the same run.
+eigenplane searches (``eigenplanes`` calls), the search steps
+(``_planes_or_operator`` calls, a remembered search included) and
+``find_block`` calls per op of the same run.  Each population of
+``batch_small`` gets both counts of its own ops, under ``linalg_per_op``
+and ``steps_per_op`` in its entry of ``populations``.
 
 The exit code is 1 when any answer differs bit for bit.  This reports
 direction and size of a change; it is no gate, and ``perfbench/run.py``
@@ -129,7 +132,7 @@ PM_IDENTITY_DOCS = 200
 STACKED_REPORT_DOCS = {"n96": 4, "equal_sizes_n32": 4, "both_signs": 100}
 ANGLE_SLACK = 1e-12   # the largest angle difference of one verdict
 LINALG = ("svd", "eigh", "eigvalsh", "eig", "inv", "solve", "qr", "norm")
-STEPS = ("_planes_or_operator", "find_block")   # counted in each package's decompose
+STEPS = ("eigenplanes", "_planes_or_operator", "find_block")   # counted in each decompose
 # batch_small's populations, by the family of the label, and the metrics each sets
 POPULATIONS = {"dim1": (), "scalar_side": ("op_p50_ms",),
                "proper": ("op_tail_ms", "ops_per_s")}
@@ -580,6 +583,12 @@ def main(argv=None) -> int:
             gc.enable()
         if name == "batch_small":
             report["populations"][name] = by_population(inputs, per_input)
+            for pop, entry in report["populations"][name].items():
+                members = [inp for inp in inputs if population(inp) == pop]
+                entry["linalg_per_op"] = {"parent": linalg_work(parent_op, members),
+                                          "change": linalg_work(child_op, members)}
+                entry["steps_per_op"] = {"parent": step_counts(parent, parent_op, members),
+                                         "change": step_counts(rotpair, child_op, members)}
     print(json.dumps(report, indent=1))
     return 1 if any(report["differing_answers"].values()) else 0
 
