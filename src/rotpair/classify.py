@@ -26,7 +26,6 @@ from .decompose import (
     InvariantBlock,
     _certified_block,
     _certify_pair,
-    _each,
     decompose,
     is_irreducible,
 )
@@ -40,11 +39,12 @@ from .errors import (
     NotOrthogonal,
     NotProper,
     NumericalFailure,
+    RotPairError,
     ScaleNotConstant,
 )
 from .linalg import (DEFAULT_TOL, RANK_TOL, Tolerance, block_diag, frobenius, is_number,
                      max_abs, max_abs_each, orthonormality_residual, real_array, require)
-from .orthogonal import Rotation, RotationKind, as_rotation, rho, rot2
+from .orthogonal import Rotation, RotationKind, _trusted, as_rotation, rho, rot2
 
 
 # The one declaration of the form schema: each class's ``family`` is its
@@ -302,6 +302,34 @@ def realize(form) -> tuple:
     return left, twist @ block_diag(rot2(form.beta), rot2(form.beta)) @ twist.T
 
 
+def _stacked(blocks) -> InvariantBlock:
+    """One block holding the certified ``blocks`` of one pair as a stack.
+
+    Their bases and restrictions go on a leading axis, one piece per
+    block, and the restrictions keep the pair's angles, which the blocks
+    share.
+    """
+    d_r, e_r = blocks[0].rotations
+    return _certified_block(np.array([b.basis for b in blocks]),
+                            _trusted(np.array([b.d_restricted for b in blocks]), d_r.angle),
+                            _trusted(np.array([b.e_restricted for b in blocks]), e_r.angle))
+
+
+def _each(fn, blocks: list, tol: Tolerance) -> list:
+    """``[fn(b, tol) for b in blocks]`` for certified blocks of one pair,
+    from one call of ``fn`` on their stack.
+
+    When the stack raises, the blocks are run one at a time, so the
+    error is exactly the one that the first failing block raises alone.
+    """
+    if len(blocks) < 2:
+        return [fn(b, tol) for b in blocks]
+    try:
+        return list(fn(_stacked(blocks), tol))
+    except (RotPairError, np.linalg.LinAlgError):
+        return [fn(b, tol) for b in blocks]
+
+
 def classify(d: Rotation, e: Rotation, tol: Tolerance = DEFAULT_TOL) -> ClassLabel:
     """Canonical label of a rotation pair: forms of its irreducible blocks.
 
@@ -377,7 +405,10 @@ def labels_match(label1: ClassLabel, label2: ClassLabel,
                         return True
         return False
 
-    return all(augment(i, set()) for i in range(len(forms1)))
+    try:
+        return all(augment(i, set()) for i in range(len(forms1)))
+    finally:
+        del augment   # it refers to itself through its cell, a cycle left to gc
 
 
 def isomorphic(pair1, pair2, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -71,8 +71,8 @@ class InvariantBlock:
     A block built directly, or with ``dataclasses.replace``, has
     ``rotations`` None.  Inside the package a block may hold a stack of
     k blocks of one pair, each array with a leading axis of k and the
-    ``rotations`` holding stacks (see :func:`_stacked` and
-    :func:`_twist_clusters`); ``dim`` is a piece's.
+    ``rotations`` holding stacks, as :func:`_certified_by_size` forms
+    them and ``classify._stacked`` builds them; ``dim`` is a piece's.
     """
 
     basis: np.ndarray
@@ -168,34 +168,6 @@ def _certified_block(basis: np.ndarray, d_r: Rotation,
     return block
 
 
-def _stacked(blocks) -> InvariantBlock:
-    """One block holding the certified ``blocks`` of one pair as a stack.
-
-    Their bases and restrictions go on a leading axis, one piece per
-    block, and the restrictions keep the pair's angles, which the blocks
-    share.
-    """
-    d_r, e_r = blocks[0].rotations
-    return _certified_block(np.array([b.basis for b in blocks]),
-                            _trusted(np.array([b.d_restricted for b in blocks]), d_r.angle),
-                            _trusted(np.array([b.e_restricted for b in blocks]), e_r.angle))
-
-
-def _each(fn, blocks: list, tol: Tolerance) -> list:
-    """``[fn(b, tol) for b in blocks]`` for certified blocks of one pair,
-    from one call of ``fn`` on their stack.
-
-    When the stack raises, the blocks are run one at a time, so the
-    error is exactly the one that the first failing block raises alone.
-    """
-    if len(blocks) < 2:
-        return [fn(b, tol) for b in blocks]
-    try:
-        return list(fn(_stacked(blocks), tol))
-    except (RotPairError, np.linalg.LinAlgError):
-        return [fn(b, tol) for b in blocks]
-
-
 def _real_plane(v: np.ndarray) -> np.ndarray:
     """Real 2-plane of a unit vector v of an eigenplane A, or the stack
     of the planes of the rows of v, from one array op.
@@ -266,12 +238,12 @@ def _planes_or_operator(d: Rotation, e: Rotation, tol: Tolerance) -> list:
     rest = [i for i, meet in enumerate(meets) if not meet.shape[1]]
     if rest:
         other = np.where(minus, C, D)
-        for i, meet in zip(rest, subspace_meet(*_pieces_of(rest, A, other))):
+        for i, meet in zip(rest, subspace_meet(A[rest], other[rest])):
             meets[i] = meet
         rest = [i for i in rest if not meets[i].shape[1]]
     found = [tuple(_real_plane(meet.T)) if meet.shape[1] else None for meet in meets]
     if rest:
-        T = build_T(*_pieces_of(rest, A, C))
+        T = build_T(A[rest], C[rest])
         for j, (i, line) in enumerate(zip(rest, antilinear_invariant_line(T, tol))):
             found[i] = (AntilinearOp(T.M[j], T.basis_a[j]) if line is None
                         else (_real_plane(A[i] @ line),))
@@ -282,14 +254,6 @@ def _remember(d: Rotation, e: Rotation, tol: Tolerance, found: list) -> None:
     """Keep ``found`` on d as its search with e at tol if neither matrix can change."""
     if not (d.matrix.flags.writeable or e.matrix.flags.writeable):
         d.__dict__["_search"] = (e, tol, found)
-
-
-def _pieces_of(index: list, *stacks) -> list:
-    """The pieces ``index`` of each stack; the stacks themselves when
-    ``index`` takes every piece, as it does on a stack of 4-blocks."""
-    if len(index) == len(stacks[0]):
-        return list(stacks)
-    return [X[index] for X in stacks]
 
 
 def _piece(i: int, d: Rotation, e: Rotation) -> tuple:
@@ -514,50 +478,38 @@ def _twist_clusters(d: Rotation, e: Rotation, tol: Tolerance) -> tuple:
 
     Returns ``(clusters, stacks)``: the clusters by descending value, and
     for each cluster size that two or more clusters share, the stack of
-    those clusters in that order.  With two or more groups each is
-    certified by its invariance residual, at ``check_tol``, all groups
-    of one size at once (:func:`_certified_by_size`).  Each cluster's
-    restrictions are the two products ``V^T M V`` that its check forms.
-    Input error divided by the gap can exceed ``check_tol``; the groups
-    are then taken one at a time, by ascending value, and a group that
-    fails is merged with its neighbour across the smaller gap and
-    certified again.  Only a merged group forms new products, and the
-    clusters left are stacked by size anew.  One group, from the start
-    or after merging, is the whole space, which is invariant: the one
-    cluster is the pair itself on the identity basis, which keeps the
-    normal forms that certified it, and no product is formed for it.  A
-    cluster that holds several twists costs only time.
+    those clusters in that order.  With two or more groups, one pass
+    certifies every group by its invariance residual, at ``check_tol``,
+    all groups of one size at once (:func:`_certified_by_size`).  Each
+    cluster's restrictions are the two products ``V^T M V`` that its
+    check forms, and the stacks are those the pass formed.  Input error
+    divided by the gap can exceed ``check_tol``; the lowest group by
+    ascending value that fails (a NaN residual fails) is then merged with
+    its neighbour across the smaller gap, upward on a tie, and the next
+    pass certifies every group again, so the groups that passed are
+    formed once more per merge.  One group, from the start or after
+    merging, is the whole space, which is invariant: the one cluster is
+    the pair itself on the identity basis, which keeps the normal forms
+    that certified it, and no product is formed for it.  A cluster that
+    holds several twists costs only time.
     """
     n = d.dim
     G = d.matrix.T @ e.matrix
     values, vectors = symmetric_eigen((G + G.T) / 2.0)
     groups = single_linkage(values, tol.eigenvector_gap(n))
-    formed, stacks = (_certified_by_size(groups[::-1], vectors, d, e)
-                      if len(groups) > 1 else ([], {}))
-    formed.reverse()
-    clusters = []
-    while len(groups) > 1 and len(clusters) < len(groups):
-        i = len(clusters)
-        resid, cluster = formed[i] or _formed(vectors[:, groups[i]], d, e)
-        if resid <= tol.check_tol:
-            clusters.append(cluster)
-            continue
+    while len(groups) > 1:
+        formed, stacks = _certified_by_size(groups[::-1], vectors, d, e)
+        failed = [i for i, (resid, _) in enumerate(reversed(formed))
+                  if not resid <= tol.check_tol]
+        if not failed:
+            return [cluster for _, cluster in formed], stacks
+        i = failed[0]
         below = values[groups[i][0]] - values[groups[i - 1][-1]] if i else np.inf
         above = (values[groups[i + 1][0]] - values[groups[i][-1]]
                  if i + 1 < len(groups) else np.inf)
         i = i - 1 if below < above else i
-        del clusters[i:]
         groups[i:i + 2] = [np.concatenate(groups[i:i + 2])]
-        formed[i:i + 2] = [None]
-        stacks = None
-    if len(groups) == 1:
-        return [_certified_block(np.eye(n), d, e)], {}
-    clusters.reverse()
-    if stacks is None:
-        sizes = [c.dim for c in clusters]
-        stacks = {m: _stacked([c for c in clusters if c.dim == m])
-                  for m in dict.fromkeys(sizes) if sizes.count(m) > 1}
-    return clusters, stacks
+    return [_certified_block(np.eye(n), d, e)], {}
 
 
 def _formed(basis: np.ndarray, d: Rotation, e: Rotation) -> tuple:
@@ -651,7 +603,8 @@ def decompose(d: Rotation, e: Rotation,
     piece is kept as the block.  Any other piece takes one
     :func:`find_block` step on its restrictions, a reducible one from the
     search of its verdict.  Twist clusters of one size that were certified
-    as one stack take one call on that stack, before the list is worked
+    as one stack, in the pass of :func:`_twist_clusters` that every group
+    passed, take one call on that stack, before the list is worked
     (:func:`_stack_answers`): one verdict for all 4-dimensional clusters,
     one step for all clusters of any other size.  The step's blocks are
     irreducible by construction; one product with the piece's basis moves

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import importlib
 import itertools
 import json
@@ -827,6 +828,20 @@ class TestLabelsMatch:
         a = ClassLabel(forms=(Dim2LeftScalar(r=1, beta=0.5),))
         b = ClassLabel(forms=(Dim2RightScalar(alpha=0.5, s=1),))
         assert not labels_match(a, b)
+
+    def test_leaves_no_garbage(self):
+        """Every call frees what it builds without the cyclic collector,
+        whether the labels match or not."""
+        a = ClassLabel(forms=(Dim1(r=1, s=1), Dim2LeftScalar(r=1, beta=0.5)))
+        b = ClassLabel(forms=(Dim2LeftScalar(r=1, beta=0.5), Dim1(r=1, s=1)))
+        c = ClassLabel(forms=(Dim2LeftScalar(r=1, beta=0.5), Dim1(r=1, s=-1)))
+        gc.collect()
+        gc.disable()
+        try:
+            assert labels_match(a, b) and not labels_match(a, c)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),

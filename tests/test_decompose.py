@@ -784,18 +784,13 @@ def equal_size_specs(draw):
     return spec
 
 
-@settings(max_examples=40, deadline=None)
-@given(spec=equal_size_specs(), seed=st.integers(0, 2**31 - 1))
-def test_stacked_certification_matches_each_group(spec, seed):
-    """All twist groups of one size are certified as one stack, and each
-    cluster is bit for bit what ``_invariance`` gives its group alone.
-    Each size with two or more clusters keeps their stack."""
-    d, e = pair_rotations(generate_pair(spec, seed=seed))
-    G = d.matrix.T @ e.matrix
-    values, vectors = symmetric_eigen((G + G.T) / 2.0)
-    groups = single_linkage(values, DEFAULT_TOL.eigenvector_gap(d.dim))[::-1]
+def _assert_clusters_are_groups(d, e, vectors, groups) -> dict:
+    """The twist clusters of (d, e) are ``groups``, in their order: each
+    is bit for bit what ``_invariance`` gives its group alone, and each
+    size with two or more clusters keeps ``np.stack`` of them.  Returns
+    the stacks."""
     clusters, stacks = _twist_clusters(d, e, DEFAULT_TOL)
-    assert len(clusters) == len(groups) > 1
+    assert len(clusters) == len(groups)
     for c, g in zip(clusters, groups):
         resid, (R_d, R_e) = _invariance(vectors[:, g], d, e)
         assert resid <= DEFAULT_TOL.check_tol
@@ -809,6 +804,52 @@ def test_stacked_certification_matches_each_group(spec, seed):
             assert np.array_equal(getattr(stack, name),
                                   np.stack([getattr(c, name) for c in clusters
                                             if c.dim == m]))
+    return stacks
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=equal_size_specs(), seed=st.integers(0, 2**31 - 1))
+def test_stacked_certification_matches_each_group(spec, seed):
+    """All twist groups of one size are certified as one stack, and each
+    cluster is bit for bit what ``_invariance`` gives its group alone.
+    Each size with two or more clusters keeps their stack."""
+    d, e = pair_rotations(generate_pair(spec, seed=seed))
+    G = d.matrix.T @ e.matrix
+    values, vectors = symmetric_eigen((G + G.T) / 2.0)
+    groups = single_linkage(values, DEFAULT_TOL.eigenvector_gap(d.dim))[::-1]
+    assert len(groups) > 1
+    _assert_clusters_are_groups(d, e, vectors, groups)
+    assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
+
+
+@pytest.mark.parametrize("twists, stacked", [
+    ((1.0, 1.0 + 6e-6, 2.5, 0.4), [4]),
+    ((1.0, 1.0 + 6e-6, 2.5, 2.5), [8]),
+], ids=["stack-of-passed", "stack-with-merged"])
+def test_merged_certification_matches_each_group(twists, stacked):
+    """After a merge every group is certified again, so each cluster,
+    merged or not, is bit for bit what ``_invariance`` gives its group
+    alone, and each stack is ``np.stack`` of its clusters.
+
+    Under noise of 5e-10 the groups of the twists 1.0 and 1.0 + 6e-6,
+    the nearest two, fail ``check_tol`` and merge into one 8-dimensional
+    group.  The first input leaves two 4-dimensional groups that passed
+    to stack, the second stacks the merged group with the group of its
+    repeated twist.
+    """
+    spec = [Dim4(1.0, 2.0, t) for t in twists]
+    doc = generate_pair(spec, seed=0)
+    rng = np.random.default_rng(100)
+    d, e = (as_rotation(polar(M + 5e-10 * rng.standard_normal(M.shape)))
+            for M in (doc.delta, doc.epsilon))
+    G = d.matrix.T @ e.matrix
+    values, vectors = symmetric_eigen((G + G.T) / 2.0)
+    groups = single_linkage(values, DEFAULT_TOL.eigenvector_gap(d.dim))
+    gaps = [values[b[0]] - values[a[-1]] for a, b in zip(groups, groups[1:])]
+    i = int(np.argmin(gaps))
+    groups[i:i + 2] = [np.concatenate(groups[i:i + 2])]
+    assert sorted(_assert_clusters_are_groups(d, e, vectors, groups[::-1])) == stacked
+    assert decompose(d, e).dims == (4,) * len(spec)
     assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))
 
 
@@ -837,10 +878,14 @@ class TestSearchOrder:
         d, e = pair_rotations(generate_pair(spec, seed=54))
         stacks = record_calls(monkeypatch, DECOMPOSE, "_stack_answers")
         verdicts = record_calls(monkeypatch, DECOMPOSE, "is_irreducible")
-        rebuilt = record_calls(monkeypatch, DECOMPOSE, "_stacked")
+        passes = []
+        certify = DECOMPOSE._certified_by_size
+        monkeypatch.setattr(DECOMPOSE, "_certified_by_size",
+                            lambda *args: passes.append(certify(*args)) or passes[-1])
         dec = decompose(d, e)
         assert dec.dims == (2, 2, 2, 2, 4, 4, 4)
-        assert rebuilt == []
+        # the stack decided is the one its certification formed, not rebuilt
+        assert len(passes) == 1 and passes[0][1][4] is stacks[0][1][4]
         assert len(verdicts) == 1 and verdicts[0][0] is stacks[0][1][4]
         assert verdicts[0][0].basis.shape == (5, 20, 4)
         assert labels_match(classify(d, e), ClassLabel(forms=tuple(spec)))

@@ -43,8 +43,8 @@ from rotpair import (
     two_plane_exists,
 )
 from rotpair.antilinear import build_T, eigenplanes
-from rotpair.decompose import (_certified_block, _each, _stack_answers, _stacked,
-                               find_block)
+from rotpair.classify import _each, _stacked
+from rotpair.decompose import _certified_block, _stack_answers, find_block
 from rotpair.linalg import block_diag, subspace_meet
 
 # the package namespace binds ``decompose`` and ``classify`` to the functions
@@ -344,15 +344,16 @@ def test_remainder_of_a_step_that_found_planes_is_searched(monkeypatch):
 
 
 @pytest.mark.parametrize("extra, products, verdicts", [
-    ((), [(3, 12, 4), (12, 8)], [(12, 4)]),
-    ((0.4,), [(4, 16, 4), (16, 8)], [(2, 16, 4)]),
+    ((), [(3, 12, 4), (12, 8), (12, 4)], [(12, 4)]),
+    ((0.4,), [(4, 16, 4), (2, 16, 4), (16, 8)], [(2, 16, 4)]),
 ])
-def test_failed_stack_forms_each_passing_group_once(monkeypatch, extra, products,
-                                                    verdicts):
+def test_failed_stack_certifies_every_group_again(monkeypatch, extra, products,
+                                                  verdicts):
     """4-dimensional groups are certified as one stack, and the two whose
-    twists lie 6e-6 apart fail: only their merge forms new products.
-    With a fourth group, the two 4-dimensional clusters that merging
-    leaves are stacked anew and decided in one call."""
+    twists lie 6e-6 apart fail: they merge, and the next pass certifies
+    every group again by size, the merged 8-dimensional one alone.  With
+    a fourth group, the two 4-dimensional clusters that merging leaves
+    are certified and decided as one stack."""
     spec = [Dim4(1.0, 2.0, t) for t in (1.0, 1.0 + 6e-6, 2.5, *extra)]
     doc = generate_pair(spec, seed=0)
     rng = np.random.default_rng(100)

@@ -15,7 +15,13 @@ inputs in one process.  Compared only, untimed:
   documents with a +-I side, and of proper documents whose twist
   clusters of one size are searched as one stack: 4 ``n96_input``
   documents, 4 ``equal_size_input`` documents at n = 32 and 100 small
-  documents with planes of both signs.
+  documents with planes of both signs;
+- the labels and ``build_report`` JSON of inputs built to reach the
+  merge of twist groups: 400 pairs with two ``Dim4`` twists 1e-7 to
+  1e-4 apart, polar-projected after noise of 1e-11 to 1e-9, and 200
+  clean pairs of ``Dim2Proper`` planes of both signs at angles 1e-4 to
+  1e-2, whose twist values lie close.  ``merged_inputs`` gives how many
+  of them this checkout's ``decompose`` merged a group on.
 
 Compared, then timed:
 
@@ -92,6 +98,7 @@ import gc
 import importlib.util
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -130,6 +137,7 @@ BOUNDARY_INPUTS = 300
 CLI_POOLS = 10
 PM_IDENTITY_DOCS = 200
 STACKED_REPORT_DOCS = {"n96": 4, "equal_sizes_n32": 4, "both_signs": 100}
+MERGE_DOCS = {"close_twists": 400, "small_planes": 200}
 ANGLE_SLACK = 1e-12   # the largest angle difference of one verdict
 LINALG = ("svd", "eigh", "eigvalsh", "eig", "inv", "solve", "qr", "norm")
 STEPS = ("eigenplanes", "_planes_or_operator", "find_block")   # counted in each decompose
@@ -347,6 +355,89 @@ def stacked_report_docs(seed: int) -> list:
             + [both_signs_doc(rng) for _ in range(counts["both_signs"])])
 
 
+def log_uniform(rng, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def close_twists_doc(rng):
+    """Two ``Dim4`` twists 1e-7 to 1e-4 apart, up to two more ``Dim4``
+    blocks and up to one ``Dim2Proper`` plane of each sign, polar-projected
+    after noise of 1e-11 to 1e-9: the groups of the two close twists can
+    fail their invariance check and merge."""
+    alpha, beta = rng.uniform(workloads.ANGLE_LO, workloads.ANGLE_HI, size=2)
+    theta = rng.uniform(workloads.THETA_MARGIN, np.pi - workloads.THETA_MARGIN - 1e-4)
+    thetas = [theta, theta + log_uniform(rng, 1e-7, 1e-4)]
+    thetas += rng.uniform(workloads.THETA_MARGIN, np.pi - workloads.THETA_MARGIN,
+                          size=rng.integers(0, 3)).tolist()
+    spec = [rotpair.Dim4(float(alpha), float(beta), float(t)) for t in thetas]
+    spec += [rotpair.Dim2Proper(float(alpha), float(beta), r) for r in (1, -1)
+             for _ in range(rng.integers(0, 2))]
+    doc = rotpair.generate_pair(spec, int(rng.integers(2**31)))
+    scale = log_uniform(rng, 1e-11, 1e-9)
+    delta, epsilon = (workloads._polar(M + scale * rng.standard_normal(M.shape))
+                      for M in (doc.delta, doc.epsilon))
+    return rotpair.PairDocument(n=doc.n, delta=delta, epsilon=epsilon,
+                                metadata=doc.metadata)
+
+
+def small_planes_doc(rng):
+    """Clean ``Dim2Proper`` planes of both signs at angles 1e-4 to 1e-2,
+    beside a ``Dim4`` block or not: all twist values lie within
+    ``2 sin a sin b`` of each other."""
+    alpha, beta = log_uniform(rng, 1e-4, 1e-2), log_uniform(rng, 1e-4, 1e-2)
+    spec = [rotpair.Dim2Proper(alpha, beta, r) for r in (1, -1)
+            for _ in range(rng.integers(1, 3))]
+    spec += [rotpair.Dim4(alpha, beta, float(rng.uniform(0.5, 2.5)))
+             for _ in range(rng.integers(0, 2))]
+    return rotpair.generate_pair(spec, int(rng.integers(2**31)))
+
+
+def merge_docs(seed: int) -> list:
+    """Documents built to reach the merge of twist groups (module docstring)."""
+    rng = np.random.default_rng([seed, 13])
+    return ([close_twists_doc(rng) for _ in range(MERGE_DOCS["close_twists"])]
+            + [small_planes_doc(rng) for _ in range(MERGE_DOCS["small_planes"])])
+
+
+def label_report_op(pkg):
+    """A document's label and its report, each or its error."""
+    label, report = doc_op(pkg), report_op(pkg)
+
+    def op(doc):
+        return answer(label, doc), answer(report, doc)
+    return op
+
+
+def merged_inputs(op, inputs) -> int:
+    """The inputs on which ``op`` runs a ``_twist_clusters`` of this
+    checkout that returns fewer clusters than ``single_linkage`` gave
+    groups, so at least one group merged."""
+    module = sys.modules["rotpair.decompose"]
+    link, clusters = module.single_linkage, module._twist_clusters
+    groups, merged = [], []
+
+    def grouped(*args):
+        found = link(*args)
+        groups.append(len(found))
+        return found
+
+    def clustered(*args):
+        found = clusters(*args)
+        merged.append(len(found[0]) < groups[-1])
+        return found
+
+    count = 0
+    module.single_linkage, module._twist_clusters = grouped, clustered
+    try:
+        for x in inputs:
+            merged.clear()
+            answer(op, x)
+            count += any(merged)
+    finally:
+        module.single_linkage, module._twist_clusters = link, clusters
+    return count
+
+
 def checks(seed: int):
     """(name, op factory, inputs) of every case that is compared, not timed."""
     noisy_rng = np.random.default_rng([seed, 4])
@@ -363,7 +454,8 @@ def checks(seed: int):
             ("cli_pool_report", report_op, pool),
             ("pm_identity_report", report_op,
              [pm_identity_doc(pm_rng) for _ in range(PM_IDENTITY_DOCS)]),
-            ("stacked_report", report_op, stacked_report_docs(seed))]
+            ("stacked_report", report_op, stacked_report_docs(seed)),
+            ("merge", label_report_op, merge_docs(seed))]
 
 
 def cases(seed: int):
@@ -550,7 +642,8 @@ def main(argv=None) -> int:
     commit, parent = load_parent(args.parent)
     report = {"parent": commit, "seed": args.seed, "numpy": np.__version__,
               "compared_inputs": {}, "differing_answers": {},
-              "differing_verdicts": {}, "max_angle_difference": {}, "cases": {},
+              "differing_verdicts": {}, "max_angle_difference": {},
+              "merged_inputs": {}, "cases": {},
               "linalg_per_op": {}, "steps_per_op": {}, "populations": {}}
 
     def compared(name, parent_op, child_op, inputs):
@@ -560,6 +653,8 @@ def main(argv=None) -> int:
 
     for name, make_op, inputs in checks(args.seed):
         compared(name, make_op(parent), make_op(rotpair), inputs)
+        if name == "merge":
+            report["merged_inputs"][name] = merged_inputs(make_op(rotpair), inputs)
     for name, make_op, inputs in cases(args.seed):
         parent_op, child_op = make_op(parent), make_op(rotpair)
         compared(name, parent_op, child_op, inputs)
