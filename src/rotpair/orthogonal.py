@@ -61,28 +61,6 @@ class _Spectral(NamedTuple):
     tol: Tolerance
 
 
-class _BuiltOnRead:
-    """A field of a form certified from its spectra, built on first read.
-
-    A non-data descriptor, as ``functools.cached_property`` is: a value
-    stored in the instance is read without it, so every other form reads
-    its fields at plain attribute speed.  Read on the class it raises
-    ``AttributeError``, so the dataclass sees a field without a default.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, nf, owner=None):
-        if nf is None or nf._spectral is None:
-            raise AttributeError(self.name)
-        M, angles, tol = nf._spectral
-        built = _assemble(M, *_rotation_blocks(M, None, angles), [], [],
-                          nf.orthogonality_residual, tol)
-        nf.__dict__.update(angles=built.angles, basis=built.basis)
-        return nf.__dict__[self.name]
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Block form of an orthogonal matrix.
@@ -104,19 +82,31 @@ class NormalForm:
     and ``basis`` together on the first read of either, checks its
     normal-form residual then (``NumericalFailure`` from that read), and
     keeps them, with the values an eager build gives.  ``dim``,
-    ``fix_dim``, ``neg_dim`` and ``orthogonality_residual`` build nothing.
+    ``fix_dim``, ``neg_dim`` and ``orthogonality_residual`` build nothing,
+    nor does a copy or ``hasattr``.  The constructor stores its fields
+    unchecked; :func:`orthogonal_normal_form` builds its forms by ``_form``.
     """
 
-    angles: tuple = _BuiltOnRead()
+    angles: tuple
     fix_dim: int
     neg_dim: int
-    basis: np.ndarray = _BuiltOnRead()
+    basis: np.ndarray
     orthogonality_residual: float = field(default=math.nan, compare=False)
 
     _spectral = None   # a form certified from its spectra holds its _Spectral
 
     __eq__ = array_fields_equal
     __array_ufunc__ = None   # so that == with an ndarray answers False
+
+    def __getattr__(self, name):
+        # a form certified from its spectra builds its angles and basis here, once
+        if name not in ("angles", "basis") or self._spectral is None:
+            raise AttributeError(name)
+        M, angles, tol = self._spectral
+        built = _assemble(M, *_rotation_blocks(M, None, angles), [], [],
+                          self.orthogonality_residual, tol)
+        self.__dict__.update(angles=built.angles, basis=built.basis)
+        return self.__dict__[name]
 
     @property
     def dim(self) -> int:
@@ -125,14 +115,9 @@ class NormalForm:
     def block_matrix(self) -> np.ndarray:
         n, k = self.dim, 2 * len(self.angles)
         out = np.zeros((n, n))
-        flat = out.reshape(-1)
-        flat[::n + 1] = ([c for a in self.angles for c in (math.cos(a),) * 2]
-                         + [1.0] * self.fix_dim + [-1.0] * self.neg_dim)
-        if k:
-            # each block's sine at (2i+1, 2i) and its negative at (2i, 2i+1)
-            sin = [math.sin(a) for a in self.angles]
-            flat[n:k * (n + 1):2 * n + 2] = sin
-            flat[1:k * (n + 1):2 * n + 2] = [-s for s in sin]
+        for i, a in enumerate(self.angles):
+            out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = rot2(a)
+        out.reshape(-1)[k * (n + 1)::n + 1] = [1.0] * self.fix_dim + [-1.0] * self.neg_dim
         return out
 
 
@@ -265,10 +250,8 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
                 D.fill(0.0)
                 diagonal.fill(1.0)
                 D.setflags(write=False)
-                nf = object.__new__(NormalForm)   # as the one-cluster form below is built
-                nf.__dict__.update(angles=(), fix_dim=fix_dim, neg_dim=neg_dim, basis=D,
-                                   orthogonality_residual=resid)
-                return nf
+                return _form(angles=(), fix_dim=fix_dim, neg_dim=neg_dim, basis=D,
+                             orthogonality_residual=resid)
 
     sym = (M + M.T) / 2.0
     cosines = np.linalg.eigvalsh(sym)  # ascending: only the ends can leave [-1, 1]
@@ -283,10 +266,8 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         if cosines.sum() > 0.0:   # the mean cosine: below pi/2 the sines ascend
             sines = sines[::-1]
         angles = np.arctan2(sines, cosines[::-1])
-        nf = object.__new__(NormalForm)   # its angles and basis are built on first read
-        nf.__dict__.update(fix_dim=0, neg_dim=0, orthogonality_residual=resid,
-                           _spectral=_Spectral(M.copy(), angles, tol))
-        return nf
+        return _form(fix_dim=0, neg_dim=0, orthogonality_residual=resid,
+                     _spectral=_Spectral(M.copy(), angles, tol))
 
     # eigvalsh ascends and symmetric_eigen descends: index i of the
     # one is column n - 1 - i of the other
@@ -319,15 +300,20 @@ def _assemble(M: np.ndarray, angles: np.ndarray, U: np.ndarray, W: np.ndarray,
     if fixed or negated:
         basis[:, k:] = np.concatenate(fixed + negated, axis=1)
     basis.setflags(write=False)
-    nf = NormalForm(
-        angles=tuple(angles[order].tolist()),
-        fix_dim=sum(f.shape[1] for f in fixed),
-        neg_dim=sum(f.shape[1] for f in negated),
-        basis=basis,
-        orthogonality_residual=resid,
-    )
+    nf = _form(angles=tuple(angles[order].tolist()),
+               fix_dim=sum(f.shape[1] for f in fixed),
+               neg_dim=sum(f.shape[1] for f in negated),
+               basis=basis, orthogonality_residual=resid)
     require(max_abs(basis.T @ M @ basis - nf.block_matrix()), tol.check_tol,
             NumericalFailure, "normal-form residual")
+    return nf
+
+
+def _form(**fields) -> NormalForm:
+    """A normal form of ``fields``, which :func:`orthogonal_normal_form`
+    has checked, built without the constructor's frozen-field writes."""
+    nf = object.__new__(NormalForm)
+    nf.__dict__.update(fields)
     return nf
 
 
@@ -418,36 +404,28 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
             if nf.fix_dim and nf.neg_dim:
                 raise NotARotation(
                     f"mixed +1 and -1 blocks (fix={nf.fix_dim}, neg={nf.neg_dim})")
-            return _certified(M, 0.0 if nf.fix_dim else math.pi, nf)
+            return _trusted(np.array(M, dtype=float), 0.0 if nf.fix_dim else math.pi, nf)
         if nf.fix_dim or nf.neg_dim:
             raise NotARotation("rotation blocks mixed with +-1 blocks "
                                f"(fix={nf.fix_dim}, neg={nf.neg_dim})")
         angles = nf.angles
         spread = angles[-1] - angles[0]
     require(spread, tol.angle_tol, NotARotation, "distinct block angles, spread")
-    # the sum and division of np.mean, without its wrappers
-    return _certified(M, float(np.add.reduce(angles)) / len(angles), nf)
-
-
-def _certified(M: np.ndarray, angle: float, nf: NormalForm) -> Rotation:
     M = np.array(M, dtype=float) if nf._spectral is None else nf._spectral.matrix
-    M.setflags(write=False)
-    # a copy of M as real_array casts it; the normal form has checked it,
-    # and the angle is in [0, pi], so __post_init__'s checks are not repeated
-    r = object.__new__(Rotation)
-    r.__dict__.update(matrix=M, angle=angle, normal_form=nf)
-    return r
+    # the sum and division of np.mean, without its wrappers
+    return _trusted(M, float(np.add.reduce(angles)) / len(angles), nf)
 
 
-def _trusted(matrix: np.ndarray, angle: float) -> Rotation:
-    """A rotation of ``matrix``, one square matrix or a stack of them, by
-    ``angle`` in [0, pi], with no normal form, built without the
-    constructor's checks: the package computed both from a certified
-    rotation.  The matrix is made read-only, as a certified one is."""
+def _trusted(matrix: np.ndarray, angle: float,
+             normal_form: NormalForm | None = None) -> Rotation:
+    """A rotation of ``matrix``, one square float matrix or a stack of them,
+    by ``angle`` in [0, pi], built without the constructor's checks: they
+    are certified by ``normal_form`` (:func:`as_rotation`), or computed from
+    a certified rotation.  The matrix is made read-only, as a certified one is."""
     if matrix.flags.writeable:
         matrix.setflags(write=False)
     r = object.__new__(Rotation)
-    r.__dict__.update(matrix=matrix, angle=angle, normal_form=None)
+    r.__dict__.update(matrix=matrix, angle=angle, normal_form=normal_form)
     return r
 
 

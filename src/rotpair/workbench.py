@@ -241,17 +241,16 @@ def generate_rotation(n: int, alpha: float, seed: int,
 
     Angle 0 and pi give the identity and its negative in any dimension;
     anything in between needs ``n`` even and conjugates a direct sum of
-    equal 2x2 blocks by a random orthogonal matrix.
+    equal 2x2 blocks by a random orthogonal matrix.  Either way the
+    matrix is certified by :func:`as_rotation`, whose rotation is returned.
     """
     seed = _check_count(seed, "seed")
     if not is_number(n, integral=True) or n < 1:
         raise BadDimension(f"n must be a positive integer, got {n!r}")
     if not is_number(alpha) or not 0.0 <= alpha <= math.pi:
         raise BadAngle(f"alpha {alpha!r} is not a real number in [0, pi]")
-    if alpha == 0.0:
-        return Rotation(matrix=np.eye(n), angle=0.0)
-    if alpha == math.pi:
-        return Rotation(matrix=-np.eye(n), angle=math.pi)
+    if alpha in (0.0, math.pi):
+        return as_rotation(math.cos(alpha) * np.eye(n), tol)
     if n % 2:
         raise BadDimension(f"a proper rotation needs even dimension, got {n}")
     rng = np.random.default_rng(seed)

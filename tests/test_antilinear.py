@@ -307,6 +307,16 @@ class TestInvariantLine:
         )
         assert antilinear_invariant_line(T) is None
 
+    def test_swap_takes_the_line_of_t_u_plus_u(self):
+        # N = I, so the eigenvector u = e0 of the square is not mapped
+        # onto its own line: T u = e1, and the line is T u + sqrt(1) u
+        T = AntilinearOp(M=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+                         basis_a=np.eye(2, dtype=complex))
+        v = antilinear_invariant_line(T)
+        mu = np.vdot(v, T.apply(v))
+        assert np.linalg.norm(T.apply(v) - mu * v) <= DEFAULT_TOL.check_tol
+        assert max_abs(np.abs(v) - 1 / math.sqrt(2)) <= 1e-15
+
     def test_four_block_operator_has_no_line(self):
         rng = np.random.default_rng(9)
         for theta in (0.3, 0.8, 1.4):

@@ -299,6 +299,54 @@ def test_uncertified_blocks_are_found():
     ]
 
 
+# the one function that builds each certified type without its constructor
+TRUSTED_BUILDERS = {"Rotation": "_trusted", "NormalForm": "_form",
+                    "InvariantBlock": "_certified_block"}
+
+
+def untrusted_builds(tree: ast.Module) -> list:
+    """``__new__`` calls outside the one builder of the class they build.
+
+    A certified rotation, normal form or block skips its constructor's
+    checks, so each type has one builder that may do so
+    (``TRUSTED_BUILDERS``); a call that builds any other class, or one
+    not named plainly, is found wherever it is.
+    """
+    owner = {id(node): stmt.name for stmt in ast.walk(tree)
+             if isinstance(stmt, ast.FunctionDef) for node in ast.walk(stmt)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__"
+             and not (node.args and isinstance(node.args[0], ast.Name)
+                      and TRUSTED_BUILDERS.get(node.args[0].id) == owner.get(id(node)))]
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_each_certified_type_has_one_trusted_builder(path):
+    assert untrusted_builds(ast.parse(path.read_text())) == []
+
+
+def test_untrusted_builds_are_found():
+    tree = ast.parse(
+        "def _trusted(m, a):\n    return object.__new__(Rotation)\n"
+        "def _form(**fields):\n    return object.__new__(NormalForm)\n"
+        "def _certified_block(b, d, e):\n    return object.__new__(InvariantBlock)\n"
+        "def _certified(m, a):\n    return object.__new__(Rotation)\n"
+        "def _trusted_form():\n    return object.__new__(NormalForm)\n"
+        "x = object.__new__(InvariantBlock)\n"
+        "def _trusted(m):\n    return cls.__new__(cls)\n"
+        "y = _trusted(m, a), _form(angles=())\n"
+    )
+    assert untrusted_builds(tree) == [
+        "object.__new__(Rotation) (line 8)",
+        "object.__new__(NormalForm) (line 10)",
+        "object.__new__(InvariantBlock) (line 11)",
+        "cls.__new__(cls) (line 13)",
+    ]
+
+
 def normal_form_checks(tree: ast.Module, owner: str | None = None) -> list:
     """Comparisons of a ``.normal_form`` attribute with None outside ``owner``.
 

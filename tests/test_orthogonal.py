@@ -664,8 +664,13 @@ class TestEigensolveCount:
         nf = orthogonal_normal_form(M)
         assert (nf.dim, nf.fix_dim, nf.neg_dim) == (8, 0, 0)
         assert nf.orthogonality_residual == orthonormality_residual(M)
+        # nor do copies, nor probing for a name the form lacks
+        twins = copy.deepcopy(nf), pickle.loads(pickle.dumps(nf))
+        assert not hasattr(nf, "normal_form")
         assert counts["hermitian_eigh"] == 0
-        assert "basis" not in vars(nf) and "angles" not in vars(nf)
+        for form in (nf, *twins):
+            assert "basis" not in vars(form) and "angles" not in vars(form)
+        assert all(twin == nf for twin in twins)
 
     def test_certifying_and_classifying_a_proper_pair_builds_no_basis(self, monkeypatch):
         # n/8 Dim4 blocks and n/4 planes of each orientation, as classify_n96

@@ -345,6 +345,17 @@ class TestGenerateRotation:
         assert r.kind is RotationKind.NEG_IDENTITY
         assert np.array_equal(r.matrix, -np.eye(5))
 
+    # +-I is certified as every other angle is: a read-only matrix and
+    # the normal form that certified it
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("alpha, sign", [(0.0, 1.0), (math.pi, -1.0)])
+    def test_identity_and_negation_are_certified(self, n, alpha, sign):
+        r = generate_rotation(n, alpha, seed=0)
+        assert r.normal_form is not None
+        assert not r.matrix.flags.writeable
+        want = as_rotation(sign * np.eye(n))
+        assert r == want and r.normal_form == want.normal_form
+
     def test_proper_rotation(self):
         r = generate_rotation(6, 1.1, seed=1)
         assert r.kind is RotationKind.PROPER

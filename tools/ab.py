@@ -22,6 +22,18 @@ inputs in one process.  Compared only, untimed:
   clean pairs of ``Dim2Proper`` planes of both signs at angles 1e-4 to
   1e-2, whose twist values lie close.  ``merged_inputs`` gives how many
   of them this checkout's ``decompose`` merged a group on.
+- the normal form of ``Q B Q^T``, as ``orthogonal_normal_form`` gives
+  it with its ``block_matrix()``, and ``as_rotation`` of it, at n = 3, 8
+  and 24, 10 of each kind of B: a reflection, half +1 and half -1 lines,
+  rotation blocks of distinct angles, blocks of one angle, blocks with
+  a +1 and a -1 line, and blocks of one angle under entrywise noise of
+  1e-11; each but the first two is padded with a +1 line at odd n;
+- ``as_rotation`` of 360 sides near 0 and pi: ``generate_rotation(n,
+  a)`` and ``(n, pi - a)`` at n = 2, 6 and 24 and a = 1e-6 to 1e-3,
+  plus ``s (G + G^T)/2`` for s = 1e-12 to 1e-10 and a standard normal
+  G, five draws each.  ``near_end_raises`` gives, for each package,
+  how many of them raise: in all, by the error's message up to its
+  first number, and by the generator's angle.
 
 Compared, then timed:
 
@@ -97,9 +109,11 @@ import enum
 import gc
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -138,6 +152,10 @@ CLI_POOLS = 10
 PM_IDENTITY_DOCS = 200
 STACKED_REPORT_DOCS = {"n96": 4, "equal_sizes_n32": 4, "both_signs": 100}
 MERGE_DOCS = {"close_twists": 400, "small_planes": 200}
+NORMAL_FORM_DIMS = (3, 8, 24)
+NORMAL_FORM_INPUTS = 10   # per kind and dimension
+NEAR_END = {"dims": (2, 6, 24), "angles": (1e-6, 1e-5, 1e-4, 1e-3),
+            "noise": (1e-12, 1e-11, 1e-10), "draws": 5}
 ANGLE_SLACK = 1e-12   # the largest angle difference of one verdict
 LINALG = ("svd", "eigh", "eigvalsh", "eig", "inv", "solve", "qr", "norm")
 STEPS = ("eigenplanes", "_planes_or_operator", "find_block")   # counted in each decompose
@@ -203,9 +221,10 @@ def answer(op, inp):
 def verdict(x, angles: list):
     """The part of an answer that two verdicts share exactly.
 
-    The angles of rotations and label forms are left out and appended to
-    ``angles`` in order; a rotation is its kind, a form its family and
-    signs, and any other answer (a bool, report bytes) is kept whole.
+    The angles of rotations, normal forms and label forms are left out
+    and appended to ``angles`` in order; a rotation is its kind, a normal
+    form its block counts, a label form its family and signs, an array
+    its shape, and any other answer (a bool, report bytes) is kept whole.
     """
     if isinstance(x, BaseException):
         return ("raised", type(x).__name__, str(x))
@@ -215,6 +234,11 @@ def verdict(x, angles: list):
     if name == "Rotation":
         angles.append(x.angle)
         return (name, x.kind.value)
+    if name == "NormalForm":
+        angles.extend(x.angles)
+        return (name, len(x.angles), x.fix_dim, x.neg_dim)
+    if isinstance(x, np.ndarray):   # a basis or block matrix: the angles decide
+        return ("array", x.shape)
     if name == "ClassLabel":
         return (name, verdict(x.forms, angles))
     if dataclasses.is_dataclass(x):   # a canonical form
@@ -438,6 +462,82 @@ def merged_inputs(op, inputs) -> int:
     return count
 
 
+def normal_form_op(pkg):
+    """A matrix's normal form with its block matrix, and its rotation,
+    each or its error."""
+    def form(M):
+        nf = pkg.orthogonal_normal_form(M)
+        return nf, nf.block_matrix()
+
+    def op(M):
+        return answer(form, M), answer(pkg.as_rotation, M)
+    return op
+
+
+def normal_form_input(kind: str, n: int, rng) -> np.ndarray:
+    """``Q B Q^T`` for a random orthogonal Q and a B of ``kind`` (module docstring)."""
+    angles = rng.uniform(0.1, np.pi - 0.1, size=n // 2)
+    pad = [1.0] * (n % 2)
+    blocks, lines = {
+        "reflection": ([], [1.0] * (n - 1) + [-1.0]),
+        "half_signs": ([], [1.0] * (n // 2) + [-1.0] * (n - n // 2)),
+        "distinct_angles": (angles, pad),
+        "one_angle": ([angles[0]] * (n // 2), pad),
+        "signed_lines": (angles[:(n - 2) // 2], pad + [1.0, -1.0]),
+        "noisy_angle": ([angles[0]] * (n // 2), pad),
+    }[kind]
+    B = np.diag([0.0] * (2 * len(blocks)) + lines)
+    for i, a in enumerate(blocks):
+        B[2 * i:2 * i + 2, 2 * i:2 * i + 2] = rotpair.rot2(a)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    M = Q @ B @ Q.T
+    return M + 1e-11 * rng.standard_normal((n, n)) if kind == "noisy_angle" else M
+
+
+def normal_form_inputs(seed: int) -> list:
+    """``NORMAL_FORM_INPUTS`` matrices of each kind at each dimension."""
+    rng = np.random.default_rng([seed, 14])
+    kinds = ("reflection", "half_signs", "distinct_angles", "one_angle",
+             "signed_lines", "noisy_angle")
+    return [normal_form_input(kind, n, rng) for n in NORMAL_FORM_DIMS
+            for kind in kinds for _ in range(NORMAL_FORM_INPUTS)]
+
+
+def near_end_op(pkg):
+    """``as_rotation`` of a side that ``near_end_inputs`` drew."""
+    def op(side):
+        return pkg.as_rotation(side[1])
+    return op
+
+
+def near_end_inputs(seed: int) -> list:
+    """Sides near 0 and pi under symmetric noise (module docstring), each
+    with the name of its generator's angle."""
+    rng = np.random.default_rng([seed, 15])
+    out = []
+    for n, a, s in itertools.product(NEAR_END["dims"], NEAR_END["angles"],
+                                     NEAR_END["noise"]):
+        for name, angle in ((f"{a:g}", a), (f"pi-{a:g}", math.pi - a)):
+            for _ in range(NEAR_END["draws"]):
+                M = rotpair.generate_rotation(n, angle, int(rng.integers(2**31))).matrix
+                G = rng.standard_normal((n, n))
+                out.append((name, M + s * (G + G.T) / 2))
+    return out
+
+
+def near_end_raises(op, inputs) -> dict:
+    """How many sides ``op`` raises on (module docstring)."""
+    counts = {"raised": 0, "by_error": {}, "by_angle": {}}
+    for side in inputs:
+        exc = answer(op, side)
+        if isinstance(exc, BaseException):
+            counts["raised"] += 1
+            for key, value in (("by_error", re.split(r"[\d(]", str(exc))[0].strip()),
+                               ("by_angle", side[0])):
+                counts[key][value] = counts[key].get(value, 0) + 1
+    return counts
+
+
 def checks(seed: int):
     """(name, op factory, inputs) of every case that is compared, not timed."""
     noisy_rng = np.random.default_rng([seed, 4])
@@ -455,7 +555,9 @@ def checks(seed: int):
             ("pm_identity_report", report_op,
              [pm_identity_doc(pm_rng) for _ in range(PM_IDENTITY_DOCS)]),
             ("stacked_report", report_op, stacked_report_docs(seed)),
-            ("merge", label_report_op, merge_docs(seed))]
+            ("merge", label_report_op, merge_docs(seed)),
+            ("normal_form", normal_form_op, normal_form_inputs(seed)),
+            ("near_end", near_end_op, near_end_inputs(seed))]
 
 
 def cases(seed: int):
@@ -655,6 +757,9 @@ def main(argv=None) -> int:
         compared(name, make_op(parent), make_op(rotpair), inputs)
         if name == "merge":
             report["merged_inputs"][name] = merged_inputs(make_op(rotpair), inputs)
+        if name == "near_end":
+            report["near_end_raises"] = {"parent": near_end_raises(make_op(parent), inputs),
+                                         "change": near_end_raises(make_op(rotpair), inputs)}
     for name, make_op, inputs in cases(args.seed):
         parent_op, child_op = make_op(parent), make_op(rotpair)
         compared(name, parent_op, child_op, inputs)
