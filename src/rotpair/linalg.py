@@ -90,9 +90,10 @@ def array_fields_equal(a, b):
     The generated ``__eq__`` compares the fields as one tuple, which asks
     an array for its truth value and raises.  This compares each field
     with ``compare=True`` by ``np.array_equal``: same shape, equal
-    entries.  An instance of another class gives ``NotImplemented``.
+    entries.  An instance of another dataclass gives ``NotImplemented``;
+    a subclass that declares no fields of its own counts as its base.
     """
-    if b.__class__ is not a.__class__:
+    if getattr(b, "__dataclass_fields__", None) is not a.__dataclass_fields__:
         return NotImplemented
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
                for f in fields(a) if f.compare)

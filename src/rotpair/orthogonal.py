@@ -78,10 +78,11 @@ class NormalForm:
     fails every verdict of ``require``.
 
     A form that :func:`orthogonal_normal_form` certified from the two
-    spectra alone (one cluster, all rotation blocks) builds ``angles``
-    and ``basis`` together on the first read of either, checks its
-    normal-form residual then (``NumericalFailure`` from that read), and
-    keeps them, with the values an eager build gives.  ``dim``,
+    spectra alone (one cluster, all rotation blocks) is a private subclass
+    that builds ``angles`` and ``basis`` together on the first read of
+    either, checks its normal-form residual then (``NumericalFailure``
+    from that read), and keeps them, with the values an eager build
+    gives; it equals a form of this class with equal fields.  ``dim``,
     ``fix_dim``, ``neg_dim`` and ``orthogonality_residual`` build nothing,
     nor does a copy or ``hasattr``.  The constructor stores its fields
     unchecked; :func:`orthogonal_normal_form` builds its forms by ``_form``.
@@ -98,16 +99,6 @@ class NormalForm:
     __eq__ = array_fields_equal
     __array_ufunc__ = None   # so that == with an ndarray answers False
 
-    def __getattr__(self, name):
-        # a form certified from its spectra builds its angles and basis here, once
-        if name not in ("angles", "basis") or self._spectral is None:
-            raise AttributeError(name)
-        M, angles, tol = self._spectral
-        built = _assemble(M, *_rotation_blocks(M, None, angles), [], [],
-                          self.orthogonality_residual, tol)
-        self.__dict__.update(angles=built.angles, basis=built.basis)
-        return self.__dict__[name]
-
     @property
     def dim(self) -> int:
         return (self.basis if self._spectral is None else self._spectral.matrix).shape[0]
@@ -119,6 +110,21 @@ class NormalForm:
             out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = rot2(a)
         out.reshape(-1)[k * (n + 1)::n + 1] = [1.0] * self.fix_dim + [-1.0] * self.neg_dim
         return out
+
+
+class _SpectralForm(NormalForm):
+    """A form certified from its spectra, which builds its angles and basis
+    on the first read of either.  Only this class has the ``__getattr__``
+    hook, which slows every attribute read of its instances."""
+
+    def __getattr__(self, name):
+        if name not in ("angles", "basis"):
+            raise AttributeError(name)
+        M, angles, tol = self._spectral
+        built = _assemble(M, *_rotation_blocks(M, None, angles), [], [],
+                          self.orthogonality_residual, tol)
+        self.__dict__.update(angles=built.angles, basis=built.basis)
+        return self.__dict__[name]
 
 
 @dataclass(frozen=True)
@@ -311,8 +317,10 @@ def _assemble(M: np.ndarray, angles: np.ndarray, U: np.ndarray, W: np.ndarray,
 
 def _form(**fields) -> NormalForm:
     """A normal form of ``fields``, which :func:`orthogonal_normal_form`
-    has checked, built without the constructor's frozen-field writes."""
-    nf = object.__new__(NormalForm)
+    has checked, built without the constructor's frozen-field writes: a
+    ``_SpectralForm`` when ``fields`` hold its ``_spectral``."""
+    nf = (object.__new__(_SpectralForm) if "_spectral" in fields
+          else object.__new__(NormalForm))
     nf.__dict__.update(fields)
     return nf
 

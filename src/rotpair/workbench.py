@@ -169,7 +169,7 @@ def _read_json(source, text=None):
     """
     try:
         if text is None:
-            with open(source) as fh:
+            with open(source, encoding="utf-8") as fh:
                 text = fh.read()
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -432,6 +433,19 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "delta" in proc.stdout
+
+
+def test_utf8_document_is_read_under_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259) whatever the locale's encoding
+    doc = generate_pair([Dim2Proper(alpha=0.5, beta=1.2, r=1)], seed=1)
+    data = doc.to_json_dict()
+    data["metadata"]["note"] = "caf\u00e9"
+    path = tmp_path / "pair.json"
+    path.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    proc = subprocess.run([sys.executable, "-m", "rotpair.cli", "check", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_stdout_ends_without_a_traceback(tmp_path):

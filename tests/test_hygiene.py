@@ -300,7 +300,7 @@ def test_uncertified_blocks_are_found():
 
 
 # the one function that builds each certified type without its constructor
-TRUSTED_BUILDERS = {"Rotation": "_trusted", "NormalForm": "_form",
+TRUSTED_BUILDERS = {"Rotation": "_trusted", "NormalForm": "_form", "_SpectralForm": "_form",
                     "InvariantBlock": "_certified_block"}
 
 
