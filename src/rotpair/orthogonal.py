@@ -53,11 +53,21 @@ class RotationKind(Enum):
     PROPER = "proper"
 
 
+# A cosine c with c^2 <= 3/4 has a sine of at least 1/2, so arccos amplifies
+# its error by at most 2: a one-cluster side whose cosines all lie there is
+# read from them and one Frobenius norm, with no skew-part SVD.
+FAR_FROM_ENDS_COS2 = 0.75
+
+
 class _Spectral(NamedTuple):
     """What certified a one-cluster form, and what its blocks are built from."""
 
     matrix: np.ndarray    # a copy of the certified matrix, the rotation's own
-    angles: np.ndarray    # atan2(sine, cosine) of each paired spectral value
+    angles: np.ndarray    # the block angles its read has, whose spread is the
+                          # verdict: arccos of each cosine away from 0 and pi,
+                          # atan2(sine, cosine) of each paired value near them
+    angle: float          # the rotation's angle: atan2(RMS sine, mean cosine)
+                          # away from 0 and pi, the mean of the pairs near them
     tol: Tolerance
 
 
@@ -120,7 +130,7 @@ class _SpectralForm(NormalForm):
     def __getattr__(self, name):
         if name not in ("angles", "basis"):
             raise AttributeError(name)
-        M, angles, tol = self._spectral
+        M, angles, _, tol = self._spectral
         built = _assemble(M, *_rotation_blocks(M, None, angles), [], [],
                           self.orthogonality_residual, tol)
         self.__dict__.update(angles=built.angles, basis=built.basis)
@@ -218,17 +228,30 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     any wider spread is clustered once in angle space at ``angle_tol``.
 
     One cluster, as every exact single-angle rotation has, is the whole
-    space, and it is certified from the two spectra alone, with no
-    eigenvectors.  Its dimension must be even.  The singular values of
-    the skew part ``K = (M - M.T)/2`` are the block sines, in pairs; the
-    smallest must exceed the sine floor ``RANK_TOL``, below which a block
-    is too close to 0 or pi to extract.  The cosines, descending, are
-    paired with the sines, ascending when the mean cosine is positive and
-    descending otherwise, and each pair gives the angle
-    ``atan2(sine, cosine)``; unlike ``arccos`` of a cosine, that keeps its
-    relative accuracy next to 0 and pi.  The form's ``angles`` and
-    ``basis`` are built, by :func:`_rotation_blocks` on the identity
-    basis ``E = I``, and checked on their first read.
+    space, and it is certified from its spectra alone, with no
+    eigenvectors.  Its dimension must be even, and its block angles and
+    angle are read one of two ways, switched on the cosines:
+
+    - Away from 0 and pi, when every cosine has ``c^2 <= 3/4``
+      (``FAR_FROM_ENDS_COS2``), each block sine is at least 1/2, so
+      ``arccos`` amplifies a cosine's error by at most 2.  The block
+      angles are the ``arccos`` values, and the angle is
+      ``atan2(s, c)``, with ``c`` the mean cosine and
+      ``s = |M - M.T|_F / (2 sqrt(n))`` the RMS block sine; like the
+      other read, that is exact for a scaled rotation.
+    - Within pi/6 of 0 or pi, the singular values of the skew part
+      ``K = (M - M.T)/2``, from one values-only SVD, are the block
+      sines, in pairs; the smallest must exceed the sine floor
+      ``RANK_TOL``, below which a block is too close to 0 or pi to
+      extract.  The cosines, descending, are paired with the sines,
+      ascending when the mean cosine is positive and descending
+      otherwise, and each pair gives a block angle
+      ``atan2(sine, cosine)``; unlike ``arccos`` of a cosine, that keeps
+      its relative accuracy next to 0 and pi.  The angle is their mean.
+
+    The form's ``angles`` and ``basis`` are built, by
+    :func:`_rotation_blocks` on the identity basis ``E = I``, and checked
+    on their first read.
 
     Several clusters, such as a reflection's, take a full symmetric
     eigensolve for its eigenvectors alone, and each cluster's columns
@@ -267,13 +290,19 @@ def orthogonal_normal_form(M, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     if (thetas.item(0) - thetas.item(-1) <= tol.angle_tol
             or len(clusters := single_linkage(thetas, tol.angle_tol)) == 1):
         _require_even(thetas)
-        sines = np.linalg.svd((M - M.T) / 2.0, compute_uv=False)   # descending
-        _require_sine_floor(thetas, -sines[-1], sines[-1])
-        if cosines.sum() > 0.0:   # the mean cosine: below pi/2 the sines ascend
-            sines = sines[::-1]
-        angles = np.arctan2(sines, cosines[::-1])
+        if max(cosines.item(0) ** 2, cosines.item(-1) ** 2) <= FAR_FROM_ENDS_COS2:
+            angles = thetas
+            angle = math.atan2(frobenius(M - M.T) / (2.0 * math.sqrt(n)), cosines.sum() / n)
+        else:
+            sines = np.linalg.svd((M - M.T) / 2.0, compute_uv=False)   # descending
+            _require_sine_floor(thetas, -sines[-1], sines[-1])
+            if cosines.sum() > 0.0:   # the mean cosine: below pi/2 the sines ascend
+                sines = sines[::-1]
+            angles = np.arctan2(sines, cosines[::-1])
+            # the sum and division of np.mean, without its wrappers
+            angle = float(np.add.reduce(angles)) / len(angles)
         return _form(fix_dim=0, neg_dim=0, orthogonality_residual=resid,
-                     _spectral=_Spectral(M.copy(), angles, tol))
+                     _spectral=_Spectral(M.copy(), angles, angle, tol))
 
     # eigvalsh ascends and symmetric_eigen descends: index i of the
     # one is column n - 1 - i of the other
@@ -392,10 +421,11 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     Succeeds when the block form is all rotation blocks at one common
     angle, or purely the identity, or purely its negative.  The returned
     angle is 0 for the identity and pi for the negative.  A form of one
-    cluster is judged by its spectral angles ``atan2(sine, cosine)``,
-    one per paired eigenvalue of the symmetric part and singular value
-    of the skew part: their spread must be within ``angle_tol``, the
-    angle is their mean, and the form's basis is not built.  Any other
+    cluster is judged by the block angles of its read (see
+    :func:`orthogonal_normal_form`): the ``arccos`` of each cosine away
+    from 0 and pi, the paired ``atan2(sine, cosine)`` within pi/6 of
+    them.  Their spread must be within ``angle_tol``, the angle is the
+    one that read gives, and the form's basis is not built.  Any other
     form with rotation blocks has a fixed or negated space, or blocks of
     distinct angles, and is refused.
 
@@ -404,9 +434,8 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
     afterwards changes neither the rotation nor any label of it.
     """
     nf = orthogonal_normal_form(M, tol)
-    if nf._spectral is not None:
-        angles = nf._spectral.angles
-        spread = max(listed := angles.tolist()) - min(listed)
+    if (spectral := nf._spectral) is not None:
+        spread = max(listed := spectral.angles.tolist()) - min(listed)
     else:
         if not nf.angles:
             if nf.fix_dim and nf.neg_dim:
@@ -419,9 +448,9 @@ def as_rotation(M, tol: Tolerance = DEFAULT_TOL) -> Rotation:
         angles = nf.angles
         spread = angles[-1] - angles[0]
     require(spread, tol.angle_tol, NotARotation, "distinct block angles, spread")
-    M = np.array(M, dtype=float) if nf._spectral is None else nf._spectral.matrix
-    # the sum and division of np.mean, without its wrappers
-    return _trusted(M, float(np.add.reduce(angles)) / len(angles), nf)
+    if spectral is not None:
+        return _trusted(spectral.matrix, spectral.angle, nf)
+    return _trusted(np.array(M, dtype=float), float(np.add.reduce(angles)) / len(angles), nf)
 
 
 def _trusted(matrix: np.ndarray, angle: float,

@@ -588,16 +588,24 @@ def count_linalg(monkeypatch):
 class TestFactorizationBudget:
     """What certifying a side and labelling a pair with a +-I side factorize."""
 
+    # away from 0 and pi the angle is read from the cosines and one
+    # Frobenius norm; within pi/6 of an end the skew part's sines are paired
     @pytest.mark.parametrize("n", [2, 8, 96])
-    def test_proper_side_takes_one_eigvalsh_and_one_values_svd(self, monkeypatch, n):
+    @pytest.mark.parametrize("angle, budget", [
+        (0.3, {"eigvalsh": 1, "svd_values": 1}),
+        (1.3, {"eigvalsh": 1}),
+        (math.pi - 0.3, {"eigvalsh": 1, "svd_values": 1}),
+    ], ids=["near-0", "away", "near-pi"])
+    def test_proper_side_takes_one_eigvalsh_and_one_values_svd_only_near_an_end(
+            self, monkeypatch, n, angle, budget):
         from rotpair import orthogonal
 
-        M = generate_rotation(n, 1.3, seed=n).matrix
+        M = generate_rotation(n, angle, seed=n).matrix
         counts = count_linalg(monkeypatch)
         clustered = record_calls(monkeypatch, orthogonal, "single_linkage")
         r = as_rotation(M)
         assert r.kind is RotationKind.PROPER
-        assert counts == {"eigvalsh": 1, "svd_values": 1}
+        assert counts == budget
         assert clustered == []   # one cluster by its two ends alone
 
     @pytest.mark.parametrize("n", [2, 8, 96])
@@ -843,6 +851,47 @@ def test_chained_spectrum_takes_the_one_cluster_path(monkeypatch):
     _assert_certified_basis(nf, M)
     with pytest.raises(NotARotation, match="spread"):
         as_rotation(M)
+
+
+# A one-cluster side whose cosines all have c^2 <= 3/4 reads its angle as
+# atan2(RMS sine, mean cosine), with no skew-part SVD; within pi/6 of an end
+# it pairs the SVD's sines with the cosines.  Each read is exact to roundoff
+# on clean and on scaled sides, on both sides of the switch.
+SWITCH_SIDES = [(math.pi / 6 - 1e-6, 1), (math.pi / 6 + 1e-6, 0),
+                (5 * math.pi / 6 - 1e-6, 0), (5 * math.pi / 6 + 1e-6, 1),
+                (1.0, 0), (2.0, 0)]   # (angle, values-only SVDs)
+SWITCH_IDS = ["below-pi/6", "above-pi/6", "below-5pi/6", "above-5pi/6", "1.0", "2.0"]
+
+
+@pytest.mark.parametrize("n", [2, 8, 24])
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 4e-10, 1.0 + 4e-10])
+@pytest.mark.parametrize("angle, svds", SWITCH_SIDES, ids=SWITCH_IDS)
+def test_a_side_at_the_switch_reads_its_angle_exactly(monkeypatch, n, scale, angle, svds):
+    Ms = [scale * generate_rotation(n, angle, seed).matrix for seed in range(3)]
+    if scale != 1.0:   # a scaled rotation, which the mean of arccos alone misreads
+        for M in Ms:
+            thetas = np.arccos(np.linalg.eigvalsh((M + M.T) / 2.0))
+            assert abs(thetas.mean() - angle) > 1e-11
+    counts = count_linalg(monkeypatch)
+    for M in Ms:
+        assert abs(as_rotation(M).angle - angle) <= 1e-15
+    assert counts.get("svd_values", 0) == 3 * svds
+
+
+@pytest.mark.parametrize("base", [0.3, math.pi - 0.3 - 1.2 * DEFAULT_TOL.angle_tol],
+                         ids=["near-0", "near-pi"])
+def test_a_chained_spectrum_near_an_end_is_refused_through_the_svd_read(monkeypatch, base):
+    # as test_chained_spectrum_takes_the_one_cluster_path, within pi/6 of an end
+    step = 0.6 * DEFAULT_TOL.angle_tol
+    Q = rand_orthogonal(6, np.random.default_rng(6))
+    M = Q @ block_diag(*[rot2(base + k * step) for k in range(3)]) @ Q.T
+    thetas = np.arccos(np.linalg.eigvalsh((M + M.T) / 2.0))
+    assert np.ptp(thetas) > DEFAULT_TOL.angle_tol
+    assert len(single_linkage(thetas, DEFAULT_TOL.angle_tol)) == 1
+    counts = count_linalg(monkeypatch)
+    with pytest.raises(NotARotation, match="spread"):
+        as_rotation(M)
+    assert counts == {"eigvalsh": 1, "svd_values": 1}
 
 
 @pytest.mark.parametrize("end", [1.0, -1.0])

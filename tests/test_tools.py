@@ -14,7 +14,8 @@ import pytest
 from rotpair import ClassLabel
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-CHEAP = ["near_end", "normal_form", "classify_reducible_minus_n16", "pm_identity_report"]
+CHEAP = ["near_end", "normal_form", "classify_reducible_minus_n16", "pm_identity_report",
+         "as_rotation_switch"]
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,15 @@ def test_a_set_built_twice_from_one_seed_is_bit_identical(corpus):
     for name in CHEAP:
         assert digest(first[name]) == digest(second[name]), name
     assert digest(corpus.build(["near_end"], 4)["near_end"]) != digest(first["near_end"])
+
+
+def test_the_switch_set_straddles_both_switch_angles(corpus):
+    items = corpus.build(["as_rotation_switch"], 1)["as_rotation_switch"]
+    assert sorted({M.shape[0] for M, _ in items}) == list(corpus.ROTATION_DIMS)
+    offsets = [a - s for _, a in items for s in (math.pi / 6, 5 * math.pi / 6)
+               if abs(a - s) <= 1e-3]
+    assert len(offsets) == len(items)
+    assert sum(o < 0.0 for o in offsets) == sum(o > 0.0 for o in offsets) == len(items) // 2
 
 
 def test_the_noise_sets_ignore_the_seed(corpus):
@@ -93,4 +103,5 @@ def test_ab_builds_its_cases_from_the_corpus(corpus):
     assert ab.corpus is corpus
     cases = list(ab.CHECKED) + list(ab.TIMED)
     assert len(set(cases)) == len(cases) and set(cases) <= set(corpus.SETS)
+    assert set(ab.SCORED) <= set(cases)
     assert "default_rng" not in (TOOLS / "ab.py").read_text()

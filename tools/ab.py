@@ -12,7 +12,9 @@ A certified pair's op certifies it afresh before every call, outside
 the timed call, so no call finds the label that a certified pair
 remembers from the last one.  ``merged_inputs`` counts the ``merge``
 inputs on which this checkout's ``decompose`` merged a twist group, and
-``scoreboard`` holds the corpus's tally of ``near_end`` for each package.
+``scoreboard`` holds the corpus's tally of each set in ``SCORED`` for
+each package: ``near_end``, and ``as_rotation_switch``, the sides on
+either side of the angles where a certified side switches its read.
 
 Every answer is compared bit for bit: angles, normal forms, labels,
 isomorphism answers, report bytes, and for an input that raises, the
@@ -78,6 +80,7 @@ import worker  # noqa: E402
 
 PARENT_NAME = "rotpair_parent"
 ANGLE_SLACK = 1e-12   # the largest angle difference of one verdict
+SCORED = ("near_end", "as_rotation_switch")   # the sets scored against their truth too
 LINALG = ("svd", "eigh", "eigvalsh", "eig", "inv", "solve", "qr", "norm")
 STEPS = ("eigenplanes", "_planes_or_operator", "find_block")   # counted in each decompose
 # batch_small's populations, by the family of the label, and the metrics each sets:
@@ -391,23 +394,24 @@ def main(argv=None) -> int:
                                                    STEPS, op, inputs)
                                  for side, pkg, op in sides}}
 
-    def compared(name, parent_op, child_op, inputs):
+    def compared(name, parent_op, child_op, items) -> list:
+        inputs = [x for x, _ in items]
         report["compared_inputs"][name] = len(inputs)
         (report["differing_answers"][name], report["differing_verdicts"][name],
          report["max_angle_difference"][name]) = compare(parent_op, child_op, inputs)
-
-    for name, items in corpus.build(list(CHECKED), args.seed).items():
-        make_op, inputs = CHECKED[name], [x for x, _ in items]
-        compared(name, make_op(parent), make_op(rotpair), inputs)
-        if name == "merge":
-            report["merged_inputs"][name] = merged_inputs(make_op(rotpair), inputs)
-        if name == "near_end":
+        if name in SCORED:
             report["scoreboard"][name] = {"parent": corpus.score(name, items, parent),
                                           "change": corpus.score(name, items, rotpair)}
+        return inputs
+
+    for name, items in corpus.build(list(CHECKED), args.seed).items():
+        make_op = CHECKED[name]
+        inputs = compared(name, make_op(parent), make_op(rotpair), items)
+        if name == "merge":
+            report["merged_inputs"][name] = merged_inputs(make_op(rotpair), inputs)
     for name, items in corpus.build(list(TIMED), args.seed).items():
-        inputs = [x for x, _ in items]
         parent_op, child_op = TIMED[name](parent), TIMED[name](rotpair)
-        compared(name, parent_op, child_op, inputs)
+        inputs = compared(name, parent_op, child_op, items)
         for key, value in counts(parent_op, child_op, inputs).items():
             report[key][name] = value
         for inp in inputs[:3]:      # warm both sides

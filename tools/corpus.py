@@ -186,6 +186,20 @@ def near_end_sides(rng) -> list:
     return [out]
 
 
+def switch_sides(rng) -> list:
+    """``generate_rotation(n, a)`` at each n of ``ROTATION_DIMS``, ten each
+    below and above pi/6 and 5 pi/6, where a one-cluster side switches its
+    read, by 1e-9 to 1e-3, log-uniform."""
+    out = []
+    for n, switch, side in itertools.product(ROTATION_DIMS, (math.pi / 6, 5 * math.pi / 6),
+                                             (-1.0, 1.0)):
+        for _ in range(10):
+            angle = switch + side * log_uniform(rng, 1e-9, 1e-3)
+            out.append((rotpair.generate_rotation(n, angle, workloads._seed(rng)).matrix,
+                        angle))
+    return [out]
+
+
 def rotation_sides(rng):
     """At each dimension of ``ROTATION_DIMS``, proper sides, ``+-Q Q^T``
     (``+-I`` up to roundoff), and split spectra: a conjugated reflection, or
@@ -241,6 +255,7 @@ register(14, "side", ["normal_form"], lambda rng: [[
     for _ in range(10)]])
 register(15, "side", ["near_end"], near_end_sides)
 register(16, "label", ["clean"], lambda rng: [docs(rng, 300, clean_doc)])
+register(17, "side", ["as_rotation_switch"], switch_sides)
 register(2, "small", ["batch_small"], lambda rng: [[
     (x, (workloads.truth_label(x[0]), x[2]))
     for x in (workloads.small_input(rng) for _ in range(200))]])
